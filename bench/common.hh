@@ -18,11 +18,6 @@
  *   --jobs N          worker threads for the run plan (default 1;
  *                     0 = all hardware threads). Results are
  *                     bit-identical to a serial run.
- *   --shards N        event-core shards inside every run (default 1).
- *                     Partitions the SSD subtrees over N conservative
- *                     shards; results are bit-identical to --shards 1,
- *                     only faster. Composes with --jobs (threads used
- *                     = jobs * shards).
  *   --seeds N         replicate every run with seeds S..S+N-1 and
  *                     aggregate the ladders across replicas
  *   --metrics-json F  also write the per-run metrics JSON to file F
@@ -48,7 +43,7 @@
  *                     results are bit-identical, only slower -- the
  *                     A/B is the exactness check (DESIGN.md §9)
  *   --telemetry W     sample a windowed telemetry timeline every W
- *                     simulated milliseconds (DESIGN.md §14): per-
+ *                     simulated milliseconds (DESIGN.md §13): per-
  *                     stage latency histograms with ACT-style
  *                     exceed counters, counter/gauge series, and
  *                     the simulator self-profile. Figures stay
@@ -58,7 +53,7 @@
  *   --telemetry-csv F write the timeline as tidy CSV to file F
  *                     (implies --telemetry 100 when absent)
  *
- * Open-loop traffic flags (DESIGN.md §15). A non-zero --rate switches
+ * Open-loop traffic flags (DESIGN.md §14). A non-zero --rate switches
  * the run from closed-loop FIO threads to the arrival-driven
  * OpenLoopEngine:
  *   --rate R          aggregate offered load in ops/sec (0 = closed
@@ -144,9 +139,6 @@ parseOptions(int argc, char **argv)
     opts.csv = cfg.getBool("csv", false);
     opts.perDevice = cfg.getBool("per_device", false);
     p.captureSystemReport = cfg.getBool("report", false);
-    p.shards = static_cast<unsigned>(cfg.getUint("shards", 1));
-    if (p.shards == 0)
-        p.shards = 1;
     opts.jobs = static_cast<unsigned>(cfg.getUint("jobs", 1));
     opts.seeds = static_cast<unsigned>(cfg.getUint("seeds", 1));
     if (opts.seeds == 0)

@@ -19,9 +19,9 @@
  * the final backlog is the saturation signature), the response-time
  * ladder, the >1 ms ACT count, and exact drop accounting.
  *
- * The frontier table is byte-identical at any --shards x --jobs
- * combination and with --telemetry on or off; the windowed digest
- * (per-window p99 and >1 ms counts) prints only under --telemetry.
+ * The frontier table is byte-identical at any --jobs and with
+ * --telemetry on or off; the windowed digest (per-window p99 and
+ * >1 ms counts) prints only under --telemetry.
  *
  * Extra flags over the common set (see common.hh for --mix/--zipf/
  * --burst/--streams and the rest):

@@ -1,8 +1,8 @@
 # Re-runs a pinned bench telemetry configuration and fails when the
 # windowed timeline JSONL drifts from the committed golden. The
-# artifacts are fully deterministic (DESIGN.md §14): a serial run at a
-# fixed seed emits no wall-clock fields, so any diff is a real model
-# or format change. To regenerate after an intentional change, run the
+# artifacts are fully deterministic (DESIGN.md §13): a run at a fixed
+# seed emits no wall-clock fields, so any diff is a real model or
+# format change. To regenerate after an intentional change, run the
 # bench with the ARGS below plus --telemetry-out <golden path>:
 #
 #   build/bench/fig_fault_tail --width 8 --runtime-ms 300 --seed 7 \

@@ -17,7 +17,6 @@
 #include "pcie/afa_topology.hh"
 #include "sim/event_queue.hh"
 #include "sim/random.hh"
-#include "sim/shard.hh"
 #include "sim/simulator.hh"
 #include "stats/histogram.hh"
 #include "stats/scatter_log.hh"
@@ -355,69 +354,10 @@ BM_DeviceCommandContended(benchmark::State &state)
 BENCHMARK(BM_DeviceCommandContended)->Arg(0)->Arg(1);
 
 void
-BM_ShardedEventThroughput(benchmark::State &state)
+BM_Fig06Throughput(benchmark::State &state)
 {
-    // The parallel core's raw event rate at K shards: every shard
-    // runs a self-rescheduling chain (50-tick period) and every
-    // fourth event posts across to the next shard through the
-    // mailbox. Arg(1) is the serial baseline; the ratio Arg(K)/Arg(1)
-    // is the barrier + mailbox overhead (a win needs >= K cores, a
-    // 1-core host only measures the overhead).
-    const unsigned shards = static_cast<unsigned>(state.range(0));
-    constexpr afa::sim::Tick kHorizon = 200000;
-    constexpr afa::sim::Tick kPeriod = 50;
-    std::uint64_t events = 0;
-    for (auto _ : state) {
-        afa::sim::Simulator sim(42, shards);
-        sim.setLookahead(afa::sim::TickDelta{100});
-        struct Chain
-        {
-            afa::sim::Simulator &sim;
-            unsigned shards;
-            unsigned n = 0;
-            void
-            step()
-            {
-                ++n;
-                if (sim.now() + kPeriod > kHorizon)
-                    return;
-                if (n % 4 == 0) {
-                    const unsigned next =
-                        (afa::sim::currentShard() + 1) % shards;
-                    sim.scheduleOnShard(next, sim.now() + 100,
-                                        [this] { step(); },
-                                        /*internal=*/false,
-                                        /*order=*/1);
-                } else {
-                    sim.scheduleAfter(kPeriod, [this] { step(); });
-                }
-            }
-        };
-        std::vector<std::unique_ptr<Chain>> chains;
-        for (unsigned s = 0; s < shards; ++s) {
-            chains.push_back(
-                std::make_unique<Chain>(Chain{sim, shards}));
-            afa::sim::ShardScope scope(sim, s);
-            Chain *c = chains.back().get();
-            sim.scheduleAt(0, [c] { c->step(); });
-        }
-        events += sim.run();
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(events));
-}
-BENCHMARK(BM_ShardedEventThroughput)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Unit(benchmark::kMillisecond);
-
-void
-BM_ShardedFig06Throughput(benchmark::State &state)
-{
-    // End-to-end sharded run of a reduced Fig. 6 config (8 SSDs,
-    // 50 ms). items/s is model events per wall second -- the number
-    // BENCH_simcore.json tracks for serial vs --shards={2,4}. The
-    // result is bit-identical at every Arg; only the rate moves.
+    // End-to-end run of a reduced Fig. 6 config (8 SSDs, 50 ms).
+    // items/s is model events per wall second.
     afa::core::ExperimentParams params;
     params.profile = afa::core::TuningProfile::Default;
     params.ssds = 8;
@@ -425,18 +365,13 @@ BM_ShardedFig06Throughput(benchmark::State &state)
     params.smartPeriod = afa::sim::msec(25);
     params.irqBalanceInterval = afa::sim::msec(25);
     params.seed = 7;
-    params.shards = static_cast<unsigned>(state.range(0));
     std::uint64_t events = 0;
     for (auto _ : state)
         events += afa::core::ExperimentRunner::run(params)
                       .simulatedEvents;
     state.SetItemsProcessed(static_cast<std::int64_t>(events));
 }
-BENCHMARK(BM_ShardedFig06Throughput)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_Fig06Throughput)->Unit(benchmark::kMillisecond);
 
 void
 BM_SpanLogRecordTelemetry(benchmark::State &state)
@@ -472,12 +407,11 @@ BM_TelemetryWindowedRun(benchmark::State &state)
 {
     // End-to-end cost of an enabled timeline: the reduced Fig. 6 run
     // with --telemetry 5 (internal span log, every window sampled).
-    // Compare against BM_ShardedFig06Throughput/1 in the same binary
-    // for the enabled-vs-off ratio; the cross-build gate excludes it
-    // like BM_SpanLogRecordTelemetry. The telemetry-off cost is
-    // gated instead through the always-on self-profiling code that
-    // BM_ShardedEventThroughput and BM_ShardedFig06Throughput
-    // exercise (scheduleOnShard, barriers, planRound).
+    // Compare against BM_Fig06Throughput in the same binary for the
+    // enabled-vs-off ratio; the cross-build gate excludes it like
+    // BM_SpanLogRecordTelemetry. The telemetry-off cost is gated
+    // instead through BM_Fig06Throughput, which runs the always-on
+    // self-profiling counters (internal-event plumbing).
     afa::core::ExperimentParams params;
     params.profile = afa::core::TuningProfile::Default;
     params.ssds = 8;

@@ -4,7 +4,6 @@
 #include "obs/span_log.hh"
 #include "obs/telemetry.hh"
 #include "sim/logging.hh"
-#include "sim/shard.hh"
 
 namespace afa::core {
 
@@ -26,34 +25,13 @@ AfaSystem::AfaSystem(Simulator &simulator, const AfaSystemParams &params,
     ft.ssds = params.ssds;
     fabricTopo = buildAfaTopology(*pcieFabric, ft);
 
-    // Shard partition: host + fabric + fault books on shard 0, the
-    // SSD subtrees block-partitioned across shards 1..K-1 in device
-    // order. The lookahead horizon is the fabric's minimum link
-    // propagation: no cross-shard interaction can happen sooner than
-    // one wire traversal. The horizon, the endpoint delivery bands,
-    // and the shipped completion sends are set up in serial runs too:
-    // the schedule is then the same deterministic function of the
-    // model at every shard count, which is what makes the figures
-    // bit-identical under --shards (see DESIGN.md "Sharded execution
-    // contract").
-    const unsigned shard_count = sim.shards();
-    ssdShards.assign(params.ssds, 0);
-    sim.setLookahead(pcieFabric->minPropagation());
+    // Endpoint delivery bands and the device->fabric ship below are
+    // serial schedule rules (DESIGN.md §9): the goldens and digests
+    // pin the event order they produce.
     for (unsigned d = 0; d < params.ssds; ++d)
         pcieFabric->markEndpoint(fabricTopo.ssds[d]);
-    if (shard_count > 1) {
-        if (tracer)
-            afa::sim::fatal("AfaSystem: the debug tracer is not "
-                            "shard-safe; run with shards=1");
-        if (sim.lookahead() == afa::sim::TickDelta{})
-            afa::sim::fatal("AfaSystem: sharded run needs a positive "
-                            "minimum link propagation for lookahead");
-        for (unsigned d = 0; d < params.ssds; ++d) {
-            unsigned s = 1 + (d * (shard_count - 1)) / params.ssds;
-            ssdShards[d] = s;
-            pcieFabric->setNodeShard(fabricTopo.ssds[d], s);
-        }
-    }
+    const afa::sim::Tick ship_delay =
+        static_cast<afa::sim::Tick>(pcieFabric->minPropagation().count());
 
     // Host side.
     sched = std::make_unique<afa::host::Scheduler>(
@@ -65,11 +43,8 @@ AfaSystem::AfaSystem(Simulator &simulator, const AfaSystemParams &params,
         sim, "bg", *sched, params.background);
     driver = std::make_unique<Driver>(*this);
 
-    // SSDs. Each device subtree is built (and later started) under
-    // its own ShardScope so every event it schedules lands on its
-    // shard's queue.
+    // SSDs.
     for (unsigned d = 0; d < params.ssds; ++d) {
-        afa::sim::ShardScope shard_scope(sim, ssdShards[d]);
         nands.push_back(std::make_unique<afa::nand::NandArray>(
             sim, afa::sim::strfmt("nvme%u.nand", d), params.nand));
         ctrls.push_back(std::make_unique<afa::nvme::Controller>(
@@ -80,22 +55,21 @@ AfaSystem::AfaSystem(Simulator &simulator, const AfaSystemParams &params,
         ctrl.setQueuePairs(sched->topology().logicalCpus());
         afa::pcie::NodeId dev_node = fabricTopo.ssds[d];
         afa::pcie::NodeId host_node = fabricTopo.host;
-        ctrl.setTransport([this, dev_node, host_node, d](
+        ctrl.setTransport([this, dev_node, host_node, d, ship_delay](
                               std::uint32_t bytes, std::uint64_t io,
                               afa::sim::EventFn fn) {
-            // Device -> fabric: "ship" the send to the fabric's shard
-            // one lookahead later, backdating the fabric entry to the
-            // device-side tick. Exact because the device's edge link
-            // carries no through-traffic or reservations, so nothing
-            // can have touched it in the interim, and link arithmetic
-            // already includes >= one propagation delay. Serial runs
-            // take the same path (lookahead = min propagation) with
-            // the same ordering band, so simultaneous completions
-            // from different devices walk the fabric in the same
-            // canonical ascending-endpoint order at any shard count.
+            // Device -> fabric: "ship" the send one minimum link
+            // propagation later, in the device's endpoint band,
+            // backdating the fabric entry to the device-side tick.
+            // Exact because the device's edge link carries no
+            // through-traffic or reservations, so nothing can have
+            // touched it in the interim, and link arithmetic already
+            // includes >= one propagation delay. The band makes
+            // simultaneous completions from different devices walk
+            // the fabric in ascending endpoint order.
             const afa::sim::Tick entry = sim.now();
-            sim.scheduleOnShard(
-                0, entry + sim.lookahead(),
+            sim.scheduleInternal(
+                entry + ship_delay,
                 [this, entry, dev_node, host_node, bytes, io, d,
                  fn = std::move(fn)]() mutable {
                     pcieFabric->sendSpannedAt(
@@ -104,7 +78,6 @@ AfaSystem::AfaSystem(Simulator &simulator, const AfaSystemParams &params,
                         afa::obs::Stage::FabricComplete,
                         std::move(fn));
                 },
-                /*internal=*/true,
                 /*order=*/2 + dev_node);
         });
         ctrl.setCompletionHandler(
@@ -122,7 +95,7 @@ AfaSystem::AfaSystem(Simulator &simulator, const AfaSystemParams &params,
             ctrl_ptrs.push_back(ctrl.get());
         faults = std::make_unique<afa::fault::FaultEngine>(
             sim, params.faults, std::move(ctrl_ptrs),
-            pcieFabric.get(), fabricTopo.ssds, ssdShards);
+            pcieFabric.get(), fabricTopo.ssds);
     }
 }
 
@@ -135,10 +108,8 @@ AfaSystem::start()
     sched->start();
     irqSub->start();
     bg->start();
-    for (unsigned d = 0; d < ctrls.size(); ++d) {
-        afa::sim::ShardScope shard_scope(sim, ssdShards[d]);
-        ctrls[d]->start();
-    }
+    for (auto &ctrl : ctrls)
+        ctrl->start();
     if (faults)
         faults->start();
 }
@@ -192,10 +163,6 @@ AfaSystem::attachTelemetry(afa::obs::Telemetry &telemetry)
 {
     if (!telemetry.enabled())
         return;
-    // Every source below reads state that only shard-0 events mutate
-    // (the host, the fabric walks — device sends are shipped to shard
-    // 0 — and the fault books), so a boundary sample on shard 0 is
-    // race-free and shard-count-invariant.
     telemetry.addCounter("fabric.packets", [this] {
         return pcieFabric->stats().packets;
     });

@@ -132,16 +132,14 @@ class AfaSystem
     void setSpanLog(afa::obs::SpanLog *log);
 
     /**
-     * Register this system's shard-0-resident sources on a telemetry
-     * collector (DESIGN.md §14): fabric packet/byte/fast-path/
-     * fallback counters, IRQ deliveries, context switches, a driver
-     * in-flight gauge, and — on fault runs only, mirroring
-     * publishMetrics() — driver recovery and fault bookkeeping
-     * series, so healthy timelines never change when fault support
-     * is compiled in. Device-resident state (nvme/ftl/nand) is
-     * deliberately absent: sampling it live from shard 0 would race
-     * with the device shards; per-device behaviour reaches the
-     * timeline through the windowed stage histograms instead.
+     * Register this system's sources on a telemetry collector
+     * (DESIGN.md §13): fabric packet/byte/fast-path/fallback
+     * counters, IRQ deliveries, context switches, a driver in-flight
+     * gauge, and — on fault runs only, mirroring publishMetrics() —
+     * driver recovery and fault bookkeeping series, so healthy
+     * timelines never change when fault support is compiled in.
+     * Per-device behaviour (nvme/ftl/nand) reaches the timeline
+     * through the windowed stage histograms instead.
      */
     void attachTelemetry(afa::obs::Telemetry &telemetry);
 
@@ -174,14 +172,6 @@ class AfaSystem
 
     /** The fault engine, or nullptr when no plan is loaded. */
     afa::fault::FaultEngine *faultEngine() { return faults.get(); }
-
-    /**
-     * Which simulator shard each SSD subtree executes on (indexed by
-     * device). All zeros in a serial run; under a sharded Simulator
-     * the devices are block-partitioned over shards 1..K-1 while the
-     * host, fabric and fault books stay on shard 0.
-     */
-    const std::vector<unsigned> &ssdShardMap() const { return ssdShards; }
 
     /** Outstanding driver commands, including retries waiting out
      *  their backoff (0 when quiescent). */
@@ -246,7 +236,6 @@ class AfaSystem
     std::unique_ptr<afa::host::BackgroundLoad> bg;
     std::unique_ptr<Driver> driver;
     std::unique_ptr<afa::fault::FaultEngine> faults;
-    std::vector<unsigned> ssdShards;
     std::vector<std::function<void(afa::obs::MetricsRegistry &)>>
         extraMetricsSources;
     afa::obs::SpanLog *spanLogPtr = nullptr;

@@ -1,6 +1,5 @@
 #include "core/experiment.hh"
 
-#include <algorithm>
 #include <memory>
 
 #include "core/system_report.hh"
@@ -17,12 +16,118 @@ using afa::workload::OpenLoopEngine;
 namespace {
 
 /**
+ * The system under test and its observers for one run, built the same
+ * way for the closed- and open-loop paths.
+ */
+struct Testbed
+{
+    std::unique_ptr<AfaSystem> system;
+    std::unique_ptr<afa::obs::SpanLog> spanLog;
+    /** The span log exists only to feed telemetry's windowed
+     *  histograms (no trace artifact was requested); its
+     *  attribution/metrics never reach the result, so reports stay
+     *  byte-identical with telemetry on or off. */
+    bool internalTrace = false;
+    std::unique_ptr<afa::obs::Telemetry> telemetry;
+};
+
+/** Build the AfaSystem, span log and telemetry of one run, then
+ *  precondition the FTLs. */
+Testbed
+buildTestbed(Simulator &sim, const ExperimentParams &params,
+             const TuningConfig &tuning)
+{
+    AfaSystemParams sys_params;
+    sys_params.ssds = params.ssds;
+    sys_params.topology = params.topology;
+    sys_params.kernel = tuning.kernel;
+    sys_params.firmware = tuning.firmware;
+    sys_params.pinIrqAffinity = tuning.pinIrqAffinity;
+    sys_params.ftl = params.ftl;
+    sys_params.faults = params.faults;
+    sys_params.deviceFastPath = params.deviceFastPath;
+    if (!params.backgroundLoad)
+        sys_params.background = afa::host::BackgroundParams::none();
+    if (params.smartPeriod > 0)
+        sys_params.firmware.smart.period = params.smartPeriod;
+    if (params.irqBalanceInterval > 0)
+        sys_params.kernel.irq.irqBalanceInterval =
+            params.irqBalanceInterval;
+
+    Testbed tb;
+    tb.system = std::make_unique<AfaSystem>(sim, sys_params);
+    afa::obs::TraceParams trace;
+    trace.mask = params.traceMask;
+    trace.capacity = params.traceCapacity;
+    if (params.traceMask != 0) {
+        tb.spanLog = std::make_unique<afa::obs::SpanLog>(trace);
+        tb.system->setSpanLog(tb.spanLog.get());
+    }
+    if (params.telemetryWindow > 0) {
+        afa::obs::TelemetryParams tp;
+        tp.window = params.telemetryWindow;
+        tb.telemetry = std::make_unique<afa::obs::Telemetry>(tp);
+        if (!tb.spanLog) {
+            trace.mask = afa::obs::kAllCategories;
+            tb.spanLog = std::make_unique<afa::obs::SpanLog>(trace);
+            tb.system->setSpanLog(tb.spanLog.get());
+            tb.internalTrace = true;
+        }
+        tb.spanLog->setTelemetry(tb.telemetry.get());
+        tb.system->attachTelemetry(*tb.telemetry);
+    }
+    if (params.preconditionFraction > 0.0)
+        for (unsigned d = 0; d < params.ssds; ++d)
+            tb.system->ssd(d).ftl().precondition(
+                params.preconditionFraction);
+    return tb;
+}
+
+/**
+ * Fold one finished run's system-wide outputs into @p result: the
+ * telemetry timeline, the event count, the system report and, when a
+ * trace artifact or a fault plan asks for them, attribution, spans
+ * and component metrics (@p engine adds the open-loop counters).
+ */
+void
+collectRun(Testbed &tb, const Simulator &sim,
+           const ExperimentParams &params, bool keep_spans,
+           const OpenLoopEngine *engine, ExperimentResult &result)
+{
+    if (tb.telemetry) {
+        tb.telemetry->finish();
+        result.telemetry.merge(tb.telemetry->timeline());
+    }
+    result.simulatedEvents += sim.executedEvents();
+    if (params.captureSystemReport)
+        result.systemReportText = systemReport(*tb.system);
+    const bool artifactTrace = tb.spanLog && !tb.internalTrace;
+    if (artifactTrace) {
+        result.attribution.merge(tb.spanLog->attribution());
+        result.spanDrops += tb.spanLog->dropped();
+        if (keep_spans)
+            result.spans = tb.spanLog->snapshot();
+    }
+    if (artifactTrace || params.faults) {
+        afa::obs::MetricsRegistry registry;
+        tb.system->publishMetrics(registry);
+        if (engine)
+            engine->publishMetrics(registry);
+        if (artifactTrace) {
+            registry.addCounter("obs.spans_recorded",
+                                tb.spanLog->recorded());
+            registry.addCounter("obs.span_drops",
+                                tb.spanLog->dropped());
+        }
+        result.systemMetrics.merge(registry.snapshot());
+    }
+}
+
+/**
  * The open-loop variant: one arrival-driven engine over every SSD
  * instead of closed-loop FIO threads. Single run — Table II geometry
- * variants are a closed-loop concept — but the trace/telemetry
- * plumbing is byte-for-byte the closed-loop pattern, so canonical
- * reports stay identical with telemetry on or off. The end protocol
- * drains in-flight IOs with a bounded grace, never the backlog: at
+ * variants are a closed-loop concept. The end protocol drains
+ * in-flight IOs with a bounded grace, never the backlog: at
  * saturation the backlog cannot drain by design, and its depth is
  * part of the measurement (openLoop.totals.finalBacklog).
  */
@@ -42,58 +147,9 @@ runOpenLoop(const ExperimentParams &params)
     result.perDevice.resize(params.ssds);
     result.runs = 1;
 
-    Simulator sim(params.seed, std::max(1u, params.shards));
-
-    AfaSystemParams sys_params;
-    sys_params.ssds = params.ssds;
-    sys_params.topology = params.topology;
-    sys_params.kernel = tuning.kernel;
-    sys_params.firmware = tuning.firmware;
-    sys_params.pinIrqAffinity = tuning.pinIrqAffinity;
-    sys_params.ftl = params.ftl;
-    sys_params.faults = params.faults;
-    sys_params.deviceFastPath = params.deviceFastPath;
-    if (!params.backgroundLoad)
-        sys_params.background = afa::host::BackgroundParams::none();
-    if (params.smartPeriod > 0)
-        sys_params.firmware.smart.period = params.smartPeriod;
-    if (params.irqBalanceInterval > 0)
-        sys_params.kernel.irq.irqBalanceInterval =
-            params.irqBalanceInterval;
-
-    AfaSystem system(sim, sys_params);
-    std::unique_ptr<afa::obs::SpanLog> spanLog;
-    bool internalTrace = false;
-    if (params.traceMask != 0) {
-        afa::obs::TraceParams trace;
-        trace.mask = params.traceMask;
-        trace.capacity = params.traceCapacity;
-        trace.shards = std::max(1u, params.shards);
-        spanLog = std::make_unique<afa::obs::SpanLog>(trace);
-        system.setSpanLog(spanLog.get());
-    }
-    std::unique_ptr<afa::obs::Telemetry> telemetry;
-    if (params.telemetryWindow > 0) {
-        afa::obs::TelemetryParams tp;
-        tp.window = params.telemetryWindow;
-        tp.shards = std::max(1u, params.shards);
-        telemetry = std::make_unique<afa::obs::Telemetry>(tp);
-        if (!spanLog) {
-            afa::obs::TraceParams trace;
-            trace.mask = afa::obs::kAllCategories;
-            trace.capacity = params.traceCapacity;
-            trace.shards = std::max(1u, params.shards);
-            spanLog = std::make_unique<afa::obs::SpanLog>(trace);
-            system.setSpanLog(spanLog.get());
-            internalTrace = true;
-        }
-        spanLog->setTelemetry(telemetry.get());
-        system.attachTelemetry(*telemetry);
-    }
-    if (params.preconditionFraction > 0.0)
-        for (unsigned d = 0; d < params.ssds; ++d)
-            system.ssd(d).ftl().precondition(
-                params.preconditionFraction);
+    Simulator sim(params.seed);
+    Testbed tb = buildTestbed(sim, params, tuning);
+    AfaSystem &system = *tb.system;
     if (params.polledCompletions)
         afa::sim::warn("experiment: open-loop mode ignores polled "
                        "completions");
@@ -106,15 +162,15 @@ runOpenLoop(const ExperimentParams &params)
     auto engine = std::make_unique<OpenLoopEngine>(
         sim, "openloop", system.scheduler(), system.ioEngine(),
         params.ssds, ol);
-    if (spanLog)
-        engine->attachSpanLog(spanLog.get());
-    if (telemetry)
-        engine->registerTelemetry(*telemetry);
+    if (tb.spanLog)
+        engine->attachSpanLog(tb.spanLog.get());
+    if (tb.telemetry)
+        engine->registerTelemetry(*tb.telemetry);
 
     system.start();
     engine->start(0);
-    if (telemetry)
-        telemetry->start(sim);
+    if (tb.telemetry)
+        tb.telemetry->start(sim);
 
     // Run the measurement, then drain in-flight IOs (only): the
     // grace is bounded so a saturated backlog ends the run with
@@ -130,10 +186,6 @@ runOpenLoop(const ExperimentParams &params)
     if (!drained)
         afa::sim::warn("experiment: open-loop run did not drain "
                        "in-flight IOs within grace");
-    if (telemetry) {
-        telemetry->finish();
-        result.telemetry.merge(telemetry->timeline());
-    }
 
     for (unsigned d = 0; d < params.ssds; ++d)
         result.perDevice[d] =
@@ -148,28 +200,7 @@ runOpenLoop(const ExperimentParams &params)
     const double measured_seconds = afa::sim::toSec(params.runtime);
     if (measured_seconds > 0.0)
         result.aggregateGBps = total_bytes / measured_seconds / 1e9;
-    result.simulatedEvents = sim.executedEvents();
-    if (params.captureSystemReport)
-        result.systemReportText = systemReport(system);
-    const bool artifactTrace = spanLog && !internalTrace;
-    if (artifactTrace) {
-        result.attribution.merge(spanLog->attribution());
-        result.spanDrops += spanLog->dropped();
-        if (params.keepSpans)
-            result.spans = spanLog->snapshot();
-    }
-    if (artifactTrace || params.faults) {
-        afa::obs::MetricsRegistry registry;
-        system.publishMetrics(registry);
-        engine->publishMetrics(registry);
-        if (artifactTrace) {
-            registry.addCounter("obs.spans_recorded",
-                                spanLog->recorded());
-            registry.addCounter("obs.span_drops",
-                                spanLog->dropped());
-        }
-        result.systemMetrics.merge(registry.snapshot());
-    }
+    collectRun(tb, sim, params, params.keepSpans, engine.get(), result);
 
     result.aggregate =
         afa::stats::LadderAggregate::across(result.perDevice);
@@ -207,65 +238,11 @@ ExperimentRunner::run(const ExperimentParams &params)
     for (std::size_t run_idx = 0; run_idx < runs.size(); ++run_idx) {
         const Run &placements = runs[run_idx];
 
-        Simulator sim(params.seed + run_idx * 7919,
-                      std::max(1u, params.shards));
-
-        AfaSystemParams sys_params;
-        sys_params.ssds = params.ssds;
-        sys_params.topology = params.topology;
-        sys_params.kernel = tuning.kernel;
-        sys_params.firmware = tuning.firmware;
-        sys_params.pinIrqAffinity = tuning.pinIrqAffinity;
-        sys_params.ftl = params.ftl;
-        sys_params.faults = params.faults;
-        sys_params.deviceFastPath = params.deviceFastPath;
-        if (!params.backgroundLoad)
-            sys_params.background = afa::host::BackgroundParams::none();
-        if (params.smartPeriod > 0)
-            sys_params.firmware.smart.period = params.smartPeriod;
-        if (params.irqBalanceInterval > 0)
-            sys_params.kernel.irq.irqBalanceInterval =
-                params.irqBalanceInterval;
-
-        AfaSystem system(sim, sys_params);
-        std::unique_ptr<afa::obs::SpanLog> spanLog;
-        // An internal span log exists only to feed telemetry's
-        // windowed histograms when no trace artifact was requested;
-        // its attribution/metrics never reach the result, so reports
-        // stay byte-identical with telemetry on or off.
-        bool internalTrace = false;
-        if (params.traceMask != 0) {
-            afa::obs::TraceParams trace;
-            trace.mask = params.traceMask;
-            trace.capacity = params.traceCapacity;
-            trace.shards = std::max(1u, params.shards);
-            spanLog = std::make_unique<afa::obs::SpanLog>(trace);
-            system.setSpanLog(spanLog.get());
-        }
-        std::unique_ptr<afa::obs::Telemetry> telemetry;
-        if (params.telemetryWindow > 0) {
-            afa::obs::TelemetryParams tp;
-            tp.window = params.telemetryWindow;
-            tp.shards = std::max(1u, params.shards);
-            telemetry = std::make_unique<afa::obs::Telemetry>(tp);
-            if (!spanLog) {
-                afa::obs::TraceParams trace;
-                trace.mask = afa::obs::kAllCategories;
-                trace.capacity = params.traceCapacity;
-                trace.shards = std::max(1u, params.shards);
-                spanLog = std::make_unique<afa::obs::SpanLog>(trace);
-                system.setSpanLog(spanLog.get());
-                internalTrace = true;
-            }
-            spanLog->setTelemetry(telemetry.get());
-            system.attachTelemetry(*telemetry);
-        }
+        Simulator sim(params.seed + run_idx * 7919);
+        Testbed tb = buildTestbed(sim, params, tuning);
+        AfaSystem &system = *tb.system;
         if (params.polledCompletions)
             system.setPolledCompletions(true);
-        if (params.preconditionFraction > 0.0)
-            for (unsigned d = 0; d < params.ssds; ++d)
-                system.ssd(d).ftl().precondition(
-                    params.preconditionFraction);
 
         std::vector<std::unique_ptr<FioThread>> threads;
         for (const Placement &p : placements) {
@@ -280,15 +257,15 @@ ExperimentRunner::run(const ExperimentParams &params)
                 p.device, job));
             if (p.device < params.scatterDevices)
                 threads.back()->attachScatterLog(&result.scatter);
-            if (spanLog)
-                threads.back()->attachSpanLog(spanLog.get());
+            if (tb.spanLog)
+                threads.back()->attachSpanLog(tb.spanLog.get());
         }
 
         system.start();
         for (auto &t : threads)
             t->start(0);
-        if (telemetry)
-            telemetry->start(sim);
+        if (tb.telemetry)
+            tb.telemetry->start(sim);
 
         // Run to the end of the measurement, then drain stragglers.
         sim.run(params.runtime + afa::sim::msec(100));
@@ -304,10 +281,6 @@ ExperimentRunner::run(const ExperimentParams &params)
         if (!drained)
             afa::sim::warn("experiment: run %zu did not drain cleanly",
                            run_idx);
-        if (telemetry) {
-            telemetry->finish();
-            result.telemetry.merge(telemetry->timeline());
-        }
 
         for (std::size_t i = 0; i < placements.size(); ++i) {
             unsigned device = placements[i].device;
@@ -321,36 +294,14 @@ ExperimentRunner::run(const ExperimentParams &params)
                 static_cast<double>(threads[i]->stats().writeBytes);
         }
         measured_seconds += afa::sim::toSec(params.runtime);
-        result.simulatedEvents += sim.executedEvents();
-        if (params.captureSystemReport)
-            result.systemReportText = systemReport(system);
-        const bool artifactTrace = spanLog && !internalTrace;
-        if (artifactTrace) {
-            result.attribution.merge(spanLog->attribution());
-            result.spanDrops += spanLog->dropped();
-            if (params.keepSpans && run_idx == 0)
-                result.spans = spanLog->snapshot();
-        }
-        if (artifactTrace || params.faults) {
-            afa::obs::MetricsRegistry registry;
-            system.publishMetrics(registry);
-            if (artifactTrace) {
-                registry.addCounter("obs.spans_recorded",
-                                    spanLog->recorded());
-                registry.addCounter("obs.span_drops",
-                                    spanLog->dropped());
-            }
-            result.systemMetrics.merge(registry.snapshot());
-        }
+        collectRun(tb, sim, params, params.keepSpans && run_idx == 0,
+                   nullptr, result);
     }
 
     result.aggregate =
         afa::stats::LadderAggregate::across(result.perDevice);
     if (measured_seconds > 0.0) {
         // Aggregate throughput of one run's worth of wall time.
-        double per_run_seconds =
-            measured_seconds / static_cast<double>(runs.size());
-        (void)per_run_seconds;
         result.aggregateGBps =
             total_bytes / measured_seconds / 1e9 *
             static_cast<double>(runs.size());

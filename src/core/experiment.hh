@@ -38,14 +38,6 @@ struct ExperimentParams
     unsigned ssds = 64;
     std::uint64_t seed = 1;
 
-    /**
-     * Simulator shards for the run (1 = classic serial execution).
-     * The partition is per-SSD-subtree with the host and fabric on
-     * shard 0; results are bit-identical at any shard count — shards
-     * only change how fast the answer arrives.
-     */
-    unsigned shards = 1;
-
     /** Per-thread measurement duration (the paper used 120 s). */
     Tick runtime = afa::sim::sec(4);
 
@@ -136,7 +128,7 @@ struct ExperimentParams
     std::shared_ptr<const afa::fault::FaultPlan> faults;
 
     /**
-     * Open-loop arrival-driven traffic (DESIGN.md §15) instead of
+     * Open-loop arrival-driven traffic (DESIGN.md §14) instead of
      * the closed-loop FIO threads when set. One run over all SSDs:
      * geometry variants and placement overrides do not apply; the
      * engine duration is `runtime`, and empty `cpus` expands to the
@@ -150,9 +142,9 @@ struct ExperimentParams
      * Telemetry sampling window in ticks (0 = off). Non-zero slices
      * the run into simulated-time windows of per-stage latency
      * histograms, sampled counter/gauge series, and the simulator's
-     * self-profile (DESIGN.md §14). Sampling rides internal shard-0
-     * events, so every canonical report is byte-identical with
-     * telemetry on or off.
+     * self-profile (DESIGN.md §13). Sampling rides internal events,
+     * so every canonical report is byte-identical with telemetry on
+     * or off.
      */
     afa::sim::Tick telemetryWindow = 0;
 };

@@ -8,11 +8,10 @@ FaultEngine::FaultEngine(afa::sim::Simulator &simulator,
                          std::shared_ptr<const FaultPlan> fault_plan,
                          std::vector<afa::nvme::Controller *> controllers,
                          afa::pcie::Fabric *fabric_ptr,
-                         std::vector<afa::pcie::NodeId> ssd_nodes,
-                         std::vector<unsigned> ssd_shards)
+                         std::vector<afa::pcie::NodeId> ssd_nodes)
     : SimObject(simulator, "afa.faults"), planRef(std::move(fault_plan)),
       ctrls(std::move(controllers)), fabric(fabric_ptr),
-      ssdNodes(std::move(ssd_nodes)), ssdShards(std::move(ssd_shards))
+      ssdNodes(std::move(ssd_nodes))
 {
     if (!planRef)
         afa::sim::panic("%s: constructed without a plan",
@@ -38,38 +37,19 @@ FaultEngine::start()
         fabric->setFaultRng(&rng());
     for (const FaultEvent &ev : planRef->events) {
         const FaultEvent *e = &ev;
-        if (e->kind == FaultKind::LinkError) {
-            // Pure fabric-side event: everything happens on the
-            // engine's shard (the fabric's), exactly as before.
-            at(e->at, [this, e] { apply(*e); });
-            at(e->at + e->duration, [this, e] { revert(*e); });
+        at(e->at, [this, e] { apply(*e); });
+        at(e->at + e->duration, [this, e] { revert(*e); });
+        if (e->kind == FaultKind::LinkError)
             continue;
-        }
-        // Controller fault: the books stay here at the plan ticks;
-        // the controller mutators run on the target SSD's shard at
-        // those same ticks in ordering band 1 — after every plain
-        // device event of the tick, before any delivery. Serial runs
-        // split the same way so the mutation's same-tick position is
-        // identical at any shard count. The posts are made at setup
-        // time (before the parallel phase) and marked internal so the
-        // model event count stays identical across shard counts.
-        at(e->at, [this] {
-            ++engStats.applied;
-            ++engStats.active;
-        });
-        at(e->at + e->duration, [this] {
-            ++engStats.reverted;
-            --engStats.active;
-        });
-        const unsigned shard =
-            e->ssd < ssdShards.size() ? ssdShards[e->ssd] : 0;
-        sim().scheduleOnShard(shard, e->at,
-                              [this, e] { applyCtrl(*e); },
-                              /*internal=*/true, /*order=*/1);
+        // Controller fault: the mutators run as internal band-1
+        // events at the same ticks as the books — after every plain
+        // event of the tick, before any delivery.
+        sim().scheduleInternal(e->at, [this, e] { applyCtrl(*e); },
+                               /*order=*/1);
         if (e->kind != FaultKind::CtrlStall)
-            sim().scheduleOnShard(shard, e->at + e->duration,
-                                  [this, e] { revertCtrl(*e); },
-                                  /*internal=*/true, /*order=*/1);
+            sim().scheduleInternal(e->at + e->duration,
+                                   [this, e] { revertCtrl(*e); },
+                                   /*order=*/1);
     }
 }
 
@@ -80,8 +60,6 @@ FaultEngine::apply(const FaultEvent &event)
     ++engStats.active;
     if (event.kind == FaultKind::LinkError)
         fabric->setEndpointFault(ssdNodes[event.ssd], event.rate);
-    else
-        applyCtrl(event);
 }
 
 void
@@ -91,32 +69,22 @@ FaultEngine::revert(const FaultEvent &event)
     --engStats.active;
     if (event.kind == FaultKind::LinkError)
         fabric->clearEndpointFault(ssdNodes[event.ssd]);
-    else
-        revertCtrl(event);
 }
 
-/**
- * The controller-side mutators. Shard-affine by construction: in a
- * sharded run these execute on the target controller's own shard
- * (posted there via scheduleOnShard in start()); serially everything
- * is one shard anyway.
- */
+/** The controller-side mutators, posted as band-1 events by start(). */
 void
 FaultEngine::applyCtrl(const FaultEvent &event)
 {
     switch (event.kind) {
       case FaultKind::Limp:
-        // detlint:allow(shard-state) — runs on the owning shard
         ctrls[event.ssd]->setLimpFactor(event.factor);
         break;
       case FaultKind::Dropout:
-        // detlint:allow(shard-state) — runs on the owning shard
         ctrls[event.ssd]->setOffline(true);
         break;
       case FaultKind::CtrlStall:
         // stallUntil() is absolute: the whole window is applied at
         // onset and drains by itself; revert only keeps the books.
-        // detlint:allow(shard-state) — runs on the owning shard
         ctrls[event.ssd]->stallUntil(event.at + event.duration);
         break;
       case FaultKind::LinkError:
@@ -129,11 +97,9 @@ FaultEngine::revertCtrl(const FaultEvent &event)
 {
     switch (event.kind) {
       case FaultKind::Limp:
-        // detlint:allow(shard-state) — runs on the owning shard
         ctrls[event.ssd]->setLimpFactor(1.0);
         break;
       case FaultKind::Dropout:
-        // detlint:allow(shard-state) — runs on the owning shard
         ctrls[event.ssd]->setOffline(false);
         break;
       case FaultKind::CtrlStall:

@@ -43,29 +43,22 @@ class FaultEngine : public afa::sim::SimObject
     /**
      * @p controllers and @p ssd_nodes are parallel, indexed by the
      * plan's `ssd=` field; @p fabric may be null when no LinkError
-     * event targets it (unit tests). @p ssd_shards (parallel, may be
-     * empty = all shard 0) names the shard each controller executes
-     * on under a sharded Simulator.
+     * event targets it (unit tests).
      */
     FaultEngine(afa::sim::Simulator &simulator,
                 std::shared_ptr<const FaultPlan> fault_plan,
                 std::vector<afa::nvme::Controller *> controllers,
                 afa::pcie::Fabric *fabric_ptr,
-                std::vector<afa::pcie::NodeId> ssd_nodes,
-                std::vector<unsigned> ssd_shards = {});
+                std::vector<afa::pcie::NodeId> ssd_nodes);
 
     /**
      * Validate targets and schedule every apply/revert event.
      *
-     * Serial runs schedule one apply and one revert event per plan
-     * event, both on the engine's shard. Sharded runs keep the books
-     * and all fabric-side state here (shard 0) at the exact same
-     * ticks, and post the controller mutators to each target SSD's
-     * own shard — also at the exact plan ticks, which is legal
-     * because the posts happen at setup time, before the parallel
-     * phase begins. The engine's single name-forked RNG stream is
-     * untouched: all replay draws happen on the fabric's shard, so
-     * faulted runs replay identically at any shard count.
+     * A link error is one apply and one revert event at the plan
+     * ticks. A controller fault splits each into a counted
+     * bookkeeping event and an internal mutator event in ordering
+     * band 1, which runs after every plain event of the tick and
+     * before any endpoint delivery (DESIGN.md §9).
      */
     void start();
 
@@ -77,7 +70,6 @@ class FaultEngine : public afa::sim::SimObject
     std::vector<afa::nvme::Controller *> ctrls;
     afa::pcie::Fabric *fabric;
     std::vector<afa::pcie::NodeId> ssdNodes;
-    std::vector<unsigned> ssdShards;
     FaultEngineStats engStats;
 
     void apply(const FaultEvent &event);

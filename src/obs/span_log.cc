@@ -1,10 +1,8 @@
 #include "obs/span_log.hh"
 
 #include <algorithm>
-#include <tuple>
 
 #include "obs/telemetry.hh"
-#include "sim/shard.hh"
 
 namespace afa::obs {
 
@@ -15,19 +13,14 @@ constexpr std::size_t kInitialRing = 1024;
 
 } // namespace
 
-SpanLog::SpanLog(const TraceParams &params) : mask_(params.mask)
+SpanLog::SpanLog(const TraceParams &params)
+    : mask_(params.mask),
+      // At least one slot, so record() never divides by zero on tiny
+      // budgets.
+      cap(std::max<std::size_t>(params.capacity, 1))
 {
-    const unsigned n = std::max(1u, params.shards);
-    // Split the configured capacity evenly; every lane keeps at least
-    // one slot so record() never divides by zero on tiny budgets.
-    const std::size_t per_lane =
-        std::max<std::size_t>(params.capacity / n, 1);
-    lanes.resize(n);
-    for (Lane &lane : lanes) {
-        lane.cap = per_lane;
-        if (mask_ != 0)
-            lane.ring.reserve(std::min(kInitialRing, lane.cap));
-    }
+    if (mask_ != 0)
+        ring.reserve(std::min(kInitialRing, cap));
 }
 
 void
@@ -38,11 +31,8 @@ SpanLog::record(Stage stage, std::uint64_t io, Tick begin, Tick end,
     if (!wants(categoryOf(stage)))
         return;
 
-    const unsigned shard = afa::sim::currentShard();
-    Lane &lane = lanes[shard < lanes.size() ? shard : 0];
-
-    ++lane.numRecorded;
-    lane.accum.add(stage, end - begin);
+    ++numRecorded;
+    accum.add(stage, end - begin);
     if (telemetry_ != nullptr)
         telemetry_->recordSpan(stage, end, end - begin);
 
@@ -55,105 +45,41 @@ SpanLog::record(Stage stage, std::uint64_t io, Tick begin, Tick end,
     rec.stage = static_cast<std::uint8_t>(stage);
     rec.flags = flags;
 
-    if (lane.ring.size() < lane.cap) {
+    if (ring.size() < cap) {
         // Growth phase: push_back doubles the allocation
         // geometrically; clamp the final step to the capacity so the
         // ring never holds more than cap records.
-        if (lane.ring.size() == lane.ring.capacity())
-            lane.ring.reserve(
-                std::min(lane.cap, lane.ring.capacity() * 2));
-        lane.ring.push_back(rec);
+        if (ring.size() == ring.capacity())
+            ring.reserve(std::min(cap, ring.capacity() * 2));
+        ring.push_back(rec);
         return;
     }
     // Wrap phase: overwrite the oldest record.
-    lane.ring[lane.head] = rec;
-    lane.head = (lane.head + 1) % lane.cap;
-    ++lane.numDropped;
-}
-
-std::uint64_t
-SpanLog::recorded() const
-{
-    std::uint64_t total = 0;
-    for (const Lane &lane : lanes)
-        total += lane.numRecorded;
-    return total;
-}
-
-std::uint64_t
-SpanLog::dropped() const
-{
-    std::uint64_t total = 0;
-    for (const Lane &lane : lanes)
-        total += lane.numDropped;
-    return total;
-}
-
-std::size_t
-SpanLog::retained() const
-{
-    std::size_t total = 0;
-    for (const Lane &lane : lanes)
-        total += lane.ring.size();
-    return total;
-}
-
-std::size_t
-SpanLog::capacity() const
-{
-    std::size_t total = 0;
-    for (const Lane &lane : lanes)
-        total += lane.cap;
-    return total;
+    ring[head] = rec;
+    head = (head + 1) % cap;
+    ++numDropped;
 }
 
 std::vector<SpanRecord>
 SpanLog::snapshot() const
 {
+    // head is 0 until the ring wraps, so this is oldest-first in both
+    // phases.
     std::vector<SpanRecord> out;
-    out.reserve(retained());
-    for (const Lane &lane : lanes) {
-        // head is 0 until the ring wraps, so this is oldest-first in
-        // both phases.
-        out.insert(out.end(), lane.ring.begin() + lane.head,
-                   lane.ring.end());
-        out.insert(out.end(), lane.ring.begin(),
-                   lane.ring.begin() + lane.head);
-    }
-    if (lanes.size() > 1) {
-        // Merge order across lanes must not depend on the shard
-        // partition: sort on the record contents alone.
-        std::stable_sort(
-            out.begin(), out.end(),
-            [](const SpanRecord &a, const SpanRecord &b) {
-                return std::tie(a.begin, a.end, a.track, a.stage,
-                                a.io, a.arg, a.flags) <
-                       std::tie(b.begin, b.end, b.track, b.stage,
-                                b.io, b.arg, b.flags);
-            });
-    }
+    out.reserve(ring.size());
+    out.insert(out.end(), ring.begin() + head, ring.end());
+    out.insert(out.end(), ring.begin(), ring.begin() + head);
     return out;
-}
-
-Attribution
-SpanLog::attribution() const
-{
-    Attribution merged = lanes[0].accum;
-    for (std::size_t i = 1; i < lanes.size(); ++i)
-        merged.merge(lanes[i].accum);
-    return merged;
 }
 
 void
 SpanLog::clear()
 {
-    for (Lane &lane : lanes) {
-        lane.ring.clear();
-        lane.head = 0;
-        lane.numRecorded = 0;
-        lane.numDropped = 0;
-        lane.accum = Attribution{};
-    }
+    ring.clear();
+    head = 0;
+    numRecorded = 0;
+    numDropped = 0;
+    accum = Attribution{};
 }
 
 } // namespace afa::obs

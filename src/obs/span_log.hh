@@ -18,13 +18,7 @@
  * a step, and growth stops at capacity.
  *
  * Thread model: one SpanLog belongs to one Simulator (one worker
- * thread of the parallel experiment runner). Under a sharded
- * Simulator the log keeps one independent lane (ring + accumulators)
- * per shard — record() indexes the calling shard's lane, so shard
- * worker threads never touch shared state. Reading APIs (snapshot,
- * attribution, counters) merge the lanes deterministically and must
- * only be called outside the parallel phase, i.e. after run()
- * returns, like every other end-of-run read.
+ * thread of the parallel experiment runner) and is never shared.
  */
 
 #ifndef AFA_OBS_SPAN_LOG_HH
@@ -47,12 +41,8 @@ struct TraceParams
     /** Bitmask of enabled Categories (0 disables every site). */
     std::uint32_t mask = 0;
 
-    /** Total ring capacity in records (32 bytes each), split evenly
-     *  across the shard lanes. */
+    /** Ring capacity in records (32 bytes each). */
     std::size_t capacity = std::size_t(1) << 20;
-
-    /** Shard lanes (must match the Simulator's shard count). */
-    unsigned shards = 1;
 };
 
 /** The span collector. */
@@ -76,68 +66,51 @@ class SpanLog
     std::uint32_t mask() const { return mask_; }
 
     /**
-     * Record one span into the calling shard's lane. No-ops when the
-     * stage's category is disabled, so callers may skip the wants()
-     * pre-check on cold paths.
+     * Record one span. No-ops when the stage's category is disabled,
+     * so callers may skip the wants() pre-check on cold paths.
      */
     void record(Stage stage, std::uint64_t io, Tick begin, Tick end,
                 std::uint16_t track, std::uint8_t flags = 0,
                 std::uint32_t arg = 0);
 
-    /** Spans recorded (including any the ring later overwrote),
-     *  summed over lanes. */
-    std::uint64_t recorded() const;
+    /** Spans recorded (including any the ring later overwrote). */
+    std::uint64_t recorded() const { return numRecorded; }
 
-    /** Records overwritten after a lane's ring reached capacity,
-     *  summed over lanes. */
-    std::uint64_t dropped() const;
+    /** Records overwritten after the ring reached capacity. */
+    std::uint64_t dropped() const { return numDropped; }
 
-    /** Records currently retained across the lane rings. */
-    std::size_t retained() const;
+    /** Records currently retained in the ring. */
+    std::size_t retained() const { return ring.size(); }
 
-    /** Total ring capacity (sum of the lane caps). */
-    std::size_t capacity() const;
+    /** Ring capacity in records. */
+    std::size_t capacity() const { return cap; }
 
-    /**
-     * Retained records. With one lane: oldest first, exactly the
-     * recording order. With several: merged across lanes and sorted
-     * by (begin, end, track, stage, io) — a deterministic order that
-     * does not depend on shard interleaving.
-     */
+    /** Retained records, oldest first (the recording order). */
     std::vector<SpanRecord> snapshot() const;
 
-    /** Exact per-stage totals (independent of ring drops), merged
-     *  across lanes. Returned by value: totals are commutative, so
-     *  the merge is shard-count-invariant. */
-    Attribution attribution() const;
+    /** Exact per-stage totals (independent of ring drops). */
+    const Attribution &attribution() const { return accum; }
 
     /** Drop retained records and reset counters and totals. */
     void clear();
 
     /**
      * Attach a telemetry sink: every record() additionally feeds the
-     * sink's windowed per-stage histograms (same shard lane, same
-     * exactness guarantee as the Attribution accumulators — ring
-     * wraps and drops never lose a windowed count). nullptr detaches;
-     * the sink must outlive the log while attached.
+     * sink's windowed per-stage histograms (same exactness guarantee
+     * as the Attribution accumulators — ring wraps and drops never
+     * lose a windowed count). nullptr detaches; the sink must outlive
+     * the log while attached.
      */
     void setTelemetry(Telemetry *sink) { telemetry_ = sink; }
 
   private:
-    /** One shard's private ring + accumulators (cache-line padded so
-     *  concurrent lanes never false-share). */
-    struct alignas(64) Lane
-    {
-        std::size_t cap = 0;   ///< growth ceiling for this lane
-        std::size_t head = 0;  ///< next overwrite slot once at capacity
-        std::vector<SpanRecord> ring;
-        std::uint64_t numRecorded = 0;
-        std::uint64_t numDropped = 0;
-        Attribution accum;
-    };
-
     std::uint32_t mask_;
-    std::vector<Lane> lanes;
+    std::size_t cap;       ///< growth ceiling of the ring
+    std::size_t head = 0;  ///< next overwrite slot once at capacity
+    std::vector<SpanRecord> ring;
+    std::uint64_t numRecorded = 0;
+    std::uint64_t numDropped = 0;
+    Attribution accum;
     Telemetry *telemetry_ = nullptr;
 };
 

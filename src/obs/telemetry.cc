@@ -7,7 +7,6 @@
 #include <cstdio>
 #include <set>
 
-#include "sim/shard.hh"
 #include "stats/json.hh"
 
 namespace afa::obs {
@@ -129,19 +128,8 @@ TelemetryTimeline::merge(const TelemetryTimeline &other)
     }
     for (const auto &[w, sw] : other.sim) {
         SimWindow &mine = sim[w];
-        if (mine.shards.size() < sw.shards.size())
-            mine.shards.resize(sw.shards.size());
-        for (std::size_t s = 0; s < sw.shards.size(); ++s) {
-            mine.shards[s].executedEvents +=
-                sw.shards[s].executedEvents;
-            mine.shards[s].plumbingEvents +=
-                sw.shards[s].plumbingEvents;
-            mine.shards[s].crossPosts += sw.shards[s].crossPosts;
-            mine.shards[s].barrierWaitNanos +=
-                sw.shards[s].barrierWaitNanos;
-        }
-        mine.windows += sw.windows;
-        mine.mailboxDrained += sw.mailboxDrained;
+        mine.executed += sw.executed;
+        mine.plumbing += sw.plumbing;
     }
 }
 
@@ -186,8 +174,7 @@ windowSet(const TelemetryTimeline &tl)
 }
 
 /** Emit one window's rows in the canonical order: stage rows by
- *  stage id, source rows by name, sim rows by shard, then the
- *  core-global row (only when it carries information). */
+ *  stage id, source rows by name, then the sim row. */
 void
 jsonRowsForWindow(const TelemetryTimeline &tl, std::uint64_t w,
                   std::vector<std::string> &rows)
@@ -234,33 +221,15 @@ jsonRowsForWindow(const TelemetryTimeline &tl, std::uint64_t w,
                 w, end_ms, afa::stats::jsonEscape(name).c_str(),
                 pit->second.delta));
     }
+    // The "shard" and "cross_posts" fields are constants kept from the
+    // retired sharded core so the row schema stays stable.
     auto mit = tl.sim.find(w);
-    if (mit != tl.sim.end()) {
-        const TelemetryTimeline::SimWindow &sw = mit->second;
-        for (std::size_t s = 0; s < sw.shards.size(); ++s) {
-            const afa::sim::ShardStat &st = sw.shards[s];
-            std::string row = fmt(
-                "{\"kind\":\"sim\",\"window\":%" PRIu64
-                ",\"end_ms\":%.3f,\"shard\":%zu,\"executed\":%" PRIu64
-                ",\"plumbing\":%" PRIu64 ",\"cross_posts\":%" PRIu64,
-                w, end_ms, s, st.executedEvents, st.plumbingEvents,
-                st.crossPosts);
-            // Wall time is host noise: emitted only when present so
-            // serial timelines stay deterministic artifacts.
-            if (st.barrierWaitNanos != 0)
-                row += fmt(",\"barrier_wait_ms\":%.3f",
-                           static_cast<double>(st.barrierWaitNanos) /
-                               1e6);
-            row += "}";
-            rows.push_back(std::move(row));
-        }
-        if (sw.windows != 0 || sw.mailboxDrained != 0)
-            rows.push_back(fmt(
-                "{\"kind\":\"sim_total\",\"window\":%" PRIu64
-                ",\"end_ms\":%.3f,\"windows\":%" PRIu64
-                ",\"mailbox_drained\":%" PRIu64 "}",
-                w, end_ms, sw.windows, sw.mailboxDrained));
-    }
+    if (mit != tl.sim.end())
+        rows.push_back(fmt(
+            "{\"kind\":\"sim\",\"window\":%" PRIu64
+            ",\"end_ms\":%.3f,\"shard\":0,\"executed\":%" PRIu64
+            ",\"plumbing\":%" PRIu64 ",\"cross_posts\":0}",
+            w, end_ms, mit->second.executed, mit->second.plumbing));
 }
 
 std::vector<std::string>
@@ -314,7 +283,10 @@ std::string
 TelemetryTimeline::toCsv() const
 {
     // Fixed tidy schema; every row fills the cells its kind owns and
-    // leaves the rest empty.
+    // leaves the rest empty. The windows, mailbox_drained and
+    // barrier_wait_ms columns (and the constant shard0/cross_posts
+    // cells) are kept from the retired sharded core so the schema
+    // stays stable.
     enum Col : unsigned {
         kWindow = 0, kEndMs, kKind, kName, kCount, kMean, kP50, kP99,
         kP999, kMax, kExceed0, // ... kExceed0 + kActThresholds - 1
@@ -387,36 +359,14 @@ TelemetryTimeline::toCsv() const
         }
         auto mit = sim.find(w);
         if (mit != sim.end()) {
-            const SimWindow &sw = mit->second;
-            for (std::size_t s = 0; s < sw.shards.size(); ++s) {
-                const afa::sim::ShardStat &st = sw.shards[s];
-                cells[kWindow] = win;
-                cells[kEndMs] = end_ms;
-                cells[kKind] = "sim";
-                cells[kName] = fmt("shard%zu", s);
-                cells[kExecuted] =
-                    fmt("%" PRIu64, st.executedEvents);
-                cells[kPlumbing] =
-                    fmt("%" PRIu64, st.plumbingEvents);
-                cells[kCrossPosts] =
-                    fmt("%" PRIu64, st.crossPosts);
-                if (st.barrierWaitNanos != 0)
-                    cells[kBarrierWait] = fmt(
-                        "%.3f",
-                        static_cast<double>(st.barrierWaitNanos) /
-                            1e6);
-                flush(out);
-            }
-            if (sw.windows != 0 || sw.mailboxDrained != 0) {
-                cells[kWindow] = win;
-                cells[kEndMs] = end_ms;
-                cells[kKind] = "sim_total";
-                cells[kName] = "core";
-                cells[kWindows] = fmt("%" PRIu64, sw.windows);
-                cells[kMailbox] =
-                    fmt("%" PRIu64, sw.mailboxDrained);
-                flush(out);
-            }
+            cells[kWindow] = win;
+            cells[kEndMs] = end_ms;
+            cells[kKind] = "sim";
+            cells[kName] = "shard0";
+            cells[kExecuted] = fmt("%" PRIu64, mit->second.executed);
+            cells[kPlumbing] = fmt("%" PRIu64, mit->second.plumbing);
+            cells[kCrossPosts] = "0";
+            flush(out);
         }
     }
     return out;
@@ -429,7 +379,6 @@ TelemetryTimeline::toCsv() const
 Telemetry::Telemetry(const TelemetryParams &params)
     : windowTicks(params.window)
 {
-    lanes.resize(std::max(1u, params.shards));
 }
 
 void
@@ -437,14 +386,12 @@ Telemetry::recordSpan(Stage stage, Tick end, Tick duration)
 {
     if (windowTicks == 0)
         return;
-    const unsigned shard = afa::sim::currentShard();
-    Lane &lane = lanes[shard < lanes.size() ? shard : 0];
     const std::uint64_t w = end / windowTicks;
-    if (w != lane.cachedWindow || lane.cachedRow == nullptr) {
-        lane.cachedRow = &lane.windows[w];
-        lane.cachedWindow = w;
+    if (w != cachedWindow || cachedRow == nullptr) {
+        cachedRow = &stageWindows[w];
+        cachedWindow = w;
     }
-    (*lane.cachedRow)[static_cast<std::uint8_t>(stage)].add(duration);
+    (*cachedRow)[static_cast<std::uint8_t>(stage)].add(duration);
 }
 
 void
@@ -482,13 +429,11 @@ Telemetry::start(afa::sim::Simulator &sim)
 void
 Telemetry::scheduleSample(Tick when)
 {
-    // The sampling event is engine plumbing: internal=true keeps it
-    // out of executedEvents(), shard 0 holds every sampled source,
-    // and the top ordering band puts the sample after all of the
-    // tick's model events at any shard count.
-    sampleHandle = simPtr->scheduleOnShard(
-        0, when, [this] { onSample(); },
-        /*internal=*/true, kSampleOrderBand);
+    // The sampling event is engine plumbing: internal keeps it out of
+    // executedEvents(), and the top ordering band puts the sample
+    // after all of the tick's model events.
+    sampleHandle = simPtr->scheduleInternal(
+        when, [this] { onSample(); }, kSampleOrderBand);
 }
 
 void
@@ -517,7 +462,8 @@ Telemetry::sampleWindow(std::uint64_t window_idx)
             row.gauges.push_back(0.0);
         }
     }
-    row.profile = simPtr->shardStats();
+    row.executed = simPtr->executedEvents();
+    row.plumbing = simPtr->plumbingEvents();
     samples[window_idx] = std::move(row);
 }
 
@@ -545,16 +491,14 @@ Telemetry::timeline() const
     tl.window = windowTicks;
     if (windowTicks == 0)
         return tl;
-    for (const Lane &lane : lanes)
-        for (const auto &[w, row] : lane.windows)
-            for (const auto &[stage, cell] : row)
-                tl.stages[w][stage].merge(cell);
+    tl.stages = stageWindows;
 
     // Cumulative samples become per-window deltas (gauges stay
     // instantaneous); the map iterates windows in ascending order so
     // each row subtracts its predecessor.
     std::vector<std::uint64_t> prevCounters(sources.size(), 0);
-    afa::sim::SimProfile prevProfile;
+    std::uint64_t prevExecuted = 0;
+    std::uint64_t prevPlumbing = 0;
     for (const auto &[w, row] : samples) {
         for (std::size_t i = 0; i < sources.size(); ++i) {
             TelemetryTimeline::Series &s =
@@ -567,29 +511,11 @@ Telemetry::timeline() const
                 p.delta = row.counters[i] - prevCounters[i];
             s.points[w] = p;
         }
-        TelemetryTimeline::SimWindow sw;
-        sw.shards.resize(row.profile.shards.size());
-        for (std::size_t s = 0; s < row.profile.shards.size(); ++s) {
-            const afa::sim::ShardStat &cur = row.profile.shards[s];
-            afa::sim::ShardStat prev =
-                s < prevProfile.shards.size()
-                    ? prevProfile.shards[s]
-                    : afa::sim::ShardStat{};
-            sw.shards[s].executedEvents =
-                cur.executedEvents - prev.executedEvents;
-            sw.shards[s].plumbingEvents =
-                cur.plumbingEvents - prev.plumbingEvents;
-            sw.shards[s].crossPosts =
-                cur.crossPosts - prev.crossPosts;
-            sw.shards[s].barrierWaitNanos =
-                cur.barrierWaitNanos - prev.barrierWaitNanos;
-        }
-        sw.windows = row.profile.windows - prevProfile.windows;
-        sw.mailboxDrained =
-            row.profile.mailboxDrained - prevProfile.mailboxDrained;
-        tl.sim[w] = std::move(sw);
+        tl.sim[w] = TelemetryTimeline::SimWindow{
+            row.executed - prevExecuted, row.plumbing - prevPlumbing};
         prevCounters = row.counters;
-        prevProfile = row.profile;
+        prevExecuted = row.executed;
+        prevPlumbing = row.plumbing;
     }
     return tl;
 }

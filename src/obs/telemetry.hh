@@ -22,23 +22,17 @@
  *    progress, ...) sampled at every window boundary and exported as
  *    per-window deltas (counters) or instantaneous values (gauges).
  *
- *  - Sim rows: the Simulator's self-profiling stream
- *    (Simulator::shardStats()): per-shard executed events, mailbox
- *    cross-posts, barrier windows, and barrier wall-stall time.
+ *  - Sim rows: the Simulator's self-profiling stream: model events
+ *    and plumbing events executed per window.
  *
- * Determinism contract (DESIGN.md §14): sampling happens in events
- * scheduled with internal=true on shard 0, in the highest same-tick
+ * Determinism contract (DESIGN.md §13): sampling happens in internal
+ * events (Simulator::scheduleInternal()) in the highest same-tick
  * ordering band, so
  *  (a) samples never count toward executedEvents()/events-per-IO,
- *  (b) a sample at tick T observes shard-0 state after every model
- *      event of tick T, a rule that is independent of shard count,
+ *  (b) a sample at tick T observes the state after every model event
+ *      of tick T,
  *  (c) every canonical report stays byte-identical with telemetry on
- *      or off at any --shards x --jobs.
- * Registered sources must be shard-0-resident (only mutated by
- * shard-0 events); per-device state is windowed through the stage
- * histograms instead of live sampling. Wall-clock self-profiling
- * fields are diagnostic only and are emitted only when non-zero, so
- * serial timelines are fully deterministic artifacts.
+ *      or off at any --jobs.
  */
 
 #ifndef AFA_OBS_TELEMETRY_HH
@@ -72,7 +66,7 @@ actThresholdTicks(unsigned k)
 /**
  * One window's histogram of one stage: exact count/total/max, log2
  * duration buckets, and the ACT exceed counters. Commutative adds
- * only, so lane/run/replica merges are order-independent.
+ * only, so run/replica merges are order-independent.
  */
 struct WindowStageCell
 {
@@ -98,7 +92,7 @@ struct WindowStageCell
 /**
  * The mergeable, plain-data timeline a Telemetry instance produces:
  * per-window stage cells, per-window counter deltas / gauge values,
- * and the per-window simulator self-profile. Merging across lanes,
+ * and the per-window simulator self-profile. Merging across
  * geometry runs and seed replicas is deterministic (maps are
  * key-ordered; all combination rules are commutative).
  */
@@ -135,9 +129,8 @@ struct TelemetryTimeline
     /** Per-window simulator self-profile (deltas over the window). */
     struct SimWindow
     {
-        std::vector<afa::sim::ShardStat> shards;
-        std::uint64_t windows = 0;        ///< barrier windows planned
-        std::uint64_t mailboxDrained = 0; ///< cross messages enqueued
+        std::uint64_t executed = 0; ///< model events
+        std::uint64_t plumbing = 0; ///< internal plumbing events
     };
 
     /** window index -> self-profile deltas. */
@@ -145,12 +138,12 @@ struct TelemetryTimeline
 
     bool empty() const;
 
-    /** Fold another timeline in: stage cells and counter deltas add,
-     *  gauges keep the larger value, sim profiles add shard-wise. */
+    /** Fold another timeline in: stage cells, counter deltas and sim
+     *  profiles add, gauges keep the larger value. */
     void merge(const TelemetryTimeline &other);
 
     /** JSON-lines export: one self-describing object per row, rows
-     *  ordered by (window, row kind, stage id / name / shard). */
+     *  ordered by (window, row kind, stage id / name). */
     std::string toJsonLines() const;
 
     /** The same rows as one JSON array (for --metrics-json embeds). */
@@ -165,22 +158,19 @@ struct TelemetryParams
 {
     /** Sampling window in ticks (0 disables everything). */
     Tick window = 0;
-
-    /** Stage-lane count; must match the Simulator's shard count. */
-    unsigned shards = 1;
 };
 
 /**
  * The telemetry collector. One instance belongs to one Simulator
- * (like a SpanLog): stage feeds index per-shard lanes, sources are
- * sampled by an internal shard-0 event every window.
+ * (like a SpanLog): stage feeds arrive from SpanLog::record(), sources
+ * are sampled by an internal event every window.
  */
 class Telemetry
 {
   public:
     /** Same-tick ordering band of the sampling events: above every
      *  model band, so a sample at tick T runs after all of T's model
-     *  events on shard 0 — at any shard count. */
+     *  events. */
     static constexpr std::uint32_t kSampleOrderBand = 0xffffffffu;
 
     explicit Telemetry(const TelemetryParams &params);
@@ -192,17 +182,16 @@ class Telemetry
     Tick window() const { return windowTicks; }
 
     /**
-     * Stage feed, called by SpanLog::record() on the recording
-     * shard's thread: bucket @p duration into the window that holds
-     * @p end. Never allocates outside a window's first record; never
-     * touches another lane.
+     * Stage feed, called by SpanLog::record(): bucket @p duration into
+     * the window that holds @p end. Never allocates outside a window's
+     * first record.
      */
     void recordSpan(Stage stage, Tick end, Tick duration);
 
     /**
      * Register a counter source sampled at every window boundary.
-     * The callback must read shard-0-resident state only and must be
-     * monotonic; rows report the per-window delta.
+     * The callback must be monotonic; rows report the per-window
+     * delta.
      */
     void addCounter(const std::string &name,
                     std::function<std::uint64_t()> fn);
@@ -213,20 +202,20 @@ class Telemetry
 
     /**
      * Begin sampling on @p sim: schedules the first window-boundary
-     * event (internal, shard 0, kSampleOrderBand) and arms the
-     * self-profiling stream. No-op when disabled.
+     * event (internal, kSampleOrderBand) and arms the self-profiling
+     * stream. No-op when disabled.
      */
     void start(afa::sim::Simulator &sim);
 
     /**
      * Stop sampling: cancels the pending boundary event and takes a
      * final sample covering the trailing partial window. Call after
-     * run() returns, from the simulation's owning thread.
+     * run() returns.
      */
     void finish();
 
-    /** Build the mergeable timeline (lanes merged, samples turned
-     *  into per-window deltas). Call outside the parallel phase. */
+    /** Build the mergeable timeline (samples turned into per-window
+     *  deltas). */
     TelemetryTimeline timeline() const;
 
   private:
@@ -235,19 +224,8 @@ class Telemetry
     {
         std::vector<std::uint64_t> counters; ///< cumulative values
         std::vector<double> gauges;
-        afa::sim::SimProfile profile; ///< cumulative self-profile
-    };
-
-    /** One shard's private stage-window map (cache-line padded; the
-     *  cached row pointer makes the common same-window record a
-     *  single map-free hit — std::map nodes are pointer-stable). */
-    struct alignas(64) Lane
-    {
-        std::uint64_t cachedWindow = ~std::uint64_t{0};
-        std::map<std::uint8_t, WindowStageCell> *cachedRow = nullptr;
-        std::map<std::uint64_t,
-                 std::map<std::uint8_t, WindowStageCell>>
-            windows;
+        std::uint64_t executed = 0; ///< cumulative model events
+        std::uint64_t plumbing = 0; ///< cumulative plumbing events
     };
 
     struct Source
@@ -263,9 +241,15 @@ class Telemetry
     void sampleWindow(std::uint64_t window_idx);
 
     Tick windowTicks;
-    std::vector<Lane> lanes;
+    /** window index -> stage id -> cell. The cached row pointer makes
+     *  the common same-window record a single map-free hit (std::map
+     *  nodes are pointer-stable). */
+    std::map<std::uint64_t, std::map<std::uint8_t, WindowStageCell>>
+        stageWindows;
+    std::uint64_t cachedWindow = ~std::uint64_t{0};
+    std::map<std::uint8_t, WindowStageCell> *cachedRow = nullptr;
     std::vector<Source> sources;
-    /** window index -> cumulative samples (shard 0 only). */
+    /** window index -> cumulative samples. */
     std::map<std::uint64_t, SampleRow> samples;
     afa::sim::Simulator *simPtr = nullptr;
     afa::sim::EventHandle sampleHandle{};

@@ -6,7 +6,6 @@
 
 #include "obs/span_log.hh"
 #include "sim/logging.hh"
-#include "sim/shard.hh"
 #include "sim/simulator.hh"
 
 namespace afa::pcie {
@@ -141,9 +140,8 @@ Fabric::setLinkFaultRate(std::size_t link_idx, double rate)
         // stream, forked by link index from the FaultEngine's
         // plan-seeded stream. Per-link streams (rather than one
         // shared stream) make the flips a function of each link's own
-        // packet order — which is model-deterministic — instead of
-        // the global interleaving of hop events, which shifts with
-        // --shards. Re-arming a link restarts its stream; that too is
+        // packet order instead of the global interleaving of hop
+        // events. Re-arming a link restarts its stream; that too is
         // a pure function of the plan.
         if (linkFaultStream.size() < links.size())
             linkFaultStream.resize(links.size());
@@ -215,17 +213,15 @@ Fabric::nodeName(NodeId id) const
  * Schedule a fabric-internal transport event (hop continuations,
  * mid-path flight completions). These are plumbing, not model events:
  * how many of them a packet needs depends on which execution strategy
- * (fast path, mid-path fallback, full chain) it happened to take, and
- * that choice is not invariant across --shards. Marking them internal
- * keeps executedEvents() — and the `events=` line of every figure —
- * at exactly one counted event per delivered packet regardless of the
- * path taken, so event counts are bit-identical at any shard count.
+ * (fast path, mid-path fallback, full chain) it happened to take.
+ * Marking them internal keeps executedEvents() — and the `events=`
+ * line of every figure — at exactly one counted event per delivered
+ * packet regardless of the path taken, fast path on or off.
  */
 afa::sim::EventHandle
 Fabric::atInternal(Tick when, EventFn fn)
 {
-    return sim().scheduleOnShard(afa::sim::currentShard(), when,
-                                 std::move(fn), /*internal=*/true);
+    return sim().scheduleInternal(when, std::move(fn));
 }
 
 void
@@ -287,14 +283,12 @@ Fabric::hop(NodeId at_node, NodeId dst, std::uint32_t bytes,
 /**
  * Schedule a packet's final delivery at @p arrive.
  *
- * Endpoint deliveries (deliveryOrder() != 0) are posted — in serial
- * runs too — through scheduleOnShard() with the node's canonical
- * ordering band, so their same-tick position is a function of (tick,
- * destination, poster order) alone and replay is bit-identical at any
- * shard count; the chain/span bookkeeping stays on the fabric's shard
- * as an uncounted companion event. Host-bound deliveries are always
- * fabric-local and keep plain FIFO order. Exactly one counted event
- * exists per delivery either way.
+ * Endpoint deliveries (deliveryOrder() != 0) are posted with the
+ * node's ordering band, so their same-tick position is a function of
+ * (tick, destination, poster order) alone; the chain/span bookkeeping
+ * runs as an uncounted companion event. Host-bound deliveries keep
+ * plain FIFO order. Exactly one counted event exists per delivery
+ * either way.
  */
 void
 Fabric::scheduleDelivery(Tick arrive, NodeId dst, EventFn cb,
@@ -302,8 +296,6 @@ Fabric::scheduleDelivery(Tick arrive, NodeId dst, EventFn cb,
 {
     const std::uint32_t ord = deliveryOrder(dst);
     if (ord == 0) {
-        assert(nodeShardOf(dst) == afa::sim::currentShard() &&
-               "unmarked node delivered across shards");
         if (!ctx.chained) {
             at(arrive, std::move(cb));
         } else {
@@ -314,8 +306,7 @@ Fabric::scheduleDelivery(Tick arrive, NodeId dst, EventFn cb,
         }
         return;
     }
-    sim().scheduleOnShard(nodeShardOf(dst), arrive, std::move(cb),
-                          /*internal=*/false, ord);
+    at(arrive, std::move(cb), ord);
     if (ctx.chained)
         atInternal(arrive, [this, ctx] { finishChained(ctx); });
 }
@@ -398,18 +389,11 @@ Fabric::sendAt(Tick enter, NodeId src, NodeId dst, std::uint32_t bytes,
                         });
                     } else {
                         // Endpoint-bound: post the delivery (counted,
-                        // canonical band — identical order at any
-                        // shard count) and keep an uncounted
-                        // bookkeeping event for the reservations. A
-                        // displacement reclaims the post — legal
-                        // because the delivery is always at least one
-                        // lookahead window away from any displacing
-                        // entrant (and trivially reclaimable when it
-                        // is a same-shard post).
-                        rec.xev = sim().scheduleOnShard(
-                            nodeShardOf(dst), when,
-                            std::move(on_delivered),
-                            /*internal=*/false, ord);
+                        // in the endpoint's band) and keep an
+                        // uncounted bookkeeping event for the
+                        // reservations. A displacement reclaims the
+                        // post (see displaceEarlier()).
+                        rec.xev = at(when, std::move(on_delivered), ord);
                         rec.ev = atInternal(when, [this, rec_idx] {
                             completeFlight(rec_idx);
                         });
@@ -521,7 +505,7 @@ Fabric::completeFlight(std::uint32_t idx)
     EventFn cb = std::move(rec.cb);
     DeliverCtx ctx = rec.ctx;
     bool full = rec.fullWalk;
-    bool shipped = rec.xev.valid();
+    bool posted = rec.xev.valid();
     NodeId cont = full ? kInvalidNode
         : pathHops[rec.pathFirst + rec.hopsWalked - 1].to;
     NodeId dst = rec.dst;
@@ -530,10 +514,9 @@ Fabric::completeFlight(std::uint32_t idx)
     // allocate flight records itself.
     freeFlight(idx);
     if (full) {
-        // When the delivery callback was shipped to another shard
-        // (rec.xev) it fires there on its own; this event is the
-        // serial-order bookkeeping placeholder.
-        if (!shipped)
+        // An endpoint delivery was posted on its own (rec.xev); this
+        // event only dropped the reservations.
+        if (!posted)
             cb();
     } else {
         hop(cont, dst, bytes, std::move(cb), ctx, now());
@@ -646,11 +629,12 @@ Fabric::displaceEarlier(std::size_t link_idx, Tick enter)
             // No longer a single-event delivery: recount it as a
             // fallback packet holding the fast-path gate closed until
             // it is delivered. A displaced packet never inherits the
-            // displacing sender's span identity (ctx.io stays 0). If
-            // the delivery callback was already shipped to another
-            // shard, take it back — the displacing entrant is at
-            // least one lookahead window before the shipped tick, so
-            // the post cannot have fired.
+            // displacing sender's span identity (ctx.io stays 0). An
+            // endpoint delivery was posted on its own; take it back.
+            // The post cannot have fired: its tick lies at least one
+            // propagation past the displaced reservation's start,
+            // which is after the entrant's entry, and an entrant runs
+            // at most one minimum propagation after its entry.
             --fabricStats.fastPathPackets;
             if (rec.xev.valid()) {
                 rec.cb = sim().reclaim(rec.xev);
@@ -732,16 +716,6 @@ Fabric::sendSpannedAt(Tick enter, NodeId src, NodeId dst,
         return;
     }
     sendAt(enter, src, dst, bytes, std::move(on_delivered));
-}
-
-void
-Fabric::setNodeShard(NodeId node, unsigned shard)
-{
-    checkNode(node);
-    sim().checkShardId(shard);
-    if (nodeShardMap.size() < nodeInfo.size())
-        nodeShardMap.resize(nodeInfo.size(), 0);
-    nodeShardMap[node] = shard;
 }
 
 void

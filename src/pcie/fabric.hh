@@ -52,12 +52,7 @@ struct FabricStats
     std::uint64_t packets = 0;
     std::uint64_t bytes = 0;
     Tick totalQueueDelay = 0;
-    /** Packets delivered by the single-event uncontended fast path.
-     *  Invariant across --shards: every walk executes at the same
-     *  tick in the same canonical order at any shard count (endpoint
-     *  sends are shipped one lookahead after their backdated entry in
-     *  serial runs too), so the fast/fallback decision sees the same
-     *  fabric state everywhere. */
+    /** Packets delivered by the single-event uncontended fast path. */
     std::uint64_t fastPathPackets = 0;
     /** Packets that took the per-hop event model (contention hit, or
      *  the fast path disabled). Self-sends count for neither. */
@@ -128,16 +123,15 @@ class Fabric : public afa::sim::SimObject
     /**
      * sendSpanned() with an explicit entry tick @p enter <= now().
      *
-     * Sharded execution ships a device's outbound send to the
-     * fabric's shard with one lookahead window of delay; this entry
-     * point lets the shipped send compute link entry, queueing, and
-     * arrival from the tick the device issued it, so every horizon
-     * mutation and delivery tick is bit-identical to the serial
-     * schedule. Safe because (a) endpoint edge links carry no
-     * through-traffic and no reservations ever cover a route's first
-     * hop, so nothing can have touched the link in (enter, now()],
-     * and (b) every computed event time is >= enter + propagation >=
-     * now(), so nothing schedules into the past.
+     * The system model ships each device's outbound send to the
+     * fabric as an internal event minPropagation() after the device
+     * issued it (DESIGN.md §9); this entry point lets the shipped
+     * send compute link entry, queueing, and arrival from the tick
+     * the device issued it. Exact because (a) endpoint edge links
+     * carry no through-traffic and no reservations ever cover a
+     * route's first hop, so nothing can have touched the link in
+     * (enter, now()], and (b) every computed event time is >= enter +
+     * propagation >= now(), so nothing schedules into the past.
      */
     void sendSpannedAt(Tick enter, NodeId src, NodeId dst,
                        std::uint32_t bytes, std::uint64_t io,
@@ -145,28 +139,12 @@ class Fabric : public afa::sim::SimObject
                        afa::sim::EventFn on_delivered);
 
     /**
-     * Declare that @p node's SimObjects execute on @p shard (default
-     * 0, the fabric's own shard). Final delivery callbacks for a
-     * remote node are posted through the simulator's inter-shard
-     * mailbox; all fabric state stays on the fabric's shard.
-     */
-    void setNodeShard(NodeId node, unsigned shard);
-
-    /** Shard a node's delivery callbacks execute on. */
-    unsigned
-    nodeShardOf(NodeId node) const
-    {
-        return node < nodeShardMap.size() ? nodeShardMap[node] : 0;
-    }
-
-    /**
      * Declare @p node an endpoint whose deliveries (and outbound
-     * ships) use the canonical same-tick ordering band 2 + node (see
-     * Simulator::scheduleOnShard()). The system model marks every SSD
-     * endpoint — in serial runs too, so the same-tick order of
-     * deliveries is the same deterministic function of the model at
-     * any shard count. The host stays unmarked: host-bound deliveries
-     * are always fabric-local and keep plain FIFO order.
+     * ships) use the same-tick ordering band 2 + node (see
+     * Simulator::scheduleAt()), so simultaneous deliveries run in
+     * ascending endpoint order. The system model marks every SSD
+     * endpoint; the host stays unmarked, and host-bound deliveries
+     * keep plain FIFO order.
      */
     void markEndpoint(NodeId node);
 
@@ -179,8 +157,7 @@ class Fabric : public afa::sim::SimObject
 
     /**
      * Minimum propagation delay over all links (0 with no links) —
-     * the conservative lookahead horizon for sharded execution: no
-     * cross-fabric effect travels faster than one link flight.
+     * the delay of the device→fabric ship (see sendSpannedAt()).
      */
     afa::sim::TickDelta minPropagation() const;
 
@@ -231,8 +208,7 @@ class Fabric : public afa::sim::SimObject
      * faulted link forks a private child stream by link index when it
      * is armed, so the flip a packet sees depends only on its link
      * and its position in that link's (model-deterministic) packet
-     * order — never on how hop events interleave across links, which
-     * shifts with --shards.
+     * order — never on how hop events interleave across links.
      */
     void setFaultRng(afa::sim::Rng *rng) { faultRng = rng; }
 
@@ -299,10 +275,9 @@ class Fabric : public afa::sim::SimObject
     /**
      * Context a packet carries from send() to its delivery point:
      * whether it holds the fast-path gate (per-hop chain mode) and
-     * the span identity to commit at delivery. Replaces the old
-     * closure-wrapping (chainWrap): under sharded execution the
-     * delivery callback may cross to another shard while this
-     * bookkeeping must run on the fabric's shard, so it travels as
+     * the span identity to commit at delivery. An endpoint delivery
+     * is a banded post of the bare callback plus an internal
+     * companion event that runs this bookkeeping, so it travels as
      * plain data instead of inside the callback.
      */
     struct DeliverCtx
@@ -329,10 +304,10 @@ class Fabric : public afa::sim::SimObject
     struct FlightRecord
     {
         afa::sim::EventFn cb;       ///< the caller's on_delivered
-                                    ///< (empty when shipped via xev)
+                                    ///< (empty when posted via xev)
         afa::sim::EventHandle ev;   ///< delivery or continuation event
-        afa::sim::EventHandle xev;  ///< cross-shard delivery post for
-                                    ///< a full walk to a remote node;
+        afa::sim::EventHandle xev;  ///< banded delivery post of a full
+                                    ///< walk to an endpoint;
                                     ///< reclaimed on displacement
         DeliverCtx ctx;             ///< chain/span context
         std::uint32_t pathFirst = 0;///< base index into pathHops
@@ -389,8 +364,6 @@ class Fabric : public afa::sim::SimObject
     // by link index when a fault is armed (see setLinkFaultRate()).
     std::vector<afa::sim::Rng> linkFaultStream;
     unsigned faultedLinks = 0;
-    // Shard each node's delivery callbacks run on (empty = all 0).
-    std::vector<unsigned> nodeShardMap;
     // Delivery ordering band per node (empty/0 = plain FIFO order).
     std::vector<std::uint32_t> nodeOrder;
     afa::sim::Rng *faultRng = nullptr;

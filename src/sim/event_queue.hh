@@ -7,13 +7,12 @@
  * ascending band order, FIFO-stable within a band. Band 0 is the
  * default -- plain scheduling order, the classic serial-DES rule.
  * Non-zero bands exist for "post-class" events whose same-tick order
- * must be a deterministic function of the model alone (not of which
- * execution path happened to insert them first); the sharded
- * simulator relies on them to keep replay bit-identical at any shard
- * count (see Simulator::scheduleOnShard()). Scheduling returns an
- * EventHandle that can be used to cancel the event before it fires;
- * handles are generation-checked so a stale handle can never cancel a
- * recycled slot.
+ * is a fixed function of the model -- fault control posts, endpoint
+ * deliveries, telemetry samples (see Simulator::scheduleAt()) -- not
+ * of which code path happened to insert them first. Scheduling
+ * returns an EventHandle that can be used to cancel the event before
+ * it fires; handles are generation-checked so a stale handle can
+ * never cancel a recycled slot.
  */
 
 #ifndef AFA_SIM_EVENT_QUEUE_HH

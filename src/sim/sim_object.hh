@@ -54,12 +54,13 @@ class SimObject
         return simRef.scheduleAfter(delay, std::forward<F>(fn));
     }
 
-    /** Schedule a callback at absolute time @p when. */
+    /** Schedule a callback at absolute time @p when, in same-tick
+     *  ordering band @p order (see Simulator::scheduleAt()). */
     template <typename F>
     EventHandle
-    at(Tick when, F &&fn)
+    at(Tick when, F &&fn, std::uint32_t order = 0)
     {
-        return simRef.scheduleAt(when, std::forward<F>(fn));
+        return simRef.scheduleAt(when, std::forward<F>(fn), order);
     }
 
     /** Per-object deterministic random stream. */

@@ -58,8 +58,8 @@ constexpr double toSec(Tick t) { return static_cast<double>(t) / kSec; }
 // ---------------------------------------------------------------------
 
 /**
- * A signed span of simulated time (a difference of Ticks): lookahead
- * horizons, propagation delays, backoff windows. Signed so that
+ * A signed span of simulated time (a difference of Ticks):
+ * propagation delays, backoff windows. Signed so that
  * "earlier - later" stays representable during interval arithmetic.
  */
 struct TickDelta

@@ -1,7 +1,7 @@
 /**
  * @file
  * Arrival-time and hot-spot generators for open-loop traffic
- * (DESIGN.md §15).
+ * (DESIGN.md §14).
  *
  * An ArrivalProcess produces the inter-arrival gaps of one traffic
  * stream: Poisson (exponential gaps at a configured mean rate) or
@@ -14,7 +14,7 @@
  * Determinism contract: neither class owns an Rng. Every draw comes
  * from a caller-provided stream (the engine's named fork), so the
  * arrival sequence is a pure function of (--seed, stream tag) and
- * byte-identical at any --shards x --jobs. Constructing a fresh Rng
+ * byte-identical at any --jobs. Constructing a fresh Rng
  * anywhere in arrival/open-loop code is banned by the detlint
  * `arrival-rng` rule.
  */

@@ -347,9 +347,8 @@ OpenLoopEngine::result() const
 void
 OpenLoopEngine::registerTelemetry(afa::obs::Telemetry &telemetry)
 {
-    // Counter/gauge sources read engine state that lives on shard 0,
-    // as the telemetry contract requires; the offered-vs-completed
-    // window series is the arrivals/completed delta pair.
+    // The offered-vs-completed window series is the
+    // arrivals/completed delta pair.
     telemetry.addCounter("openloop.arrivals", [this] {
         std::uint64_t v = 0;
         for (const Stream &st : streams)

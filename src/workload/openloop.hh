@@ -1,6 +1,6 @@
 /**
  * @file
- * The open-loop sustained-traffic engine (DESIGN.md §15).
+ * The open-loop sustained-traffic engine (DESIGN.md §14).
  *
  * Closed-loop FIO threads measure an unloaded array: one request per
  * thread in flight, so offered load always equals completed load. An
@@ -15,9 +15,9 @@
  * become visible.
  *
  * Determinism contract: one named-fork Rng per stream drives every
- * draw (gaps, device, LBA, op mix); the engine lives on shard 0, so
- * its event order — hence its draw order — is independent of
- * --shards and --jobs. Backlog overflow drops are counted exactly:
+ * draw (gaps, device, LBA, op mix), so the draw order follows the
+ * engine's event order alone and is independent of --jobs and
+ * telemetry. Backlog overflow drops are counted exactly:
  *   arrivals == submitted + dropped + finalBacklog
  *   submitted == completed + inflightAtEnd
  * hold for every stream, at any load.
@@ -168,8 +168,7 @@ class OpenLoopEngine : public afa::sim::SimObject
      *  cover arrival->submit, Complete spans arrival->reap. */
     void attachSpanLog(afa::obs::SpanLog *log) { spanLog = log; }
 
-    /** Register openloop.* counter/gauge sources (shard-0 state only,
-     *  per the telemetry contract). */
+    /** Register openloop.* counter/gauge sources. */
     void registerTelemetry(afa::obs::Telemetry &telemetry);
 
     /** Publish openloop.* counters into an end-of-run registry. */

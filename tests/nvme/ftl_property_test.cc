@@ -14,6 +14,7 @@
 
 #include <map>
 #include <memory>
+#include <ostream>
 
 #include "nand/nand_array.hh"
 #include "nvme/ftl.hh"
@@ -41,6 +42,17 @@ struct GeometryCase
     double overProvision;
     double formatWeight; ///< relative chance of a format op
 };
+
+/**
+ * Print a case by its name. Without this, gtest prints the raw bytes
+ * of the case into the listed test name, and those bytes hold a
+ * pointer that moves with the load address.
+ */
+void
+PrintTo(const GeometryCase &c, std::ostream *os)
+{
+    *os << c.name;
+}
 
 class FtlPropertyTest : public ::testing::TestWithParam<GeometryCase>
 {

@@ -32,7 +32,7 @@ TEST(TelemetryTest, WindowedCountsExactAcrossRingWrapAndDrops)
     // histograms are fed per record (like the Attribution
     // accumulators), so every windowed count must survive the drops.
     SpanLog log(TraceParams{kAllCategories, 8});
-    Telemetry telemetry(TelemetryParams{msec(1), 1});
+    Telemetry telemetry(TelemetryParams{msec(1)});
     log.setTelemetry(&telemetry);
 
     std::uint64_t expected_total[3] = {0, 0, 0};
@@ -106,8 +106,8 @@ TEST(TelemetryTest, CounterDeltasAndGaugesSampleOnTheSimulator)
     // at known ticks; the timeline must report per-window deltas,
     // instantaneous gauge values, and a trailing partial window from
     // finish().
-    afa::sim::Simulator sim(1, 1);
-    Telemetry telemetry(TelemetryParams{1000, 1});
+    afa::sim::Simulator sim(1);
+    Telemetry telemetry(TelemetryParams{1000});
     std::uint64_t ops = 0;
     telemetry.addCounter("test.ops", [&ops] { return ops; });
     telemetry.addGauge("test.depth",
@@ -141,24 +141,22 @@ TEST(TelemetryTest, CounterDeltasAndGaugesSampleOnTheSimulator)
     // The self-profiling stream: window 0 executed exactly one model
     // event (the tick-100 bump); sampling events are plumbing.
     ASSERT_TRUE(tl.sim.count(0));
-    ASSERT_EQ(tl.sim.at(0).shards.size(), 1u);
-    EXPECT_EQ(tl.sim.at(0).shards[0].executedEvents, 1u);
-    EXPECT_GT(tl.sim.at(0).shards[0].plumbingEvents, 0u);
+    EXPECT_EQ(tl.sim.at(0).executed, 1u);
+    EXPECT_GT(tl.sim.at(0).plumbing, 0u);
 }
 
 TEST(TelemetryTest, SamplingEventsDoNotCountAsExecuted)
 {
     // With no model events at all, a telemetry-only run must report
     // zero executed events in every window.
-    afa::sim::Simulator sim(1, 1);
-    Telemetry telemetry(TelemetryParams{1000, 1});
+    afa::sim::Simulator sim(1);
+    Telemetry telemetry(TelemetryParams{1000});
     telemetry.start(sim);
     sim.run(5000);
     telemetry.finish();
     EXPECT_EQ(sim.executedEvents(), 0u);
     for (const auto &[w, sw] : telemetry.timeline().sim)
-        for (const auto &st : sw.shards)
-            EXPECT_EQ(st.executedEvents, 0u) << "window " << w;
+        EXPECT_EQ(sw.executed, 0u) << "window " << w;
 }
 
 TEST(TelemetryTest, MergeAddsCellsAndCountersAndKeepsGaugeMax)
@@ -170,8 +168,7 @@ TEST(TelemetryTest, MergeAddsCellsAndCountersAndKeepsGaugeMax)
     a.series["ops"].points[0].delta = 5;
     a.series["depth"].kind = MetricKind::Gauge;
     a.series["depth"].points[0].value = 2.0;
-    a.sim[0].shards.resize(1);
-    a.sim[0].shards[0].executedEvents = 10;
+    a.sim[0].executed = 10;
 
     TelemetryTimeline b;
     b.window = msec(1);
@@ -181,8 +178,7 @@ TEST(TelemetryTest, MergeAddsCellsAndCountersAndKeepsGaugeMax)
     b.series["ops"].points[0].delta = 7;
     b.series["depth"].kind = MetricKind::Gauge;
     b.series["depth"].points[0].value = 9.0;
-    b.sim[0].shards.resize(1);
-    b.sim[0].shards[0].executedEvents = 4;
+    b.sim[0].executed = 4;
 
     a.merge(b);
     EXPECT_EQ(a.stages[0][0].count, 2u);
@@ -190,7 +186,7 @@ TEST(TelemetryTest, MergeAddsCellsAndCountersAndKeepsGaugeMax)
     EXPECT_EQ(a.stages[1][0].count, 1u);
     EXPECT_EQ(a.series["ops"].points[0].delta, 12u);
     EXPECT_DOUBLE_EQ(a.series["depth"].points[0].value, 9.0);
-    EXPECT_EQ(a.sim[0].shards[0].executedEvents, 14u);
+    EXPECT_EQ(a.sim[0].executed, 14u);
 
     // Merge is usable on a default-constructed accumulator too.
     TelemetryTimeline fresh;

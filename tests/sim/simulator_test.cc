@@ -1,16 +1,20 @@
 /**
  * @file
  * Unit tests for the Simulator: clock semantics, run bounds, stop
- * requests, and scheduling helpers.
+ * requests, scheduling helpers, same-tick ordering bands, and the
+ * internal-event discount.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
 #include <vector>
 
 #include "sim/logging.hh"
 #include "sim/simulator.hh"
 
+using afa::sim::EventHandle;
 using afa::sim::Simulator;
 using afa::sim::Tick;
 
@@ -126,6 +130,106 @@ TEST_F(SimulatorTest, RunReturnsExecutedCount)
 TEST_F(SimulatorTest, SeedIsExposed)
 {
     EXPECT_EQ(sim.seed(), 42u);
+}
+
+TEST_F(SimulatorTest, ConstructorRejectsEventCoresOtherThanOne)
+{
+    EXPECT_NO_THROW(Simulator(1, 1));
+    EXPECT_THROW(Simulator(1, 0), afa::sim::SimError);
+    EXPECT_THROW(Simulator(1, 2), afa::sim::SimError);
+    EXPECT_THROW(Simulator(1, 64), afa::sim::SimError);
+}
+
+TEST_F(SimulatorTest, InternalEventsAreNotCounted)
+{
+    int fired = 0;
+    sim.scheduleAt(5, [&] {
+        ++fired;
+        sim.scheduleInternal(50, [&] { ++fired; });
+        sim.scheduleAt(60, [&] { ++fired; });
+    });
+    const std::uint64_t executed = sim.run();
+    EXPECT_EQ(fired, 3);
+    // The internal post is plumbing: only the poster and the plain
+    // post count as model events.
+    EXPECT_EQ(executed, 2u);
+    EXPECT_EQ(sim.executedEvents(), 2u);
+    EXPECT_EQ(sim.plumbingEvents(), 1u);
+}
+
+TEST_F(SimulatorTest, InternalDiscountMatchesPlainRun)
+{
+    // Routing each model event through an internal hop (as the fabric
+    // does for chained sends) leaves the model event count equal to a
+    // run that schedules the same events directly.
+    Simulator plain(42);
+    for (Tick t : {10, 20, 30})
+        plain.scheduleAt(t, [] {});
+    const std::uint64_t plain_executed = plain.run();
+
+    std::uint64_t seen_executed = 0;
+    std::uint64_t seen_plumbing = 0;
+    for (Tick t : {5, 15, 25}) {
+        sim.scheduleInternal(t, [&, t] {
+            // The plumbing counter advances before the callback, so
+            // an internal event sees exactly the model events so far.
+            seen_executed = sim.executedEvents();
+            seen_plumbing = sim.plumbingEvents();
+            sim.scheduleAt(t + 5, [] {});
+        });
+    }
+    EXPECT_EQ(sim.run(), plain_executed);
+    EXPECT_EQ(sim.executedEvents(), plain.executedEvents());
+    EXPECT_EQ(sim.plumbingEvents(), 3u);
+    EXPECT_EQ(plain.plumbingEvents(), 0u);
+    EXPECT_EQ(seen_executed, 2u);
+    EXPECT_EQ(seen_plumbing, 3u);
+}
+
+TEST_F(SimulatorTest, ReclaimReturnsTheCallback)
+{
+    // The reclaimed callback runs where the caller invokes it, and
+    // the original event never fires at its scheduled time.
+    int where = 0;
+    sim.scheduleAt(5, [&] {
+        EventHandle h = sim.scheduleAt(200, [&] { where = 1; });
+        afa::sim::EventFn fn = sim.reclaim(h);
+        fn();
+        EXPECT_EQ(where, 1);
+        where = 2;
+    });
+    sim.run();
+    EXPECT_EQ(where, 2);
+    EXPECT_EQ(sim.now(), 5u);
+}
+
+TEST_F(SimulatorTest, ReclaimWorksOnPlainHandles)
+{
+    int fired = 0;
+    sim.scheduleAt(5, [&] {
+        EventHandle h = sim.scheduleAt(50, [&] { ++fired; });
+        afa::sim::EventFn fn = sim.reclaim(h);
+        EXPECT_FALSE(sim.pending(h));
+        fn();
+    });
+    sim.run();
+    EXPECT_EQ(fired, 1);
+    EXPECT_EQ(sim.pendingEvents(), 0u);
+    EXPECT_THROW(sim.reclaim(EventHandle{}), afa::sim::SimError);
+}
+
+TEST_F(SimulatorTest, OrderingBandsRunAfterPlainEvents)
+{
+    // Same tick: band-0 events in FIFO order first, then ascending
+    // bands. Bands posted out of numeric order still sort, and an
+    // internal event keeps its band.
+    std::string order;
+    sim.scheduleAt(10, [&] { order += 'c'; }, 7);
+    sim.scheduleAt(10, [&] { order += 'a'; });
+    sim.scheduleInternal(10, [&] { order += 'b'; }, 3);
+    sim.scheduleAt(10, [&] { order += 'A'; });
+    sim.run();
+    EXPECT_EQ(order, "aAbc");
 }
 
 TEST_F(SimulatorTest, RecurringEventChainTerminatesAtBound)

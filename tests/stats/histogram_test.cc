@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <ostream>
 #include <vector>
 
 #include "sim/logging.hh"
@@ -176,6 +177,17 @@ struct QuantileCase
     const char *name;
     double (*sampler)(Rng &);
 };
+
+/**
+ * Print a case by its name. Without this, gtest prints the raw bytes
+ * of the case into the listed test name, and those bytes hold a
+ * pointer that moves with the load address.
+ */
+void
+PrintTo(const QuantileCase &c, std::ostream *os)
+{
+    *os << c.name;
+}
 
 class QuantileAccuracy : public ::testing::TestWithParam<QuantileCase>
 {

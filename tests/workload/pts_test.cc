@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <ostream>
 
 #include "sim/logging.hh"
 #include "sim/simulator.hh"
@@ -45,6 +46,17 @@ struct SeriesCase
     bool expectSteady;
     std::size_t expectAtRound; // when steady
 };
+
+/**
+ * Print a case by its name. Without this, gtest prints the raw bytes
+ * of the case into the listed test name, and those bytes hold a
+ * pointer that moves with the load address.
+ */
+void
+PrintTo(const SeriesCase &c, std::ostream *os)
+{
+    *os << c.name;
+}
 
 class SteadyStateCases : public ::testing::TestWithParam<SeriesCase>
 {

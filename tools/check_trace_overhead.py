@@ -28,17 +28,17 @@ BM_SpanLogRecordTelemetry / BM_TelemetryWindowedRun) are excluded
 from the cross-build ratio with --exclude: in the compiled-out
 baseline their instrumentation sites no-op, so their ratio would
 measure tracing itself rather than its disabled cost. The disabled
-telemetry path is gated instead by --require-ing the benchmarks that
-exercise the always-on simulator self-profiling code
-(BM_ShardedEventThroughput, BM_ShardedFig06Throughput): a silent
-drop of either from the comparison fails the gate.
+telemetry path is gated instead by --require-ing the benchmark that
+exercises the always-on simulator self-profiling counters
+(BM_Fig06Throughput): a silent drop of it from the comparison fails
+the gate.
 
 Usage:
     micro_simcore --benchmark_out=run.json --benchmark_out_format=json
     tools/check_trace_overhead.py a1.json a2.json \
         --baseline b1.json --baseline b2.json \
         --exclude 'BM_SpanLogRecordTelemetry|BM_TelemetryWindowedRun' \
-        --require BM_ShardedEventThroughput/4
+        --require BM_Fig06Throughput
 """
 
 import argparse

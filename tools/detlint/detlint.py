@@ -38,27 +38,16 @@ contract:
                        device, LBA and mix draw must flow from the
                        engine's named per-stream forks or the offered
                        load stops being byte-identical across
-                       --shards/--jobs.
-  shard-state          calling a controller's cross-shard mutators
-                       (setLimpFactor/setOffline/stallUntil) outside a
-                       scheduleOnShard() post: in a sharded run the
-                       controller's state belongs to its own shard, so
-                       mutating it directly from another shard is a
-                       data race and breaks bit-identical replay. Post
-                       the mutation to the owning shard through the
-                       mailbox API, or annotate code that provably
-                       runs on the owning shard.
+                       --jobs.
   telemetry-internal   (telemetry sources only) scheduling a sampling
-                       event without internal=true: the telemetry
-                       contract (DESIGN.md §14) is that canonical
-                       reports are byte-identical with --telemetry on
-                       and off, which only holds while every sampling
-                       event is engine plumbing. A scheduleOnShard()
-                       whose internal argument is not the literal
-                       `true` — including the 3-argument form, whose
-                       default is false — and any scheduleAt()/
-                       scheduleAfter() (which cannot mark events
-                       internal at all) make the sample model-visible.
+                       event any way but Simulator::scheduleInternal():
+                       the telemetry contract (DESIGN.md §13) is that
+                       canonical reports are byte-identical with
+                       --telemetry on and off, which only holds while
+                       every sampling event is engine plumbing.
+                       scheduleAt()/scheduleAfter() and a raw
+                       EventQueue schedule() post make the sample a
+                       counted, model-visible event.
 
 Escape hatch: a trailing or immediately preceding comment
 `// detlint:allow(<rule>[,<rule>...])` suppresses a diagnostic; every
@@ -124,16 +113,12 @@ RULES = {
     "arrival-rng": "open-loop arrival code must draw randomness from "
                    "the engine's named per-stream Rng forks, not a "
                    "freshly constructed Rng",
-    "shard-state": "cross-shard SimObject state must be mutated via a "
-                   "scheduleOnShard() post to the owning shard, not "
-                   "touched directly; annotate shard-affine call "
-                   "sites with detlint:allow(shard-state)",
     "telemetry-internal": "telemetry sampling events must be posted "
-                          "with scheduleOnShard(..., /*internal=*/"
-                          "true, ...) or canonical reports stop being "
-                          "byte-identical with telemetry on/off; "
-                          "scheduleAt/scheduleAfter cannot mark "
-                          "events internal",
+                          "with scheduleInternal() or canonical "
+                          "reports stop being byte-identical with "
+                          "telemetry on/off; scheduleAt/scheduleAfter "
+                          "and raw EventQueue posts are counted model "
+                          "events",
 }
 
 SIMPLE_PATTERNS = [
@@ -170,18 +155,11 @@ def fresh_rng_rule_for(display_path):
         return "arrival-rng"
     return None
 
-# Cross-shard controller mutators: legal only inside a
-# scheduleOnShard() post (the mailbox routes it to the owning shard)
-# or at an annotated shard-affine call site. Member-access spelling
-# only, so declarations/definitions of the mutators don't fire.
-SHARD_STATE_RE = re.compile(
-    r"(?:\.|->)\s*(?:setLimpFactor|setOffline|stallUntil)\s*\(")
-
-SCHEDULE_ON_SHARD_RE = re.compile(r"\bscheduleOnShard\s*\(")
-
-# Scoped to paths containing "telemetry": local-shard scheduling has
-# no internal flag, so sampling code must never use it.
-LOCAL_SCHEDULE_RE = re.compile(r"\bscheduleA(?:t|fter)\s*\(")
+# Scoped to paths containing "telemetry": the schedulers that post
+# counted model events (the Simulator's scheduleAt/scheduleAfter and
+# a raw EventQueue::schedule), which sampling code must never use.
+MODEL_SCHEDULE_RE = re.compile(
+    r"\bscheduleA(?:t|fter)\s*\(|(?:\.|->)\s*schedule\s*\(")
 
 UNORDERED_DECL_RE = re.compile(
     r"unordered_(?:map|set|multimap|multiset)\s*<[^;{}()]*?>\s*&?\s*"
@@ -462,80 +440,15 @@ def check_mutable_static(path, text, diags):
         i += 1
 
 
-def schedule_on_shard_spans(text):
-    """Character ranges of every scheduleOnShard(...) call, from the
-    opening parenthesis to its balanced close. Mutator calls inside
-    such a span execute on the owning shard by construction."""
-    spans = []
-    for m in SCHEDULE_ON_SHARD_RE.finditer(text):
-        depth = 0
-        i = m.end() - 1  # the opening '('
-        n = len(text)
-        while i < n:
-            c = text[i]
-            if c == "(":
-                depth += 1
-            elif c == ")":
-                depth -= 1
-                if depth == 0:
-                    break
-            i += 1
-        spans.append((m.start(), i))
-    return spans
-
-
-def top_level_call_args(text, start, end):
-    """Top-level argument substrings of the call whose name match
-    begins at @p start and whose balanced close is at @p end (the
-    schedule_on_shard_spans convention). Nested parentheses, brackets
-    and braces — lambda arguments especially — do not split."""
-    open_paren = text.index("(", start)
-    args = []
-    depth = 0
-    arg_start = open_paren + 1
-    for i in range(open_paren, end + 1):
-        c = text[i]
-        if c in "([{":
-            depth += 1
-        elif c in ")]}":
-            depth -= 1
-            if depth == 0:
-                args.append(text[arg_start:i])
-                break
-        elif c == "," and depth == 1:
-            args.append(text[arg_start:i])
-            arg_start = i + 1
-    return args
-
-
 def check_telemetry_internal(path, text, diags):
-    """Telemetry sampling must ride internal events: every
-    scheduleOnShard() in a telemetry source needs the literal `true`
-    as its 4th (internal) argument, and the local-shard schedulers
-    (no internal flag) are banned outright."""
-    for m in LOCAL_SCHEDULE_RE.finditer(text):
+    """Telemetry sampling must ride internal events: every scheduler
+    that posts a counted model event is banned in telemetry
+    sources."""
+    for m in MODEL_SCHEDULE_RE.finditer(text):
         diags.append(Diagnostic(
             path, line_of(text, m.start()), "telemetry-internal",
-            "scheduleAt/scheduleAfter cannot mark the event internal; "
-            "post the sample with scheduleOnShard(..., /*internal=*/"
-            "true, ...)"))
-    for start, end in schedule_on_shard_spans(text):
-        args = top_level_call_args(text, start, end)
-        internal = args[3].strip() if len(args) > 3 else ""
-        if internal != "true":
-            diags.append(Diagnostic(path, line_of(text, start),
-                                    "telemetry-internal"))
-
-
-def check_shard_state(path, text, diags):
-    spans = None
-    for m in SHARD_STATE_RE.finditer(text):
-        if spans is None:
-            spans = schedule_on_shard_spans(text)
-        if any(start <= m.start() <= end for start, end in spans):
-            continue
-        diags.append(Diagnostic(path, line_of(text, m.start()),
-                                "shard-state"))
+            "scheduleAt/scheduleAfter/schedule post a counted model "
+            "event; post the sample with scheduleInternal()"))
 
 
 def check_unordered_iteration(path, text, diags):
@@ -570,7 +483,6 @@ def check_file(path, display_path):
                                     fresh_rng_rule))
     if "telemetry" in display_path:
         check_telemetry_internal(display_path, text, diags)
-    check_shard_state(display_path, text, diags)
     check_unordered_iteration(display_path, text, diags)
     check_mutable_static(display_path, text, diags)
 

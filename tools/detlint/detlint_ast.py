@@ -11,19 +11,9 @@ and admits rules that tokens cannot express at all.
 
 Ported rules (same names, same rationale as detlint.py):
   rand, wall-clock, random-device, unseeded-rng, unordered-iteration,
-  mutable-static, fault-rng, arrival-rng, shard-state,
-  telemetry-internal
+  mutable-static, fault-rng, arrival-rng, telemetry-internal
 
 AST-only rules:
-  shard-capture        a lambda passed to scheduleOnShard() capturing
-                       anything by reference: the post fires in a
-                       later barrier window, possibly on another
-                       thread, so by-reference captures are both a
-                       dangling-stack hazard and a cross-shard
-                       mutation channel. Capture state by value (the
-                       [this, e] idiom: pointers to shard-affine or
-                       immutable state are fine and are policed by the
-                       shard-state rule at the use site).
   tick-units           arithmetic mixing a Tick-typed expression with
                        a floating-point operand, or initialising a
                        floating variable straight from a Tick, outside
@@ -78,9 +68,6 @@ EXIT_NO_TOOLCHAIN = 77  # ctest SKIP_RETURN_CODE
 
 RULES = dict(rxlint.RULES)
 RULES.update({
-    "shard-capture": "a lambda posted via scheduleOnShard() runs in a "
-                     "later window, possibly on another thread: "
-                     "capture state by value, never by reference",
     "tick-units": "Tick arithmetic mixed with floating-point outside "
                   "the src/sim/types.hh conversion helpers; use "
                   "nsec()/toUsec()/transferTicks() or an explicit "
@@ -118,11 +105,12 @@ ENGINE_QNAMES = {
     "std::shuffle_order_engine",
 }
 
-SHARD_MUTATORS = {"setLimpFactor", "setOffline", "stallUntil"}
-
-# Local-shard schedulers have no internal flag; banned in telemetry
-# sources (the telemetry-internal rule).
-LOCAL_SCHEDULERS = {"scheduleAt", "scheduleAfter"}
+# Schedulers that post counted model events, by the class declaring
+# them; banned in telemetry sources (the telemetry-internal rule),
+# where samples must go through Simulator::scheduleInternal().
+MODEL_SCHEDULERS = {("Simulator", "scheduleAt"),
+                    ("Simulator", "scheduleAfter"),
+                    ("EventQueue", "schedule")}
 
 # Functions allowed to cross the Tick <-> floating unit boundary: the
 # conversion helpers defined in src/sim/types.hh, plus the fast-path
@@ -266,51 +254,6 @@ def subtree(cursor):
         c = stack.pop()
         yield c
         stack.extend(children(c))
-
-
-def parse_capture_tokens(spellings):
-    """Parse a lambda's capture-list token spellings (starting at the
-    opening '[') and return the captures seen, as a list of (mode,
-    name) with mode one of 'ref', 'value', 'ref-default',
-    'value-default', 'this'. Init-captures report the introduced name.
-    """
-    if not spellings or spellings[0] != "[":
-        return []
-    depth = 0
-    items, cur = [], []
-    for tok in spellings:
-        if tok == "[":
-            depth += 1
-            if depth == 1:
-                continue
-        elif tok == "]":
-            depth -= 1
-            if depth == 0:
-                if cur:
-                    items.append(cur)
-                break
-        elif tok == "," and depth == 1:
-            items.append(cur)
-            cur = []
-            continue
-        if depth >= 1:
-            cur.append(tok)
-    captures = []
-    for item in items:
-        if not item:
-            continue
-        if item == ["&"]:
-            captures.append(("ref-default", ""))
-        elif item == ["="]:
-            captures.append(("value-default", ""))
-        elif item[0] == "this" or item[:2] == ["*", "this"]:
-            captures.append(("this", "this"))
-        elif item[0] == "&":
-            name = item[1] if len(item) > 1 else ""
-            captures.append(("ref", name))
-        else:
-            captures.append(("value", item[0]))
-    return captures
 
 
 class Diagnostic:
@@ -534,8 +477,6 @@ class Analyzer:
 
     def analyze_tu(self, tu_cursor):
         ctx = {
-            "in_sched": False,
-            "in_sched_lambda": False,
             "unordered_loop_depth": 0,
         }
         self._walk(tu_cursor, ctx)
@@ -558,20 +499,9 @@ class Analyzer:
             "telemetry" in self._display_path(path)
 
         if k == "CALL_EXPR":
-            self._check_call(cursor, ctx, telemetry_file)
-            ref = cursor.referenced
-            if ref is not None and ref.spelling == "scheduleOnShard":
-                sub = dict(ctx, in_sched=True, in_sched_lambda=False)
-                self._walk(cursor, sub)
-                return
+            self._check_call(cursor, telemetry_file)
         elif k == "VAR_DECL":
             self._check_var_decl(cursor, ctx, fresh_rng_rule)
-        elif k == "LAMBDA_EXPR":
-            if ctx["in_sched"] and not ctx["in_sched_lambda"]:
-                self._check_shard_capture(cursor)
-                sub = dict(ctx, in_sched_lambda=True)
-                self._walk(cursor, sub)
-                return
         elif k == "CXX_NEW_EXPR":
             self._check_new_expr(cursor, fresh_rng_rule)
         elif k == "CXX_FOR_RANGE_STMT":
@@ -588,7 +518,7 @@ class Analyzer:
 
     # -- ported rules -------------------------------------------------
 
-    def _check_call(self, cursor, ctx, telemetry_file=False):
+    def _check_call(self, cursor, telemetry_file=False):
         ref = cursor.referenced
         if ref is None:
             return
@@ -599,9 +529,6 @@ class Analyzer:
         elif qn in WALL_CLOCK_QNAMES or \
                 (spelling == "now" and qn.endswith("_clock::now")):
             self.report(cursor, "wall-clock")
-        elif spelling in SHARD_MUTATORS and \
-                kname(ref) == "CXX_METHOD" and not ctx["in_sched"]:
-            self.report(cursor, "shard-state")
         elif spelling in ("begin", "cbegin") and \
                 kname(ref) == "CXX_METHOD":
             parent = ref.semantic_parent
@@ -609,35 +536,19 @@ class Analyzer:
                     parent.spelling.startswith("unordered_"):
                 self.report(cursor, "unordered-iteration")
         if telemetry_file:
-            self._check_telemetry_schedule(cursor, spelling)
+            self._check_telemetry_schedule(cursor, ref)
 
-    def _check_telemetry_schedule(self, cursor, spelling):
-        """telemetry-internal: in telemetry sources every
-        scheduleOnShard() must pass the literal `true` as its internal
-        argument (the 4th; libclang surfaces the defaulted `false` of
-        the 3-argument form as an argument cursor too, which the
-        literal check rejects just the same), and the local-shard
-        schedulers are banned because they cannot mark events
-        internal."""
-        if spelling in LOCAL_SCHEDULERS:
+    def _check_telemetry_schedule(self, cursor, ref):
+        """telemetry-internal: in telemetry sources every scheduler
+        that posts a counted model event is banned; samples must go
+        through Simulator::scheduleInternal()."""
+        parent = ref.semantic_parent
+        owner = parent.spelling if parent is not None else ""
+        if (owner, ref.spelling) in MODEL_SCHEDULERS:
             self.report(cursor, "telemetry-internal",
-                        "scheduleAt/scheduleAfter cannot mark the "
-                        "event internal; post the sample with "
-                        "scheduleOnShard(..., /*internal=*/true, ...)")
-        elif spelling == "scheduleOnShard":
-            args = self._call_args(cursor)
-            if len(args) < 4 or not self._is_true_literal(args[3]):
-                self.report(cursor, "telemetry-internal")
-
-    def _is_true_literal(self, expr):
-        e = unwrap(expr)
-        if kname(e) != "CXX_BOOL_LITERAL_EXPR":
-            return False
-        try:
-            tokens = [t.spelling for t in e.get_tokens()]
-        except (AttributeError, ValueError):
-            return False
-        return tokens[:1] == ["true"]
+                        "%s::%s posts a counted model event; post the "
+                        "sample with scheduleInternal()"
+                        % (owner, ref.spelling))
 
     def _check_var_decl(self, cursor, ctx, fresh_rng_rule):
         try:
@@ -762,21 +673,6 @@ class Analyzer:
         return False
 
     # -- AST-only rules -----------------------------------------------
-
-    def _check_shard_capture(self, lambda_cursor):
-        try:
-            spellings = [t.spelling for t in lambda_cursor.get_tokens()]
-        except (AttributeError, ValueError):
-            return
-        for mode, name in parse_capture_tokens(spellings):
-            if mode == "ref-default":
-                self.report(lambda_cursor, "shard-capture",
-                            "lambda posted to scheduleOnShard() "
-                            "captures by reference by default ([&])")
-            elif mode == "ref":
-                self.report(lambda_cursor, "shard-capture",
-                            "lambda posted to scheduleOnShard() "
-                            "captures '%s' by reference" % name)
 
     def _tick_units_exempt(self, cursor):
         path, _ = location_of(cursor)

@@ -37,7 +37,6 @@ DIAG_RE = re.compile(r"^(?P<path>[^:]+):(?P<line>\d+): (?P<rule>[\w-]+): ")
 
 # fixture -> {rule: exact diagnostic count}
 AST_EXPECTATIONS = {
-    "bad_shard_capture.cc": {"shard-capture": 2},
     "bad_tick_units.cc": {"tick-units": 3},
     "bad_unordered_accumulate.cc": {"unordered-accumulate": 1,
                                     "unordered-iteration": 2},

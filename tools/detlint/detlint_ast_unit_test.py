@@ -138,46 +138,6 @@ def begin_var(name="begin", line=2):
     return FakeCursor("VAR_DECL", spelling=name, type=t, line=line)
 
 
-class CaptureParsing(unittest.TestCase):
-    def parse(self, *tokens):
-        return da.parse_capture_tokens(list(tokens))
-
-    def test_default_ref(self):
-        self.assertEqual(self.parse("[", "&", "]"),
-                         [("ref-default", "")])
-
-    def test_default_value(self):
-        self.assertEqual(self.parse("[", "=", "]"),
-                         [("value-default", "")])
-
-    def test_named_ref_and_value(self):
-        self.assertEqual(
-            self.parse("[", "&", "a", ",", "b", "]"),
-            [("ref", "a"), ("value", "b")])
-
-    def test_this_forms(self):
-        self.assertEqual(self.parse("[", "this", "]"),
-                         [("this", "this")])
-        self.assertEqual(self.parse("[", "*", "this", "]"),
-                         [("this", "this")])
-
-    def test_init_capture_value(self):
-        self.assertEqual(self.parse("[", "c", "=", "ptr", "]"),
-                         [("value", "c")])
-
-    def test_init_capture_ref(self):
-        self.assertEqual(self.parse("[", "&", "r", "=", "obj", "]"),
-                         [("ref", "r")])
-
-    def test_nested_brackets_in_init(self):
-        self.assertEqual(
-            self.parse("[", "y", "=", "arr", "[", "0", "]", "]"),
-            [("value", "y")])
-
-    def test_not_a_capture_list(self):
-        self.assertEqual(self.parse("(", "int", ")"), [])
-
-
 class QualifiedNames(unittest.TestCase):
     def test_skips_inline_version_namespaces(self):
         tu = FakeCursor("TRANSLATION_UNIT")
@@ -253,69 +213,54 @@ class TelemetryInternal(unittest.TestCase):
     def tearDown(self):
         self.tmp.cleanup()
 
-    def sched_call(self, name, args, line=1):
-        decl = FakeCursor("CXX_METHOD", spelling=name)
-        # Args as children; _call_args falls back to child filtering
-        # on fakes (no get_arguments), mirroring the dependent-call
-        # path of the real analyzer.
+    def sched_call(self, owner, name, args, line=1):
+        cls = FakeCursor("CLASS_DECL", spelling=owner)
+        decl = FakeCursor("FUNCTION_TEMPLATE", spelling=name,
+                          semantic_parent=cls)
         return FakeCursor("CALL_EXPR", spelling=name, children=args,
                           referenced=decl, path=self.path, line=line,
                           is_expr=True)
 
-    def bool_lit(self, spelling):
-        return FakeCursor("CXX_BOOL_LITERAL_EXPR", tokens=(spelling,),
-                          path=self.path, is_expr=True)
-
     def fired(self):
         return [(d.rule, d.line) for d in self.analyzer.results()]
 
-    def base_args(self):
+    def args(self):
         return [FakeCursor("INTEGER_LITERAL", path=self.path,
-                           is_expr=True),
-                FakeCursor("INTEGER_LITERAL", path=self.path,
                            is_expr=True),
                 FakeCursor("LAMBDA_EXPR", path=self.path,
                            is_expr=True)]
 
-    def test_three_arg_form_fires(self):
-        call = self.sched_call("scheduleOnShard", self.base_args(),
-                               line=7)
-        self.analyzer._check_telemetry_schedule(call, "scheduleOnShard")
-        self.assertEqual(self.fired(), [("telemetry-internal", 7)])
+    def check(self, call):
+        self.analyzer._check_telemetry_schedule(call, call.referenced)
 
-    def test_explicit_false_fires(self):
-        args = self.base_args() + [self.bool_lit("false"),
-                                   FakeCursor("INTEGER_LITERAL",
-                                              path=self.path,
-                                              is_expr=True)]
-        call = self.sched_call("scheduleOnShard", args, line=9)
-        self.analyzer._check_telemetry_schedule(call, "scheduleOnShard")
-        self.assertEqual(self.fired(), [("telemetry-internal", 9)])
+    def test_model_schedulers_fire(self):
+        for line, (owner, name) in enumerate(
+                (("Simulator", "scheduleAt"),
+                 ("Simulator", "scheduleAfter"),
+                 ("EventQueue", "schedule")), 1):
+            self.check(self.sched_call(owner, name, self.args(),
+                                       line=line))
+        self.assertEqual(self.fired(), [("telemetry-internal", 1),
+                                        ("telemetry-internal", 2),
+                                        ("telemetry-internal", 3)])
 
-    def test_explicit_true_is_clean(self):
-        args = self.base_args() + [self.bool_lit("true"),
-                                   FakeCursor("INTEGER_LITERAL",
-                                              path=self.path,
-                                              is_expr=True)]
-        call = self.sched_call("scheduleOnShard", args)
-        self.analyzer._check_telemetry_schedule(call, "scheduleOnShard")
+    def test_schedule_internal_is_clean(self):
+        self.check(self.sched_call("Simulator", "scheduleInternal",
+                                   self.args()))
         self.assertEqual(self.fired(), [])
 
-    def test_local_schedulers_fire(self):
-        for line, name in enumerate(("scheduleAt", "scheduleAfter"), 1):
-            call = self.sched_call(name, self.base_args()[:2],
-                                   line=line)
-            self.analyzer._check_telemetry_schedule(call, name)
-        self.assertEqual(self.fired(), [("telemetry-internal", 1),
-                                        ("telemetry-internal", 2)])
+    def test_unrelated_schedule_is_clean(self):
+        # Only the simulator's event queue counts: a same-named method
+        # of another class is not an event post.
+        self.check(self.sched_call("Planner", "schedule", self.args()))
+        self.assertEqual(self.fired(), [])
 
     def test_non_telemetry_file_not_checked(self):
         # _check_call only consults the rule for telemetry sources.
-        call = self.sched_call("scheduleAfter", self.base_args()[:2])
+        call = self.sched_call("Simulator", "scheduleAfter", self.args())
         call.location = FakeLocation(
             os.path.join(self.tmp.name, "obs", "span_log.cc"), 1)
-        ctx = {"in_sched": False}
-        self.analyzer._check_call(call, ctx, telemetry_file=False)
+        self.analyzer._check_call(call, telemetry_file=False)
         self.assertEqual(self.fired(), [])
 
 
@@ -606,37 +551,6 @@ class FreshRngRule(unittest.TestCase):
                          path=path, line=6)
         self.an._check_new_expr(new, None)
         self.assertEqual(self.fired(), [])
-
-
-class ShardCaptureRule(unittest.TestCase):
-    def setUp(self):
-        self.tmp = tempfile.TemporaryDirectory()
-        self.root = self.tmp.name
-        self.path = os.path.join(self.root, "z.cc")
-        with open(self.path, "w", encoding="utf-8") as f:
-            f.write("// nothing\n" * 10)
-        self.an = da.Analyzer(self.root)
-
-    def tearDown(self):
-        self.tmp.cleanup()
-
-    def lam(self, tokens):
-        return FakeCursor("LAMBDA_EXPR", tokens=tokens,
-                          path=self.path, line=3)
-
-    def test_ref_captures_fire(self):
-        self.an._check_shard_capture(
-            self.lam(["[", "&", "x", "]", "{", "}"]))
-        self.assertEqual([d.rule for d in self.an.results()],
-                         ["shard-capture"])
-        self.assertIn("'x'", self.an.results()[0].detail)
-
-    def test_value_captures_clean(self):
-        self.an._check_shard_capture(
-            self.lam(["[", "this", ",", "e", "]", "{", "}"]))
-        self.an._check_shard_capture(
-            self.lam(["[", "c", "=", "ptr", "]", "{", "}"]))
-        self.assertEqual(self.an.results(), [])
 
 
 if __name__ == "__main__":

@@ -30,7 +30,6 @@ EXPECTATIONS = {
     "bad_mutable_static.cc": {"mutable-static": 4},
     "bad_fault_rng.cc": {"fault-rng": 2},
     "bad_arrival_rng.cc": {"arrival-rng": 2},
-    "bad_shard_state.cc": {"shard-state": 3},
     "bad_telemetry_event.cc": {"telemetry-internal": 3},
     "allowed.cc": {},
     "clean.cc": {},

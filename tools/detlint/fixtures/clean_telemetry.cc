@@ -1,6 +1,6 @@
 // Fixture: the sanctioned telemetry sampling idiom — an internal
-// event posted to shard 0 in the top ordering band — lints clean.
-// Mirrors the real scheduling site in src/obs/telemetry.cc.
+// event in the top ordering band — lints clean. Mirrors the real
+// scheduling site in src/obs/telemetry.cc.
 
 #include "sim/simulator.hh"
 
@@ -11,8 +11,7 @@ inline constexpr std::uint32_t kSampleOrderBand = 0xffffffffu;
 void
 scheduleSample(afa::sim::Simulator &sim, afa::sim::Tick when)
 {
-    sim.scheduleOnShard(0, when, [] {}, /*internal=*/true,
-                        kSampleOrderBand);
+    sim.scheduleInternal(when, [] {}, kSampleOrderBand);
 }
 
 } // namespace afa::fixture

@@ -4,7 +4,6 @@
 
 #include <cstdint>
 #include <map>
-#include <utility>
 
 namespace afa::sim {
 using Tick = std::uint64_t;
@@ -25,31 +24,6 @@ struct SpanLog
 } // namespace afa::obs
 
 namespace afa::fixture {
-
-struct Controller
-{
-    void poke(int v);
-};
-
-struct Simulator
-{
-    template <typename Fn>
-    void scheduleOnShard(unsigned shard, std::uint64_t when, Fn &&fn)
-    {
-        pending = static_cast<bool>(shard + when);
-        std::forward<Fn>(fn)();
-    }
-    bool pending = false;
-};
-
-// shard-capture: value captures only.
-void
-post(Simulator &sim, Controller *ctrl)
-{
-    int burst = 2;
-    sim.scheduleOnShard(1, 1000, [ctrl, burst] { ctrl->poke(burst); });
-    sim.scheduleOnShard(1, 2000, [c = ctrl] { c->poke(0); });
-}
 
 // tick-units: explicit casts state the unit crossing on purpose, and
 // the escape hatch works for AST-only rules too.
