@@ -122,17 +122,21 @@ parseOptions(int argc, char **argv)
     const std::uint64_t duration_ms = cfg.getUint("duration_ms", 0);
     if (duration_ms > 0 && cfg.getUint("runtime_ms", 0) == 0)
         p.runtime = afa::sim::msec(static_cast<double>(duration_ms));
+    // Read every open-loop number up front, so a malformed one fails
+    // even when --rate leaves the run closed-loop.
     const double rate = cfg.getDouble("rate", 0.0);
+    const double burst = cfg.getDouble("burst", 1.0);
+    const double mix = cfg.getDouble("mix", 100.0);
+    const double zipf = cfg.getDouble("zipf", 0.0);
     if (rate > 0.0) {
         afa::workload::OpenLoopParams ol;
         ol.arrival.ratePerSec = rate;
-        const double burst = cfg.getDouble("burst", 1.0);
         if (burst > 1.0) {
             ol.arrival.kind = afa::workload::ArrivalKind::Bursty;
             ol.arrival.burstFactor = burst;
         }
-        ol.readFraction = cfg.getDouble("mix", 100.0) / 100.0;
-        ol.zipfTheta = cfg.getDouble("zipf", 0.0);
+        ol.readFraction = mix / 100.0;
+        ol.zipfTheta = zipf;
         ol.streams = static_cast<unsigned>(cfg.getUint("streams", 4));
         p.openLoop = ol;
     }

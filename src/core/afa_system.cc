@@ -10,10 +10,8 @@ namespace afa::core {
 using afa::nvme::NvmeCommand;
 using afa::nvme::NvmeCompletion;
 using afa::sim::Simulator;
-using afa::sim::Tracer;
 
-AfaSystem::AfaSystem(Simulator &simulator, const AfaSystemParams &params,
-                     Tracer *tracer)
+AfaSystem::AfaSystem(Simulator &simulator, const AfaSystemParams &params)
     : sim(simulator), sysParams(params)
 {
     if (params.ssds == 0)
@@ -36,9 +34,9 @@ AfaSystem::AfaSystem(Simulator &simulator, const AfaSystemParams &params,
     // Host side.
     sched = std::make_unique<afa::host::Scheduler>(
         sim, "sched", afa::host::CpuTopology(params.topology),
-        params.kernel, tracer);
+        params.kernel);
     irqSub = std::make_unique<afa::host::IrqSubsystem>(
-        sim, "irq", *sched, params.ssds, tracer);
+        sim, "irq", *sched, params.ssds);
     bg = std::make_unique<afa::host::BackgroundLoad>(
         sim, "bg", *sched, params.background);
     driver = std::make_unique<Driver>(*this);
@@ -49,7 +47,7 @@ AfaSystem::AfaSystem(Simulator &simulator, const AfaSystemParams &params,
             sim, afa::sim::strfmt("nvme%u.nand", d), params.nand));
         ctrls.push_back(std::make_unique<afa::nvme::Controller>(
             sim, afa::sim::strfmt("nvme%u", d), params.firmware,
-            *nands.back(), params.ftl, tracer));
+            *nands.back(), params.ftl));
         afa::nvme::Controller &ctrl = *ctrls.back();
         ctrl.setFastPath(params.deviceFastPath);
         ctrl.setQueuePairs(sched->topology().logicalCpus());

@@ -104,8 +104,7 @@ class AfaSystem
 {
   public:
     AfaSystem(afa::sim::Simulator &simulator,
-              const AfaSystemParams &params,
-              afa::sim::Tracer *tracer = nullptr);
+              const AfaSystemParams &params);
 
     /** Start ticks, balancers, background load and SSD firmware. */
     void start();

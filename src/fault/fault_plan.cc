@@ -1,6 +1,8 @@
 #include "fault/fault_plan.hh"
 
 #include <algorithm>
+#include <climits>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -63,13 +65,36 @@ parseNumber(const std::string &text, std::string_view origin,
 {
     char *end = nullptr;
     double value = std::strtod(text.c_str(), &end);
-    if (end == text.c_str() || *end != '\0' || value < 0)
-        planError(origin, line, "expected a non-negative number");
+    if (end == text.c_str() || *end != '\0' || !std::isfinite(value) ||
+        value < 0)
+        planError(origin, line, "expected a finite non-negative number");
     return value;
 }
 
-/** "key=value" -> value, checking the key; fatal when absent. */
-double
+/** A millisecond value in ticks; fatal when the clock cannot hold it. */
+Tick
+parseMsec(const std::string &text, std::string_view origin,
+          unsigned line)
+{
+    const double ms = parseNumber(text, origin, line);
+    if (ms >= afa::sim::toMsec(afa::sim::kMaxTick))
+        planError(origin, line, "milliseconds overflow the clock");
+    return afa::sim::msec(ms);
+}
+
+/** A whole number that fits in unsigned. */
+unsigned
+parseCount(const std::string &text, std::string_view origin,
+           unsigned line)
+{
+    const double value = parseNumber(text, origin, line);
+    if (value != std::floor(value) || value > UINT_MAX)
+        planError(origin, line, "expected a whole number <= 4294967295");
+    return static_cast<unsigned>(value);
+}
+
+/** The text after "key=", checking the key; fatal when absent. */
+std::string
 requireField(const std::vector<std::string> &tokens,
              std::string_view key, std::string_view origin,
              unsigned line)
@@ -79,26 +104,11 @@ requireField(const std::vector<std::string> &tokens,
         std::size_t eq = t.find('=');
         if (eq != std::string::npos &&
             std::string_view(t).substr(0, eq) == key)
-            return parseNumber(t.substr(eq + 1), origin, line);
+            return t.substr(eq + 1);
     }
     afa::sim::fatal("fault plan %.*s:%u: missing %.*s=",
                     static_cast<int>(origin.size()), origin.data(),
                     line, static_cast<int>(key.size()), key.data());
-}
-
-double
-optionalField(const std::vector<std::string> &tokens,
-              std::string_view key, double fallback,
-              std::string_view origin, unsigned line)
-{
-    for (std::size_t i = 1; i < tokens.size(); ++i) {
-        const std::string &t = tokens[i];
-        std::size_t eq = t.find('=');
-        if (eq != std::string::npos &&
-            std::string_view(t).substr(0, eq) == key)
-            return parseNumber(t.substr(eq + 1), origin, line);
-    }
-    return fallback;
 }
 
 } // namespace
@@ -119,20 +129,17 @@ FaultPlan::parseText(std::string_view text, std::string_view origin)
         if (verb == "timeout_ms") {
             if (tokens.size() != 2)
                 planError(origin, lineno, "timeout_ms takes one value");
-            plan.nvmeTimeout =
-                afa::sim::msec(parseNumber(tokens[1], origin, lineno));
+            plan.nvmeTimeout = parseMsec(tokens[1], origin, lineno);
         } else if (verb == "max_retries") {
             if (tokens.size() != 2)
                 planError(origin, lineno,
                           "max_retries takes one value");
-            plan.maxRetries = static_cast<unsigned>(
-                parseNumber(tokens[1], origin, lineno));
+            plan.maxRetries = parseCount(tokens[1], origin, lineno);
         } else if (verb == "retry_backoff_ms") {
             if (tokens.size() != 2)
                 planError(origin, lineno,
                           "retry_backoff_ms takes one value");
-            plan.retryBackoff =
-                afa::sim::msec(parseNumber(tokens[1], origin, lineno));
+            plan.retryBackoff = parseMsec(tokens[1], origin, lineno);
         } else if (verb == "limp" || verb == "dropout" ||
                    verb == "link_error" || verb == "ctrl_stall") {
             FaultEvent ev;
@@ -140,20 +147,22 @@ FaultPlan::parseText(std::string_view text, std::string_view origin)
                     : verb == "dropout"    ? FaultKind::Dropout
                     : verb == "link_error" ? FaultKind::LinkError
                                            : FaultKind::CtrlStall;
-            ev.ssd = static_cast<unsigned>(
-                requireField(tokens, "ssd", origin, lineno));
-            ev.at = afa::sim::msec(
-                requireField(tokens, "at_ms", origin, lineno));
-            ev.duration = afa::sim::msec(
-                requireField(tokens, "dur_ms", origin, lineno));
+            const auto field = [&](std::string_view key) {
+                return requireField(tokens, key, origin, lineno);
+            };
+            ev.ssd = parseCount(field("ssd"), origin, lineno);
+            ev.at = parseMsec(field("at_ms"), origin, lineno);
+            ev.duration = parseMsec(field("dur_ms"), origin, lineno);
+            if (ev.duration > afa::sim::kMaxTick - ev.at)
+                planError(origin, lineno,
+                          "at_ms + dur_ms overflows the clock");
             if (ev.kind == FaultKind::Limp) {
-                ev.factor = requireField(tokens, "factor", origin,
-                                         lineno);
+                ev.factor = parseNumber(field("factor"), origin, lineno);
                 if (ev.factor < 1.0)
                     planError(origin, lineno, "limp factor must be >= 1");
             }
             if (ev.kind == FaultKind::LinkError) {
-                ev.rate = requireField(tokens, "rate", origin, lineno);
+                ev.rate = parseNumber(field("rate"), origin, lineno);
                 if (ev.rate >= 1.0)
                     planError(origin, lineno,
                               "link_error rate must be < 1");

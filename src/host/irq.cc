@@ -9,12 +9,11 @@ namespace afa::host {
 
 IrqSubsystem::IrqSubsystem(afa::sim::Simulator &simulator,
                            std::string irq_name, Scheduler &scheduler,
-                           unsigned devices,
-                           afa::sim::Tracer *trace_sink)
+                           unsigned devices)
     : SimObject(simulator, std::move(irq_name)), sched(scheduler),
       numDevices(devices),
       numQueues(scheduler.topology().logicalCpus()),
-      tracer(trace_sink), balancerStopped(false)
+      balancerStopped(false)
 {
     if (devices == 0)
         afa::sim::fatal("%s: need at least one device", name().c_str());
@@ -116,11 +115,6 @@ IrqSubsystem::balancerScan()
             if (affinity[i] != target) {
                 affinity[i] = target;
                 ++irqStats.vectorMoves;
-                if (tracer && tracer->enabled("irq.balance"))
-                    tracer->record(
-                        now(), "irq.balance",
-                        afa::sim::strfmt("irq(%u,%u) -> cpu%u", d, q,
-                                         target));
             }
         }
     }

@@ -49,8 +49,7 @@ class IrqSubsystem : public afa::sim::SimObject
     using HandlerFn = std::function<void(unsigned handler_cpu)>;
 
     IrqSubsystem(afa::sim::Simulator &simulator, std::string irq_name,
-                 Scheduler &scheduler, unsigned devices,
-                 afa::sim::Tracer *tracer = nullptr);
+                 Scheduler &scheduler, unsigned devices);
 
     /**
      * Raise the vector of (device, queue): the hardirq executes on the
@@ -91,7 +90,6 @@ class IrqSubsystem : public afa::sim::SimObject
     Scheduler &sched;
     unsigned numDevices;
     unsigned numQueues; ///< per device == logical CPUs
-    afa::sim::Tracer *tracer;
     afa::obs::SpanLog *spanLog = nullptr;
 
     /// affinity[device * numQueues + queue] = handler CPU

@@ -41,28 +41,14 @@ weightForNice(int nice)
 
 Scheduler::Scheduler(afa::sim::Simulator &simulator,
                      std::string sched_name, const CpuTopology &topology,
-                     const KernelConfig &config,
-                     afa::sim::Tracer *trace_sink)
+                     const KernelConfig &config)
     : SimObject(simulator, std::move(sched_name)), topo(topology),
-      kcfg(config), tracer(trace_sink), started(false)
+      kcfg(config), started(false)
 {
     if (topo.logicalCpus() > 64)
         afa::sim::fatal("%s: at most 64 logical CPUs supported (%u)",
                         name().c_str(), topo.logicalCpus());
     cpus.resize(topo.logicalCpus());
-}
-
-void
-Scheduler::trace(const char *category, std::string message)
-{
-    if (tracer)
-        tracer->record(now(), category, message);
-}
-
-bool
-Scheduler::tracing(const char *category) const
-{
-    return tracer && tracer->enabled(category);
 }
 
 void
@@ -321,10 +307,6 @@ Scheduler::wake(TaskId id)
         // "fresh" against wakeup-granularity checks.
         if (t.params.klass == SchedClass::Fair)
             t.vruntime = cpus[cpu].minVruntime;
-        if (tracing("sched.migrate"))
-            trace("sched.migrate",
-                  afa::sim::strfmt("%s cpu%u -> cpu%u",
-                                   t.params.name.c_str(), t.cpu, cpu));
     }
     t.everPlaced = true;
     t.state = TaskState::Runnable;
@@ -336,17 +318,10 @@ Scheduler::wake(TaskId id)
         dispatch(cpu);
         return;
     }
-    Task &curr = task(c.current);
-    if (wouldPreempt(t, curr)) {
+    if (wouldPreempt(t, task(c.current))) {
         accountRunning(cpu);
         stopRunning(cpu, true);
         dispatch(cpu);
-    } else {
-        if (tracing("sched.no_preempt"))
-            trace("sched.no_preempt",
-                  afa::sim::strfmt("%s waits behind %s on cpu%u",
-                                   t.params.name.c_str(),
-                                   curr.params.name.c_str(), cpu));
     }
 }
 
@@ -699,11 +674,6 @@ Scheduler::tryPull(unsigned to_cpu)
             cpus[to_cpu].minVruntime;
         ++t.stats.migrations;
         ++cpus[to_cpu].stats.pulls;
-        if (tracing("sched.balance"))
-            trace("sched.balance",
-                  afa::sim::strfmt("pull %s cpu%u -> cpu%u",
-                                   t.params.name.c_str(), busiest,
-                                   to_cpu));
         enqueue(to_cpu, pulled, false);
         if (cpus[to_cpu].current == kNoTask)
             dispatch(to_cpu);

@@ -41,7 +41,6 @@
 #include "host/cpu_topology.hh"
 #include "host/kernel_config.hh"
 #include "sim/sim_object.hh"
-#include "sim/trace.hh"
 
 namespace afa::obs {
 class SpanLog;
@@ -116,8 +115,7 @@ class Scheduler : public afa::sim::SimObject
 {
   public:
     Scheduler(afa::sim::Simulator &simulator, std::string sched_name,
-              const CpuTopology &topology, const KernelConfig &config,
-              afa::sim::Tracer *tracer = nullptr);
+              const CpuTopology &topology, const KernelConfig &config);
 
     /** Create a task (initially Blocked). */
     TaskId createTask(const TaskParams &params);
@@ -210,7 +208,6 @@ class Scheduler : public afa::sim::SimObject
 
     CpuTopology topo;
     KernelConfig kcfg;
-    afa::sim::Tracer *tracer;
     afa::obs::SpanLog *spanLog = nullptr;
     std::vector<Task> tasks;
     std::vector<Cpu> cpus;
@@ -249,10 +246,6 @@ class Scheduler : public afa::sim::SimObject
     void enterIdle(unsigned cpu);
     Tick wakeFromIdle(unsigned cpu);
 
-    void trace(const char *category, std::string message);
-    /** Gate for strfmt at trace() call sites: build the message only
-     *  when someone will keep it. */
-    bool tracing(const char *category) const;
     void checkTaskId(TaskId id) const;
 };
 

@@ -46,14 +46,12 @@ Controller::Controller(afa::sim::Simulator &simulator,
                        std::string controller_name,
                        const FirmwareConfig &firmware_config,
                        afa::nand::NandArray &nand_array,
-                       const FtlParams &ftl_params,
-                       afa::sim::Tracer *trace_sink)
+                       const FtlParams &ftl_params)
     : SimObject(simulator, std::move(controller_name)),
       fwConfig(firmware_config), nand(nand_array),
       ftlLayer(simulator, name() + ".ftl", nand_array, ftl_params),
-      smartEngine(simulator, name() + ".smart", firmware_config.smart,
-                  trace_sink),
-      tracer(trace_sink), numQueuePairs(1), procBusy(0), xferBusy(0),
+      smartEngine(simulator, name() + ".smart", firmware_config.smart),
+      numQueuePairs(1), procBusy(0), xferBusy(0),
       writePipeBusy(0), lastWriteEndLba(~std::uint64_t(0))
 {
 }
@@ -162,19 +160,14 @@ Controller::throughXfer(Tick ready, afa::sim::Bytes bytes)
 }
 
 Tick
-Controller::sampleHiccup(Tick when)
+Controller::sampleHiccup()
 {
     if (!rng().chance(fwConfig.hiccupProbability))
         return 0;
     ++ctrlStats.hiccups;
     auto penalty = static_cast<Tick>(rng().pareto(
         static_cast<double>(fwConfig.hiccupScale), fwConfig.hiccupShape));
-    penalty = std::min(penalty, fwConfig.hiccupCap);
-    if (tracer && tracer->enabled("nvme.hiccup"))
-        tracer->record(when, "nvme.hiccup",
-                       afa::sim::strfmt("%s +%.1f us", name().c_str(),
-                                        afa::sim::toUsec(penalty)));
-    return penalty;
+    return std::min(penalty, fwConfig.hiccupCap);
 }
 
 void
@@ -337,7 +330,7 @@ Controller::fastRead(const NvmeCommand &cmd, std::uint64_t blocks,
 {
     ++ctrlStats.fastPathCommands;
     // Draws happen in the reference order: hiccup first, then media.
-    Tick hiccup = sampleHiccup(pipe_done);
+    Tick hiccup = sampleHiccup();
     Tick media_begin = pipe_done;
     Tick media_done;
     if (!all_mapped) {

@@ -29,7 +29,6 @@
 #include "nvme/ftl.hh"
 #include "nvme/smart.hh"
 #include "sim/sim_object.hh"
-#include "sim/trace.hh"
 
 namespace afa::obs {
 class SpanLog;
@@ -80,8 +79,7 @@ class Controller : public afa::sim::SimObject
                std::string controller_name,
                const FirmwareConfig &firmware_config,
                afa::nand::NandArray &nand_array,
-               const FtlParams &ftl_params,
-               afa::sim::Tracer *tracer = nullptr);
+               const FtlParams &ftl_params);
 
     /** Install the device-to-host transport. Required before use. */
     void setTransport(TransportFn transport);
@@ -157,7 +155,6 @@ class Controller : public afa::sim::SimObject
     afa::nand::NandArray &nand;
     Ftl ftlLayer;
     SmartEngine smartEngine;
-    afa::sim::Tracer *tracer;
 
     TransportFn transport;
     CompletionFn completionHandler;
@@ -247,11 +244,8 @@ class Controller : public afa::sim::SimObject
     /** Reserve the internal DMA engine from @p ready; returns end. */
     Tick throughXfer(Tick ready, afa::sim::Bytes bytes);
 
-    /** Sample an optional firmware hiccup penalty; trace lines are
-     *  stamped @p when (the reference model samples at its pipe
-     *  event, the fast path at submit). */
-    Tick sampleHiccup(Tick when);
-    Tick sampleHiccup() { return sampleHiccup(now()); }
+    /** Sample an optional firmware hiccup penalty. */
+    Tick sampleHiccup();
 
     // Fast-path machinery ----------------------------------------------
 

@@ -2,16 +2,13 @@
 
 #include <algorithm>
 
-#include "sim/logging.hh"
-
 namespace afa::nvme {
 
 SmartEngine::SmartEngine(afa::sim::Simulator &simulator,
                          std::string engine_name,
-                         const SmartConfig &smart_config,
-                         afa::sim::Tracer *trace_sink)
+                         const SmartConfig &smart_config)
     : SimObject(simulator, std::move(engine_name)),
-      smartConfig(smart_config), tracer(trace_sink), stallHorizon(0),
+      smartConfig(smart_config), stallHorizon(0),
       numCollections(0), numSaves(0)
 {
 }
@@ -42,12 +39,6 @@ SmartEngine::collect()
     if (is_save)
         ++numSaves;
     stallFor(duration);
-    if (tracer && tracer->enabled("nvme.smart"))
-        tracer->record(now(), "nvme.smart",
-                       afa::sim::strfmt("%s %s stall %.1f us",
-                                        name().c_str(),
-                                        is_save ? "save" : "update",
-                                        afa::sim::toUsec(duration)));
     after(smartConfig.period, [this] { collect(); });
 }
 

@@ -15,7 +15,6 @@
 
 #include "nvme/firmware_config.hh"
 #include "sim/sim_object.hh"
-#include "sim/trace.hh"
 
 namespace afa::nvme {
 
@@ -24,8 +23,7 @@ class SmartEngine : public afa::sim::SimObject
 {
   public:
     SmartEngine(afa::sim::Simulator &simulator, std::string engine_name,
-                const SmartConfig &smart_config,
-                afa::sim::Tracer *tracer = nullptr);
+                const SmartConfig &smart_config);
 
     /** Begin the periodic schedule (randomised phase offset). */
     void start();
@@ -53,7 +51,6 @@ class SmartEngine : public afa::sim::SimObject
 
   private:
     SmartConfig smartConfig;
-    afa::sim::Tracer *tracer;
     Tick stallHorizon;
     std::uint64_t numCollections;
     std::uint64_t numSaves;

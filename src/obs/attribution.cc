@@ -1,61 +1,8 @@
 #include "obs/attribution.hh"
 
-#include <algorithm>
-#include <bit>
-
 #include "sim/types.hh"
 
 namespace afa::obs {
-
-void
-StageTotals::add(Tick duration)
-{
-    ++count;
-    totalTicks += duration;
-    maxTicks = std::max(maxTicks, duration);
-    ++buckets[std::bit_width(duration)];
-}
-
-void
-StageTotals::merge(const StageTotals &other)
-{
-    count += other.count;
-    totalTicks += other.totalTicks;
-    maxTicks = std::max(maxTicks, other.maxTicks);
-    for (unsigned i = 0; i < kBuckets; ++i)
-        buckets[i] += other.buckets[i];
-}
-
-double
-StageTotals::meanTicks() const
-{
-    if (count == 0)
-        return 0.0;
-    return static_cast<double>(totalTicks) /
-        static_cast<double>(count);
-}
-
-Tick
-StageTotals::approxQuantileTicks(double q) const
-{
-    if (count == 0)
-        return 0;
-    auto target = static_cast<std::uint64_t>(
-        q * static_cast<double>(count));
-    target = std::min(target, count - 1);
-    std::uint64_t seen = 0;
-    for (unsigned i = 0; i < kBuckets; ++i) {
-        seen += buckets[i];
-        if (seen > target) {
-            // Upper bound of bucket i: durations d with
-            // bit_width(d) == i satisfy d <= 2^i - 1.
-            if (i == 0)
-                return 0;
-            return (Tick(1) << i) - 1;
-        }
-    }
-    return maxTicks;
-}
 
 void
 Attribution::add(Stage stage, Tick duration)
@@ -73,7 +20,7 @@ Attribution::merge(const Attribution &other)
 bool
 Attribution::empty() const
 {
-    for (const StageTotals &s : stages)
+    for (const Log2Histogram &s : stages)
         if (s.count != 0)
             return false;
     return true;
@@ -84,11 +31,10 @@ Attribution::table() const
 {
     afa::stats::Table table({"stage", "spans", "total ms", "mean us",
                              "~p99 us", "max us", "% of IO"});
-    const StageTotals &complete =
-        stages[static_cast<std::size_t>(Stage::Complete)];
-    double io_total = static_cast<double>(complete.totalTicks);
+    const double io_total =
+        static_cast<double>(stage(Stage::Complete).totalTicks);
     for (unsigned i = 0; i < kStageCount; ++i) {
-        const StageTotals &s = stages[i];
+        const Log2Histogram &s = stages[i];
         if (s.count == 0)
             continue;
         double share = io_total > 0.0
@@ -101,7 +47,7 @@ Attribution::table() const
                  static_cast<double>(s.totalTicks) / 1e6, 2),
              afa::stats::Table::num(s.meanTicks() / 1e3, 1),
              afa::stats::Table::num(
-                 afa::sim::toUsec(s.approxQuantileTicks(0.99)), 1),
+                 afa::sim::toUsec(s.quantileTicks(0.99)), 1),
              afa::stats::Table::num(afa::sim::toUsec(s.maxTicks), 1),
              afa::stats::Table::num(share, 1)});
     }

@@ -6,54 +6,29 @@
  * Attribution totals are accumulated on every span record (not
  * derived from the ring buffer), so they are exact even when the ring
  * wraps, and they merge deterministically across geometry runs and
- * seed replicas. Each stage keeps count / total / max plus log2
- * duration buckets, enough to show where the *tail* lives: fig06's
- * multi-millisecond p99.9 sits in sched_wait + irq_deliver, and the
- * Section IV tunings collapse exactly those rows.
+ * seed replicas. Each stage keeps a Log2Histogram (count / total /
+ * max plus log2 duration buckets), enough to show where the *tail*
+ * lives: fig06's multi-millisecond p99.9 sits in sched_wait +
+ * irq_deliver, and the Section IV tunings collapse exactly those
+ * rows.
  */
 
 #ifndef AFA_OBS_ATTRIBUTION_HH
 #define AFA_OBS_ATTRIBUTION_HH
 
 #include <array>
-#include <cstdint>
 #include <string>
 
+#include "obs/log2_histogram.hh"
 #include "obs/span.hh"
 #include "stats/table.hh"
 
 namespace afa::obs {
 
-/** Exact accumulator for one stage. */
-struct StageTotals
-{
-    /** log2 duration buckets: bucket i holds durations with
-     *  bit_width(d) == i, i.e. [2^(i-1), 2^i); bucket 0 holds 0. */
-    static constexpr unsigned kBuckets = 64;
-
-    std::uint64_t count = 0;
-    std::uint64_t totalTicks = 0;
-    Tick maxTicks = 0;
-    std::array<std::uint64_t, kBuckets> buckets{};
-
-    void add(Tick duration);
-    void merge(const StageTotals &other);
-
-    /** Mean duration in ticks (0 when empty). */
-    double meanTicks() const;
-
-    /**
-     * Upper bound of the bucket where the cumulative count reaches
-     * @p q of the total — a coarse (factor-of-two) quantile, plenty
-     * to tell a 100 us stage from a 5 ms one.
-     */
-    Tick approxQuantileTicks(double q) const;
-};
-
 /** Per-stage attribution of everything a SpanLog saw. */
 struct Attribution
 {
-    std::array<StageTotals, kStageCount> stages;
+    std::array<Log2Histogram, kStageCount> stages;
 
     void add(Stage stage, Tick duration);
     void merge(const Attribution &other);
@@ -61,7 +36,7 @@ struct Attribution
     /** True when nothing has been recorded. */
     bool empty() const;
 
-    const StageTotals &
+    const Log2Histogram &
     stage(Stage s) const
     {
         return stages[static_cast<std::size_t>(s)];

@@ -1,7 +1,7 @@
 #include "obs/metrics.hh"
 
 #include <algorithm>
-#include <bit>
+#include <utility>
 
 #include "sim/logging.hh"
 #include "stats/json.hh"
@@ -11,15 +11,7 @@ namespace afa::obs {
 const char *
 metricKindName(MetricKind kind)
 {
-    switch (kind) {
-      case MetricKind::Counter:
-        return "counter";
-      case MetricKind::Gauge:
-        return "gauge";
-      case MetricKind::Histogram:
-        return "histogram";
-    }
-    return "unknown";
+    return kind == MetricKind::Gauge ? "gauge" : "counter";
 }
 
 // ---------------------------------------------------------------------
@@ -49,25 +41,10 @@ MetricsSnapshot::merge(const MetricsSnapshot &other)
         // Same name: combine.
         MetricSample s = samples[a++];
         const MetricSample &o = other.samples[b++];
-        switch (s.kind) {
-          case MetricKind::Counter:
-            s.count += o.count;
-            break;
-          case MetricKind::Gauge:
+        if (s.kind == MetricKind::Gauge)
             s.value = std::max(s.value, o.value);
-            break;
-          case MetricKind::Histogram: {
+        else
             s.count += o.count;
-            s.value += o.value;
-            s.histMax = std::max(s.histMax, o.histMax);
-            std::map<unsigned, std::uint64_t> combined(
-                s.buckets.begin(), s.buckets.end());
-            for (const auto &[idx, n] : o.buckets)
-                combined[idx] += n;
-            s.buckets.assign(combined.begin(), combined.end());
-            break;
-          }
-        }
         merged.push_back(std::move(s));
     }
     samples = std::move(merged);
@@ -97,28 +74,9 @@ MetricsSnapshot::toJson(const std::string &indent) const
         const MetricSample &s = samples[i];
         json += indent + "  \"" +
             afa::stats::jsonEscape(s.name) + "\": ";
-        switch (s.kind) {
-          case MetricKind::Counter:
-            json += afa::sim::strfmt("%llu",
-                                     (unsigned long long)s.count);
-            break;
-          case MetricKind::Gauge:
-            json += afa::sim::strfmt("%.6g", s.value);
-            break;
-          case MetricKind::Histogram: {
-            json += afa::sim::strfmt(
-                "{\"count\": %llu, \"sum\": %.6g, \"max\": %llu, "
-                "\"log2_buckets\": [",
-                (unsigned long long)s.count, s.value,
-                (unsigned long long)s.histMax);
-            for (std::size_t j = 0; j < s.buckets.size(); ++j)
-                json += afa::sim::strfmt(
-                    "%s[%u, %llu]", j ? ", " : "", s.buckets[j].first,
-                    (unsigned long long)s.buckets[j].second);
-            json += "]}";
-            break;
-          }
-        }
+        json += s.kind == MetricKind::Gauge
+            ? afa::sim::strfmt("%.6g", s.value)
+            : afa::sim::strfmt("%llu", (unsigned long long)s.count);
         json += i + 1 < samples.size() ? ",\n" : "\n";
     }
     json += indent + "}";
@@ -129,26 +87,11 @@ afa::stats::Table
 MetricsSnapshot::table() const
 {
     afa::stats::Table table({"metric", "kind", "value"});
-    for (const MetricSample &s : samples) {
-        std::string value;
-        switch (s.kind) {
-          case MetricKind::Counter:
-            value = afa::stats::Table::num(s.count);
-            break;
-          case MetricKind::Gauge:
-            value = afa::stats::Table::num(s.value, 3);
-            break;
-          case MetricKind::Histogram:
-            value = afa::sim::strfmt(
-                "n=%llu mean=%.1f max=%llu",
-                (unsigned long long)s.count,
-                s.count ? s.value / static_cast<double>(s.count) : 0.0,
-                (unsigned long long)s.histMax);
-            break;
-        }
+    for (const MetricSample &s : samples)
         table.addRow({s.name, metricKindName(s.kind),
-                      std::move(value)});
-    }
+                      s.kind == MetricKind::Gauge
+                          ? afa::stats::Table::num(s.value, 3)
+                          : afa::stats::Table::num(s.count)});
     return table;
 }
 
@@ -160,7 +103,7 @@ MetricsRegistry::Cell &
 MetricsRegistry::cell(const std::string &name, MetricKind kind)
 {
     Cell &c = cells[name];
-    if (c.count == 0 && c.value == 0.0 && c.buckets.empty())
+    if (c.count == 0 && c.value == 0.0)
         c.kind = kind;
     else if (c.kind != kind)
         afa::sim::panic("metrics: '%s' re-registered as %s (was %s)",
@@ -184,34 +127,14 @@ MetricsRegistry::setGauge(const std::string &name, double value)
     cell(name, MetricKind::Gauge).value = value;
 }
 
-void
-MetricsRegistry::recordValue(const std::string &name,
-                             std::uint64_t value)
-{
-    afa::sync::MutexLock lock(mutex);
-    Cell &c = cell(name, MetricKind::Histogram);
-    ++c.count;
-    c.value += static_cast<double>(value);
-    c.histMax = std::max(c.histMax, value);
-    ++c.buckets[static_cast<unsigned>(std::bit_width(value))];
-}
-
 MetricsSnapshot
 MetricsRegistry::snapshot() const
 {
     MetricsSnapshot snap;
     afa::sync::MutexLock lock(mutex);
     snap.samples.reserve(cells.size());
-    for (const auto &[name, c] : cells) {
-        MetricSample s;
-        s.name = name;
-        s.kind = c.kind;
-        s.count = c.count;
-        s.value = c.value;
-        s.histMax = c.histMax;
-        s.buckets.assign(c.buckets.begin(), c.buckets.end());
-        snap.samples.push_back(std::move(s));
-    }
+    for (const auto &[name, c] : cells)
+        snap.samples.push_back({name, c.kind, c.count, c.value});
     return snap;
 }
 
@@ -221,21 +144,10 @@ MetricsRegistry::absorb(const MetricsSnapshot &snap)
     afa::sync::MutexLock lock(mutex);
     for (const MetricSample &s : snap.samples) {
         Cell &c = cell(s.name, s.kind);
-        switch (s.kind) {
-          case MetricKind::Counter:
-            c.count += s.count;
-            break;
-          case MetricKind::Gauge:
+        if (s.kind == MetricKind::Gauge)
             c.value = std::max(c.value, s.value);
-            break;
-          case MetricKind::Histogram:
+        else
             c.count += s.count;
-            c.value += s.value;
-            c.histMax = std::max(c.histMax, s.histMax);
-            for (const auto &[idx, n] : s.buckets)
-                c.buckets[idx] += n;
-            break;
-        }
     }
 }
 

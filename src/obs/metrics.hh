@@ -5,10 +5,12 @@
  * Components keep their cheap ad-hoc stats structs (FabricStats,
  * IrqStats, ...) for hot-path counting; at the end of a run the
  * experiment runner publishes them into one registry of named
- * counters, gauges and log2-bucket histograms. The registry is the
- * single exposure point: its snapshot embeds into the --metrics-json
- * artifacts, prints as a table, and merges deterministically across
- * geometry runs and seed replicas.
+ * counters and gauges. The registry is the single exposure point: its
+ * snapshot embeds into the --metrics-json artifacts, prints as a
+ * table, and merges deterministically across geometry runs and seed
+ * replicas. Duration distributions are not registry cells: per-stage
+ * ones live in Log2Histogram (Attribution, Telemetry), per-IO ones in
+ * stats::Histogram.
  *
  * Naming convention: "<component>.<metric>", e.g.
  * "fabric.fast_path_packets", "irq.remote_deliveries",
@@ -26,7 +28,6 @@
 #include <cstdint>
 #include <map>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "core/sync.hh"
@@ -37,9 +38,8 @@ namespace afa::obs {
 
 /** What a registry cell holds. */
 enum class MetricKind : std::uint8_t {
-    Counter,   ///< monotonically accumulated integer
-    Gauge,     ///< last-set floating point value
-    Histogram, ///< log2-bucket distribution of recorded values
+    Counter, ///< monotonically accumulated integer
+    Gauge,   ///< last-set floating point value
 };
 
 /** The name of a metric kind. */
@@ -50,12 +50,8 @@ struct MetricSample
 {
     std::string name;
     MetricKind kind = MetricKind::Counter;
-    std::uint64_t count = 0; ///< counter value / histogram count
-    double value = 0.0;      ///< gauge value / histogram sum
-    std::uint64_t histMax = 0;
-    /** Sparse (bucket index, count) pairs, ascending by index;
-     *  bucket i holds values with bit_width(v) == i. */
-    std::vector<std::pair<unsigned, std::uint64_t>> buckets;
+    std::uint64_t count = 0; ///< counter value
+    double value = 0.0;      ///< gauge value
 };
 
 /** A point-in-time copy of a registry, ordered by metric name. */
@@ -63,7 +59,7 @@ struct MetricsSnapshot
 {
     std::vector<MetricSample> samples;
 
-    /** Counters and histograms add; gauges keep the larger value. */
+    /** Counters add; gauges keep the larger value. */
     void merge(const MetricsSnapshot &other);
 
     /** Lookup by exact name (nullptr when absent). */
@@ -97,10 +93,6 @@ class MetricsRegistry
     void setGauge(const std::string &name, double value)
         AFA_EXCLUDES(mutex);
 
-    /** Record @p value into the named histogram. */
-    void recordValue(const std::string &name, std::uint64_t value)
-        AFA_EXCLUDES(mutex);
-
     /** Copy out every cell, ordered by name. */
     MetricsSnapshot snapshot() const AFA_EXCLUDES(mutex);
 
@@ -116,8 +108,6 @@ class MetricsRegistry
         MetricKind kind = MetricKind::Counter;
         std::uint64_t count = 0;
         double value = 0.0;
-        std::uint64_t histMax = 0;
-        std::map<unsigned, std::uint64_t> buckets;
     };
 
     mutable afa::sync::Mutex mutex;

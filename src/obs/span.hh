@@ -8,9 +8,10 @@
  * queueing, FTL lookup, NAND read, SMART stall, completion IRQ
  * delivery — is one Stage value; a SpanRecord ties a [begin, end)
  * Tick window to the IO's tag and a display track (one per host CPU
- * or SSD). This is the structured replacement for the free-form
- * string Tracer: records are 32-byte PODs, recording never allocates,
- * and whole categories compile out via AFA_OBS_COMPILED_CATEGORIES.
+ * or SSD). SpanLog is the simulator's one tracer, the analogue of the
+ * paper's LTTng runs: records are 32-byte PODs, recording never
+ * allocates, and whole categories compile out via
+ * AFA_OBS_COMPILED_CATEGORIES.
  *
  * Determinism contract (DESIGN.md "Observability contract"): span
  * timestamps are simulated Ticks, never wall clock, and recording a

@@ -6,9 +6,9 @@
  * SpanRecords: the buffer starts small, doubles up to the configured
  * capacity as traffic arrives, and past capacity wraps around
  * overwriting the oldest records (counted in dropped()). Alongside
- * the ring, per-stage accumulators (count / total / max / log2
- * duration buckets) are updated on every record, so the
- * LatencyAttribution report stays exact even when the ring wraps.
+ * the ring, one Log2Histogram per stage is updated on every record,
+ * so the LatencyAttribution report stays exact even when the ring
+ * wraps.
  *
  * Cost model: wants() is an inline bitmask test against both the
  * runtime mask and the compile-time AFA_OBS_COMPILED_CATEGORIES, so a

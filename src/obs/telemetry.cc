@@ -1,7 +1,6 @@
 #include "obs/telemetry.hh"
 
 #include <algorithm>
-#include <bit>
 #include <cinttypes>
 #include <cstdarg>
 #include <cstdio>
@@ -18,10 +17,7 @@ namespace afa::obs {
 void
 WindowStageCell::add(Tick duration)
 {
-    ++count;
-    totalTicks += duration;
-    maxTicks = std::max(maxTicks, duration);
-    ++buckets[std::bit_width(duration)];
+    Log2Histogram::add(duration);
     // Millisecond thresholds are not log2 boundaries in ticks, so the
     // ACT counters are exact dedicated comparisons, not bucket sums.
     for (unsigned k = 0; k < kActThresholds; ++k)
@@ -34,56 +30,9 @@ WindowStageCell::add(Tick duration)
 void
 WindowStageCell::merge(const WindowStageCell &other)
 {
-    count += other.count;
-    totalTicks += other.totalTicks;
-    maxTicks = std::max(maxTicks, other.maxTicks);
-    for (unsigned i = 0; i < kBuckets; ++i)
-        buckets[i] += other.buckets[i];
+    Log2Histogram::merge(other);
     for (unsigned k = 0; k < kActThresholds; ++k)
         exceed[k] += other.exceed[k];
-}
-
-double
-WindowStageCell::meanTicks() const
-{
-    if (count == 0)
-        return 0.0;
-    return static_cast<double>(totalTicks) /
-        static_cast<double>(count);
-}
-
-Tick
-WindowStageCell::quantileTicks(double q) const
-{
-    if (count == 0)
-        return 0;
-    auto target =
-        static_cast<std::uint64_t>(q * static_cast<double>(count));
-    target = std::min(target, count - 1);
-    std::uint64_t seen = 0;
-    for (unsigned i = 0; i < kBuckets; ++i) {
-        if (buckets[i] == 0)
-            continue;
-        if (seen + buckets[i] > target) {
-            if (i == 0)
-                return 0;
-            // bit_width(d) == i covers [2^(i-1), 2^i - 1]; place the
-            // target rank linearly inside the bucket.
-            const Tick lo = Tick(1) << (i - 1);
-            const Tick hi = i >= kBuckets - 1
-                ? maxTicks
-                : std::min(maxTicks, (Tick(1) << i) - 1);
-            const std::uint64_t pos = target - seen;
-            const std::uint64_t den =
-                buckets[i] > 1 ? buckets[i] - 1 : 1;
-            return lo +
-                static_cast<Tick>(static_cast<double>(hi - lo) *
-                                  static_cast<double>(pos) /
-                                  static_cast<double>(den));
-        }
-        seen += buckets[i];
-    }
-    return maxTicks;
 }
 
 // ---------------------------------------------------------------------

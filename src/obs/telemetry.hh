@@ -9,13 +9,13 @@
  * run into one number per metric. Telemetry slices the same signals
  * into fixed simulated-time windows (--telemetry=<window_ms>):
  *
- *  - Stage rows: per [w*W, (w+1)*W) window, a log2 duration histogram
- *    per span Stage, fed exactly per record from SpanLog::record()
- *    like the Attribution accumulators — windowed counts stay exact
- *    even when the span ring wraps or drops. Each cell also keeps the
- *    ACT-style exceed counters (ops with duration > 1/2/4/8/... ms),
- *    counted exactly at record time because millisecond thresholds
- *    are not log2-bucket boundaries in ticks.
+ *  - Stage rows: per [w*W, (w+1)*W) window, a Log2Histogram per span
+ *    Stage, fed exactly per record from SpanLog::record() like the
+ *    Attribution accumulators — windowed counts stay exact even when
+ *    the span ring wraps or drops. Each cell also keeps the ACT-style
+ *    exceed counters (ops with duration > 1/2/4/8/... ms), counted
+ *    exactly at record time because millisecond thresholds are not
+ *    log2-bucket boundaries in ticks.
  *
  *  - Counter/gauge rows: named sources registered by the model
  *    (driver in-flight, fabric fast-path/fallback packets, rebuild
@@ -45,6 +45,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/log2_histogram.hh"
 #include "obs/metrics.hh"
 #include "obs/span.hh"
 #include "sim/simulator.hh"
@@ -64,29 +65,16 @@ actThresholdTicks(unsigned k)
 }
 
 /**
- * One window's histogram of one stage: exact count/total/max, log2
- * duration buckets, and the ACT exceed counters. Commutative adds
- * only, so run/replica merges are order-independent.
+ * One window's histogram of one stage plus the ACT exceed counters.
+ * Commutative adds only, so run/replica merges are order-independent.
  */
-struct WindowStageCell
+struct WindowStageCell : Log2Histogram
 {
-    static constexpr unsigned kBuckets = 64;
-
-    std::uint64_t count = 0;
-    std::uint64_t totalTicks = 0;
-    Tick maxTicks = 0;
-    /** buckets[i] counts durations with bit_width(d) == i. */
-    std::array<std::uint64_t, kBuckets> buckets{};
     /** exceed[k] counts durations > actThresholdTicks(k). */
     std::array<std::uint64_t, kActThresholds> exceed{};
 
     void add(Tick duration);
     void merge(const WindowStageCell &other);
-    double meanTicks() const;
-
-    /** Windowed quantile, linearly interpolated inside the log2
-     *  bucket that holds the target rank. */
-    Tick quantileTicks(double q) const;
 };
 
 /**

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <sstream>
 
@@ -109,7 +110,8 @@ parseDouble(const std::string &raw, double &out)
     errno = 0;
     char *end = nullptr;
     double v = std::strtod(raw.c_str(), &end);
-    if (errno != 0 || end == raw.c_str() || *end != '\0')
+    if (errno != 0 || end == raw.c_str() || *end != '\0' ||
+        !std::isfinite(v))
         return false;
     out = v;
     return true;
@@ -162,7 +164,7 @@ Config::getDouble(const std::string &key, double dflt) const
         return dflt;
     double out;
     if (!parseDouble(it->second, out))
-        fatal("config key '%s': '%s' is not a number",
+        fatal("config key '%s': '%s' is not a finite number",
               key.c_str(), it->second.c_str());
     return out;
 }
@@ -193,7 +195,7 @@ Config::requireDouble(const std::string &key) const
     double out;
     std::string raw = requireString(key);
     if (!parseDouble(raw, out))
-        fatal("config key '%s': '%s' is not a number",
+        fatal("config key '%s': '%s' is not a finite number",
               key.c_str(), raw.c_str());
     return out;
 }

@@ -10,9 +10,12 @@ namespace afa::workload {
 ArrivalProcess::ArrivalProcess(const ArrivalParams &params)
     : p(params), onLeft(0.0)
 {
-    if (!(p.ratePerSec > 0.0))
-        afa::sim::fatal("arrival: ratePerSec must be positive "
-                        "(got %g)", p.ratePerSec);
+    if (!(p.ratePerSec > 0.0) || !std::isfinite(p.ratePerSec))
+        afa::sim::fatal("arrival: ratePerSec must be positive and "
+                        "finite (got %g)", p.ratePerSec);
+    if (p.kind == ArrivalKind::Bursty && !std::isfinite(p.burstFactor))
+        afa::sim::fatal("arrival: burstFactor must be finite (got %g)",
+                        p.burstFactor);
     bursty = p.kind == ArrivalKind::Bursty && p.burstFactor > 1.0;
     const double mean_gap = 1e9 / p.ratePerSec;
     if (bursty) {
@@ -23,6 +26,9 @@ ArrivalProcess::ArrivalProcess(const ArrivalParams &params)
         // Duty cycle 1/burstFactor keeps the long-run mean rate at
         // ratePerSec: off phases average (burstFactor - 1) on-phases.
         offMeanNs = onMeanNs * (p.burstFactor - 1.0);
+        if (!(onGapMean > 0.0) || !std::isfinite(offMeanNs))
+            afa::sim::fatal("arrival: burstFactor %g is out of range "
+                            "at %g ops/s", p.burstFactor, p.ratePerSec);
     } else {
         onGapMean = mean_gap;
         onMeanNs = 0.0;
@@ -63,7 +69,7 @@ ArrivalProcess::nextGap(afa::sim::Rng &rng)
 ZipfGenerator::ZipfGenerator(std::uint64_t n, double theta)
     : count(std::max<std::uint64_t>(1, n)), skew(theta)
 {
-    if (skew < 0.0 || skew >= 1.0)
+    if (!(skew >= 0.0 && skew < 1.0))
         afa::sim::fatal("zipf: theta must be in [0, 1) (got %g)",
                         skew);
     if (skew == 0.0) {

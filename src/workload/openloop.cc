@@ -83,7 +83,7 @@ OpenLoopEngine::OpenLoopEngine(afa::sim::Simulator &simulator,
     if (p.blockSize == 0 || p.blockSize % 4096 != 0)
         afa::sim::fatal("%s: blockSize must be a multiple of 4096",
                         name().c_str());
-    if (p.readFraction < 0.0 || p.readFraction > 1.0)
+    if (!(p.readFraction >= 0.0 && p.readFraction <= 1.0))
         afa::sim::fatal("%s: readFraction must be in [0, 1]",
                         name().c_str());
 

@@ -85,6 +85,30 @@ TEST_F(FaultPlanTest, RejectsBadSpecs)
                  afa::sim::SimError);
     EXPECT_THROW(FaultPlan::parseText("timeout_ms 1 2"),
                  afa::sim::SimError);
+    // Non-finite numbers, clock overflow, and counts that are not
+    // whole or do not fit in unsigned.
+    for (const char *spec : {
+             "dropout ssd=0 at_ms=nan dur_ms=1",
+             "dropout ssd=0 at_ms=inf dur_ms=1",
+             "limp ssd=0 at_ms=0 dur_ms=1 factor=inf",
+             "link_error ssd=0 at_ms=0 dur_ms=1 rate=nan",
+             "dropout ssd=0 at_ms=0 dur_ms=1e30",
+             "dropout ssd=0 at_ms=1e13 dur_ms=1e13",
+             "dropout ssd=99999999999999999999 at_ms=0 dur_ms=1",
+             "dropout ssd=1.5 at_ms=0 dur_ms=1",
+             "max_retries 4294967296",
+             "max_retries 2.5",
+             "timeout_ms nan",
+             "retry_backoff_ms 1e300",
+         })
+        EXPECT_THROW(FaultPlan::parseText(spec), afa::sim::SimError)
+            << spec;
+    // The largest values that still fit are accepted.
+    const auto edge = FaultPlan::parseText(
+        "max_retries 4294967295\ndropout ssd=4294967295 at_ms=1 "
+        "dur_ms=1e12");
+    EXPECT_EQ(edge.maxRetries, 4294967295u);
+    EXPECT_EQ(edge.events[0].ssd, 4294967295u);
 }
 
 TEST_F(FaultPlanTest, FileRoundTrip)

@@ -12,6 +12,7 @@
 
 #include "nand/nand_array.hh"
 #include "nvme/controller.hh"
+#include "obs/span_log.hh"
 #include "sim/logging.hh"
 #include "sim/simulator.hh"
 
@@ -190,6 +191,10 @@ TEST_F(ControllerTest, SmartStallDelaysReads)
     fw.smart.updateDuration = usec(500);
     fw.smart.saveEvery = 0; // updates only
     rebuild(fw);
+    afa::obs::TraceParams trace;
+    trace.mask = afa::obs::categoryBit(afa::obs::Category::Smart);
+    afa::obs::SpanLog spans(trace);
+    ctrl->setSpanLog(&spans, 0);
     // Issue a read every 50 us for 20 ms; at least one lands in a
     // SMART stall window and pays ~hundreds of us.
     Tick worst = 0;
@@ -205,6 +210,12 @@ TEST_F(ControllerTest, SmartStallDelaysReads)
     EXPECT_GT(worst, usec(300));
     EXPECT_GT(ctrl->stats().smartStallDelay, 0u);
     EXPECT_GT(ctrl->smart().collections(), 2u);
+    // Every stalled pipeline slot shows up as a SmartStall span.
+    const auto &stall =
+        spans.attribution().stage(afa::obs::Stage::SmartStall);
+    EXPECT_GT(stall.count, 0u);
+    EXPECT_EQ(stall.totalTicks, ctrl->stats().smartStallDelay);
+    ctrl->setSpanLog(nullptr, 0);
 }
 
 TEST_F(ControllerTest, ExperimentalFirmwareHasNoSmartStalls)

@@ -8,7 +8,6 @@
 
 #include "nvme/smart.hh"
 #include "sim/simulator.hh"
-#include "sim/trace.hh"
 
 using afa::nvme::SmartConfig;
 using afa::nvme::SmartEngine;
@@ -121,19 +120,6 @@ TEST(SmartEngineTest, PhaseOffsetsDifferAcrossEngines)
             first_b = sim.now();
     }
     EXPECT_NE(first_a, first_b);
-}
-
-TEST(SmartEngineTest, TraceRecordsEmitted)
-{
-    Simulator sim(1);
-    afa::sim::Tracer tracer;
-    tracer.enable("nvme.smart");
-    SmartConfig cfg;
-    cfg.period = msec(1);
-    SmartEngine smart(sim, "smart", cfg, &tracer);
-    smart.start();
-    sim.run(msec(10));
-    EXPECT_FALSE(tracer.filtered("nvme.smart").empty());
 }
 
 } // namespace

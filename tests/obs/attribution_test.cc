@@ -1,69 +1,19 @@
 /**
  * @file
- * Attribution accumulator tests: exact totals, merge associativity,
- * the coarse log2 quantile, and the report table's share-of-IO
- * arithmetic.
+ * Attribution tests: per-stage accumulation, merge, and the report
+ * table's share-of-IO arithmetic and quantile column. The per-stage
+ * Log2Histogram itself is covered by log2_histogram_test.cc.
  */
 
 #include <gtest/gtest.h>
+
+#include <string>
 
 #include "obs/attribution.hh"
 
 using namespace afa::obs;
 
 namespace {
-
-TEST(StageTotalsTest, AddTracksCountTotalMax)
-{
-    StageTotals t;
-    t.add(10);
-    t.add(30);
-    t.add(20);
-    EXPECT_EQ(t.count, 3u);
-    EXPECT_EQ(t.totalTicks, 60u);
-    EXPECT_EQ(t.maxTicks, 30u);
-    EXPECT_DOUBLE_EQ(t.meanTicks(), 20.0);
-}
-
-TEST(StageTotalsTest, QuantileFindsTheRightBucket)
-{
-    StageTotals t;
-    // 99 short spans (~100 ticks: bucket 7, upper bound 127) and one
-    // huge one (~1e6 ticks: bucket 20, upper bound 2^20 - 1).
-    for (int i = 0; i < 99; ++i)
-        t.add(100);
-    t.add(1000000);
-    EXPECT_EQ(t.approxQuantileTicks(0.5), 127u);
-    EXPECT_EQ(t.approxQuantileTicks(0.99), (Tick(1) << 20) - 1);
-    EXPECT_EQ(t.approxQuantileTicks(0.0), 127u);
-}
-
-TEST(StageTotalsTest, EmptyQuantileIsZero)
-{
-    StageTotals t;
-    EXPECT_EQ(t.approxQuantileTicks(0.99), 0u);
-    EXPECT_DOUBLE_EQ(t.meanTicks(), 0.0);
-}
-
-TEST(StageTotalsTest, MergeEqualsSequentialAdds)
-{
-    StageTotals a;
-    StageTotals b;
-    StageTotals both;
-    for (Tick d : {5u, 50u, 500u}) {
-        a.add(d);
-        both.add(d);
-    }
-    for (Tick d : {7u, 70u, 700000u}) {
-        b.add(d);
-        both.add(d);
-    }
-    a.merge(b);
-    EXPECT_EQ(a.count, both.count);
-    EXPECT_EQ(a.totalTicks, both.totalTicks);
-    EXPECT_EQ(a.maxTicks, both.maxTicks);
-    EXPECT_EQ(a.buckets, both.buckets);
-}
 
 TEST(AttributionTest, EmptyUntilFirstAdd)
 {
@@ -102,6 +52,20 @@ TEST(AttributionTest, TableSkipsEmptyStagesAndShowsShares)
     EXPECT_NE(text.find("25.0"), std::string::npos);
     // Untouched stages do not produce rows.
     EXPECT_EQ(text.find("nand_read"), std::string::npos);
+}
+
+TEST(AttributionTest, TableP99NeverExceedsMax)
+{
+    // 100 equal 100 us spans: ~p99 is the max, not the upper edge
+    // (131.1 us) of their log2 bucket.
+    Attribution attr;
+    for (int i = 0; i < 100; ++i)
+        attr.add(Stage::MediaRead, afa::sim::usec(100));
+    const std::string csv = attr.table().toCsv();
+    EXPECT_NE(csv.find("mean us,~p99 us,max us,"), std::string::npos);
+    EXPECT_NE(csv.find("\nmedia_read,100,10.00,100.0,100.0,100.0,"),
+              std::string::npos)
+        << csv;
 }
 
 } // namespace

@@ -1,8 +1,8 @@
 /**
  * @file
  * MetricsRegistry / MetricsSnapshot unit tests: cell kinds, ordered
- * snapshots, merge semantics (counters add, gauges keep max,
- * histograms combine), and the JSON emission with label escaping.
+ * snapshots, merge semantics (counters add, gauges keep max), and
+ * the JSON emission with label escaping.
  */
 
 #include <gtest/gtest.h>
@@ -36,26 +36,6 @@ TEST(MetricsRegistryTest, GaugesKeepLastValue)
     EXPECT_DOUBLE_EQ(s->value, 0.25);
 }
 
-TEST(MetricsRegistryTest, HistogramsBucketByLog2)
-{
-    MetricsRegistry reg;
-    reg.recordValue("lat", 0);
-    reg.recordValue("lat", 1);
-    reg.recordValue("lat", 3);
-    reg.recordValue("lat", 1000);
-    auto snap = reg.snapshot();
-    const MetricSample *s = snap.find("lat");
-    ASSERT_NE(s, nullptr);
-    EXPECT_EQ(s->kind, MetricKind::Histogram);
-    EXPECT_EQ(s->count, 4u);
-    EXPECT_DOUBLE_EQ(s->value, 1004.0);
-    EXPECT_EQ(s->histMax, 1000u);
-    // bit_width: 0->0, 1->1, 3->2, 1000->10.
-    ASSERT_EQ(s->buckets.size(), 4u);
-    EXPECT_EQ(s->buckets[0], std::make_pair(0u, std::uint64_t(1)));
-    EXPECT_EQ(s->buckets[3], std::make_pair(10u, std::uint64_t(1)));
-}
-
 TEST(MetricsRegistryTest, SnapshotIsNameOrdered)
 {
     MetricsRegistry reg;
@@ -83,22 +63,16 @@ TEST(MetricsSnapshotTest, MergeAddsCountersKeepsMaxGauge)
     MetricsRegistry a;
     a.addCounter("c", 10);
     a.setGauge("g", 2.0);
-    a.recordValue("h", 4);
     MetricsRegistry b;
     b.addCounter("c", 5);
     b.addCounter("only_b", 1);
     b.setGauge("g", 1.0);
-    b.recordValue("h", 4);
 
     MetricsSnapshot merged = a.snapshot();
     merged.merge(b.snapshot());
     EXPECT_EQ(merged.counter("c"), 15u);
     EXPECT_EQ(merged.counter("only_b"), 1u);
     EXPECT_DOUBLE_EQ(merged.find("g")->value, 2.0);
-    const MetricSample *h = merged.find("h");
-    EXPECT_EQ(h->count, 2u);
-    ASSERT_EQ(h->buckets.size(), 1u);
-    EXPECT_EQ(h->buckets[0].second, 2u);
 }
 
 TEST(MetricsSnapshotTest, MergeIsCommutativeOnDisjointSets)
@@ -143,12 +117,10 @@ TEST(MetricsSnapshotTest, ToJsonIsWellFormedForAllKinds)
     MetricsRegistry reg;
     reg.addCounter("c", 1);
     reg.setGauge("g", 1.25);
-    reg.recordValue("h", 9);
     std::string json = reg.snapshot().toJson();
     EXPECT_EQ(json.front(), '{');
     EXPECT_NE(json.find("\"c\": 1"), std::string::npos);
     EXPECT_NE(json.find("\"g\": 1.25"), std::string::npos);
-    EXPECT_NE(json.find("\"h\""), std::string::npos);
 }
 
 } // namespace

@@ -87,7 +87,7 @@ TEST(SpanLogTest, AttributionStaysExactAcrossDrops)
     }
     EXPECT_EQ(log.dropped(), 98u);
     const Attribution attr = log.attribution();
-    const StageTotals &media = attr.stage(Stage::MediaRead);
+    const Log2Histogram &media = attr.stage(Stage::MediaRead);
     EXPECT_EQ(media.count, 100u);
     EXPECT_EQ(media.totalTicks, total);
     EXPECT_EQ(media.maxTicks, 100u);

@@ -77,29 +77,6 @@ TEST(TelemetryTest, ActExceedCountersAreExactAtThresholds)
         EXPECT_EQ(cell.exceed[k], 1u) << "threshold " << k;
 }
 
-TEST(TelemetryTest, QuantilesLandInTheRightLog2Bucket)
-{
-    // 90 fast ops (bit_width 7: [64, 127]) and 10 slow ones
-    // (bit_width 14): p50 must interpolate inside the fast bucket,
-    // p99/p999 inside the slow one, capped by the observed max.
-    WindowStageCell cell;
-    for (int i = 0; i < 90; ++i)
-        cell.add(100);
-    for (int i = 0; i < 10; ++i)
-        cell.add(10000);
-
-    const Tick p50 = cell.quantileTicks(0.50);
-    const Tick p99 = cell.quantileTicks(0.99);
-    const Tick p999 = cell.quantileTicks(0.999);
-    EXPECT_GE(p50, 64u);
-    EXPECT_LE(p50, 127u);
-    EXPECT_GE(p99, 8192u);
-    EXPECT_LE(p99, 10000u);
-    EXPECT_LE(p99, p999);
-    EXPECT_EQ(cell.maxTicks, 10000u);
-    EXPECT_EQ(cell.quantileTicks(1.0), 10000u);
-}
-
 TEST(TelemetryTest, CounterDeltasAndGaugesSampleOnTheSimulator)
 {
     // Window boundaries at 1000-tick cadence; a model counter bumps

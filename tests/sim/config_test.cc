@@ -62,6 +62,11 @@ TEST_F(ConfigTest, MalformedValuesAreFatal)
     EXPECT_THROW(cfg.getInt("k", 0), afa::sim::SimError);
     EXPECT_THROW(cfg.getDouble("k", 0.0), afa::sim::SimError);
     EXPECT_THROW(cfg.getBool("k", false), afa::sim::SimError);
+    for (const char *raw : {"nan", "inf", "-inf", "1e400"}) {
+        cfg.set("k", raw);
+        EXPECT_THROW(cfg.getDouble("k", 0.0), afa::sim::SimError) << raw;
+        EXPECT_THROW(cfg.requireDouble("k"), afa::sim::SimError) << raw;
+    }
 }
 
 TEST_F(ConfigTest, NegativeRejectedForUint)

@@ -10,6 +10,7 @@
 
 #include <array>
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -389,6 +390,30 @@ TEST_F(OpenLoopEngineTest, RejectsBrokenConfigs)
     auto badMix = baseParams();
     badMix.readFraction = 1.5;
     EXPECT_THROW(spawn(badMix), afa::sim::SimError);
+
+    // NaN and infinite numbers fail the range checks too.
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    for (double rate : {nan, inf}) {
+        auto p = baseParams();
+        p.arrival.ratePerSec = rate;
+        EXPECT_THROW(spawn(p), afa::sim::SimError) << rate;
+    }
+    for (double burst : {nan, inf, 1e300}) {
+        // 1e300 is finite but shrinks the on-phase gap at this rate
+        // below the smallest double.
+        auto p = baseParams();
+        p.arrival.ratePerSec = 1e300;
+        p.arrival.kind = ArrivalKind::Bursty;
+        p.arrival.burstFactor = burst;
+        EXPECT_THROW(spawn(p), afa::sim::SimError) << burst;
+    }
+    auto nanMix = baseParams();
+    nanMix.readFraction = nan;
+    EXPECT_THROW(spawn(nanMix), afa::sim::SimError);
+    auto nanZipf = baseParams();
+    nanZipf.zipfTheta = nan;
+    EXPECT_THROW(spawn(nanZipf), afa::sim::SimError);
 }
 
 } // namespace
