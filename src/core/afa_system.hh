@@ -75,8 +75,11 @@ struct AfaSystemParams
 
     /**
      * NAND geometry scaled to the simulated 1 GiB logical space
-     * (keeps 64 drives' FTL memory small); bandwidth and latency
-     * parameters stay production-like.
+     * (1,048,576 slots per drive); bandwidth and latency parameters
+     * stay production-like. FOB drives hold no FTL map memory at any
+     * geometry (map leaves are allocated on first write); the scaling
+     * bounds what a written drive holds: its map leaves, block table
+     * and GC victim scan.
      */
     static afa::nand::NandParams
     simScaledNand()

@@ -7,6 +7,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "nvme/controller.hh"
 #include "sim/logging.hh"
 
 namespace afa::fault {
@@ -158,8 +159,10 @@ FaultPlan::parseText(std::string_view text, std::string_view origin)
                           "at_ms + dur_ms overflows the clock");
             if (ev.kind == FaultKind::Limp) {
                 ev.factor = parseNumber(field("factor"), origin, lineno);
-                if (ev.factor < 1.0)
-                    planError(origin, lineno, "limp factor must be >= 1");
+                if (ev.factor < 1.0 ||
+                    ev.factor > afa::nvme::Controller::kMaxLimpFactor)
+                    planError(origin, lineno,
+                              "limp factor must be in [1, 1e6]");
             }
             if (ev.kind == FaultKind::LinkError) {
                 ev.rate = parseNumber(field("rate"), origin, lineno);

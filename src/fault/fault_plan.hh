@@ -62,7 +62,7 @@ struct FaultEvent
     unsigned ssd = 0;     ///< target SSD index
     Tick at = 0;          ///< onset (sim time)
     Tick duration = 0;    ///< how long the fault persists
-    double factor = 1.0;  ///< Limp: latency multiplier (> 1)
+    double factor = 1.0;  ///< Limp: latency multiplier, [1, 1e6]
     double rate = 0.0;    ///< LinkError: per-transfer error probability
 };
 

@@ -85,9 +85,9 @@ Controller::start()
 void
 Controller::setLimpFactor(double factor)
 {
-    if (factor < 1.0)
-        afa::sim::panic("%s: limp factor %.2f < 1", name().c_str(),
-                        factor);
+    if (!(factor >= 1.0 && factor <= kMaxLimpFactor))
+        afa::sim::panic("%s: limp factor %g not in [1, %g]",
+                        name().c_str(), factor, kMaxLimpFactor);
     // In-flight fast reads pre-computed their media window with the
     // old factor; the reference model applies limp at its finish
     // tick, so anything not yet past that tick must re-run there.

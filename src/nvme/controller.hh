@@ -113,9 +113,16 @@ class Controller : public afa::sim::SimObject
     // ------------------------------------------------------------------
 
     /**
+     * Largest limp factor. Bounds the injected excess, media time x
+     * (factor - 1), far inside Tick for any modelled media time.
+     */
+    static constexpr double kMaxLimpFactor = 1e6;
+
+    /**
      * Limping device: media service time and the write pipe scale by
-     * @p factor (>= 1; 1 restores health). The added time is recorded
-     * as FaultStall spans and ControllerStats::faultStallDelay.
+     * @p factor (in [1, kMaxLimpFactor]; 1 restores health). The added
+     * time is recorded as FaultStall spans and
+     * ControllerStats::faultStallDelay.
      */
     void setLimpFactor(double factor);
 

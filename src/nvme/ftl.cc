@@ -39,8 +39,17 @@ Ftl::Ftl(afa::sim::Simulator &simulator, std::string ftl_name,
             (unsigned long long)needed,
             (unsigned long long)params.logicalBlocks,
             params.overProvision);
+    // Both tables store 32-bit entries with kNone as "unmapped", so
+    // every slot index and every LBA must fit below it.
+    if (phys_slots > LeafTable::kNone ||
+        params.logicalBlocks > LeafTable::kNone)
+        afa::sim::fatal("%s: %llu phys slots / %llu logical blocks do "
+                        "not fit 32-bit map entries (max %u)",
+                        name().c_str(), (unsigned long long)phys_slots,
+                        (unsigned long long)params.logicalBlocks,
+                        LeafTable::kNone);
 
-    map.assign(params.logicalBlocks, kUnmapped);
+    map.reset(params.logicalBlocks);
 
     reserveBlocks = dies;
     gcThreshold = std::max<unsigned>(params.gcFreeBlockThreshold,
@@ -60,7 +69,13 @@ Ftl::isMapped(std::uint64_t lba) const
     if (lba >= params.logicalBlocks)
         afa::sim::panic("%s: lba %llu out of range", name().c_str(),
                         (unsigned long long)lba);
-    return map[lba] != kUnmapped;
+    return map.get(lba) != LeafTable::kNone;
+}
+
+std::size_t
+Ftl::tableBytes() const
+{
+    return map.bytes() + reverse.bytes();
 }
 
 std::uint64_t
@@ -97,7 +112,7 @@ Ftl::ensureWriteStructures()
     if (writeStructuresReady)
         return;
     const auto &np = nand.params();
-    reverse.assign(totalBlocksPhys * slotsPerBlock, kUnmapped);
+    reverse.reset(totalBlocksPhys * slotsPerBlock);
     blockInfo.assign(totalBlocksPhys, BlockInfo{});
     freePerDie.assign(dies, {});
     for (unsigned d = 0; d < dies; ++d) {
@@ -180,18 +195,26 @@ Ftl::allocSlot(bool host_path)
 }
 
 void
+Ftl::bind(std::uint64_t lba, std::uint64_t slot)
+{
+    map.set(lba, static_cast<std::uint32_t>(slot));
+    reverse.set(slot, static_cast<std::uint32_t>(lba));
+    ++blockInfo[blockOfSlot(slot)].validSlots;
+}
+
+void
 Ftl::invalidate(std::uint64_t lba)
 {
-    std::uint64_t old = map[lba];
-    if (old == kUnmapped)
+    std::uint32_t old = map.get(lba);
+    if (old == LeafTable::kNone)
         return;
     std::uint64_t blk = blockOfSlot(old);
     if (blockInfo[blk].validSlots == 0)
         afa::sim::panic("%s: invalidate underflow on block %llu",
                         name().c_str(), (unsigned long long)blk);
     --blockInfo[blk].validSlots;
-    reverse[old] = kUnmapped;
-    map[lba] = kUnmapped;
+    reverse.set(old, LeafTable::kNone);
+    map.set(lba, LeafTable::kNone);
 }
 
 void
@@ -226,10 +249,7 @@ Ftl::placeWrite(std::uint64_t lba, DoneFn on_buffered)
 {
     invalidate(lba);
     ++bufferedEntries;
-    std::uint64_t slot = allocSlot(true);
-    map[lba] = slot;
-    reverse[slot] = lba;
-    ++blockInfo[blockOfSlot(slot)].validSlots;
+    bind(lba, allocSlot(true));
     ++ftlStats.hostWrites;
     if (on_buffered)
         after(0, std::move(on_buffered));
@@ -299,7 +319,7 @@ Ftl::readMapped(std::uint64_t lba, DoneFn done, std::uint64_t io)
                         name().c_str(), (unsigned long long)lba);
     ++ftlStats.hostReadsMapped;
     Tick begin = now();
-    Tick nand_done = nand.read(slotToAddr(map[lba]),
+    Tick nand_done = nand.read(slotToAddr(map.get(lba)),
                                kLogicalBlockBytes, std::move(done), io);
     if (spanLog && spanLog->wants(afa::obs::Category::Ftl))
         spanLog->record(afa::obs::Stage::FtlRead, io, begin, nand_done,
@@ -313,7 +333,7 @@ Ftl::readMappedAt(std::uint64_t lba, Tick start_floor, std::uint64_t io)
         afa::sim::panic("%s: readMappedAt on unmapped lba %llu",
                         name().c_str(), (unsigned long long)lba);
     ++ftlStats.hostReadsMapped;
-    Tick nand_done = nand.readAt(slotToAddr(map[lba]),
+    Tick nand_done = nand.readAt(slotToAddr(map.get(lba)),
                                  kLogicalBlockBytes, start_floor, io);
     if (spanLog && spanLog->wants(afa::obs::Category::Ftl))
         spanLog->record(afa::obs::Stage::FtlRead, io, start_floor,
@@ -382,7 +402,7 @@ Ftl::gcStep()
         return;
     }
     // Greedy victim: fewest valid slots among closed, used blocks.
-    std::uint64_t victim = kUnmapped;
+    std::uint64_t victim = kNoVictim;
     std::uint32_t best = ~std::uint32_t(0);
     for (std::uint64_t b = 0; b < totalBlocksPhys; ++b) {
         const BlockInfo &bi = blockInfo[b];
@@ -393,7 +413,7 @@ Ftl::gcStep()
             victim = b;
         }
     }
-    if (victim == kUnmapped ||
+    if (victim == kNoVictim ||
         blockInfo[victim].validSlots >= slotsPerBlock) {
         // No victim, or even the best victim is fully valid:
         // relocation cannot gain free space, so stop rather than
@@ -409,8 +429,8 @@ Ftl::gcStep()
         for (unsigned sl = 0; sl < slotsPerPage; ++sl) {
             std::uint64_t slot = victim * slotsPerBlock +
                 static_cast<std::uint64_t>(pg) * slotsPerPage + sl;
-            std::uint64_t lba = reverse[slot];
-            if (lba != kUnmapped && map[lba] == slot) {
+            std::uint32_t lba = reverse.get(slot);
+            if (lba != LeafTable::kNone && map.get(lba) == slot) {
                 lbas.push_back(lba);
                 page_has_valid = true;
             }
@@ -421,10 +441,7 @@ Ftl::gcStep()
     auto relocate_and_erase = [this, victim, lbas] {
         for (std::uint64_t lba : lbas) {
             invalidate(lba);
-            std::uint64_t slot = allocSlot(false);
-            map[lba] = slot;
-            reverse[slot] = lba;
-            ++blockInfo[blockOfSlot(slot)].validSlots;
+            bind(lba, allocSlot(false));
             ++ftlStats.gcSlotWrites;
         }
         nand.erase(slotToAddr(victim * slotsPerBlock),
@@ -460,8 +477,8 @@ Ftl::gcStep()
 void
 Ftl::format()
 {
-    std::fill(map.begin(), map.end(), kUnmapped);
-    reverse.clear();
+    map.reset(params.logicalBlocks);
+    reverse.reset(0);
     blockInfo.clear();
     freePerDie.clear();
     frontier.clear();
@@ -493,9 +510,7 @@ Ftl::precondition(double mapped_fraction)
         std::uint64_t slot = fr.block * slotsPerBlock +
             static_cast<std::uint64_t>(fr.page) * slotsPerPage +
             fr.slot;
-        map[lba] = slot;
-        reverse[slot] = lba;
-        ++blockInfo[fr.block].validSlots;
+        bind(lba, slot);
         ++fr.slot;
         if (fr.slot == slotsPerPage) {
             fr.slot = 0;

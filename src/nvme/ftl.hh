@@ -13,14 +13,23 @@
  * box, via NVMe format), so host reads never consult NAND; the FTL
  * exists to support the Table I spec benches, flush semantics, and the
  * aged-drive (non-FOB) ablation the paper lists as future work.
+ *
+ * Both mapping tables (LBA -> physical slot and slot -> LBA) hold
+ * 32-bit entries in fixed 256-entry leaves allocated on the first
+ * write into them, so a FOB drive holds no map memory at all and a
+ * written one only the leaves it touched (DFTL-style demand paging,
+ * applied to host memory). Geometries with 2^32 or more slots or
+ * logical blocks are rejected at construction.
  */
 
 #ifndef AFA_NVME_FTL_HH
 #define AFA_NVME_FTL_HH
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "nand/nand_array.hh"
@@ -163,8 +172,64 @@ class Ftl : public afa::sim::SimObject
 
     const FtlStats &stats() const { return ftlStats; }
 
+    /** Bytes held by the allocated leaves of both mapping tables. */
+    std::size_t tableBytes() const;
+
   private:
-    static constexpr std::uint64_t kUnmapped = ~std::uint64_t(0);
+    /**
+     * A table of 32-bit entries stored in fixed 256-entry leaves. A
+     * leaf is allocated on the first write into it; an absent leaf
+     * reads as kNone.
+     */
+    class LeafTable
+    {
+      public:
+        static constexpr std::uint32_t kNone = ~std::uint32_t(0);
+
+        /** Size the table to @p entries, all kNone; frees every leaf. */
+        void
+        reset(std::uint64_t entries)
+        {
+            leaves.clear();
+            leaves.resize((entries + kLeafEntries - 1) / kLeafEntries);
+        }
+
+        std::uint32_t
+        get(std::uint64_t i) const
+        {
+            const auto &leaf = leaves[i / kLeafEntries];
+            return leaf ? (*leaf)[i % kLeafEntries] : kNone;
+        }
+
+        void
+        set(std::uint64_t i, std::uint32_t v)
+        {
+            auto &leaf = leaves[i / kLeafEntries];
+            if (!leaf) {
+                leaf = std::make_unique<Leaf>();
+                leaf->fill(kNone);
+            }
+            (*leaf)[i % kLeafEntries] = v;
+        }
+
+        /** Bytes held by allocated leaves. */
+        std::size_t
+        bytes() const
+        {
+            std::size_t n = 0;
+            for (const auto &leaf : leaves)
+                n += leaf ? sizeof(Leaf) : 0;
+            return n;
+        }
+
+      private:
+        static constexpr std::size_t kLeafEntries = 256;
+        using Leaf = std::array<std::uint32_t, kLeafEntries>;
+        std::vector<std::unique_ptr<Leaf>> leaves;
+    };
+
+    /** gcStep's "no victim block" sentinel. */
+    static constexpr std::uint64_t kNoVictim = ~std::uint64_t(0);
 
     /**
      * Free blocks kept back for GC relocation (write-cliff guard).
@@ -199,9 +264,11 @@ class Ftl : public afa::sim::SimObject
     std::uint64_t slotsPerBlock;
     unsigned dies;
 
-    std::vector<std::uint64_t> map;     ///< lba -> phys slot
-    std::vector<std::uint64_t> reverse; ///< phys slot -> lba
-    std::vector<BlockInfo> blockInfo;   ///< per physical block
+    /** lba -> phys slot; sized at construction. */
+    LeafTable map;
+    /** phys slot -> lba; sized with the other write structures. */
+    LeafTable reverse;
+    std::vector<BlockInfo> blockInfo; ///< per physical block
     std::vector<std::vector<std::uint64_t>> freePerDie;
     std::vector<DieFrontier> frontier;
     unsigned nextDie;
@@ -230,6 +297,8 @@ class Ftl : public afa::sim::SimObject
     void finishProgram(unsigned host_entries);
     afa::nand::PageAddr slotToAddr(std::uint64_t slot) const;
     std::uint64_t blockOfSlot(std::uint64_t slot) const;
+    /** Map @p lba to @p slot both ways and count the slot valid. */
+    void bind(std::uint64_t lba, std::uint64_t slot);
     void invalidate(std::uint64_t lba);
     void checkFlushWaiters();
     bool drained() const;

@@ -34,6 +34,18 @@ ArrivalProcess::ArrivalProcess(const ArrivalParams &params)
         onMeanNs = 0.0;
         offMeanNs = 0.0;
     }
+    // An exponential draw is at most 53 ln 2 < 37 times its mean
+    // (Rng::uniform() is never below 2^-53), so these bounds keep
+    // every gap and off phase castable to Tick.
+    const double max_mean = static_cast<double>(afa::sim::kMaxTick) / 37.0;
+    if (mean_gap > max_mean)
+        afa::sim::fatal("arrival: ratePerSec %g is too low: its mean "
+                        "gap of %g ns could overflow the clock",
+                        p.ratePerSec, mean_gap);
+    if (offMeanNs > max_mean)
+        afa::sim::fatal("arrival: burstFactor %g gives off phases "
+                        "(mean %g ns) that could overflow the clock",
+                        p.burstFactor, offMeanNs);
 }
 
 Tick

@@ -42,7 +42,11 @@ struct ArrivalParams
 {
     ArrivalKind kind = ArrivalKind::Poisson;
 
-    /** Long-run mean arrival rate of this stream (ops/sec). */
+    /**
+     * Long-run mean arrival rate of this stream (ops/sec). Rates whose
+     * mean gap exceeds kMaxTick / 37 ns are fatal: a gap could overflow
+     * Tick.
+     */
     double ratePerSec = 10000.0;
 
     /**

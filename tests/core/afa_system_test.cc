@@ -51,6 +51,9 @@ TEST_F(AfaSystemTest, PaperScaleAssembly)
     EXPECT_EQ(system->scheduler().topology().logicalCpus(), 40u);
     // host + root + 6 leaves + 16 carriers + 64 SSDs.
     EXPECT_EQ(system->fabric().nodes(), 88u);
+    // FOB drives hold no mapping-table memory until written.
+    for (unsigned d = 0; d < 64; ++d)
+        EXPECT_EQ(system->ssd(d).ftl().tableBytes(), 0u) << "ssd " << d;
 }
 
 TEST_F(AfaSystemTest, DriverRoundTrip)
@@ -110,6 +113,9 @@ TEST_F(AfaSystemTest, WritesReachTheFtl)
     sim->run(msec(5));
     EXPECT_TRUE(done);
     EXPECT_TRUE(system->ssd(0).ftl().isMapped(42));
+    // One 256-entry leaf of 32-bit entries in each mapping table.
+    EXPECT_EQ(system->ssd(0).ftl().tableBytes(),
+              2 * 256 * sizeof(std::uint32_t));
 }
 
 TEST_F(AfaSystemTest, ParallelSubmissionsToManySsds)

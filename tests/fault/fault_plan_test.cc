@@ -85,12 +85,14 @@ TEST_F(FaultPlanTest, RejectsBadSpecs)
                  afa::sim::SimError);
     EXPECT_THROW(FaultPlan::parseText("timeout_ms 1 2"),
                  afa::sim::SimError);
-    // Non-finite numbers, clock overflow, and counts that are not
-    // whole or do not fit in unsigned.
+    // Non-finite numbers, limp factors past 1e6, clock overflow, and
+    // counts that are not whole or do not fit in unsigned.
     for (const char *spec : {
              "dropout ssd=0 at_ms=nan dur_ms=1",
              "dropout ssd=0 at_ms=inf dur_ms=1",
              "limp ssd=0 at_ms=0 dur_ms=1 factor=inf",
+             "limp ssd=0 at_ms=0 dur_ms=1 factor=1e7",
+             "limp ssd=0 at_ms=0 dur_ms=1 factor=1e30",
              "link_error ssd=0 at_ms=0 dur_ms=1 rate=nan",
              "dropout ssd=0 at_ms=0 dur_ms=1e30",
              "dropout ssd=0 at_ms=1e13 dur_ms=1e13",
@@ -106,9 +108,10 @@ TEST_F(FaultPlanTest, RejectsBadSpecs)
     // The largest values that still fit are accepted.
     const auto edge = FaultPlan::parseText(
         "max_retries 4294967295\ndropout ssd=4294967295 at_ms=1 "
-        "dur_ms=1e12");
+        "dur_ms=1e12\nlimp ssd=0 at_ms=2 dur_ms=1 factor=1e6");
     EXPECT_EQ(edge.maxRetries, 4294967295u);
     EXPECT_EQ(edge.events[0].ssd, 4294967295u);
+    EXPECT_EQ(edge.events[1].factor, 1e6);
 }
 
 TEST_F(FaultPlanTest, FileRoundTrip)

@@ -316,6 +316,16 @@ TEST_F(ControllerTest, MultiBlockReadCompletesOnce)
     EXPECT_EQ(ctrl->stats().bytesRead, 131072u);
 }
 
+TEST_F(ControllerTest, LimpFactorOutsideRangePanics)
+{
+    // Past 1e6 the injected excess media time could overflow Tick.
+    EXPECT_THROW(ctrl->setLimpFactor(0.5), afa::sim::SimError);
+    EXPECT_THROW(ctrl->setLimpFactor(1e7), afa::sim::SimError);
+    EXPECT_THROW(ctrl->setLimpFactor(1e30), afa::sim::SimError);
+    ctrl->setLimpFactor(Controller::kMaxLimpFactor);
+    EXPECT_EQ(ctrl->limpFactor(), 1e6);
+}
+
 TEST_F(ControllerTest, UnwiredControllerIsFatal)
 {
     Simulator s2(1);

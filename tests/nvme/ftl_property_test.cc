@@ -7,11 +7,14 @@
  * preconditions, the FTL must agree on mapped-ness, every mapped LBA
  * must be readable, and the block accounting (valid slots vs mapped
  * LBAs) must balance. Parameterised over several FTL geometries and
- * operation mixes.
+ * operation mixes, including one whose mapping tables span many
+ * 256-entry leaves, end in a partial leaf, and see writes aimed at
+ * leaf edges and garbage collection that walks the reverse map.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <ostream>
@@ -40,8 +43,13 @@ struct GeometryCase
     unsigned blocksPerDie;
     std::uint64_t logicalBlocks;
     double overProvision;
-    double formatWeight; ///< relative chance of a format op
+    double formatWeight;   ///< relative chance of a format op
+    double preconditioned; ///< fraction of the drive written at start
+    double edgeShare;      ///< share of writes aimed at leaf edges
 };
+
+/** Entries per mapping-table leaf in the FTL. */
+constexpr std::uint64_t kLeafEntries = 256;
 
 /**
  * Print a case by its name. Without this, gtest prints the raw bytes
@@ -80,12 +88,30 @@ TEST_P(FtlPropertyTest, AgreesWithReferenceModel)
     std::map<std::uint64_t, bool> reference;
     Rng rng(99);
 
+    if (gc.preconditioned > 0.0) {
+        ftl.precondition(gc.preconditioned);
+        for (std::uint64_t lba = 0; lba < gc.logicalBlocks; ++lba)
+            if (ftl.isMapped(lba))
+                reference[lba] = true;
+    }
+    const std::uint64_t leaves =
+        (gc.logicalBlocks + kLeafEntries - 1) / kLeafEntries;
+
     for (int step = 0; step < 400; ++step) {
         double dice = rng.uniform();
         if (dice < 0.70) {
-            // Write (often an overwrite).
+            // Write (often an overwrite), a share of them to the
+            // first or last entry of a random map leaf.
             std::uint64_t lba =
                 rng.uniformInt(0, gc.logicalBlocks - 1);
+            if (gc.edgeShare > 0.0 && rng.chance(gc.edgeShare)) {
+                const std::uint64_t first =
+                    rng.uniformInt(0, leaves - 1) * kLeafEntries;
+                lba = rng.chance(0.5)
+                    ? first
+                    : std::min(first + kLeafEntries, gc.logicalBlocks) -
+                        1;
+            }
             ftl.write(lba, nullptr);
             reference[lba] = true;
         } else if (dice < 0.80) {
@@ -140,16 +166,27 @@ TEST_P(FtlPropertyTest, AgreesWithReferenceModel)
     sim.run();
     EXPECT_TRUE(flushed);
     EXPECT_EQ(ftl.buffered(), 0u);
+    // An aged start must have made the collector walk the reverse map.
+    if (gc.preconditioned > 0.0) {
+        EXPECT_GT(ftl.stats().gcRuns, 0u);
+        EXPECT_GT(ftl.stats().gcSlotWrites, 0u);
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Geometries, FtlPropertyTest,
     ::testing::Values(
-        GeometryCase{"small", 2, 2, 4, 16, 512, 1.5, 0.05},
-        GeometryCase{"tight_op", 2, 2, 4, 16, 900, 1.05, 0.05},
-        GeometryCase{"one_die", 1, 1, 8, 64, 1024, 1.5, 0.05},
-        GeometryCase{"format_heavy", 2, 2, 4, 16, 512, 1.5, 0.15},
-        GeometryCase{"wide", 4, 4, 8, 8, 3072, 1.3, 0.02}),
+        GeometryCase{"small", 2, 2, 4, 16, 512, 1.5, 0.05, 0.0, 0.0},
+        GeometryCase{"tight_op", 2, 2, 4, 16, 900, 1.05, 0.05, 0.0, 0.0},
+        GeometryCase{"one_die", 1, 1, 8, 64, 1024, 1.5, 0.05, 0.0, 0.0},
+        GeometryCase{"format_heavy", 2, 2, 4, 16, 512, 1.5, 0.15, 0.0,
+                     0.0},
+        GeometryCase{"wide", 4, 4, 8, 8, 3072, 1.3, 0.02, 0.0, 0.0},
+        // 8 full map leaves plus a 37-entry partial one, and 9.5
+        // reverse leaves, on an aged drive with 14% spare so GC
+        // relocates across reverse leaves.
+        GeometryCase{"leaf_edges", 2, 2, 8, 19, 8 * 256 + 37, 1.1, 0.0,
+                     1.0, 0.3}),
     [](const ::testing::TestParamInfo<GeometryCase> &info) {
         return info.param.name;
     });

@@ -272,4 +272,81 @@ TEST_F(FtlTest, TooSmallNandIsFatal)
     EXPECT_THROW(Ftl(*sim, "ftl2", *nand, p), afa::sim::SimError);
 }
 
+/** One map-table leaf: 256 four-byte entries. */
+constexpr std::size_t kLeafBytes = 256 * sizeof(std::uint32_t);
+
+TEST_F(FtlTest, FreshDriveHoldsNoTableMemory)
+{
+    EXPECT_EQ(ftl->tableBytes(), 0u);
+    // Reads and flushes of a FOB drive allocate nothing either.
+    EXPECT_FALSE(ftl->isMapped(511));
+    ftl->flush([] {});
+    sim->run();
+    EXPECT_EQ(ftl->tableBytes(), 0u);
+}
+
+TEST_F(FtlTest, FirstWriteAllocatesOneLeafPerTable)
+{
+    ftl->write(300, [] {});
+    sim->run();
+    EXPECT_EQ(ftl->tableBytes(), 2 * kLeafBytes);
+    // Further writes into the same map leaf, landing in the same
+    // reverse leaf, allocate nothing more.
+    ftl->write(301, [] {});
+    ftl->write(300, [] {});
+    sim->run();
+    EXPECT_EQ(ftl->tableBytes(), 2 * kLeafBytes);
+}
+
+TEST_F(FtlTest, FormatReleasesAllLeaves)
+{
+    for (std::uint64_t lba = 0; lba < 512; lba += 7)
+        ftl->write(lba, [] {});
+    sim->run();
+    EXPECT_GT(ftl->tableBytes(), 2 * kLeafBytes);
+    ftl->format();
+    EXPECT_EQ(ftl->tableBytes(), 0u);
+}
+
+TEST_F(FtlTest, PreconditionAllocatesOnlyFilledLeaves)
+{
+    // Three map leaves; half the drive fills leaves 0 and 1 of them.
+    FtlParams p = smallFtl();
+    p.logicalBlocks = 3 * 256;
+    p.overProvision = 1.25;
+    Ftl three(*sim, "ftl.three", *nand, p);
+    three.precondition(0.5);
+    EXPECT_TRUE(three.isMapped(383));
+    EXPECT_FALSE(three.isMapped(384));
+    // Each die's 16 blocks of 16 slots are one 256-entry reverse
+    // leaf, and the striped fill touches all 4 dies.
+    EXPECT_EQ(three.tableBytes(), (2 + 4) * kLeafBytes);
+}
+
+TEST_F(FtlTest, SlotsBeyond32BitsAreFatal)
+{
+    // 32 dies x 131072 blocks x 256 pages x 4 slots = 2^32 slots: one
+    // more than a 32-bit entry can index below its kNone sentinel.
+    NandParams big;
+    big.blocksPerDie = 131072;
+    NandArray big_nand(*sim, "nand.big", big);
+    EXPECT_THROW(Ftl(*sim, "ftl.big", big_nand, smallFtl()),
+                 afa::sim::SimError);
+    // One block fewer per die fits.
+    big.blocksPerDie = 131071;
+    NandArray fits_nand(*sim, "nand.fits", big);
+    Ftl fits(*sim, "ftl.fits", fits_nand, smallFtl());
+    EXPECT_EQ(fits.tableBytes(), 0u);
+    // So does the production geometry (33,554,432 slots).
+    NandArray prod_nand(*sim, "nand.prod", NandParams{});
+    Ftl prod(*sim, "ftl.prod", prod_nand, smallFtl());
+    EXPECT_EQ(prod.tableBytes(), 0u);
+    // 2^32 logical blocks are fatal however few slots back them.
+    FtlParams huge = smallFtl();
+    huge.logicalBlocks = std::uint64_t(1) << 32;
+    huge.overProvision = 1e-7;
+    EXPECT_THROW(Ftl(*sim, "ftl.huge", *nand, huge),
+                 afa::sim::SimError);
+}
+
 } // namespace

@@ -394,7 +394,8 @@ TEST_F(OpenLoopEngineTest, RejectsBrokenConfigs)
     // NaN and infinite numbers fail the range checks too.
     const double nan = std::numeric_limits<double>::quiet_NaN();
     const double inf = std::numeric_limits<double>::infinity();
-    for (double rate : {nan, inf}) {
+    // 1e-12 ops/s is finite but its exponential gaps overflow Tick.
+    for (double rate : {nan, inf, 1e-12}) {
         auto p = baseParams();
         p.arrival.ratePerSec = rate;
         EXPECT_THROW(spawn(p), afa::sim::SimError) << rate;
@@ -408,6 +409,11 @@ TEST_F(OpenLoopEngineTest, RejectsBrokenConfigs)
         p.arrival.burstFactor = burst;
         EXPECT_THROW(spawn(p), afa::sim::SimError) << burst;
     }
+    // A finite burst factor can still stretch off phases past Tick.
+    auto longOff = baseParams();
+    longOff.arrival.kind = ArrivalKind::Bursty;
+    longOff.arrival.burstFactor = 1e18;
+    EXPECT_THROW(spawn(longOff), afa::sim::SimError);
     auto nanMix = baseParams();
     nanMix.readFraction = nan;
     EXPECT_THROW(spawn(nanMix), afa::sim::SimError);
