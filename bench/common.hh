@@ -19,7 +19,9 @@
  *                     0 = all hardware threads). Results are
  *                     bit-identical to a serial run.
  *   --seeds N         replicate every run with seeds S..S+N-1 and
- *                     aggregate the ladders across replicas
+ *                     aggregate the ladders across replicas (benches
+ *                     that run through executePlan(); the others
+ *                     accept only 1)
  *   --metrics-json F  also write the per-run metrics JSON to file F
  *                     (includes the system metrics when tracing is on)
  *   --trace C[,C...]  enable span tracing for the listed categories
@@ -83,6 +85,7 @@
 #include "fault/fault_plan.hh"
 #include "obs/perfetto.hh"
 #include "sim/config.hh"
+#include "sim/logging.hh"
 
 namespace afa::bench {
 
@@ -100,8 +103,14 @@ struct BenchOptions
     std::string telemetryCsvPath;
 };
 
+/**
+ * Parse the common flags. A bench that runs its experiments itself
+ * rather than through executePlan() has no seed replication and
+ * passes @p replicates = false, so a --seeds other than 1 fails
+ * instead of being silently ignored.
+ */
 inline BenchOptions
-parseOptions(int argc, char **argv)
+parseOptions(int argc, char **argv, bool replicates = true)
 {
     afa::sim::Config cfg;
     cfg.parseArgs(argc - 1, argv + 1);
@@ -144,7 +153,13 @@ parseOptions(int argc, char **argv)
     opts.perDevice = cfg.getBool("per_device", false);
     p.captureSystemReport = cfg.getBool("report", false);
     opts.jobs = static_cast<unsigned>(cfg.getUint("jobs", 1));
-    opts.seeds = static_cast<unsigned>(cfg.getUint("seeds", 1));
+    const std::uint64_t seeds = cfg.getUint("seeds", 1);
+    if (!replicates && seeds != 1)
+        afa::sim::fatal("--seeds %llu: this bench runs each experiment "
+                        "once and does not replicate seeds (pass "
+                        "--seeds 1, or vary --seed)",
+                        (unsigned long long)seeds);
+    opts.seeds = static_cast<unsigned>(seeds);
     if (opts.seeds == 0)
         opts.seeds = 1;
     opts.metricsJsonPath = cfg.getString("metrics_json", "");

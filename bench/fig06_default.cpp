@@ -10,7 +10,8 @@
 int
 main(int argc, char **argv)
 {
-    auto opts = afa::bench::parseOptions(argc, argv);
+    auto opts = afa::bench::parseOptions(argc, argv,
+                                           /*replicates=*/false);
     opts.params.profile = afa::core::TuningProfile::Default;
     auto result = afa::core::ExperimentRunner::run(opts.params);
     afa::bench::reportFigure(

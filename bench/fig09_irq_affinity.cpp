@@ -11,7 +11,8 @@
 int
 main(int argc, char **argv)
 {
-    auto opts = afa::bench::parseOptions(argc, argv);
+    auto opts = afa::bench::parseOptions(argc, argv,
+                                           /*replicates=*/false);
     opts.params.profile = afa::core::TuningProfile::IrqAffinity;
     auto result = afa::core::ExperimentRunner::run(opts.params);
     afa::bench::reportFigure("Fig. 9", "after setting CPU affinity",

@@ -19,7 +19,8 @@ main(int argc, char **argv)
 {
     afa::sim::Config cfg;
     cfg.parseArgs(argc - 1, argv + 1);
-    auto opts = afa::bench::parseOptions(argc, argv);
+    auto opts = afa::bench::parseOptions(argc, argv,
+                                           /*replicates=*/false);
     opts.params.profile = afa::core::TuningProfile::IrqAffinity;
     opts.params.scatterDevices = static_cast<unsigned>(
         cfg.getUint("scatter_devices", 32));

@@ -76,7 +76,8 @@ main(int argc, char **argv)
 {
     afa::sim::Config cfg;
     cfg.parseArgs(argc - 1, argv + 1);
-    auto opts = afa::bench::parseOptions(argc, argv);
+    auto opts = afa::bench::parseOptions(argc, argv,
+                                           /*replicates=*/false);
 
     const unsigned width =
         static_cast<unsigned>(cfg.getUint("width", 8));

@@ -54,7 +54,7 @@ BM_EventQueueDeepHeap(benchmark::State &state)
     }
     benchmark::DoNotOptimize(when);
 }
-BENCHMARK(BM_EventQueueDeepHeap)->Arg(1024)->Arg(65536);
+BENCHMARK(BM_EventQueueDeepHeap)->Arg(256)->Arg(1024)->Arg(65536);
 
 void
 BM_EventQueueCapturingEvent(benchmark::State &state)

@@ -114,7 +114,8 @@ runClient(const afa::bench::BenchOptions &opts, TuningProfile profile,
 int
 main(int argc, char **argv)
 {
-    auto opts = afa::bench::parseOptions(argc, argv);
+    auto opts = afa::bench::parseOptions(argc, argv,
+                                           /*replicates=*/false);
 
     afa::stats::Table table({"config", "width", "client_ios",
                              "avg_us", "p99_us", "p99.9_us",

@@ -37,19 +37,12 @@ FaultEngine::start()
         fabric->setFaultRng(&rng());
     for (const FaultEvent &ev : planRef->events) {
         const FaultEvent *e = &ev;
-        at(e->at, [this, e] { apply(*e); });
-        at(e->at + e->duration, [this, e] { revert(*e); });
-        if (e->kind == FaultKind::LinkError)
-            continue;
-        // Controller fault: the mutators run as internal band-1
-        // events at the same ticks as the books — after every plain
-        // event of the tick, before any delivery.
-        sim().scheduleInternal(e->at, [this, e] { applyCtrl(*e); },
-                               /*order=*/1);
-        if (e->kind != FaultKind::CtrlStall)
-            sim().scheduleInternal(e->at + e->duration,
-                                   [this, e] { revertCtrl(*e); },
-                                   /*order=*/1);
+        // A controller fault's edges run in ordering band 1: after
+        // every plain event of the tick, before any endpoint delivery.
+        const std::uint32_t band =
+            e->kind == FaultKind::LinkError ? 0 : 1;
+        at(e->at, [this, e] { apply(*e); }, band);
+        at(e->at + e->duration, [this, e] { revert(*e); }, band);
     }
 }
 
@@ -58,23 +51,6 @@ FaultEngine::apply(const FaultEvent &event)
 {
     ++engStats.applied;
     ++engStats.active;
-    if (event.kind == FaultKind::LinkError)
-        fabric->setEndpointFault(ssdNodes[event.ssd], event.rate);
-}
-
-void
-FaultEngine::revert(const FaultEvent &event)
-{
-    ++engStats.reverted;
-    --engStats.active;
-    if (event.kind == FaultKind::LinkError)
-        fabric->clearEndpointFault(ssdNodes[event.ssd]);
-}
-
-/** The controller-side mutators, posted as band-1 events by start(). */
-void
-FaultEngine::applyCtrl(const FaultEvent &event)
-{
     switch (event.kind) {
       case FaultKind::Limp:
         ctrls[event.ssd]->setLimpFactor(event.factor);
@@ -88,13 +64,16 @@ FaultEngine::applyCtrl(const FaultEvent &event)
         ctrls[event.ssd]->stallUntil(event.at + event.duration);
         break;
       case FaultKind::LinkError:
+        fabric->setEndpointFault(ssdNodes[event.ssd], event.rate);
         break;
     }
 }
 
 void
-FaultEngine::revertCtrl(const FaultEvent &event)
+FaultEngine::revert(const FaultEvent &event)
 {
+    ++engStats.reverted;
+    --engStats.active;
     switch (event.kind) {
       case FaultKind::Limp:
         ctrls[event.ssd]->setLimpFactor(1.0);
@@ -103,7 +82,9 @@ FaultEngine::revertCtrl(const FaultEvent &event)
         ctrls[event.ssd]->setOffline(false);
         break;
       case FaultKind::CtrlStall:
+        break;
       case FaultKind::LinkError:
+        fabric->clearEndpointFault(ssdNodes[event.ssd]);
         break;
     }
 }

@@ -54,11 +54,12 @@ class FaultEngine : public afa::sim::SimObject
     /**
      * Validate targets and schedule every apply/revert event.
      *
-     * A link error is one apply and one revert event at the plan
-     * ticks. A controller fault splits each into a counted
-     * bookkeeping event and an internal mutator event in ordering
-     * band 1, which runs after every plain event of the tick and
-     * before any endpoint delivery (DESIGN.md §9).
+     * Each edge of a plan event is one counted event at its plan tick
+     * that updates the books and flips the target's fault hook. A
+     * link error's edges run in plain FIFO order (band 0); a
+     * controller fault's run in ordering band 1, after every plain
+     * event of the tick and before any endpoint delivery (DESIGN.md
+     * §9).
      */
     void start();
 
@@ -74,8 +75,6 @@ class FaultEngine : public afa::sim::SimObject
 
     void apply(const FaultEvent &event);
     void revert(const FaultEvent &event);
-    void applyCtrl(const FaultEvent &event);
-    void revertCtrl(const FaultEvent &event);
 };
 
 } // namespace afa::fault

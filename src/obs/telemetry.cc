@@ -170,14 +170,12 @@ jsonRowsForWindow(const TelemetryTimeline &tl, std::uint64_t w,
                 w, end_ms, afa::stats::jsonEscape(name).c_str(),
                 pit->second.delta));
     }
-    // The "shard" and "cross_posts" fields are constants kept from the
-    // retired sharded core so the row schema stays stable.
     auto mit = tl.sim.find(w);
     if (mit != tl.sim.end())
         rows.push_back(fmt(
             "{\"kind\":\"sim\",\"window\":%" PRIu64
-            ",\"end_ms\":%.3f,\"shard\":0,\"executed\":%" PRIu64
-            ",\"plumbing\":%" PRIu64 ",\"cross_posts\":0}",
+            ",\"end_ms\":%.3f,\"executed\":%" PRIu64
+            ",\"plumbing\":%" PRIu64 "}",
             w, end_ms, mit->second.executed, mit->second.plumbing));
 }
 
@@ -232,16 +230,12 @@ std::string
 TelemetryTimeline::toCsv() const
 {
     // Fixed tidy schema; every row fills the cells its kind owns and
-    // leaves the rest empty. The windows, mailbox_drained and
-    // barrier_wait_ms columns (and the constant shard0/cross_posts
-    // cells) are kept from the retired sharded core so the schema
-    // stays stable.
+    // leaves the rest empty.
     enum Col : unsigned {
         kWindow = 0, kEndMs, kKind, kName, kCount, kMean, kP50, kP99,
         kP999, kMax, kExceed0, // ... kExceed0 + kActThresholds - 1
         kDelta = kExceed0 + kActThresholds, kValue, kExecuted,
-        kPlumbing, kCrossPosts, kWindows, kMailbox, kBarrierWait,
-        kCols,
+        kPlumbing, kCols,
     };
     std::vector<std::string> cells(kCols);
     auto flush = [&cells](std::string &out) {
@@ -261,8 +255,7 @@ TelemetryTimeline::toCsv() const
     for (unsigned k = 0; k < kActThresholds; ++k)
         out += fmt(",exceed_%" PRIu64 "ms",
                    static_cast<std::uint64_t>(1) << k);
-    out += ",delta,value,executed,plumbing,cross_posts,windows,"
-           "mailbox_drained,barrier_wait_ms\n";
+    out += ",delta,value,executed,plumbing\n";
 
     for (std::uint64_t w : windowSet(*this)) {
         const std::string win = fmt("%" PRIu64, w);
@@ -311,10 +304,8 @@ TelemetryTimeline::toCsv() const
             cells[kWindow] = win;
             cells[kEndMs] = end_ms;
             cells[kKind] = "sim";
-            cells[kName] = "shard0";
             cells[kExecuted] = fmt("%" PRIu64, mit->second.executed);
             cells[kPlumbing] = fmt("%" PRIu64, mit->second.plumbing);
-            cells[kCrossPosts] = "0";
             flush(out);
         }
     }

@@ -269,7 +269,16 @@ Fabric::hop(NodeId at_node, NodeId dst, std::uint32_t bytes,
     }
     NodeId next = ph.to;
     if (next == dst) {
-        scheduleDelivery(arrive, dst, std::move(on_delivered), ctx);
+        // The delivery: one counted event in the destination's
+        // ordering band that drops the chain mark, commits the span
+        // and then runs the callback.
+        at(
+            arrive,
+            [this, ctx, cb = std::move(on_delivered)]() mutable {
+                finishChained(ctx);
+                cb();
+            },
+            deliveryOrder(dst));
         return;
     }
     Tick forwarded = arrive + ph.forwardAfter;
@@ -278,37 +287,6 @@ Fabric::hop(NodeId at_node, NodeId dst, std::uint32_t bytes,
                 cb = std::move(on_delivered)]() mutable {
                    hop(next, dst, bytes, std::move(cb), ctx, now());
                });
-}
-
-/**
- * Schedule a packet's final delivery at @p arrive.
- *
- * Endpoint deliveries (deliveryOrder() != 0) are posted with the
- * node's ordering band, so their same-tick position is a function of
- * (tick, destination, poster order) alone; the chain/span bookkeeping
- * runs as an uncounted companion event. Host-bound deliveries keep
- * plain FIFO order. Exactly one counted event exists per delivery
- * either way.
- */
-void
-Fabric::scheduleDelivery(Tick arrive, NodeId dst, EventFn cb,
-                         const DeliverCtx &ctx)
-{
-    const std::uint32_t ord = deliveryOrder(dst);
-    if (ord == 0) {
-        if (!ctx.chained) {
-            at(arrive, std::move(cb));
-        } else {
-            at(arrive, [this, ctx, f = std::move(cb)]() mutable {
-                finishChained(ctx);
-                f();
-            });
-        }
-        return;
-    }
-    at(arrive, std::move(cb), ord);
-    if (ctx.chained)
-        atInternal(arrive, [this, ctx] { finishChained(ctx); });
 }
 
 void
@@ -357,7 +335,9 @@ Fabric::sendAt(Tick enter, NodeId src, NodeId dst, std::uint32_t bytes,
         // zero intermediate events. Every reservation past the first
         // hop starts in the future; each is recorded in linkResv so
         // that a packet reaching the link earlier can revoke it
-        // (displaceEarlier()).
+        // (displaceEarlier()). Every walk that occupies its first link
+        // travels as a FlightRecord; a record holding only that link
+        // has no reservation, so nothing can displace it.
         Tick when = enter;
         std::uint32_t rec_idx = kNoFlight;
         for (std::uint32_t i = first; /**/; ++i) {
@@ -369,36 +349,16 @@ Fabric::sendAt(Tick enter, NodeId src, NodeId dst, std::uint32_t bytes,
                 if (curIo)
                     spanLog->record(curStage, curIo, curBegin, when,
                                     curTrack, afa::obs::kSpanFlagFastPath);
-                if (rec_idx == kNoFlight) {
-                    // Single-hop route: no future reservation exists,
-                    // so nothing could ever displace this delivery.
-                    scheduleDelivery(when, dst, std::move(on_delivered),
-                                     DeliverCtx{});
-                } else {
-                    FlightRecord &rec = flights[rec_idx];
-                    rec.fullWalk = true;
-                    rec.hopsWalked = last - first;
-                    const std::uint32_t ord = deliveryOrder(dst);
-                    if (ord == 0) {
-                        // Host-bound: the counted delivery event runs
-                        // the callback after dropping the walked
-                        // reservations.
-                        rec.cb = std::move(on_delivered);
-                        rec.ev = at(when, [this, rec_idx] {
-                            completeFlight(rec_idx);
-                        });
-                    } else {
-                        // Endpoint-bound: post the delivery (counted,
-                        // in the endpoint's band) and keep an
-                        // uncounted bookkeeping event for the
-                        // reservations. A displacement reclaims the
-                        // post (see displaceEarlier()).
-                        rec.xev = at(when, std::move(on_delivered), ord);
-                        rec.ev = atInternal(when, [this, rec_idx] {
-                            completeFlight(rec_idx);
-                        });
-                    }
-                }
+                // The delivery: one counted event in the destination's
+                // ordering band that drops the walked reservations and
+                // then runs the callback.
+                FlightRecord &rec = flights[rec_idx];
+                rec.cb = std::move(on_delivered);
+                rec.fullWalk = true;
+                rec.hopsWalked = last - first;
+                rec.ev = at(
+                    when, [this, rec_idx] { completeFlight(rec_idx); },
+                    deliveryOrder(dst));
                 return;
             }
             const PathHop &ph = pathHops[i];
@@ -415,40 +375,25 @@ Fabric::sendAt(Tick enter, NodeId src, NodeId dst, std::uint32_t bytes,
                 // continuation fires at `when`.)
                 if (i == first)
                     break;
-                if (rec_idx == kNoFlight) {
-                    // Only the first hop was occupied (it started at
-                    // send time, so it is not displaceable): a plain
-                    // chain continuation suffices.
-                    NodeId at_node = pathHops[i - 1].to;
-                    atInternal(
-                        when,
-                        [this, at_node, dst, bytes, ctx = beginChain(),
-                         cb = std::move(on_delivered)]() mutable {
-                            hop(at_node, dst, bytes, std::move(cb), ctx,
-                                now());
-                        });
-                } else {
-                    // The walked prefix holds future reservations;
-                    // keep it revocable until the continuation fires.
-                    FlightRecord &rec = flights[rec_idx];
-                    rec.cb = std::move(on_delivered);
-                    rec.ctx = beginChain();
-                    rec.fullWalk = false;
-                    rec.hopsWalked = i - first;
-                    // Mid-path continuation, not a delivery: internal.
-                    rec.ev = atInternal(when, [this, rec_idx] {
-                        completeFlight(rec_idx);
-                    });
-                }
+                // The walked prefix stays revocable until the
+                // continuation fires.
+                FlightRecord &rec = flights[rec_idx];
+                rec.cb = std::move(on_delivered);
+                rec.ctx = beginChain();
+                rec.fullWalk = false;
+                rec.hopsWalked = i - first;
+                // Mid-path continuation, not a delivery: internal.
+                rec.ev = atInternal(when, [this, rec_idx] {
+                    completeFlight(rec_idx);
+                });
                 return;
             }
             Tick prev = link.busyUntil();
-            if (i != first) {
-                if (rec_idx == kNoFlight)
-                    rec_idx = allocFlight(first, dst, bytes);
+            if (i == first)
+                rec_idx = allocFlight(first, dst, bytes);
+            else
                 linkResv[ph.link].push_back(
                     Reservation{when, prev, rec_idx, i - first});
-            }
             when = link.occupy(when, afa::sim::Bytes{bytes}) +
                 ph.forwardAfter;
         }
@@ -483,7 +428,6 @@ Fabric::freeFlight(std::uint32_t idx)
     FlightRecord &rec = flights[idx];
     rec.cb = nullptr;
     rec.ev = afa::sim::EventHandle{};
-    rec.xev = afa::sim::EventHandle{};
     rec.ctx = DeliverCtx{};
     rec.active = false;
     freeFlights.push_back(idx);
@@ -505,7 +449,6 @@ Fabric::completeFlight(std::uint32_t idx)
     EventFn cb = std::move(rec.cb);
     DeliverCtx ctx = rec.ctx;
     bool full = rec.fullWalk;
-    bool posted = rec.xev.valid();
     NodeId cont = full ? kInvalidNode
         : pathHops[rec.pathFirst + rec.hopsWalked - 1].to;
     NodeId dst = rec.dst;
@@ -513,14 +456,10 @@ Fabric::completeFlight(std::uint32_t idx)
     // Free before invoking: the callback may re-enter send() and
     // allocate flight records itself.
     freeFlight(idx);
-    if (full) {
-        // An endpoint delivery was posted on its own (rec.xev); this
-        // event only dropped the reservations.
-        if (!posted)
-            cb();
-    } else {
+    if (full)
+        cb();
+    else
         hop(cont, dst, bytes, std::move(cb), ctx, now());
-    }
 }
 
 /**
@@ -629,21 +568,10 @@ Fabric::displaceEarlier(std::size_t link_idx, Tick enter)
             // No longer a single-event delivery: recount it as a
             // fallback packet holding the fast-path gate closed until
             // it is delivered. A displaced packet never inherits the
-            // displacing sender's span identity (ctx.io stays 0). An
-            // endpoint delivery was posted on its own; take it back.
-            // The post cannot have fired: its tick lies at least one
-            // propagation past the displaced reservation's start,
-            // which is after the entrant's entry, and an entrant runs
-            // at most one minimum propagation after its entry.
+            // displacing sender's span identity (ctx.io stays 0).
             --fabricStats.fastPathPackets;
-            if (rec.xev.valid()) {
-                rec.cb = sim().reclaim(rec.xev);
-                rec.xev = afa::sim::EventHandle{};
-            }
             ++fabricStats.fallbackPackets;
             ++chainInFlight;
-            rec.ctx = DeliverCtx{};
-            rec.ctx.chained = true;
             rec.fullWalk = false;
         }
         // The record now represents only the committed prefix, with
@@ -669,13 +597,7 @@ Fabric::beginChain()
 {
     ++fabricStats.fallbackPackets;
     ++chainInFlight;
-    DeliverCtx ctx;
-    ctx.chained = true;
-    ctx.io = curIo;
-    ctx.begin = curBegin;
-    ctx.track = curTrack;
-    ctx.stage = curStage;
-    return ctx;
+    return DeliverCtx{curIo, curBegin, curTrack, curStage};
 }
 
 void

@@ -273,17 +273,13 @@ class Fabric : public afa::sim::SimObject
     };
 
     /**
-     * Context a packet carries from send() to its delivery point:
-     * whether it holds the fast-path gate (per-hop chain mode) and
-     * the span identity to commit at delivery. An endpoint delivery
-     * is a banded post of the bare callback plus an internal
-     * companion event that runs this bookkeeping, so it travels as
-     * plain data instead of inside the callback.
+     * Context a chain packet carries from send() to its delivery
+     * point: the span identity to commit there. Every chain packet
+     * holds the fast-path gate until its delivery event runs
+     * finishChained() and then the caller's callback.
      */
     struct DeliverCtx
     {
-        bool chained = false;   ///< holds the fast-path gate until
-                                ///< finishChained() at delivery
         std::uint64_t io = 0;   ///< span identity (0 = no span)
         Tick begin = 0;
         std::uint16_t track = 0;
@@ -291,25 +287,21 @@ class Fabric : public afa::sim::SimObject
     };
 
     /**
-     * An in-flight send whose future link occupancy is written into
-     * the busy horizons: a full fast-path walk awaiting its single
-     * delivery event, or the walked prefix of a mid-path fallback
-     * awaiting its chain continuation event. Holding the event handle
-     * and the final callback makes the packet displaceable — if
-     * another packet arrives at a reserved link before the reservation
-     * starts, the event is cancelled, the unstarted reservations are
-     * rolled back, and the packet re-enters the per-hop model at its
-     * recorded entry tick.
+     * A send the fast-path walk has put on at least its first link: a
+     * full walk awaiting its single delivery event, or the walked
+     * prefix of a mid-path fallback awaiting its chain continuation
+     * event. Links past the first hold revocable reservations; holding
+     * the event handle and the final callback makes the packet
+     * displaceable — if another packet arrives at a reserved link
+     * before the reservation starts, the event is cancelled, the
+     * unstarted reservations are rolled back, and the packet re-enters
+     * the per-hop model at its recorded entry tick.
      */
     struct FlightRecord
     {
         afa::sim::EventFn cb;       ///< the caller's on_delivered
-                                    ///< (empty when posted via xev)
         afa::sim::EventHandle ev;   ///< delivery or continuation event
-        afa::sim::EventHandle xev;  ///< banded delivery post of a full
-                                    ///< walk to an endpoint;
-                                    ///< reclaimed on displacement
-        DeliverCtx ctx;             ///< chain/span context
+        DeliverCtx ctx;             ///< span context (continuations)
         std::uint32_t pathFirst = 0;///< base index into pathHops
         std::uint32_t hopsWalked = 0;///< links occupied; reservations
                                     ///< cover hops 1..hopsWalked-1
@@ -372,10 +364,10 @@ class Fabric : public afa::sim::SimObject
     /**
      * Span context of the sendSpanned() currently executing (io 0 =
      * none). Valid only for the synchronous extent of send(): the
-     * commit points (self-send, fast-path walk, chainWrap()) read it
-     * to stamp their span records. displaceEarlier() zeroes it while
-     * re-wrapping *other* packets' callbacks so a displaced packet
-     * never inherits the displacing sender's identity.
+     * commit points (self-send, fast-path walk, beginChain()) read it
+     * to stamp their span records. displaceEarlier() gives a
+     * displaced packet an empty context instead, so it never inherits
+     * the displacing sender's identity.
      */
     std::uint64_t curIo = 0;
     Tick curBegin = 0;
@@ -398,8 +390,6 @@ class Fabric : public afa::sim::SimObject
     bool routeFaulted(std::uint32_t first, std::uint32_t last) const;
     DeliverCtx beginChain();
     void finishChained(const DeliverCtx &ctx);
-    void scheduleDelivery(Tick arrive, NodeId dst,
-                          afa::sim::EventFn cb, const DeliverCtx &ctx);
     std::uint32_t allocFlight(std::uint32_t path_first, NodeId dst,
                               std::uint32_t bytes);
     void freeFlight(std::uint32_t idx);

@@ -82,24 +82,6 @@ EventQueue::cancel(EventHandle handle)
 }
 
 bool
-EventQueue::reclaim(EventHandle handle, EventFn &fn_out)
-{
-    if (!handle.valid() || handle.slot >= slab.size())
-        return false;
-    Record &rec = slab[handle.slot];
-    if (!rec.scheduled || rec.gen != handle.gen)
-        return false;
-    fn_out = std::move(rec.fn);
-    rec.scheduled = false;
-    rec.fn = nullptr;
-    ++rec.gen;
-    slotKey[handle.slot] = kStaleKey;
-    freeSlots.push_back(handle.slot);
-    --numPending;
-    return true;
-}
-
-bool
 EventQueue::pending(EventHandle handle) const
 {
     if (!handle.valid() || handle.slot >= slab.size())

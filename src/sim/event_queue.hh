@@ -7,7 +7,7 @@
  * ascending band order, FIFO-stable within a band. Band 0 is the
  * default -- plain scheduling order, the classic serial-DES rule.
  * Non-zero bands exist for "post-class" events whose same-tick order
- * is a fixed function of the model -- fault control posts, endpoint
+ * is a fixed function of the model -- controller fault edges, endpoint
  * deliveries, telemetry samples (see Simulator::scheduleAt()) -- not
  * of which code path happened to insert them first. Scheduling
  * returns an EventHandle that can be used to cancel the event before
@@ -86,15 +86,6 @@ class EventQueue
      *         or the handle is null.
      */
     bool cancel(EventHandle handle);
-
-    /**
-     * Cancel a pending event and take back its callback (for
-     * re-routing, e.g. a displaced fast-path delivery).
-     * @retval true the event was pending; @p fn_out holds its
-     *         callback and the event will not fire.
-     * @retval false the handle was stale; @p fn_out untouched.
-     */
-    bool reclaim(EventHandle handle, EventFn &fn_out);
 
     /** True if the given handle still refers to a pending event. */
     bool pending(EventHandle handle) const;

@@ -28,17 +28,6 @@ Simulator::panicDelayOverflow()
     panic("scheduleAfter: delay overflows the clock");
 }
 
-EventFn
-Simulator::reclaim(EventHandle handle)
-{
-    if (!handle.valid())
-        panic("reclaim: null handle");
-    EventFn fn;
-    if (!q.reclaim(handle, fn))
-        panic("reclaim: event already fired or cancelled");
-    return fn;
-}
-
 std::uint64_t
 Simulator::run(Tick until)
 {

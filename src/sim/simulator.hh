@@ -5,11 +5,11 @@
  *
  * A plain serial discrete-event loop: one EventQueue, one clock. Events
  * are either model events (scheduleAt/scheduleAfter) or engine
- * plumbing (scheduleInternal: hop continuations, shipped device sends,
- * fault control posts, telemetry samples). Plumbing runs like any
- * other event but is left out of executedEvents(), so the `events=`
- * line of every figure counts exactly one event per delivered packet,
- * whichever transport path the packet took.
+ * plumbing (scheduleInternal: fabric hop continuations, shipped device
+ * sends, telemetry samples). Plumbing runs like any other event but is
+ * left out of executedEvents(), so the `events=` line of every figure
+ * counts exactly one event per delivered packet, whichever transport
+ * path the packet took, and one per fault edge.
  */
 
 #ifndef AFA_SIM_SIMULATOR_HH
@@ -41,8 +41,8 @@ class Simulator
     /**
      * Schedule @p fn at absolute time @p when (>= now).
      * @param order same-tick ordering band (see EventQueue::schedule):
-     *        0 = plain FIFO, 1 = fault control posts, 2 + <fabric node
-     *        id> = endpoint deliveries to / ships from that node,
+     *        0 = plain FIFO, 1 = controller fault edges, 2 + <fabric
+     *        node id> = endpoint deliveries to / ships from that node,
      *        0xffffffff = telemetry samples.
      */
     template <typename F>
@@ -89,15 +89,6 @@ class Simulator
 
     /** True if @p handle refers to a pending event. */
     bool pending(EventHandle handle) const { return q.pending(handle); }
-
-    /**
-     * Cancel a pending event and take back its callback (for
-     * re-routing, e.g. a fast-path flight displaced after its delivery
-     * was already posted). Panics if the event already fired or was
-     * cancelled: callers use this only when the contract guarantees
-     * the event cannot have fired.
-     */
-    EventFn reclaim(EventHandle handle);
 
     /**
      * Run until the queue drains or @p until is reached.

@@ -10,13 +10,18 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
 
+#include "core/afa_system.hh"
 #include "core/run_plan.hh"
 #include "fault/fault_plan.hh"
+#include "pcie/afa_topology.hh"
 #include "sim/logging.hh"
+#include "sim/simulator.hh"
 
 using namespace afa::core;
 using afa::fault::FaultPlan;
+using afa::sim::Tick;
 
 namespace {
 
@@ -65,6 +70,18 @@ expectIdentical(const ExperimentResult &a, const ExperimentResult &b)
         EXPECT_EQ(a.systemMetrics.counter(name),
                   b.systemMetrics.counter(name))
             << name;
+}
+
+/** A quiet 4-SSD array: no background load, no SMART polls. */
+AfaSystemParams
+quietArrayParams(std::shared_ptr<const FaultPlan> plan)
+{
+    AfaSystemParams params;
+    params.ssds = 4;
+    params.background = afa::host::BackgroundParams::none();
+    params.firmware.smart.enabled = false;
+    params.faults = std::move(plan);
+    return params;
 }
 
 class FaultInjectionTest : public ::testing::Test
@@ -236,6 +253,70 @@ TEST_F(FaultInjectionTest, DeviceFastPathIsExactUnderEveryFaultKind)
         // entire point of the fast path.
         EXPECT_LT(a.simulatedEvents, b.simulatedEvents) << spec;
     }
+}
+
+TEST_F(FaultInjectionTest, ControllerFaultEdgesAreOneCountedEventEach)
+{
+    // Each edge of a controller fault is a single counted event that
+    // keeps the books and flips the controller's hook; no plumbing
+    // event rides along. The baseline is the same idle array under an
+    // empty plan.
+    const auto events = [](const char *spec) {
+        afa::sim::Simulator sim(3);
+        AfaSystem system(sim, quietArrayParams(std::make_shared<FaultPlan>(
+                                  FaultPlan::parseText(spec))));
+        system.start();
+        sim.run(afa::sim::msec(10));
+        return std::pair{sim.executedEvents(), sim.plumbingEvents()};
+    };
+    const auto base = events("");
+    const auto faulted = events("limp ssd=0 at_ms=1 dur_ms=2 factor=4\n"
+                                "dropout ssd=1 at_ms=2 dur_ms=3\n"
+                                "ctrl_stall ssd=2 at_ms=3 dur_ms=1\n");
+    EXPECT_EQ(faulted.first - base.first, 2u * 3u);
+    EXPECT_EQ(faulted.second, base.second);
+}
+
+TEST_F(FaultInjectionTest, DeliveryOnDropoutOnsetTickIsDropped)
+{
+    // Same-tick order: a controller fault edge (band 1) runs before a
+    // fabric delivery to the SSD (band 2 + node). A read whose command
+    // lands on the exact tick its SSD drops out is therefore lost; one
+    // tick later the command got in first.
+    const unsigned ssd = 2;
+    const Tick submit_at = afa::sim::msec(1);
+    afa::sim::Simulator probe_sim(3);
+    afa::pcie::Fabric probe(probe_sim, "probe");
+    afa::pcie::AfaTopologyParams shape;
+    shape.ssds = 4;
+    const afa::pcie::AfaTopology topo =
+        afa::pcie::buildAfaTopology(probe, shape);
+    const Tick lands = submit_at +
+        probe.unloadedLatency(topo.host, topo.ssds[ssd],
+                              AfaSystemParams{}.sqeBytes);
+
+    const auto dropped = [&](Tick onset) {
+        auto plan = std::make_shared<FaultPlan>();
+        afa::fault::FaultEvent dropout;
+        dropout.kind = afa::fault::FaultKind::Dropout;
+        dropout.ssd = ssd;
+        dropout.at = onset;
+        dropout.duration = afa::sim::msec(1);
+        plan->events.push_back(dropout);
+        afa::sim::Simulator sim(3);
+        AfaSystem system(sim, quietArrayParams(plan));
+        system.start();
+        sim.scheduleAt(submit_at, [&] {
+            afa::workload::IoRequest req;
+            req.device = ssd;
+            system.ioEngine().submit(0, req,
+                                     [](const afa::workload::IoResult &) {});
+        });
+        sim.run(onset + afa::sim::msec(2));
+        return system.ssd(ssd).stats().droppedCommands;
+    };
+    EXPECT_EQ(dropped(lands), 1u);
+    EXPECT_EQ(dropped(lands + 1), 0u);
 }
 
 TEST_F(FaultInjectionTest, PlanTargetingMissingSsdIsFatal)

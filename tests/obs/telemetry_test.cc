@@ -180,6 +180,7 @@ TEST(TelemetryTest, ExportsShareOneRowSetAcrossFormats)
         50000);
     tl.series["ops"].kind = MetricKind::Counter;
     tl.series["ops"].points[0].delta = 5;
+    tl.sim[0] = {7, 3};
 
     const std::string jsonl = tl.toJsonLines();
     EXPECT_NE(jsonl.find("\"kind\":\"header\""), std::string::npos);
@@ -188,19 +189,26 @@ TEST(TelemetryTest, ExportsShareOneRowSetAcrossFormats)
               std::string::npos);
     EXPECT_NE(jsonl.find("\"name\":\"ops\",\"delta\":5"),
               std::string::npos);
+    EXPECT_NE(jsonl.find("{\"kind\":\"sim\",\"window\":0,\"end_ms\":1.000,"
+                         "\"executed\":7,\"plumbing\":3}\n"),
+              std::string::npos);
 
-    // The CSV carries the same three rows under its fixed header.
+    // The CSV carries the same rows under its fixed header; the sim
+    // row fills the last two columns.
     const std::string csv = tl.toCsv();
     EXPECT_EQ(csv.find("window,end_ms,kind,name,count,"), 0u);
-    EXPECT_NE(csv.find("exceed_128ms"), std::string::npos);
+    EXPECT_NE(csv.find("exceed_128ms,delta,value,executed,plumbing\n"),
+              std::string::npos);
+    EXPECT_NE(csv.find("\n0,1.000,sim,,"), std::string::npos);
+    EXPECT_EQ(csv.substr(csv.size() - 5), ",7,3\n");
     const auto lines = [](const std::string &s) {
         std::size_t n = 0;
         for (char c : s)
             n += c == '\n';
         return n;
     };
-    EXPECT_EQ(lines(csv), 3u);   // header + stage + counter
-    EXPECT_EQ(lines(jsonl), 3u); // header row + the same two
+    EXPECT_EQ(lines(csv), 4u);   // header + stage + counter + sim
+    EXPECT_EQ(lines(jsonl), 4u); // header row + the same three
 
     // toJson wraps the same rows as an array for --metrics-json.
     const std::string json = tl.toJson("  ");

@@ -184,6 +184,54 @@ TEST_F(FabricTest, SharedUplinkContentionDelaysSecondFlow)
     EXPECT_GT(f.stats().totalQueueDelay, 0u);
 }
 
+/** The paper's tree at 4 SSDs, with every SSD a banded endpoint as
+ *  the system model marks them. */
+AfaTopology
+markedAfaTopology(Fabric &f)
+{
+    AfaTopologyParams params;
+    params.ssds = 4;
+    AfaTopology topo = buildAfaTopology(f, params);
+    for (NodeId ssd : topo.ssds)
+        f.markEndpoint(ssd);
+    return topo;
+}
+
+TEST_F(FabricTest, IdleEndpointSendIsOneCountedEvent)
+{
+    // The fast-path delivery to an endpoint is one counted event in
+    // the endpoint's band that also drops the flight's reservations:
+    // no plumbing event rides along.
+    Fabric f(sim, "afa");
+    AfaTopology topo = markedAfaTopology(f);
+    Tick delivered = 0;
+    f.send(topo.host, topo.ssds[2], 64, [&] { delivered = sim.now(); });
+    sim.run();
+    EXPECT_EQ(delivered, f.unloadedLatency(topo.host, topo.ssds[2], 64));
+    EXPECT_EQ(f.stats().fastPathPackets, 1u);
+    EXPECT_EQ(sim.executedEvents(), 1u);
+    EXPECT_EQ(sim.plumbingEvents(), 0u);
+}
+
+TEST_F(FabricTest, QueuedEndpointSendPlumbsOnlyItsHops)
+{
+    // A send queued behind a busy host uplink walks the per-hop chain.
+    // Its delivery is one counted event that also drops the chain
+    // mark, so its only plumbing events are its hop continuations.
+    Fabric f(sim, "afa");
+    AfaTopology topo = markedAfaTopology(f);
+    f.send(topo.host, topo.ssds[0], 4096, [] {});
+    bool delivered = false;
+    f.send(topo.host, topo.ssds[1], 64, [&] { delivered = true; });
+    sim.run();
+    EXPECT_TRUE(delivered);
+    EXPECT_EQ(f.stats().fastPathPackets, 1u);
+    EXPECT_EQ(f.stats().fallbackPackets, 1u);
+    EXPECT_EQ(sim.executedEvents(), 2u);
+    EXPECT_EQ(sim.plumbingEvents(),
+              f.hopCount(topo.host, topo.ssds[1]) - 1);
+}
+
 class AfaTopologyTest : public ::testing::Test
 {
   protected:

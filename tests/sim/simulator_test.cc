@@ -14,7 +14,6 @@
 #include "sim/logging.hh"
 #include "sim/simulator.hh"
 
-using afa::sim::EventHandle;
 using afa::sim::Simulator;
 using afa::sim::Tick;
 
@@ -184,38 +183,6 @@ TEST_F(SimulatorTest, InternalDiscountMatchesPlainRun)
     EXPECT_EQ(plain.plumbingEvents(), 0u);
     EXPECT_EQ(seen_executed, 2u);
     EXPECT_EQ(seen_plumbing, 3u);
-}
-
-TEST_F(SimulatorTest, ReclaimReturnsTheCallback)
-{
-    // The reclaimed callback runs where the caller invokes it, and
-    // the original event never fires at its scheduled time.
-    int where = 0;
-    sim.scheduleAt(5, [&] {
-        EventHandle h = sim.scheduleAt(200, [&] { where = 1; });
-        afa::sim::EventFn fn = sim.reclaim(h);
-        fn();
-        EXPECT_EQ(where, 1);
-        where = 2;
-    });
-    sim.run();
-    EXPECT_EQ(where, 2);
-    EXPECT_EQ(sim.now(), 5u);
-}
-
-TEST_F(SimulatorTest, ReclaimWorksOnPlainHandles)
-{
-    int fired = 0;
-    sim.scheduleAt(5, [&] {
-        EventHandle h = sim.scheduleAt(50, [&] { ++fired; });
-        afa::sim::EventFn fn = sim.reclaim(h);
-        EXPECT_FALSE(sim.pending(h));
-        fn();
-    });
-    sim.run();
-    EXPECT_EQ(fired, 1);
-    EXPECT_EQ(sim.pendingEvents(), 0u);
-    EXPECT_THROW(sim.reclaim(EventHandle{}), afa::sim::SimError);
 }
 
 TEST_F(SimulatorTest, OrderingBandsRunAfterPlainEvents)
