@@ -1,7 +1,8 @@
 /**
  * @file
  * Shared plumbing for the figure benches: option parsing into
- * ExperimentParams and the standard report block.
+ * ExperimentParams, the standard report block and the writers of the
+ * telemetry and Perfetto artifacts.
  *
  * Common flags:
  *   --ssds N          devices (default 64, the paper's host slice)
@@ -278,6 +279,47 @@ writeTextFile(const std::string &path, const std::string &text,
     return true;
 }
 
+/**
+ * Write the timeline to --telemetry-out (JSON lines) and
+ * --telemetry-csv. Benches that report several figures overwrite the
+ * files: the last one wins.
+ */
+inline void
+writeTelemetryFiles(const afa::obs::TelemetryTimeline &timeline,
+                    const BenchOptions &opts)
+{
+    if (timeline.empty())
+        return;
+    if (!opts.telemetryOutPath.empty() &&
+        writeTextFile(opts.telemetryOutPath, timeline.toJsonLines(),
+                      "telemetry JSONL"))
+        std::printf("telemetry timeline written to %s\n",
+                    opts.telemetryOutPath.c_str());
+    if (!opts.telemetryCsvPath.empty() &&
+        writeTextFile(opts.telemetryCsvPath, timeline.toCsv(),
+                      "telemetry CSV"))
+        std::printf("telemetry CSV written to %s\n",
+                    opts.telemetryCsvPath.c_str());
+}
+
+/**
+ * Write --trace-out: the result's span records as Chrome/Perfetto
+ * trace-event JSON, with its telemetry windows (when sampled) as
+ * counter tracks. Like the telemetry files, the last figure wins.
+ */
+inline void
+writeTrace(const afa::core::ExperimentResult &result,
+           const BenchOptions &opts)
+{
+    if (opts.traceOutPath.empty() || result.spans.empty())
+        return;
+    if (afa::obs::writePerfettoJson(
+            opts.traceOutPath, result.spans,
+            result.telemetry.empty() ? nullptr : &result.telemetry))
+        std::printf("perfetto trace (%zu spans) written to %s\n",
+                    result.spans.size(), opts.traceOutPath.c_str());
+}
+
 /** Print the per-run metrics block (and write --metrics-json). */
 inline void
 reportRunMetrics(const PlanRun &run, const BenchOptions &opts)
@@ -292,12 +334,6 @@ reportRunMetrics(const PlanRun &run, const BenchOptions &opts)
         printTable(run.systemMetrics.table(), opts.csv);
     }
     if (!opts.metricsJsonPath.empty()) {
-        std::FILE *f = std::fopen(opts.metricsJsonPath.c_str(), "w");
-        if (!f) {
-            std::fprintf(stderr, "cannot write metrics JSON to %s\n",
-                         opts.metricsJsonPath.c_str());
-            return;
-        }
         // The artifact nests the execution metrics next to the system
         // metrics so one file captures a whole bench invocation.
         std::string json = "{\n\"run_metrics\": ";
@@ -309,21 +345,11 @@ reportRunMetrics(const PlanRun &run, const BenchOptions &opts)
             json += run.telemetry.toJson("  ");
         }
         json += "\n}\n";
-        std::fputs(json.c_str(), f);
-        std::fclose(f);
-        std::printf("run metrics JSON written to %s\n",
-                    opts.metricsJsonPath.c_str());
+        if (writeTextFile(opts.metricsJsonPath, json, "metrics JSON"))
+            std::printf("run metrics JSON written to %s\n",
+                        opts.metricsJsonPath.c_str());
     }
-    if (!opts.telemetryOutPath.empty() && !run.telemetry.empty() &&
-        writeTextFile(opts.telemetryOutPath,
-                      run.telemetry.toJsonLines(), "telemetry JSONL"))
-        std::printf("telemetry timeline written to %s\n",
-                    opts.telemetryOutPath.c_str());
-    if (!opts.telemetryCsvPath.empty() && !run.telemetry.empty() &&
-        writeTextFile(opts.telemetryCsvPath, run.telemetry.toCsv(),
-                      "telemetry CSV"))
-        std::printf("telemetry CSV written to %s\n",
-                    opts.telemetryCsvPath.c_str());
+    writeTelemetryFiles(run.telemetry, opts);
 }
 
 /** The standard block every figure bench prints. */
@@ -363,34 +389,8 @@ reportFigure(const char *figure, const char *caption,
                             "nvme.fallback_commands"));
         }
     }
-    if (!opts.traceOutPath.empty() && !result.spans.empty()) {
-        // Benches reporting several figures overwrite the file; the
-        // last figure's timeline wins, matching the common one-figure
-        // use of --trace-out. Telemetry windows (when sampled) ride
-        // along as counter tracks.
-        if (afa::obs::writePerfettoJson(
-                opts.traceOutPath, result.spans,
-                result.telemetry.empty() ? nullptr
-                                         : &result.telemetry))
-            std::printf("perfetto trace (%zu spans) written to %s\n",
-                        result.spans.size(),
-                        opts.traceOutPath.c_str());
-    }
-    // Like --trace-out, multi-figure benches overwrite: the last
-    // reported figure's timeline wins.
-    if (!result.telemetry.empty()) {
-        if (!opts.telemetryOutPath.empty() &&
-            writeTextFile(opts.telemetryOutPath,
-                          result.telemetry.toJsonLines(),
-                          "telemetry JSONL"))
-            std::printf("telemetry timeline written to %s\n",
-                        opts.telemetryOutPath.c_str());
-        if (!opts.telemetryCsvPath.empty() &&
-            writeTextFile(opts.telemetryCsvPath,
-                          result.telemetry.toCsv(), "telemetry CSV"))
-            std::printf("telemetry CSV written to %s\n",
-                        opts.telemetryCsvPath.c_str());
-    }
+    writeTrace(result, opts);
+    writeTelemetryFiles(result.telemetry, opts);
     std::printf("\n");
 }
 

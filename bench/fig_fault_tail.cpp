@@ -43,7 +43,6 @@
 #include <vector>
 
 #include "obs/metrics.hh"
-#include "obs/span_log.hh"
 #include "raid/rebuild.hh"
 #include "raid/volume.hh"
 #include "sim/logging.hh"
@@ -111,50 +110,16 @@ main(int argc, char **argv)
         plan = p;
     }
 
-    Simulator sim(opts.params.seed);
-    AfaSystemParams sys_params;
-    sys_params.ssds = width;
-    Geometry geometry(afa::host::CpuTopology{}, width);
+    ExperimentParams params = opts.params;
+    params.ssds = width;
+    params.profile = TuningProfile::IrqAffinity;
+    params.faults = plan;
+    Geometry geometry(afa::host::CpuTopology(params.topology), width);
     TuningConfig tuning =
-        TuningConfig::forProfile(TuningProfile::IrqAffinity, geometry);
-    sys_params.kernel = tuning.kernel;
-    sys_params.firmware = tuning.firmware;
-    sys_params.pinIrqAffinity = tuning.pinIrqAffinity;
-    sys_params.firmware.smart.period = opts.params.smartPeriod;
-    sys_params.kernel.irq.irqBalanceInterval =
-        opts.params.irqBalanceInterval;
-    sys_params.faults = plan;
-    sys_params.deviceFastPath = opts.params.deviceFastPath;
-    AfaSystem system(sim, sys_params);
-
-    std::unique_ptr<afa::obs::SpanLog> spanLog;
-    // As in ExperimentRunner: an internal span log only feeds the
-    // telemetry histograms, and its attribution never prints, so the
-    // phase table is byte-identical with telemetry on or off.
-    bool internalTrace = false;
-    if (opts.params.traceMask != 0) {
-        afa::obs::TraceParams trace;
-        trace.mask = opts.params.traceMask;
-        trace.capacity = opts.params.traceCapacity;
-        spanLog = std::make_unique<afa::obs::SpanLog>(trace);
-        system.setSpanLog(spanLog.get());
-    }
-    std::unique_ptr<afa::obs::Telemetry> telemetry;
-    if (opts.params.telemetryWindow > 0) {
-        afa::obs::TelemetryParams tp;
-        tp.window = opts.params.telemetryWindow;
-        telemetry = std::make_unique<afa::obs::Telemetry>(tp);
-        if (!spanLog) {
-            afa::obs::TraceParams trace;
-            trace.mask = afa::obs::kAllCategories;
-            trace.capacity = opts.params.traceCapacity;
-            spanLog = std::make_unique<afa::obs::SpanLog>(trace);
-            system.setSpanLog(spanLog.get());
-            internalTrace = true;
-        }
-        spanLog->setTelemetry(telemetry.get());
-        system.attachTelemetry(*telemetry);
-    }
+        TuningConfig::forProfile(params.profile, geometry);
+    Testbed tb(params, tuning, params.seed);
+    Simulator &sim = tb.sim();
+    AfaSystem &system = tb.system();
 
     std::vector<unsigned> members;
     for (unsigned d = 0; d < width; ++d)
@@ -173,8 +138,8 @@ main(int argc, char **argv)
                      job);
     afa::stats::ScatterLog scatter;
     client.attachScatterLog(&scatter);
-    if (spanLog)
-        client.attachSpanLog(spanLog.get());
+    if (tb.spanLog())
+        client.attachSpanLog(tb.spanLog());
 
     // The rebuild: read every survivor, write the replaced member,
     // through the same driver/fabric as the client's IO.
@@ -187,12 +152,12 @@ main(int argc, char **argv)
     reb.cpu = geometry.fioCpus()[0];
     afa::raid::RebuildEngine rebuild(sim, "rebuild0",
                                      system.ioEngine(), reb);
-    if (spanLog)
-        rebuild.attachSpanLog(spanLog.get());
+    if (tb.spanLog())
+        rebuild.attachSpanLog(tb.spanLog());
     rebuild.setOnComplete([&] {
         volume.setMemberFailed(limp_ssd, false);
     });
-    if (telemetry) {
+    if (afa::obs::Telemetry *telemetry = tb.telemetry()) {
         // Rebuild progress and the volume's degraded-read rate make
         // the kick -> refill -> rejoin arc legible in the timeline.
         telemetry->addGauge("rebuild.blocks_done", [&rebuild] {
@@ -210,13 +175,12 @@ main(int argc, char **argv)
         rebuild.start(sim.now());
     });
 
-    system.start();
+    // No drain: the last telemetry window ends at runtime + 200 ms.
+    tb.start();
     client.start(0);
-    if (telemetry)
-        telemetry->start(sim);
     sim.run(runtime + afa::sim::msec(200));
-    if (telemetry)
-        telemetry->finish();
+    ExperimentResult result;
+    tb.collect(result, params.keepSpans);
 
     std::printf("=== fault tail: RAID-5 over %u SSDs, member %u "
                 "limping x%.0f for the middle third ===\n",
@@ -242,12 +206,12 @@ main(int argc, char **argv)
     }
     afa::bench::printTable(table, opts.csv);
 
-    if (telemetry) {
+    if (!result.telemetry.empty()) {
         // The same three lives as a time series: whole-IO windowed
         // p99 plus the ACT >1ms count per window. Healthy windows sit
         // flat, limping windows lift the p99, the rebuild windows
         // spike it, and the tail collapses once the spare rejoins.
-        const auto timeline = telemetry->timeline();
+        const auto &timeline = result.telemetry;
         std::printf("\ntelemetry timeline (%.0f ms windows, whole-IO "
                     "latency):\n",
                     afa::sim::toMsec(timeline.window));
@@ -280,18 +244,7 @@ main(int argc, char **argv)
                        afa::stats::Table::num(rebuilt, 0)});
         }
         afa::bench::printTable(tl, opts.csv);
-        if (!opts.telemetryOutPath.empty() &&
-            afa::bench::writeTextFile(opts.telemetryOutPath,
-                                      timeline.toJsonLines(),
-                                      "telemetry JSONL"))
-            std::printf("telemetry timeline written to %s\n",
-                        opts.telemetryOutPath.c_str());
-        if (!opts.telemetryCsvPath.empty() &&
-            afa::bench::writeTextFile(opts.telemetryCsvPath,
-                                      timeline.toCsv(),
-                                      "telemetry CSV"))
-            std::printf("telemetry CSV written to %s\n",
-                        opts.telemetryCsvPath.c_str());
+        afa::bench::writeTelemetryFiles(timeline, opts);
     }
 
     const auto &vs = volume.stats();
@@ -317,33 +270,19 @@ main(int argc, char **argv)
                 (unsigned long long)ds.retries,
                 (unsigned long long)ds.aborts);
 
-    if (spanLog && !internalTrace && opts.attribution) {
+    if (opts.attribution) {
         std::printf("\nlatency attribution:\n");
-        afa::bench::printTable(spanLog->attribution().table(),
-                               opts.csv);
+        afa::bench::printTable(result.attribution.table(), opts.csv);
     }
-    if (spanLog && !internalTrace && !opts.traceOutPath.empty()) {
-        auto spans = spanLog->snapshot();
-        afa::obs::TelemetryTimeline counters;
-        if (telemetry)
-            counters = telemetry->timeline();
-        if (afa::obs::writePerfettoJson(
-                opts.traceOutPath, spans,
-                counters.empty() ? nullptr : &counters))
-            std::printf("perfetto trace (%zu spans) written to %s\n",
-                        spans.size(), opts.traceOutPath.c_str());
-    }
+    afa::bench::writeTrace(result, opts);
     if (!opts.metricsJsonPath.empty()) {
         afa::obs::MetricsRegistry registry;
         system.publishMetrics(registry);
-        auto snapshot = registry.snapshot();
-        std::FILE *f = std::fopen(opts.metricsJsonPath.c_str(), "w");
-        if (f) {
-            std::fputs(snapshot.toJson("  ").c_str(), f);
-            std::fclose(f);
+        if (afa::bench::writeTextFile(opts.metricsJsonPath,
+                                      registry.snapshot().toJson("  "),
+                                      "metrics JSON"))
             std::printf("metrics JSON written to %s\n",
                         opts.metricsJsonPath.c_str());
-        }
     }
 
     std::printf(

@@ -15,7 +15,6 @@
 #include "workload/pts.hh"
 
 using namespace afa::core;
-using afa::sim::Simulator;
 
 int
 main(int argc, char **argv)
@@ -26,17 +25,18 @@ main(int argc, char **argv)
     auto round_ms = cfg.getUint("round_ms", 250);
     bool csv = cfg.getBool("csv", false);
 
-    Simulator sim(cfg.getUint("seed", 1));
-    AfaSystemParams sys_params;
-    sys_params.ssds = 1;
-    Geometry geometry(afa::host::CpuTopology{}, 1);
+    // Tuned host, quiet background; zero periods keep the firmware
+    // and irqbalance defaults.
+    ExperimentParams params;
+    params.ssds = 1;
+    params.profile = TuningProfile::IrqAffinity;
+    params.smartPeriod = 0;
+    params.irqBalanceInterval = 0;
+    params.backgroundLoad = false;
+    Geometry geometry(afa::host::CpuTopology(params.topology), 1);
     TuningConfig tuning =
-        TuningConfig::forProfile(TuningProfile::IrqAffinity, geometry);
-    sys_params.kernel = tuning.kernel;
-    sys_params.firmware = tuning.firmware;
-    sys_params.pinIrqAffinity = true;
-    sys_params.background = afa::host::BackgroundParams::none();
-    AfaSystem system(sim, sys_params);
+        TuningConfig::forProfile(params.profile, geometry);
+    Testbed tb(params, tuning, cfg.getUint("seed", 1));
 
     afa::workload::FioJob job = afa::workload::FioJob::parse(
         afa::sim::strfmt("rw=randread bs=4k iodepth=1 runtime=%llums",
@@ -45,12 +45,13 @@ main(int argc, char **argv)
         << geometry.cpuForDevice(0);
     job.rtPriority = tuning.fioRtPriority;
 
-    afa::workload::PtsRunner runner(sim, "pts", system.scheduler(),
-                                    system.ioEngine(), 0, job,
+    afa::workload::PtsRunner runner(tb.sim(), "pts",
+                                    tb.system().scheduler(),
+                                    tb.system().ioEngine(), 0, job,
                                     rounds);
-    system.start();
+    tb.start();
     runner.start();
-    sim.run(afa::sim::msec(
+    tb.sim().run(afa::sim::msec(
         static_cast<double>((round_ms + 50) * (rounds + 1))));
     if (!runner.finished())
         afa::sim::fatal("PTS rounds did not finish; raise the bound");

@@ -23,7 +23,6 @@
 #include "workload/fio_thread.hh"
 
 using namespace afa::core;
-using afa::sim::Simulator;
 using afa::sim::Tick;
 using afa::workload::FioJob;
 using afa::workload::FioThread;
@@ -45,22 +44,20 @@ Measurement
 measure(const std::string &jobspec, Tick runtime, bool precondition,
         std::uint64_t seed, unsigned threads = 1)
 {
-    Simulator sim(seed);
-    AfaSystemParams sys_params;
-    sys_params.ssds = 1;
     // Tuned host, quiet background: we are measuring the device.
-    afa::host::CpuTopology topo;
-    Geometry geometry(topo, 1);
+    // Zero periods keep the firmware and irqbalance defaults.
+    ExperimentParams params;
+    params.ssds = 1;
+    params.profile = TuningProfile::IrqAffinity;
+    params.smartPeriod = 0;
+    params.irqBalanceInterval = 0;
+    params.backgroundLoad = false;
+    params.preconditionFraction = precondition ? 1.0 : 0.0;
+    Geometry geometry(afa::host::CpuTopology(params.topology), 1);
     TuningConfig tuning =
-        TuningConfig::forProfile(TuningProfile::IrqAffinity, geometry);
-    sys_params.kernel = tuning.kernel;
-    sys_params.firmware = tuning.firmware;
-    sys_params.pinIrqAffinity = true;
-    sys_params.background = afa::host::BackgroundParams::none();
-    AfaSystem system(sim, sys_params);
-
-    if (precondition)
-        system.ssd(0).ftl().precondition(1.0);
+        TuningConfig::forProfile(params.profile, geometry);
+    Testbed tb(params, tuning, seed);
+    tb.precondition();
 
     std::vector<std::unique_ptr<FioThread>> workers;
     for (unsigned i = 0; i < threads; ++i) {
@@ -71,22 +68,18 @@ measure(const std::string &jobspec, Tick runtime, bool precondition,
         job.rtPriority = tuning.fioRtPriority;
         job.name = afa::sim::strfmt("fio-spec%u", i);
         workers.push_back(std::make_unique<FioThread>(
-            sim, job.name, system.scheduler(), system.ioEngine(), 0,
-            job));
+            tb.sim(), job.name, tb.system().scheduler(),
+            tb.system().ioEngine(), 0, job));
     }
-    system.start();
+    tb.start();
     for (auto &w : workers)
         w->start(0);
-    sim.run(runtime + afa::sim::msec(200));
-    for (int i = 0; i < 100; ++i) {
-        bool all_done = true;
-        for (auto &w : workers)
+    tb.runToEnd(runtime + afa::sim::msec(200), [&] {
+        for (const auto &w : workers)
             if (!w->finished())
-                all_done = false;
-        if (all_done)
-            break;
-        sim.run(sim.now() + afa::sim::msec(10));
-    }
+                return false;
+        return true;
+    });
 
     double seconds = afa::sim::toSec(runtime);
     Measurement m{0.0, 0.0};

@@ -16,23 +16,26 @@
  * whole-IO p99 at every stripe width — the SMART-spike windows that
  * a whole-run p99 averages away stand out as rows. The sweep table
  * itself stays byte-identical with telemetry on or off.
+ *
+ * --faults F injects the plan into every run of the sweep, so a
+ * limping member shows up as the client's tail. The sweep starts at
+ * width 1, where only ssd0 exists: a plan naming another SSD fails
+ * there with a fatal error.
  */
 
 #include "common.hh"
 
 #include <map>
-#include <memory>
 #include <set>
+#include <utility>
 #include <vector>
 
-#include "obs/span_log.hh"
 #include "raid/volume.hh"
 #include "sim/logging.hh"
 #include "sim/random.hh"
 #include "workload/fio_thread.hh"
 
 using namespace afa::core;
-using afa::sim::Simulator;
 using afa::workload::FioJob;
 using afa::workload::FioThread;
 
@@ -43,68 +46,49 @@ runClient(const afa::bench::BenchOptions &opts, TuningProfile profile,
           unsigned width,
           afa::obs::TelemetryTimeline *timeline_out = nullptr)
 {
+    ExperimentParams params = opts.params;
+    params.ssds = width;
+    Geometry geometry(afa::host::CpuTopology(params.topology), width);
+    TuningConfig tuning = TuningConfig::forProfile(profile, geometry);
     // Per-width simulator seed via a named fork of the experiment
     // seed: additive seed+width arithmetic would make width W at
     // --seed S replay as width W-1 at --seed S+1; the fork keys each
     // width into its own independent stream.
-    Simulator sim(afa::sim::Rng(opts.params.seed)
-                      .fork(afa::sim::strfmt("tail_at_scale.width%u",
-                                             width))
-                      .seed());
-    AfaSystemParams sys_params;
-    sys_params.ssds = width;
-    Geometry geometry(afa::host::CpuTopology{}, width);
-    TuningConfig tuning = TuningConfig::forProfile(profile, geometry);
-    sys_params.kernel = tuning.kernel;
-    sys_params.firmware = tuning.firmware;
-    sys_params.pinIrqAffinity = tuning.pinIrqAffinity;
-    sys_params.firmware.smart.period = opts.params.smartPeriod;
-    sys_params.kernel.irq.irqBalanceInterval =
-        opts.params.irqBalanceInterval;
-    AfaSystem system(sim, sys_params);
+    Testbed tb(params, tuning,
+               afa::sim::Rng(params.seed)
+                   .fork(afa::sim::strfmt("tail_at_scale.width%u",
+                                          width))
+                   .seed());
+    AfaSystem &system = tb.system();
 
     std::vector<unsigned> members;
     for (unsigned d = 0; d < width; ++d)
         members.push_back(d);
-    afa::raid::StripedVolume volume(sim, "vol0", system.ioEngine(),
+    afa::raid::StripedVolume volume(tb.sim(), "vol0", system.ioEngine(),
                                     members, 1);
 
     FioJob job;
     job.rw = afa::workload::RwMode::RandRead;
     job.blockSize = 4096 * width; // one strip per member
-    job.runtime = opts.params.runtime;
+    job.runtime = params.runtime;
     job.cpusAllowed = afa::host::CpuMask(1)
         << geometry.fioCpus()[0];
     job.rtPriority = tuning.fioRtPriority;
     job.name = "client";
-    FioThread client(sim, "client", system.scheduler(),
+    FioThread client(tb.sim(), "client", system.scheduler(),
                      volume, 0, job);
-    // Windowed mode rides an internal span log (the telemetry stage
-    // feed); nothing of it reaches the sweep table, which therefore
-    // stays byte-identical with telemetry on or off.
-    std::unique_ptr<afa::obs::SpanLog> spanLog;
-    std::unique_ptr<afa::obs::Telemetry> telemetry;
-    if (opts.params.telemetryWindow > 0 && timeline_out != nullptr) {
-        afa::obs::TelemetryParams tp;
-        tp.window = opts.params.telemetryWindow;
-        telemetry = std::make_unique<afa::obs::Telemetry>(tp);
-        afa::obs::TraceParams trace;
-        trace.mask = afa::obs::kAllCategories;
-        spanLog = std::make_unique<afa::obs::SpanLog>(trace);
-        system.setSpanLog(spanLog.get());
-        client.attachSpanLog(spanLog.get());
-        spanLog->setTelemetry(telemetry.get());
-        system.attachTelemetry(*telemetry);
-    }
-    system.start();
+    if (tb.spanLog())
+        client.attachSpanLog(tb.spanLog());
+    tb.start();
     client.start(0);
-    if (telemetry)
-        telemetry->start(sim);
-    sim.run(opts.params.runtime + afa::sim::msec(200));
-    if (telemetry) {
-        telemetry->finish();
-        *timeline_out = telemetry->timeline();
-    }
+    tb.sim().run(params.runtime + afa::sim::msec(200));
+    // Only the telemetry timeline is read back; nothing of the span
+    // log reaches the sweep table, which therefore stays
+    // byte-identical with telemetry on or off.
+    ExperimentResult result;
+    tb.collect(result, false);
+    if (timeline_out != nullptr)
+        *timeline_out = std::move(result.telemetry);
     return afa::stats::LatencySummary::fromHistogram(
         afa::sim::strfmt("stripe-%u", width), client.histogram());
 }

@@ -50,7 +50,6 @@ AfaSystem::AfaSystem(Simulator &simulator, const AfaSystemParams &params)
             *nands.back(), params.ftl));
         afa::nvme::Controller &ctrl = *ctrls.back();
         ctrl.setFastPath(params.deviceFastPath);
-        ctrl.setQueuePairs(sched->topology().logicalCpus());
         afa::pcie::NodeId dev_node = fabricTopo.ssds[d];
         afa::pcie::NodeId host_node = fabricTopo.host;
         ctrl.setTransport([this, dev_node, host_node, d, ship_delay](

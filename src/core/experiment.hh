@@ -5,11 +5,15 @@
  * over it, and collects the per-SSD latency summaries the figures
  * plot. Table II variants that need multiple runs over disjoint SSD
  * sets are executed back to back and merged, like the paper did.
+ * Testbed is the one place a run's system is built; the benches that
+ * drive a volume or a single SSD build theirs on it too.
  */
 
 #ifndef AFA_CORE_EXPERIMENT_HH
 #define AFA_CORE_EXPERIMENT_HH
 
+#include <functional>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -21,10 +25,15 @@
 #include "obs/metrics.hh"
 #include "obs/span.hh"
 #include "obs/telemetry.hh"
+#include "sim/simulator.hh"
 #include "stats/scatter_log.hh"
 #include "stats/summary.hh"
 #include "workload/fio_job.hh"
 #include "workload/openloop.hh"
+
+namespace afa::obs {
+class SpanLog;
+} // namespace afa::obs
 
 namespace afa::core {
 
@@ -194,6 +203,75 @@ struct ExperimentResult
     /** Open-loop counters/histogram (params.openLoop set), merged
      *  across seed replicas. */
     afa::workload::OpenLoopResult openLoop;
+};
+
+/**
+ * One run's testbed, the paper's Fig. 4 setup: a Simulator seeded for
+ * the run, the AfaSystem that the params and tuning describe, and the
+ * span log and telemetry the params ask for. Three rules live here
+ * and nowhere else: how ExperimentParams map onto AfaSystemParams;
+ * a zero smartPeriod or irqBalanceInterval keeps the firmware or
+ * daemon default; and a span log that exists only to feed telemetry
+ * never reaches a report.
+ *
+ * A run goes: construct, precondition(), build the workload over
+ * system().ioEngine() (attached to spanLog() and telemetry() when
+ * they exist), start(), start the workload, run (runToEnd() or
+ * sim().run()), collect(). Declare the workload after the testbed so
+ * it is destroyed before the system it drives.
+ */
+class Testbed
+{
+  public:
+    Testbed(const ExperimentParams &params, const TuningConfig &tuning,
+            std::uint64_t seed);
+    ~Testbed();
+
+    Testbed(const Testbed &) = delete;
+    Testbed &operator=(const Testbed &) = delete;
+
+    afa::sim::Simulator &sim() { return simulator; }
+    AfaSystem &system() { return *afaSystem; }
+
+    /** The span log workloads attach to (nullptr unless tracing or
+     *  telemetry is on). */
+    afa::obs::SpanLog *spanLog() { return spans.get(); }
+
+    /** The telemetry collector (nullptr unless telemetryWindow). */
+    afa::obs::Telemetry *telemetry() { return telem.get(); }
+
+    /** Pre-map params.preconditionFraction of every drive. */
+    void precondition();
+
+    /** Start the system, then telemetry sampling; the caller starts
+     *  its workload next. */
+    void start();
+
+    /**
+     * Run to @p until, then drain in 10 ms steps while @p finished is
+     * false, at most 100 steps. The grace is bounded so a saturated
+     * open-loop backlog ends the run with exact accounting instead of
+     * stalling. Returns whether the workload finished.
+     */
+    bool runToEnd(Tick until, const std::function<bool()> &finished);
+
+    /**
+     * Fold the finished run into @p result: the telemetry timeline,
+     * the event count, the system report and, when a trace artifact
+     * or a fault plan asks for them, attribution, span drops, the
+     * span records (@p keep_spans) and component metrics (those of
+     * AfaSystem::publishMetrics, extra sources included).
+     */
+    void collect(ExperimentResult &result, bool keep_spans);
+
+  private:
+    ExperimentParams expParams;
+    afa::sim::Simulator simulator;
+    std::unique_ptr<AfaSystem> afaSystem;
+    std::unique_ptr<afa::obs::SpanLog> spans;
+    /** spans feeds telemetry only: no trace artifact was asked for. */
+    bool internalTrace = false;
+    std::unique_ptr<afa::obs::Telemetry> telem;
 };
 
 /** Runs experiments. */

@@ -79,6 +79,10 @@ IrqSubsystem::start()
     const auto &cfg = sched.config().irq;
     if (!cfg.irqBalanceEnabled || balancerStopped)
         return;
+    // A zero interval would rescan at the same tick forever.
+    if (cfg.irqBalanceInterval == 0)
+        afa::sim::fatal("%s: irqbalance interval must be positive",
+                        name().c_str());
     // irqbalance has been running since boot: do an initial placement
     // pass promptly, then rescan periodically.
     after(afa::sim::msec(100), [this] { balancerScan(); });

@@ -104,18 +104,6 @@ Scheduler::setRealTime(TaskId id, int rt_priority)
 }
 
 void
-Scheduler::setFair(TaskId id, int nice)
-{
-    Task &t = task(id);
-    if (t.state != TaskState::Blocked)
-        afa::sim::fatal("%s: renice on non-blocked task unsupported",
-                        name().c_str());
-    t.params.klass = SchedClass::Fair;
-    t.params.nice = nice;
-    t.weight = weightForNice(nice);
-}
-
-void
 Scheduler::setAffinity(TaskId id, CpuMask mask)
 {
     if (mask == 0)

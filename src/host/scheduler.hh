@@ -130,7 +130,6 @@ class Scheduler : public afa::sim::SimObject
 
     /** chrt: change scheduling class/priority at runtime. */
     void setRealTime(TaskId task, int rt_priority);
-    void setFair(TaskId task, int nice);
 
     /** sched_setaffinity. */
     void setAffinity(TaskId task, CpuMask mask);

@@ -44,11 +44,6 @@ struct NandParams
     double channelMBps = 640.0;               ///< bus bandwidth
 
     unsigned totalDies() const { return channels * diesPerChannel; }
-    std::uint64_t
-    pagesTotal() const
-    {
-        return std::uint64_t(totalDies()) * blocksPerDie * pagesPerBlock;
-    }
 };
 
 /** Physical page address within the package. */

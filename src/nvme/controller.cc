@@ -51,7 +51,7 @@ Controller::Controller(afa::sim::Simulator &simulator,
       fwConfig(firmware_config), nand(nand_array),
       ftlLayer(simulator, name() + ".ftl", nand_array, ftl_params),
       smartEngine(simulator, name() + ".smart", firmware_config.smart),
-      numQueuePairs(1), procBusy(0), xferBusy(0),
+      procBusy(0), xferBusy(0),
       writePipeBusy(0), lastWriteEndLba(~std::uint64_t(0))
 {
 }

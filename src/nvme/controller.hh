@@ -96,12 +96,6 @@ class Controller : public afa::sim::SimObject
      */
     void submit(const NvmeCommand &cmd);
 
-    /** Number of queue pairs this controller exposes. */
-    unsigned queuePairs() const { return numQueuePairs; }
-
-    /** Configure the queue pair count (host driver does at probe). */
-    void setQueuePairs(unsigned count) { numQueuePairs = count; }
-
     /** Attach the span log; spans use @p track (this SSD's). Also
      *  wires the FTL and NAND layers underneath. */
     void setSpanLog(afa::obs::SpanLog *log, std::uint16_t track);
@@ -165,7 +159,6 @@ class Controller : public afa::sim::SimObject
 
     TransportFn transport;
     CompletionFn completionHandler;
-    unsigned numQueuePairs;
 
     // Busy horizons of the serialising stages.
     Tick procBusy;

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "sim/logging.hh"
+
 namespace afa::nvme {
 
 SmartEngine::SmartEngine(afa::sim::Simulator &simulator,
@@ -18,6 +20,11 @@ SmartEngine::start()
 {
     if (!smartConfig.enabled)
         return;
+    // A zero period would reschedule collect() at the same tick
+    // forever.
+    if (smartConfig.period == 0)
+        afa::sim::fatal("%s: SMART period must be positive",
+                        name().c_str());
     // Randomised phase so 64 drives do not collect in lockstep --
     // matching the paper's observation that spikes from different
     // SSDs appear at different sample indices.

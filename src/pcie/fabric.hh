@@ -92,9 +92,6 @@ class Fabric : public afa::sim::SimObject
     /** Compute routing tables. Must be called before send(). */
     void finalize();
 
-    /** True once finalize() has run. */
-    bool finalized() const { return isFinalized; }
-
     /**
      * Send @p bytes from @p src to @p dst; @p on_delivered fires when
      * the last byte has arrived at @p dst.

@@ -131,151 +131,6 @@ StripedVolume::submit(unsigned cpu, const IoRequest &request,
     }
 }
 
-MirroredVolume::MirroredVolume(afa::sim::Simulator &simulator,
-                               std::string volume_name,
-                               afa::workload::IoEngine &engine,
-                               std::vector<unsigned> member_devices,
-                               ReadPolicy read_policy)
-    : SimObject(simulator, std::move(volume_name)), inner(engine),
-      members(std::move(member_devices)), policy(read_policy),
-      nextRead(0)
-{
-    if (members.empty())
-        afa::sim::fatal("%s: a volume needs at least one member",
-                        name().c_str());
-    memberReads.assign(members.size(), 0);
-    failedMembers.assign(members.size(), false);
-}
-
-void
-MirroredVolume::setMemberFailed(unsigned member_index, bool failed)
-{
-    if (member_index >= members.size())
-        afa::sim::panic("%s: member %u out of range", name().c_str(),
-                        member_index);
-    failedMembers[member_index] = failed;
-}
-
-bool
-MirroredVolume::memberFailed(unsigned member_index) const
-{
-    if (member_index >= members.size())
-        afa::sim::panic("%s: member %u out of range", name().c_str(),
-                        member_index);
-    return failedMembers[member_index];
-}
-
-std::uint64_t
-MirroredVolume::deviceBlocks(unsigned device) const
-{
-    if (device != 0)
-        afa::sim::panic("%s: volumes expose a single device 0",
-                        name().c_str());
-    std::uint64_t smallest = inner.deviceBlocks(members[0]);
-    for (unsigned m : members)
-        smallest = std::min(smallest, inner.deviceBlocks(m));
-    return smallest;
-}
-
-void
-MirroredVolume::submit(unsigned cpu, const IoRequest &request,
-                       CompleteFn on_device_complete)
-{
-    if (request.device != 0)
-        afa::sim::panic("%s: volumes expose a single device 0",
-                        name().c_str());
-    ++volStats.clientIos;
-    if (request.op == afa::nvme::Op::Write) {
-        // Replicate to every live member; complete with the slowest.
-        ++volStats.writes;
-        std::size_t live = 0;
-        for (unsigned m = 0; m < members.size(); ++m)
-            if (!failedMembers[m])
-                ++live;
-        if (live == 0) {
-            ++volStats.failedIos;
-            after(0, [cpu, cb = std::move(on_device_complete)] {
-                cb(IoResult{cpu, afa::nvme::Status::Aborted});
-            });
-            return;
-        }
-        volStats.memberIos += live;
-        auto join = std::make_shared<Join>();
-        join->remaining = live;
-        for (unsigned m = 0; m < members.size(); ++m) {
-            if (failedMembers[m])
-                continue;
-            IoRequest child = request;
-            child.device = members[m];
-            inner.submit(cpu, child,
-                         [join, on_device_complete](
-                             const IoResult &result) {
-                             join->fold(result);
-                             if (--join->remaining == 0)
-                                 on_device_complete(join->result);
-                         });
-        }
-        return;
-    }
-    // Read from one live member per the policy; a member that answers
-    // with an error is failed on the spot and the read re-tried on a
-    // survivor (degraded read).
-    ++volStats.reads;
-    submitRead(cpu, request, std::move(on_device_complete));
-}
-
-unsigned
-MirroredVolume::pickReadMember()
-{
-    const unsigned n = static_cast<unsigned>(members.size());
-    if (policy == ReadPolicy::Primary) {
-        for (unsigned m = 0; m < n; ++m)
-            if (!failedMembers[m])
-                return m;
-        return kNoMember;
-    }
-    for (unsigned tries = 0; tries < n; ++tries) {
-        unsigned pick = nextRead;
-        nextRead = (nextRead + 1) % n;
-        if (!failedMembers[pick])
-            return pick;
-    }
-    return kNoMember;
-}
-
-void
-MirroredVolume::submitRead(unsigned cpu, const IoRequest &request,
-                           CompleteFn on_device_complete)
-{
-    unsigned pick = pickReadMember();
-    if (pick == kNoMember) {
-        ++volStats.failedIos;
-        after(0, [cpu, cb = std::move(on_device_complete)] {
-            cb(IoResult{cpu, afa::nvme::Status::Aborted});
-        });
-        return;
-    }
-    ++volStats.memberIos;
-    ++memberReads[pick];
-    IoRequest child = request;
-    child.device = members[pick];
-    inner.submit(
-        cpu, child,
-        [this, cpu, request, pick,
-         cb = std::move(on_device_complete)](
-            const IoResult &result) mutable {
-            if (result.ok()) {
-                cb(result);
-                return;
-            }
-            // The member gave up (driver timeout on a dropped-out
-            // device): fail it over and re-read a survivor.
-            setMemberFailed(pick, true);
-            ++volStats.degradedReads;
-            submitRead(cpu, request, std::move(cb));
-        });
-}
-
 // ---------------------------------------------------------------------
 // ParityVolume
 // ---------------------------------------------------------------------

@@ -1,6 +1,6 @@
 /**
  * @file
- * Striped and mirrored volumes over the AFA.
+ * Striped (RAID-0) and parity (RAID-5) volumes over the AFA.
  *
  * The paper's introduction motivates why tail latency dominates AFA
  * design: "one request from a client is divided into multiple I/Os,
@@ -9,7 +9,8 @@
  * responsiveness" (the Dean & Barroso tail-at-scale effect). These
  * volumes make that effect measurable: a StripedVolume fans a client
  * I/O out across member SSDs and completes when the *slowest* member
- * does; a MirroredVolume replicates writes and spreads reads.
+ * does; a ParityVolume reconstructs a failed member's blocks from
+ * the survivors.
  *
  * Volumes implement workload::IoEngine, so a FioThread can drive a
  * volume exactly as it drives a raw device -- composition mirrors the
@@ -35,8 +36,8 @@ struct VolumeStats
     std::uint64_t memberIos = 0;
     std::uint64_t reads = 0;
     std::uint64_t writes = 0;
-    /** Reads served degraded: a mirror failover re-read, or a parity
-     *  reconstruction from the surviving members. */
+    /** Reads served degraded: a parity reconstruction from the
+     *  surviving members. */
     std::uint64_t degradedReads = 0;
     /** Client IOs that completed with an error status (every member
      *  that could serve them had failed). */
@@ -85,69 +86,6 @@ class StripedVolume : public afa::sim::SimObject,
     std::vector<unsigned> members;
     std::uint32_t stripBlocks;
     VolumeStats volStats;
-};
-
-/** Read-balancing policy of a mirrored volume. */
-enum class ReadPolicy : std::uint8_t {
-    RoundRobin, ///< alternate members
-    Primary,    ///< always the first member
-};
-
-/**
- * RAID-1: every write goes to all members (completes with the
- * slowest); reads go to one member per the policy.
- */
-class MirroredVolume : public afa::sim::SimObject,
-                       public afa::workload::IoEngine
-{
-  public:
-    MirroredVolume(afa::sim::Simulator &simulator,
-                   std::string volume_name,
-                   afa::workload::IoEngine &engine,
-                   std::vector<unsigned> members,
-                   ReadPolicy policy = ReadPolicy::RoundRobin);
-
-    void submit(unsigned cpu, const afa::workload::IoRequest &request,
-                CompleteFn on_device_complete) override;
-
-    /** Volume capacity: the smallest member's. */
-    std::uint64_t deviceBlocks(unsigned device) const override;
-
-    const VolumeStats &stats() const { return volStats; }
-
-    /** Reads served by each member (policy verification). */
-    const std::vector<std::uint64_t> &readsPerMember() const
-    {
-        return memberReads;
-    }
-
-    /**
-     * Mark a member failed (reads avoid it, writes skip it) or
-     * restore it — called by recovery logic when a rebuild finishes.
-     * A read that *hits* a failing member marks it automatically when
-     * the error status comes back, then retries on a survivor
-     * (degraded read).
-     */
-    void setMemberFailed(unsigned member_index, bool failed);
-
-    /** True while a member is marked failed. */
-    bool memberFailed(unsigned member_index) const;
-
-  private:
-    afa::workload::IoEngine &inner;
-    std::vector<unsigned> members;
-    ReadPolicy policy;
-    unsigned nextRead;
-    VolumeStats volStats;
-    std::vector<std::uint64_t> memberReads;
-    std::vector<bool> failedMembers;
-
-    static constexpr unsigned kNoMember = ~0u;
-
-    unsigned pickReadMember();
-    void submitRead(unsigned cpu,
-                    const afa::workload::IoRequest &request,
-                    CompleteFn on_device_complete);
 };
 
 /**

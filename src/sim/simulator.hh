@@ -111,9 +111,6 @@ class Simulator
     /** Request that run() return after the current event. */
     void requestStop() { stopRequested = true; }
 
-    /** True while a stop request is outstanding. */
-    bool stopping() const { return stopRequested; }
-
     /** Pending event count. */
     std::size_t pendingEvents() const { return q.size(); }
 

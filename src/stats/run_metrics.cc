@@ -84,16 +84,6 @@ RunMetricsLog::totalEvents() const
     return total;
 }
 
-double
-RunMetricsLog::totalWallSeconds() const
-{
-    afa::sync::MutexLock lock(mutex);
-    double total = 0.0;
-    for (const RunMetrics &m : runs)
-        total += m.wallSeconds;
-    return total;
-}
-
 Table
 RunMetricsLog::table(double suite_wall_seconds) const
 {

@@ -70,9 +70,6 @@ class RunMetricsLog
     /** Sum of simulated events across recorded runs. */
     std::uint64_t totalEvents() const;
 
-    /** Sum of per-run wall seconds (CPU-time-like, not elapsed). */
-    double totalWallSeconds() const;
-
     /**
      * Per-run metrics table: index, label, worker, events, wall
      * seconds and events/sec, followed by a totals row.

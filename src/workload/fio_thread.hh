@@ -71,9 +71,6 @@ class FioThread : public afa::sim::SimObject
     const FioJob &job() const { return fioJob; }
     unsigned device() const { return dev; }
 
-    /** The scheduler task backing this thread (for tests). */
-    afa::host::TaskId taskId() const { return task; }
-
     /** True once submission has stopped and all IOs completed. */
     bool finished() const
     {

@@ -163,4 +163,34 @@ TEST_F(ExperimentTest, ReportsRenderNonEmpty)
     EXPECT_EQ(table.rows(), 2u);
 }
 
+TEST(TestbedTest, ZeroPeriodsKeepTheDefaults)
+{
+    ExperimentParams p;
+    p.ssds = 2;
+    p.smartPeriod = 0;
+    p.irqBalanceInterval = 0;
+    Geometry geometry(afa::host::CpuTopology(p.topology), p.ssds);
+    const TuningConfig tuning =
+        TuningConfig::forProfile(TuningProfile::Default, geometry);
+    Testbed defaults(p, tuning, 1);
+    const AfaSystemParams &sys = defaults.system().params();
+    EXPECT_EQ(sys.firmware.smart.period,
+              afa::nvme::SmartConfig{}.period);
+    EXPECT_EQ(sys.kernel.irq.irqBalanceInterval,
+              afa::host::IrqParams{}.irqBalanceInterval);
+    // The defaults run: SMART and irqbalance reschedule themselves
+    // at their daemon cadence instead of livelocking.
+    defaults.start();
+    defaults.sim().run(msec(200));
+    EXPECT_EQ(defaults.sim().now(), msec(200));
+
+    p.smartPeriod = msec(300);
+    p.irqBalanceInterval = msec(200);
+    Testbed scaled(p, tuning, 1);
+    EXPECT_EQ(scaled.system().params().firmware.smart.period,
+              msec(300));
+    EXPECT_EQ(scaled.system().params().kernel.irq.irqBalanceInterval,
+              msec(200));
+}
+
 } // namespace

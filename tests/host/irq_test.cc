@@ -158,6 +158,18 @@ TEST_F(IrqTest, DisabledBalancerNeverScans)
     EXPECT_EQ(irq->stats().rebalances, 0u);
 }
 
+TEST_F(IrqTest, ZeroBalanceIntervalIsFatal)
+{
+    KernelConfig cfg;
+    cfg.irq.irqBalanceInterval = 0;
+    build(4, cfg);
+    EXPECT_THROW(irq->start(), afa::sim::SimError);
+    // Pinned vectors stop the balancer, so its interval is not read.
+    build(4, cfg);
+    irq->pinAllToQueueCpus();
+    EXPECT_NO_THROW(irq->start());
+}
+
 TEST_F(IrqTest, BadVectorPanics)
 {
     build(2);

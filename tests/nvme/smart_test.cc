@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "nvme/smart.hh"
+#include "sim/logging.hh"
 #include "sim/simulator.hh"
 
 using afa::nvme::SmartConfig;
@@ -30,6 +31,21 @@ TEST(SmartEngineTest, DisabledEngineNeverStalls)
     sim.run(sec(1));
     EXPECT_EQ(smart.collections(), 0u);
     EXPECT_EQ(smart.stalledUntil(), 0u);
+}
+
+TEST(SmartEngineTest, ZeroPeriodIsFatal)
+{
+    afa::sim::setThrowOnError(true);
+    Simulator sim(1);
+    SmartConfig cfg;
+    cfg.period = 0;
+    SmartEngine smart(sim, "smart", cfg);
+    EXPECT_THROW(smart.start(), afa::sim::SimError);
+    // Disabled SMART never collects, so its period is not read.
+    cfg.enabled = false;
+    SmartEngine off(sim, "smart-off", cfg);
+    EXPECT_NO_THROW(off.start());
+    afa::sim::setThrowOnError(false);
 }
 
 TEST(SmartEngineTest, CollectsOncePerPeriod)

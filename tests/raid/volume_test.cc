@@ -2,7 +2,7 @@
  * @file
  * Volume tests: striping address math, fan-out/join semantics (the
  * tail-at-scale property: a client I/O is as slow as its slowest
- * member), mirroring policies, and capacity arithmetic.
+ * member), parity reconstruction, and capacity arithmetic.
  */
 
 #include <gtest/gtest.h>
@@ -167,134 +167,6 @@ TEST_F(VolumeTest, EmptyMemberListIsFatal)
                  afa::sim::SimError);
     EXPECT_THROW(StripedVolume(*sim, "vol", *engine, {0}, 0),
                  afa::sim::SimError);
-    EXPECT_THROW(MirroredVolume(*sim, "vol", *engine, {}),
-                 afa::sim::SimError);
-}
-
-TEST_F(VolumeTest, MirrorWritesReplicate)
-{
-    MirroredVolume vol(*sim, "vol", *engine, {0, 1, 2});
-    IoRequest req;
-    req.device = 0;
-    req.op = afa::nvme::Op::Write;
-    req.lba = 7;
-    req.bytes = 4096;
-    bool done = false;
-    vol.submit(0, req, [&](const IoResult &) { done = true; });
-    sim->run();
-    EXPECT_TRUE(done);
-    EXPECT_EQ(engine->requests.size(), 3u);
-    for (unsigned m = 0; m < 3; ++m)
-        EXPECT_EQ(engine->requests[m].device, m);
-}
-
-TEST_F(VolumeTest, MirrorWriteWaitsForSlowestReplica)
-{
-    engine->perDeviceLatency = {usec(20), usec(500)};
-    MirroredVolume vol(*sim, "vol", *engine, {0, 1});
-    IoRequest req;
-    req.device = 0;
-    req.op = afa::nvme::Op::Write;
-    Tick done_at = 0;
-    vol.submit(0, req, [&](const IoResult &) { done_at = sim->now(); });
-    sim->run();
-    EXPECT_EQ(done_at, usec(500));
-}
-
-TEST_F(VolumeTest, MirrorRoundRobinSpreadsReads)
-{
-    MirroredVolume vol(*sim, "vol", *engine, {0, 1});
-    IoRequest req;
-    req.device = 0;
-    for (int i = 0; i < 10; ++i)
-        vol.submit(0, req, [](const IoResult &) {});
-    sim->run();
-    EXPECT_EQ(vol.readsPerMember()[0], 5u);
-    EXPECT_EQ(vol.readsPerMember()[1], 5u);
-}
-
-TEST_F(VolumeTest, MirrorPrimaryPolicyPinsReads)
-{
-    MirroredVolume vol(*sim, "vol", *engine, {0, 1},
-                       ReadPolicy::Primary);
-    IoRequest req;
-    req.device = 0;
-    for (int i = 0; i < 6; ++i)
-        vol.submit(0, req, [](const IoResult &) {});
-    sim->run();
-    EXPECT_EQ(vol.readsPerMember()[0], 6u);
-    EXPECT_EQ(vol.readsPerMember()[1], 0u);
-}
-
-TEST_F(VolumeTest, MirrorCapacityIsSmallestMember)
-{
-    MirroredVolume vol(*sim, "vol", *engine, {0, 3});
-    EXPECT_EQ(vol.deviceBlocks(0), 1000u);
-}
-
-TEST_F(VolumeTest, MirrorReadFailsOverToSurvivor)
-{
-    engine->failDevices = {true, false};
-    MirroredVolume vol(*sim, "vol", *engine, {0, 1},
-                       ReadPolicy::Primary);
-    IoRequest req;
-    req.device = 0;
-    bool done = false;
-    IoResult seen;
-    vol.submit(0, req, [&](const IoResult &r) {
-        done = true;
-        seen = r;
-    });
-    sim->run();
-    // Primary errored; the read retried on the mirror and succeeded.
-    EXPECT_TRUE(done);
-    EXPECT_TRUE(seen.ok());
-    EXPECT_EQ(engine->requests.size(), 2u);
-    EXPECT_TRUE(vol.memberFailed(0));
-    EXPECT_FALSE(vol.memberFailed(1));
-    EXPECT_EQ(vol.stats().degradedReads, 1u);
-    // Subsequent reads avoid the failed primary entirely.
-    vol.submit(0, req, [](const IoResult &) {});
-    sim->run();
-    EXPECT_EQ(engine->requests.back().device, 1u);
-}
-
-TEST_F(VolumeTest, MirrorAllMembersFailedAborts)
-{
-    MirroredVolume vol(*sim, "vol", *engine, {0, 1});
-    vol.setMemberFailed(0, true);
-    vol.setMemberFailed(1, true);
-    IoRequest req;
-    req.device = 0;
-    IoResult seen;
-    vol.submit(0, req, [&](const IoResult &r) { seen = r; });
-    sim->run();
-    EXPECT_FALSE(seen.ok());
-    EXPECT_EQ(vol.stats().failedIos, 1u);
-    // Writes to an all-failed mirror abort too.
-    req.op = afa::nvme::Op::Write;
-    seen = IoResult{};
-    vol.submit(0, req, [&](const IoResult &r) { seen = r; });
-    sim->run();
-    EXPECT_FALSE(seen.ok());
-    EXPECT_EQ(vol.stats().failedIos, 2u);
-    EXPECT_TRUE(engine->requests.empty());
-}
-
-TEST_F(VolumeTest, MirrorWritesSkipFailedMembers)
-{
-    MirroredVolume vol(*sim, "vol", *engine, {0, 1, 2});
-    vol.setMemberFailed(1, true);
-    IoRequest req;
-    req.device = 0;
-    req.op = afa::nvme::Op::Write;
-    bool done = false;
-    vol.submit(0, req, [&](const IoResult &) { done = true; });
-    sim->run();
-    EXPECT_TRUE(done);
-    ASSERT_EQ(engine->requests.size(), 2u);
-    EXPECT_EQ(engine->requests[0].device, 0u);
-    EXPECT_EQ(engine->requests[1].device, 2u);
 }
 
 TEST_F(VolumeTest, ParityMappingRotatesParity)
@@ -432,16 +304,14 @@ TEST_F(VolumeTest, ParityNeedsThreeMembers)
 
 TEST_F(VolumeTest, VolumesCompose)
 {
-    // RAID-10: a stripe over two mirrors.
-    MirroredVolume m0(*sim, "m0", *engine, {0, 1});
-    MirroredVolume m1(*sim, "m1", *engine, {2, 3});
-    // A tiny adapter engine exposing the two mirrors as devices 0/1.
-    struct TwoMirrors : afa::workload::IoEngine
+    // RAID-50: a stripe over two RAID-5 sets.
+    ParityVolume p0(*sim, "p0", *engine, {0, 1, 2}, 1);
+    ParityVolume p1(*sim, "p1", *engine, {4, 5, 6}, 1);
+    // A tiny adapter engine exposing the two sets as devices 0/1.
+    struct TwoSets : afa::workload::IoEngine
     {
-        MirroredVolume &a, &b;
-        TwoMirrors(MirroredVolume &x, MirroredVolume &y) : a(x), b(y)
-        {
-        }
+        ParityVolume &a, &b;
+        TwoSets(ParityVolume &x, ParityVolume &y) : a(x), b(y) {}
         void
         submit(unsigned cpu, const IoRequest &request,
                CompleteFn fn) override
@@ -456,17 +326,21 @@ TEST_F(VolumeTest, VolumesCompose)
         {
             return (device == 0 ? a : b).deviceBlocks(0);
         }
-    } pair_engine(m0, m1);
-    StripedVolume raid10(*sim, "raid10", pair_engine, {0, 1}, 1);
+    } pair_engine(p0, p1);
+    StripedVolume raid50(*sim, "raid50", pair_engine, {0, 1}, 1);
+    EXPECT_EQ(raid50.deviceBlocks(0), 2u * 4096u); // 2 x (2 x 2048)
     IoRequest req;
     req.device = 0;
     req.op = afa::nvme::Op::Write;
     req.bytes = 4096 * 2;
     bool done = false;
-    raid10.submit(0, req, [&](const IoResult &) { done = true; });
+    raid50.submit(0, req, [&](const IoResult &) { done = true; });
     sim->run();
     EXPECT_TRUE(done);
-    EXPECT_EQ(engine->requests.size(), 4u); // 2 strips x 2 replicas
+    // 2 strips x a small-write read-modify-write of data + parity.
+    EXPECT_EQ(engine->requests.size(), 8u);
+    EXPECT_EQ(p0.stats().clientIos, 1u);
+    EXPECT_EQ(p1.stats().clientIos, 1u);
 }
 
 } // namespace
