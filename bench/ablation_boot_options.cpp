@@ -80,6 +80,7 @@ main(int argc, char **argv)
     std::printf("\n=== A1: boot-option ablation on top of chrt "
                 "(usec) ===\n");
     afa::bench::printTable(afa::core::comparisonTable(rows), opts.csv);
+    std::printf("\n");
     afa::bench::reportRunMetrics(run, opts);
     return 0;
 }

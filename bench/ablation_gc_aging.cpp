@@ -11,6 +11,8 @@
  *   aged, reads    - 100% preconditioned, pure random reads (NAND tR)
  *   aged, mixed    - preconditioned + 30% random writes on a low-OP
  *                    FTL: GC relocations collide with reads
+ *
+ * Each state sets its own FIO job, so --job is refused.
  */
 
 #include "common.hh"
@@ -20,7 +22,7 @@ using namespace afa::core;
 int
 main(int argc, char **argv)
 {
-    auto opts = afa::bench::parseOptions(argc, argv);
+    auto opts = afa::bench::parseOptions(argc, argv, {"job"});
     opts.params.profile = TuningProfile::ExpFirmware;
     if (!opts.params.ssds || opts.params.ssds > 16)
         opts.params.ssds = 16; // NAND-path runs are event-heavy
@@ -60,6 +62,7 @@ main(int argc, char **argv)
 
     std::printf("\n=== A2: FOB vs aged drive states (usec) ===\n");
     afa::bench::printTable(comparisonTable(rows), opts.csv);
+    std::printf("\n");
     afa::bench::reportRunMetrics(run, opts);
     std::printf("\nExpected shape: aged reads sit on NAND tR (~50 us "
                 "higher avg);\nwrite pressure adds GC die/channel "

@@ -4,6 +4,7 @@
  * paper stops irqbalance entirely (Section IV-D); this sweep shows
  * how the per-SSD divergence scales with how often the daemon
  * shuffles busy vectors, from an aggressive 250 ms to fully off.
+ * Each case sets its own interval, so --irqbalance-ms is refused.
  */
 
 #include "common.hh"
@@ -13,7 +14,7 @@ using namespace afa::core;
 int
 main(int argc, char **argv)
 {
-    auto opts = afa::bench::parseOptions(argc, argv);
+    auto opts = afa::bench::parseOptions(argc, argv, {"irqbalance_ms"});
     opts.params.profile = TuningProfile::Isolcpus;
 
     Geometry geometry(afa::host::CpuTopology(opts.params.topology),
@@ -61,6 +62,7 @@ main(int argc, char **argv)
     }
     std::printf("\n=== A3: irqbalance interval sweep (usec) ===\n");
     afa::bench::printTable(comparisonTable(rows), opts.csv);
+    std::printf("\n");
     afa::bench::reportRunMetrics(run, opts);
     std::printf("\nNote: 'irqbalance off' keeps the driver's default "
                 "queue-to-CPU\nspread, so it converges like pinning; "

@@ -4,7 +4,10 @@
  * The AFA uplink hangs off socket 1 (the paper's CPU2); threads on
  * socket 0 pay a QPI crossing on every interrupt and IPI. Runs the
  * same 16-SSD workload pinned to uplink-local vs remote cores, as an
- * explicit-placement run plan on the parallel experiment engine.
+ * explicit-placement run plan on the parallel experiment engine. The
+ * placements fix the SSD count and the firmware and daemon cadences,
+ * and open-loop traffic would ignore them, so --ssds,
+ * --smart-period-ms, --irqbalance-ms and --rate are refused.
  */
 
 #include "common.hh"
@@ -44,7 +47,8 @@ pinnedParams(const afa::bench::BenchOptions &opts,
 int
 main(int argc, char **argv)
 {
-    auto opts = afa::bench::parseOptions(argc, argv);
+    auto opts = afa::bench::parseOptions(
+        argc, argv, {"ssds", "smart_period_ms", "irqbalance_ms", "rate"});
 
     // 16 threads on uplink-local physical cores vs remote ones.
     std::vector<unsigned> local, remote;
@@ -73,6 +77,7 @@ main(int argc, char **argv)
     std::printf("\navg penalty for remote-socket threads: %.2f us "
                 "per IO\n",
                 remote_agg.meanUs[0] - local_agg.meanUs[0]);
+    std::printf("\n");
     afa::bench::reportRunMetrics(run, opts);
     return 0;
 }

@@ -5,6 +5,7 @@
  * Polling removes the hardirq/softirq/context-switch path from the
  * latency but burns the submitting CPU, so the dense 4-SSDs-per-core
  * geometry loses throughput -- the trade-off the paper describes.
+ * Open-loop traffic cannot poll, so --rate is refused.
  */
 
 #include "common.hh"
@@ -16,7 +17,7 @@ using namespace afa::core;
 int
 main(int argc, char **argv)
 {
-    auto opts = afa::bench::parseOptions(argc, argv);
+    auto opts = afa::bench::parseOptions(argc, argv, {"rate"});
     opts.params.profile = TuningProfile::ExpFirmware;
     // Polling simulates every poll quantum as a scheduler segment
     // (~10x the events of interrupt mode); cap the sweep cost while
@@ -63,6 +64,7 @@ main(int argc, char **argv)
     }
     std::printf("\n=== A4: polling vs interrupt (usec) ===\n");
     afa::bench::printTable(comparisonTable(rows), opts.csv);
+    std::printf("\n");
     afa::bench::reportRunMetrics(run, opts);
     std::printf("\nExpected: polling trims several microseconds of "
                 "IRQ/wakeup path\nat 1 SSD/core, but at 4 SSDs/core "

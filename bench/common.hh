@@ -1,11 +1,18 @@
 /**
  * @file
- * Shared plumbing for the figure benches: option parsing into
- * ExperimentParams, the standard report block and the writers of the
- * telemetry and Perfetto artifacts.
+ * The benches' one front end: argv parsing, the run-plan executor, the
+ * figure and detail blocks, and the one writer of every artifact.
+ *
+ * Argv is parsed once per invocation, into BenchOptions::cfg:
+ * parseOptions() reads the common flags below and a bench reads its own
+ * from opts.cfg. Before the first simulated event, rejectUnusedFlags()
+ * (executePlan() calls it) fails through fatal() on every flag that no
+ * code read, every flag the bench cannot act on and every positional
+ * argument, naming each one.
  *
  * Common flags:
- *   --ssds N          devices (default 64, the paper's host slice)
+ *   --ssds N          devices (default 64, the paper's host slice; at
+ *                     most 1024, what one AFA fabric holds)
  *   --runtime-ms M    per-run measurement (default 4000; the paper
  *                     ran 120000 -- pass it for full fidelity)
  *   --seed S          root random seed
@@ -13,34 +20,24 @@
  *                     scaled so spikes-per-run matches 120s/30s)
  *   --irqbalance-ms   irqbalance rescan cadence (default 1000;
  *                     daemon default 10000, same scaling)
+ *   --job SPEC        every FIO thread's job (default
+ *                     "rw=randread bs=4k iodepth=1")
  *   --csv             emit CSV instead of aligned tables
- *   --per-device      also print the full 64-row per-device ladder
- *   --report          append the system attribution report
  *   --jobs N          worker threads for the run plan (default 1;
  *                     0 = all hardware threads). Results are
  *                     bit-identical to a serial run.
- *   --seeds N         replicate every run with seeds S..S+N-1 and
- *                     aggregate the ladders across replicas (benches
- *                     that run through executePlan(); the others
- *                     accept only 1)
- *   --metrics-json F  also write the per-run metrics JSON to file F
- *                     (includes the system metrics when tracing is on)
+ *   --seeds N         replicate every case with seeds S..S+N-1 and
+ *                     aggregate the ladders across replicas
  *   --trace C[,C...]  enable span tracing for the listed categories
  *                     (workload,sched,pcie,nvme,smart,ftl,nand,irq,
- *                     fault or "all"); results stay bit-identical,
- *                     only telemetry is added
+ *                     fault or "all"); figures stay bit-identical,
+ *                     the system metrics are added
  *   --faults F        load a fault plan from spec file F and inject
  *                     it into every run (see src/fault/fault_plan.hh
  *                     for the spec format); arms the driver
  *                     timeout/retry policy and publishes the fault
  *                     counters in --metrics-json
  *   --fault-summary   print the parsed fault plan before running
- *   --trace-out F     write a Chrome/Perfetto trace-event JSON of the
- *                     last reported figure's first run to file F
- *                     (implies --trace all when --trace is absent)
- *   --attribution     print the per-stage latency attribution table
- *                     under every figure (implies --trace all when
- *                     --trace is absent)
  *   --device-fastpath B  single-event device command fast path
  *                     (default 1). 0 forces the chained event model;
  *                     results are bit-identical, only slower -- the
@@ -51,18 +48,33 @@
  *                     exceed counters, counter/gauge series, and
  *                     the simulator self-profile. Figures stay
  *                     byte-identical with or without it
- *   --telemetry-out F write the timeline as JSON lines to file F
+ *
+ * Detail blocks, printed for every case under the figures:
+ *   --per-device      the full per-device ladder
+ *   --report          the system attribution report of the case's
+ *                     last run
+ *   --attribution     the per-stage latency attribution table
+ *                     (implies --trace all when --trace is absent)
+ *
+ * Artifacts, each written once per invocation by writeArtifacts():
+ *   --trace-out F     Chrome/Perfetto trace-event JSON of the first
+ *                     run of the first case, with that case's
+ *                     telemetry windows as counter tracks (implies
+ *                     --trace all when --trace is absent)
+ *   --telemetry-out F the invocation's merged timeline as JSON lines
  *                     (implies --telemetry 100 when absent)
- *   --telemetry-csv F write the timeline as tidy CSV to file F
- *                     (implies --telemetry 100 when absent)
+ *   --telemetry-csv F the same timeline as tidy CSV (same default)
+ *   --metrics-json F  {run_metrics, system_metrics, telemetry}: the
+ *                     run plan's execution metrics, the component
+ *                     counters summed over every run (present when
+ *                     tracing or a fault plan is on) and the merged
+ *                     timeline (when sampled)
  *
  * Open-loop traffic flags (DESIGN.md §14). A non-zero --rate switches
- * the run from closed-loop FIO threads to the arrival-driven
- * OpenLoopEngine:
+ * every run from closed-loop FIO threads to the arrival-driven
+ * OpenLoopEngine; the shape flags act only on open-loop runs:
  *   --rate R          aggregate offered load in ops/sec (0 = closed
  *                     loop, the default)
- *   --duration-ms M   open-loop measurement duration (alias of
- *                     --runtime-ms; the latter wins when both given)
  *   --mix P           read percentage of the mixed workload
  *                     (default 100 = pure reads)
  *   --zipf T          zipfian theta in [0, 1) for hot-spot device
@@ -76,15 +88,19 @@
 #ifndef AFA_BENCH_COMMON_HH
 #define AFA_BENCH_COMMON_HH
 
+#include <algorithm>
 #include <cstdio>
+#include <initializer_list>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "core/experiment.hh"
 #include "core/report.hh"
 #include "core/run_plan.hh"
 #include "fault/fault_plan.hh"
 #include "obs/perfetto.hh"
+#include "pcie/afa_topology.hh"
 #include "sim/config.hh"
 #include "sim/logging.hh"
 
@@ -92,7 +108,19 @@ namespace afa::bench {
 
 struct BenchOptions
 {
+    /** The invocation's flags; a bench reads its own from here. */
+    afa::sim::Config cfg;
+    /** The bench's name (argv[0] without its directory). */
+    std::string program;
+    /** Arguments that are not flags: each one fails the flag check. */
+    std::vector<std::string> positional;
+    /** Given flags the bench cannot act on (parseOptions' list). */
+    std::vector<std::string> unusable;
+
     afa::core::ExperimentParams params;
+    /** The open-loop traffic shape; params.openLoop carries it, with
+     *  the --rate, when --rate is given. */
+    afa::workload::OpenLoopParams shape;
     bool csv = false;
     bool perDevice = false;
     unsigned jobs = 1;
@@ -104,20 +132,38 @@ struct BenchOptions
     std::string telemetryCsvPath;
 };
 
+/** Parse argv into BenchOptions::cfg; nothing is read yet. */
+inline BenchOptions
+parseArgs(int argc, char **argv)
+{
+    BenchOptions opts;
+    const std::string path = argv[0];
+    opts.program = path.substr(path.find_last_of('/') + 1);
+    opts.positional = opts.cfg.parseArgs(argc - 1, argv + 1);
+    return opts;
+}
+
 /**
- * Parse the common flags. A bench that runs its experiments itself
- * rather than through executePlan() has no seed replication and
- * passes @p replicates = false, so a --seeds other than 1 fails
- * instead of being silently ignored.
+ * Parse argv and read the common flags. @p unusable names the common
+ * flags (dashes as underscores) this bench cannot act on, because it
+ * sets that knob itself; each one given fails rejectUnusedFlags().
  */
 inline BenchOptions
-parseOptions(int argc, char **argv, bool replicates = true)
+parseOptions(int argc, char **argv,
+             std::initializer_list<const char *> unusable = {})
 {
-    afa::sim::Config cfg;
-    cfg.parseArgs(argc - 1, argv + 1);
-    BenchOptions opts;
+    BenchOptions opts = parseArgs(argc, argv);
+    const afa::sim::Config &cfg = opts.cfg;
+    for (const char *key : unusable)
+        if (cfg.has(key))
+            opts.unusable.push_back(key);
     auto &p = opts.params;
-    p.ssds = static_cast<unsigned>(cfg.getUint("ssds", 64));
+    const std::uint64_t ssds = cfg.getUint("ssds", 64);
+    if (ssds > afa::pcie::kMaxAfaSsds)
+        afa::sim::fatal("--ssds %llu: one AFA fabric holds at most %u "
+                        "SSDs",
+                        (unsigned long long)ssds, afa::pcie::kMaxAfaSsds);
+    p.ssds = static_cast<unsigned>(ssds);
     p.runtime = afa::sim::msec(
         static_cast<double>(cfg.getUint("runtime_ms", 4000)));
     p.seed = cfg.getUint("seed", 1);
@@ -127,42 +173,28 @@ parseOptions(int argc, char **argv, bool replicates = true)
         static_cast<double>(cfg.getUint("irqbalance_ms", 1000)));
     p.job = afa::workload::FioJob::parse(
         cfg.getString("job", "rw=randread bs=4k iodepth=1"));
-    // --duration-ms is the open-loop spelling of the measurement
-    // length; an explicit --runtime-ms still wins.
-    const std::uint64_t duration_ms = cfg.getUint("duration_ms", 0);
-    if (duration_ms > 0 && cfg.getUint("runtime_ms", 0) == 0)
-        p.runtime = afa::sim::msec(static_cast<double>(duration_ms));
-    // Read every open-loop number up front, so a malformed one fails
-    // even when --rate leaves the run closed-loop.
+    // The shape is read on every run, so a malformed number fails even
+    // when no --rate makes the run open-loop.
     const double rate = cfg.getDouble("rate", 0.0);
     const double burst = cfg.getDouble("burst", 1.0);
-    const double mix = cfg.getDouble("mix", 100.0);
-    const double zipf = cfg.getDouble("zipf", 0.0);
+    if (burst > 1.0) {
+        opts.shape.arrival.kind = afa::workload::ArrivalKind::Bursty;
+        opts.shape.arrival.burstFactor = burst;
+    }
+    opts.shape.readFraction = cfg.getDouble("mix", 100.0) / 100.0;
+    opts.shape.zipfTheta = cfg.getDouble("zipf", 0.0);
+    opts.shape.streams =
+        static_cast<unsigned>(cfg.getUint("streams", 4));
     if (rate > 0.0) {
-        afa::workload::OpenLoopParams ol;
-        ol.arrival.ratePerSec = rate;
-        if (burst > 1.0) {
-            ol.arrival.kind = afa::workload::ArrivalKind::Bursty;
-            ol.arrival.burstFactor = burst;
-        }
-        ol.readFraction = mix / 100.0;
-        ol.zipfTheta = zipf;
-        ol.streams = static_cast<unsigned>(cfg.getUint("streams", 4));
-        p.openLoop = ol;
+        p.openLoop = opts.shape;
+        p.openLoop->arrival.ratePerSec = rate;
     }
     opts.csv = cfg.getBool("csv", false);
     opts.perDevice = cfg.getBool("per_device", false);
     p.captureSystemReport = cfg.getBool("report", false);
     opts.jobs = static_cast<unsigned>(cfg.getUint("jobs", 1));
-    const std::uint64_t seeds = cfg.getUint("seeds", 1);
-    if (!replicates && seeds != 1)
-        afa::sim::fatal("--seeds %llu: this bench runs each experiment "
-                        "once and does not replicate seeds (pass "
-                        "--seeds 1, or vary --seed)",
-                        (unsigned long long)seeds);
-    opts.seeds = static_cast<unsigned>(seeds);
-    if (opts.seeds == 0)
-        opts.seeds = 1;
+    opts.seeds = std::max<unsigned>(
+        1, static_cast<unsigned>(cfg.getUint("seeds", 1)));
     opts.metricsJsonPath = cfg.getString("metrics_json", "");
     std::string trace = cfg.getString("trace", "");
     if (!trace.empty())
@@ -199,6 +231,32 @@ parseOptions(int argc, char **argv, bool replicates = true)
     return opts;
 }
 
+/**
+ * Fail through fatal(), naming each one, on every flag no code read,
+ * every flag in opts.unusable or @p unused and every positional
+ * argument. Call it once the bench has read its own flags and before
+ * the first simulated event; executePlan() does.
+ */
+inline void
+rejectUnusedFlags(const BenchOptions &opts,
+                  const std::vector<std::string> &unused = {})
+{
+    std::vector<std::string> keys = opts.cfg.unreadKeys();
+    keys.insert(keys.end(), opts.unusable.begin(), opts.unusable.end());
+    keys.insert(keys.end(), unused.begin(), unused.end());
+    std::sort(keys.begin(), keys.end());
+    std::string names;
+    for (std::string key : keys) {
+        std::replace(key.begin(), key.end(), '_', '-');
+        names += (names.empty() ? "--" : ", --") + key;
+    }
+    for (const std::string &arg : opts.positional)
+        names += (names.empty() ? "'" : ", '") + arg + "'";
+    if (!names.empty())
+        afa::sim::fatal("%s: this bench does not act on %s",
+                        opts.program.c_str(), names.c_str());
+}
+
 inline void
 printTable(const afa::stats::Table &table, bool csv)
 {
@@ -208,18 +266,22 @@ printTable(const afa::stats::Table &table, bool csv)
         table.print();
 }
 
-/** Results and execution metrics of one figure-bench run plan. */
+/** Results and execution metrics of one bench invocation. */
 struct PlanRun
 {
     /** One result per planned case, seed replicas merged, in order. */
     std::vector<afa::core::ExperimentResult> results;
+    /** Each case's label, without the seed suffix. */
+    std::vector<std::string> labels;
     afa::stats::Table metricsTable{{"run"}};
+    /** The run plan's execution metrics (empty without a plan). */
     std::string metricsJson;
     double wallSeconds = 0.0;
     unsigned jobs = 1;
     std::size_t runs = 0;
 
-    /** System metrics merged over every case (empty unless --trace). */
+    /** System metrics merged over every case (empty unless --trace
+     *  or --faults). */
     afa::obs::MetricsSnapshot systemMetrics;
 
     /** Telemetry timeline merged over every case (empty unless
@@ -228,15 +290,29 @@ struct PlanRun
 };
 
 /**
- * Expand @p plan with the --seeds replication, execute it on a
- * --jobs-wide worker pool, and fold the seed replicas of each case
- * back into one result.
+ * Check the flags, expand @p plan with the --seeds replication,
+ * execute it on a --jobs-wide worker pool, and fold the seed replicas
+ * of each case back into one result. Only the first run keeps its
+ * spans for --trace-out.
  */
 inline PlanRun
 executePlan(afa::core::RunPlan &plan, const BenchOptions &opts)
 {
     plan.seeds(opts.seeds);
     auto descriptors = plan.expand();
+
+    // The traffic shape acts only on open-loop runs.
+    std::vector<std::string> unused;
+    if (std::none_of(descriptors.begin(), descriptors.end(),
+                     [](const afa::core::RunDescriptor &d) {
+                         return d.params.openLoop.has_value();
+                     }))
+        for (const char *key : {"burst", "mix", "zipf", "streams"})
+            if (opts.cfg.has(key))
+                unused.push_back(key);
+    rejectUnusedFlags(opts, unused);
+    for (std::size_t i = 1; i < descriptors.size(); ++i)
+        descriptors[i].params.keepSpans = false;
 
     afa::core::ParallelExperimentRunner runner(opts.jobs);
     runner.setProgress(true);
@@ -259,8 +335,29 @@ executePlan(afa::core::RunPlan &plan, const BenchOptions &opts)
                 group));
         out.systemMetrics.merge(out.results.back().systemMetrics);
         out.telemetry.merge(out.results.back().telemetry);
+        std::string label = descriptors[base].label;
+        if (opts.seeds > 1) {
+            const std::size_t slash = label.find_last_of('/');
+            label = slash == std::string::npos ? "run"
+                                               : label.substr(0, slash);
+        }
+        out.labels.push_back(std::move(label));
     }
     return out;
+}
+
+/**
+ * The PlanRun of a bench that drives its own Testbed runs and folds
+ * them into one result, so the same writers serve it.
+ */
+inline PlanRun
+foldedRun(afa::core::ExperimentResult result)
+{
+    PlanRun run;
+    run.systemMetrics = result.systemMetrics;
+    run.telemetry = result.telemetry;
+    run.results.push_back(std::move(result));
+    return run;
 }
 
 /** Write @p text to @p path (binary, whole-file). */
@@ -280,65 +377,38 @@ writeTextFile(const std::string &path, const std::string &text,
 }
 
 /**
- * Write the timeline to --telemetry-out (JSON lines) and
- * --telemetry-csv. Benches that report several figures overwrite the
- * files: the last one wins.
+ * The one writer of every artifact: --trace-out (the first run of the
+ * first case), --telemetry-out and --telemetry-csv (the merged
+ * timeline) and --metrics-json.
  */
 inline void
-writeTelemetryFiles(const afa::obs::TelemetryTimeline &timeline,
-                    const BenchOptions &opts)
+writeArtifacts(const PlanRun &run, const BenchOptions &opts)
 {
-    if (timeline.empty())
-        return;
+    if (!opts.traceOutPath.empty() && !run.results.empty()) {
+        const afa::core::ExperimentResult &first = run.results.front();
+        if (afa::obs::writePerfettoJson(
+                opts.traceOutPath, first.spans,
+                first.telemetry.empty() ? nullptr : &first.telemetry))
+            std::printf("perfetto trace (%zu spans) written to %s\n",
+                        first.spans.size(), opts.traceOutPath.c_str());
+    }
     if (!opts.telemetryOutPath.empty() &&
-        writeTextFile(opts.telemetryOutPath, timeline.toJsonLines(),
-                      "telemetry JSONL"))
+        writeTextFile(opts.telemetryOutPath,
+                      run.telemetry.toJsonLines(), "telemetry JSONL"))
         std::printf("telemetry timeline written to %s\n",
                     opts.telemetryOutPath.c_str());
     if (!opts.telemetryCsvPath.empty() &&
-        writeTextFile(opts.telemetryCsvPath, timeline.toCsv(),
+        writeTextFile(opts.telemetryCsvPath, run.telemetry.toCsv(),
                       "telemetry CSV"))
         std::printf("telemetry CSV written to %s\n",
                     opts.telemetryCsvPath.c_str());
-}
-
-/**
- * Write --trace-out: the result's span records as Chrome/Perfetto
- * trace-event JSON, with its telemetry windows (when sampled) as
- * counter tracks. Like the telemetry files, the last figure wins.
- */
-inline void
-writeTrace(const afa::core::ExperimentResult &result,
-           const BenchOptions &opts)
-{
-    if (opts.traceOutPath.empty() || result.spans.empty())
-        return;
-    if (afa::obs::writePerfettoJson(
-            opts.traceOutPath, result.spans,
-            result.telemetry.empty() ? nullptr : &result.telemetry))
-        std::printf("perfetto trace (%zu spans) written to %s\n",
-                    result.spans.size(), opts.traceOutPath.c_str());
-}
-
-/** Print the per-run metrics block (and write --metrics-json). */
-inline void
-reportRunMetrics(const PlanRun &run, const BenchOptions &opts)
-{
-    std::printf("\n=== run metrics: %zu runs, %u workers, %.2f s "
-                "wall ===\n",
-                run.runs, run.jobs, run.wallSeconds);
-    printTable(run.metricsTable, opts.csv);
-    if (!run.systemMetrics.empty()) {
-        std::printf("\nsystem metrics (summed over %zu runs):\n",
-                    run.runs);
-        printTable(run.systemMetrics.table(), opts.csv);
-    }
     if (!opts.metricsJsonPath.empty()) {
-        // The artifact nests the execution metrics next to the system
-        // metrics so one file captures a whole bench invocation.
-        std::string json = "{\n\"run_metrics\": ";
-        json += run.metricsJson;
-        json += ",\n\"system_metrics\": ";
+        // One file captures the whole invocation: the execution
+        // metrics next to the system metrics and the timeline.
+        std::string json = "{\n";
+        if (!run.metricsJson.empty())
+            json += "\"run_metrics\": " + run.metricsJson + ",\n";
+        json += "\"system_metrics\": ";
         json += run.systemMetrics.toJson("  ");
         if (!run.telemetry.empty()) {
             json += ",\n\"telemetry\": ";
@@ -346,13 +416,12 @@ reportRunMetrics(const PlanRun &run, const BenchOptions &opts)
         }
         json += "\n}\n";
         if (writeTextFile(opts.metricsJsonPath, json, "metrics JSON"))
-            std::printf("run metrics JSON written to %s\n",
+            std::printf("metrics JSON written to %s\n",
                         opts.metricsJsonPath.c_str());
     }
-    writeTelemetryFiles(run.telemetry, opts);
 }
 
-/** The standard block every figure bench prints. */
+/** The figure block of one case: its summary and latency envelope. */
 inline void
 reportFigure(const char *figure, const char *caption,
              const afa::core::ExperimentResult &result,
@@ -363,35 +432,60 @@ reportFigure(const char *figure, const char *caption,
     std::printf("\nlatency envelope across %zu devices (usec):\n",
                 result.perDevice.size());
     printTable(afa::core::envelopeTable(result), opts.csv);
+    std::printf("\n");
+}
+
+/**
+ * Print the detail blocks of one case: --per-device, --report and
+ * --attribution, under a "--- details: <label> ---" line when @p label
+ * is given. Like a figure block, each one ends with a blank line.
+ */
+inline void
+printDetails(const afa::core::ExperimentResult &result,
+             const BenchOptions &opts, const std::string &label = "")
+{
+    const bool attribution =
+        opts.attribution && !result.attribution.empty();
+    if (!opts.perDevice && result.systemReportText.empty() &&
+        !attribution)
+        return;
+    if (!label.empty())
+        std::printf("--- details: %s ---\n", label.c_str());
     if (opts.perDevice) {
-        std::printf("\nper-device ladder (usec):\n");
+        std::printf("per-device ladder (usec):\n");
         printTable(afa::core::perDeviceTable(result), opts.csv);
+        std::printf("\n");
     }
     if (!result.systemReportText.empty())
-        std::printf("\n%s", result.systemReportText.c_str());
-    if (opts.attribution && !result.attribution.empty()) {
-        std::printf("\nlatency attribution (all runs):\n");
+        std::printf("%s\n", result.systemReportText.c_str());
+    if (attribution) {
+        std::printf("latency attribution:\n");
         printTable(result.attribution.table(), opts.csv);
-        const auto &m = result.systemMetrics;
-        if (!m.empty()) {
-            std::printf("fabric: %llu fast-path / %llu fallback "
-                        "packets; %llu span drops\n",
-                        (unsigned long long)m.counter(
-                            "fabric.fast_path_packets"),
-                        (unsigned long long)m.counter(
-                            "fabric.fallback_packets"),
-                        (unsigned long long)result.spanDrops);
-            std::printf("nvme: %llu fast-path / %llu fallback "
-                        "commands\n",
-                        (unsigned long long)m.counter(
-                            "nvme.fast_path_commands"),
-                        (unsigned long long)m.counter(
-                            "nvme.fallback_commands"));
-        }
+        std::printf("\n");
     }
-    writeTrace(result, opts);
-    writeTelemetryFiles(result.telemetry, opts);
-    std::printf("\n");
+}
+
+/**
+ * The end of every executePlan() bench's report, after its figures
+ * (which end with a blank line): each case's detail blocks, the
+ * run-metrics block (and the system metrics when traced), then the
+ * artifacts.
+ */
+inline void
+reportRunMetrics(const PlanRun &run, const BenchOptions &opts)
+{
+    for (std::size_t i = 0; i < run.results.size(); ++i)
+        printDetails(run.results[i], opts, run.labels[i]);
+    std::printf("=== run metrics: %zu runs, %u workers, %.2f s "
+                "wall ===\n",
+                run.runs, run.jobs, run.wallSeconds);
+    printTable(run.metricsTable, opts.csv);
+    if (!run.systemMetrics.empty()) {
+        std::printf("\nsystem metrics (summed over %zu runs):\n",
+                    run.runs);
+        printTable(run.systemMetrics.table(), opts.csv);
+    }
+    writeArtifacts(run, opts);
 }
 
 } // namespace afa::bench

@@ -10,12 +10,13 @@
 int
 main(int argc, char **argv)
 {
-    auto opts = afa::bench::parseOptions(argc, argv,
-                                           /*replicates=*/false);
-    opts.params.profile = afa::core::TuningProfile::Default;
-    auto result = afa::core::ExperimentRunner::run(opts.params);
+    auto opts = afa::bench::parseOptions(argc, argv);
+    afa::core::RunPlan plan(opts.params);
+    plan.profiles({afa::core::TuningProfile::Default});
+    auto run = afa::bench::executePlan(plan, opts);
     afa::bench::reportFigure(
         "Fig. 6", "64-SSD latency distributions, default kernel",
-        result, opts);
+        run.results[0], opts);
+    afa::bench::reportRunMetrics(run, opts);
     return 0;
 }

@@ -11,11 +11,12 @@
 int
 main(int argc, char **argv)
 {
-    auto opts = afa::bench::parseOptions(argc, argv,
-                                           /*replicates=*/false);
-    opts.params.profile = afa::core::TuningProfile::Isolcpus;
-    auto result = afa::core::ExperimentRunner::run(opts.params);
+    auto opts = afa::bench::parseOptions(argc, argv);
+    afa::core::RunPlan plan(opts.params);
+    plan.profiles({afa::core::TuningProfile::Isolcpus});
+    auto run = afa::bench::executePlan(plan, opts);
     afa::bench::reportFigure("Fig. 8", "after setting CPU isolation",
-                             result, opts);
+                             run.results[0], opts);
+    afa::bench::reportRunMetrics(run, opts);
     return 0;
 }

@@ -7,32 +7,37 @@
  * same workflow via --scatter-devices.
  *
  * Prints the spike-cluster analysis (count, period, peak) and a
- * strided sample dump suitable for plotting.
+ * strided sample dump suitable for plotting. With --seeds the
+ * analysis covers the first seed's samples. Open-loop traffic logs no
+ * samples, so --rate is refused.
+ *
+ * Extra flags over the common set:
+ *   --scatter-devices N     devices whose samples are logged (32)
+ *   --spike-threshold-us T  spike cluster threshold (150)
+ *   --dump-samples          print every 100th logged sample
  */
 
 #include "common.hh"
 
-#include "sim/config.hh"
-
 int
 main(int argc, char **argv)
 {
-    afa::sim::Config cfg;
-    cfg.parseArgs(argc - 1, argv + 1);
-    auto opts = afa::bench::parseOptions(argc, argv,
-                                           /*replicates=*/false);
-    opts.params.profile = afa::core::TuningProfile::IrqAffinity;
+    auto opts = afa::bench::parseOptions(argc, argv, {"rate"});
     opts.params.scatterDevices = static_cast<unsigned>(
-        cfg.getUint("scatter_devices", 32));
-    auto result = afa::core::ExperimentRunner::run(opts.params);
+        opts.cfg.getUint("scatter_devices", 32));
+    const auto threshold = afa::sim::usec(static_cast<double>(
+        opts.cfg.getUint("spike_threshold_us", 150)));
+    const bool dump_samples = opts.cfg.getBool("dump_samples", false);
+    afa::core::RunPlan plan(opts.params);
+    plan.profiles({afa::core::TuningProfile::IrqAffinity});
+    auto run = afa::bench::executePlan(plan, opts);
+    const auto &result = run.results[0];
 
     afa::bench::reportFigure(
         "Fig. 10", "latency samples from 32 SSDs (SMART spikes)",
         result, opts);
 
     const auto &scatter = result.scatter;
-    auto threshold = afa::sim::usec(
-        static_cast<double>(cfg.getUint("spike_threshold_us", 150)));
     auto clusters = scatter.clusters(threshold, afa::sim::msec(50));
     std::printf("raw samples logged: %zu (devices 0-%u)\n",
                 scatter.size(), opts.params.scatterDevices - 1);
@@ -58,7 +63,8 @@ main(int argc, char **argv)
                 afa::sim::toMsec(period),
                 afa::sim::toMsec(opts.params.smartPeriod),
                 opts.params.scatterDevices);
-    if (cfg.getBool("dump_samples", false))
+    if (dump_samples)
         std::fputs(scatter.toText(100).c_str(), stdout);
+    afa::bench::reportRunMetrics(run, opts);
     return 0;
 }

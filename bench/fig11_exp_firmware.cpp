@@ -12,14 +12,16 @@
 int
 main(int argc, char **argv)
 {
-    auto opts = afa::bench::parseOptions(argc, argv,
-                                           /*replicates=*/false);
-    opts.params.profile = afa::core::TuningProfile::ExpFirmware;
-    auto result = afa::core::ExperimentRunner::run(opts.params);
-    afa::bench::reportFigure(
-        "Fig. 11", "experimental firmware (SMART disabled)", result,
-        opts);
+    auto opts = afa::bench::parseOptions(argc, argv);
+    afa::core::RunPlan plan(opts.params);
+    plan.profiles({afa::core::TuningProfile::ExpFirmware});
+    auto run = afa::bench::executePlan(plan, opts);
+    afa::bench::reportFigure("Fig. 11",
+                             "experimental firmware (SMART disabled)",
+                             run.results[0], opts);
+    const auto &aggregate = run.results[0].aggregate;
     std::printf("max-latency range across SSDs: %.1f .. %.1f us\n",
-                result.aggregate.minUs[6], result.aggregate.maxUs[6]);
+                aggregate.minUs[6], aggregate.maxUs[6]);
+    afa::bench::reportRunMetrics(run, opts);
     return 0;
 }

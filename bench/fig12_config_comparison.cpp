@@ -64,6 +64,7 @@ main(int argc, char **argv)
                 "~x400)\n",
                 def_agg.stddevUs[max_idx], irq_agg.stddevUs[max_idx],
                 stddev_ratio);
+    std::printf("\n");
     afa::bench::reportRunMetrics(run, opts);
     return 0;
 }

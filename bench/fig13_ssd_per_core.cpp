@@ -5,6 +5,7 @@
  * 4 / 2 / 1 SSDs per physical core and a single FIO thread, split
  * into 1 / 2 / 4 / 64 runs over disjoint SSD sets. Expected: nearly
  * identical distributions, with 4-per-core showing a higher 6-nines.
+ * Open-loop traffic has no geometry variants, so --rate is refused.
  */
 
 #include "common.hh"
@@ -12,14 +13,17 @@
 int
 main(int argc, char **argv)
 {
-    auto opts = afa::bench::parseOptions(argc, argv,
-                                           /*replicates=*/false);
+    auto opts = afa::bench::parseOptions(argc, argv, {"rate"});
     opts.params.profile = afa::core::TuningProfile::IrqAffinity;
     using afa::core::GeometryVariant;
 
     const std::vector<GeometryVariant> variants = {
         GeometryVariant::FourPerCore, GeometryVariant::TwoPerCore,
         GeometryVariant::OnePerCore, GeometryVariant::SingleThread};
+
+    afa::core::RunPlan plan(opts.params);
+    plan.variants(variants);
+    auto run = afa::bench::executePlan(plan, opts);
 
     afa::core::Geometry geometry(
         afa::host::CpuTopology(opts.params.topology),
@@ -32,13 +36,10 @@ main(int argc, char **argv)
 
     const char *fig_names[] = {"Fig. 13(a)", "Fig. 13(b)",
                                "Fig. 13(c)", "Fig. 13(d)"};
-    int idx = 0;
-    for (GeometryVariant variant : variants) {
-        opts.params.variant = variant;
-        auto result = afa::core::ExperimentRunner::run(opts.params);
+    for (std::size_t i = 0; i < variants.size(); ++i)
         afa::bench::reportFigure(
-            fig_names[idx++],
-            afa::core::geometryVariantName(variant), result, opts);
-    }
+            fig_names[i], afa::core::geometryVariantName(variants[i]),
+            run.results[i], opts);
+    afa::bench::reportRunMetrics(run, opts);
     return 0;
 }

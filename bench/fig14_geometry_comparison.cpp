@@ -7,7 +7,8 @@
  * the paper's "x10-x100 faster SSD profiling" claim.
  *
  * The four geometries execute as a plan on the parallel experiment
- * engine (--jobs / --seeds, see common.hh).
+ * engine (--jobs / --seeds, see common.hh). Open-loop traffic has no
+ * geometry variants, so --rate is refused.
  */
 
 #include "common.hh"
@@ -15,7 +16,7 @@
 int
 main(int argc, char **argv)
 {
-    auto opts = afa::bench::parseOptions(argc, argv);
+    auto opts = afa::bench::parseOptions(argc, argv, {"rate"});
     opts.params.profile = afa::core::TuningProfile::IrqAffinity;
     using afa::core::GeometryVariant;
 
@@ -42,6 +43,7 @@ main(int argc, char **argv)
     std::printf("\n=== Fig. 14: comparison of SSDs per physical core "
                 "(usec) ===\n");
     afa::bench::printTable(afa::core::comparisonTable(rows), opts.csv);
+    std::printf("\n");
     afa::bench::reportRunMetrics(run, opts);
     return 0;
 }

@@ -35,6 +35,10 @@
  *   --limp-factor F     latency multiplier while limping (default 8)
  *   --rebuild-blocks N  extent rebuilt, 4 KiB blocks (default 2048)
  *   --faults F          replace the built-in limp plan entirely
+ *
+ * The one run drives its own client over --width members, so --ssds,
+ * --job, --per-device, --seeds, --jobs and the open-loop flags are
+ * refused. The artifacts are those of the common set (common.hh).
  */
 
 #include "common.hh"
@@ -42,7 +46,6 @@
 #include <memory>
 #include <vector>
 
-#include "obs/metrics.hh"
 #include "raid/rebuild.hh"
 #include "raid/volume.hh"
 #include "sim/logging.hh"
@@ -73,10 +76,11 @@ phaseSummary(const char *phase, const afa::stats::ScatterLog &scatter,
 int
 main(int argc, char **argv)
 {
-    afa::sim::Config cfg;
-    cfg.parseArgs(argc - 1, argv + 1);
-    auto opts = afa::bench::parseOptions(argc, argv,
-                                           /*replicates=*/false);
+    auto opts = afa::bench::parseOptions(
+        argc, argv,
+        {"ssds", "job", "per_device", "seeds", "jobs", "rate", "burst",
+         "mix", "zipf", "streams"});
+    const afa::sim::Config &cfg = opts.cfg;
 
     const unsigned width =
         static_cast<unsigned>(cfg.getUint("width", 8));
@@ -86,6 +90,7 @@ main(int argc, char **argv)
         static_cast<double>(cfg.getUint("limp_factor", 8));
     const std::uint64_t rebuild_blocks =
         cfg.getUint("rebuild_blocks", 2048);
+    afa::bench::rejectUnusedFlags(opts);
     const Tick runtime = opts.params.runtime;
     const Tick phase_len = runtime / 3;
 
@@ -244,7 +249,6 @@ main(int argc, char **argv)
                        afa::stats::Table::num(rebuilt, 0)});
         }
         afa::bench::printTable(tl, opts.csv);
-        afa::bench::writeTelemetryFiles(timeline, opts);
     }
 
     const auto &vs = volume.stats();
@@ -270,27 +274,16 @@ main(int argc, char **argv)
                 (unsigned long long)ds.retries,
                 (unsigned long long)ds.aborts);
 
-    if (opts.attribution) {
-        std::printf("\nlatency attribution:\n");
-        afa::bench::printTable(result.attribution.table(), opts.csv);
-    }
-    afa::bench::writeTrace(result, opts);
-    if (!opts.metricsJsonPath.empty()) {
-        afa::obs::MetricsRegistry registry;
-        system.publishMetrics(registry);
-        if (afa::bench::writeTextFile(opts.metricsJsonPath,
-                                      registry.snapshot().toJson("  "),
-                                      "metrics JSON"))
-            std::printf("metrics JSON written to %s\n",
-                        opts.metricsJsonPath.c_str());
-    }
-
+    std::printf("\n");
+    afa::bench::printDetails(result, opts);
     std::printf(
-        "\nReading: the limping member drags every ~1/%uth read into "
+        "Reading: the limping member drags every ~1/%uth read into "
         "its\ninflated service time -- the gray failure a driver "
         "timeout cannot\nsee. Kicking the disk trades that for "
         "reconstruction reads plus\nrebuild contention, and once the "
         "spare is rebuilt the tail\ncollapses back to the healthy "
         "profile.\n", width);
+    afa::bench::writeArtifacts(afa::bench::foldedRun(std::move(result)),
+                               opts);
     return 0;
 }

@@ -27,6 +27,8 @@
  * --burst/--streams and the rest):
  *   --rates R1,R2,...   offered-load ladder in ops/sec
  *                       (default 100k..800k, past device saturation)
+ * The ladder sets every rung's rate and open-loop runs have no FIO
+ * job, so --rate and --job are refused.
  */
 
 #include "common.hh"
@@ -70,30 +72,10 @@ parseRates(const std::string &spec)
 int
 main(int argc, char **argv)
 {
-    afa::sim::Config cfg;
-    cfg.parseArgs(argc - 1, argv + 1);
-    auto opts = afa::bench::parseOptions(argc, argv);
-
-    const auto rates = parseRates(cfg.getString(
+    auto opts = afa::bench::parseOptions(argc, argv, {"rate", "job"});
+    const auto rates = parseRates(opts.cfg.getString(
         "rates", "100000,200000,400000,600000,800000"));
-
-    // The common --rate flag seeds the mix/zipf/burst/streams shape;
-    // without it the same knobs are read here so the bench works
-    // stand-alone. The ladder overrides ratePerSec per rung.
-    afa::workload::OpenLoopParams shape;
-    if (opts.params.openLoop) {
-        shape = *opts.params.openLoop;
-    } else {
-        const double burst = cfg.getDouble("burst", 1.0);
-        if (burst > 1.0) {
-            shape.arrival.kind = afa::workload::ArrivalKind::Bursty;
-            shape.arrival.burstFactor = burst;
-        }
-        shape.readFraction = cfg.getDouble("mix", 100.0) / 100.0;
-        shape.zipfTheta = cfg.getDouble("zipf", 0.0);
-        shape.streams =
-            static_cast<unsigned>(cfg.getUint("streams", 4));
-    }
+    const afa::workload::OpenLoopParams &shape = opts.shape;
 
     const TuningProfile profiles[] = {TuningProfile::Default,
                                       TuningProfile::IrqAffinity};
@@ -179,6 +161,7 @@ main(int argc, char **argv)
         afa::bench::printTable(tl, opts.csv);
     }
 
+    std::printf("\n");
     afa::bench::reportRunMetrics(run, opts);
 
     std::printf(

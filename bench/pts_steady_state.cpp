@@ -5,6 +5,9 @@
  * with the PTS window/excursion arithmetic. FOB random reads settle
  * immediately -- which is precisely why the paper measures in the FOB
  * state -- and the rounds report shows it.
+ *
+ * Flags: --rounds N (default 8), --round-ms M (default 250), --seed S,
+ * --csv; any other flag fails.
  */
 
 #include "common.hh"
@@ -19,11 +22,12 @@ using namespace afa::core;
 int
 main(int argc, char **argv)
 {
-    afa::sim::Config cfg;
-    cfg.parseArgs(argc - 1, argv + 1);
-    auto rounds = cfg.getUint("rounds", 8);
-    auto round_ms = cfg.getUint("round_ms", 250);
-    bool csv = cfg.getBool("csv", false);
+    const auto opts = afa::bench::parseArgs(argc, argv);
+    auto rounds = opts.cfg.getUint("rounds", 8);
+    auto round_ms = opts.cfg.getUint("round_ms", 250);
+    bool csv = opts.cfg.getBool("csv", false);
+    const std::uint64_t seed = opts.cfg.getUint("seed", 1);
+    afa::bench::rejectUnusedFlags(opts);
 
     // Tuned host, quiet background; zero periods keep the firmware
     // and irqbalance defaults.
@@ -36,7 +40,7 @@ main(int argc, char **argv)
     Geometry geometry(afa::host::CpuTopology(params.topology), 1);
     TuningConfig tuning =
         TuningConfig::forProfile(params.profile, geometry);
-    Testbed tb(params, tuning, cfg.getUint("seed", 1));
+    Testbed tb(params, tuning, seed);
 
     afa::workload::FioJob job = afa::workload::FioJob::parse(
         afa::sim::strfmt("rw=randread bs=4k iodepth=1 runtime=%llums",

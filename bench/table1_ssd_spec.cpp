@@ -11,6 +11,9 @@
  *
  * Capacity is simulation-scaled (1 GiB logical instead of 960 GB) to
  * keep 64 drives' mapping tables in memory; timing is unaffected.
+ *
+ * Flags: --runtime-ms M per row (default 2000), --seed S, --csv; any
+ * other flag fails.
  */
 
 #include "common.hh"
@@ -97,12 +100,12 @@ measure(const std::string &jobspec, Tick runtime, bool precondition,
 int
 main(int argc, char **argv)
 {
-    afa::sim::Config cfg;
-    cfg.parseArgs(argc - 1, argv + 1);
+    const auto opts = afa::bench::parseArgs(argc, argv);
     Tick runtime = afa::sim::msec(
-        static_cast<double>(cfg.getUint("runtime_ms", 2000)));
-    std::uint64_t seed = cfg.getUint("seed", 1);
-    bool csv = cfg.getBool("csv", false);
+        static_cast<double>(opts.cfg.getUint("runtime_ms", 2000)));
+    std::uint64_t seed = opts.cfg.getUint("seed", 1);
+    bool csv = opts.cfg.getBool("csv", false);
+    afa::bench::rejectUnusedFlags(opts);
 
     std::printf("=== Table I: NVMe SSD specification vs model ===\n");
     std::printf("(single SSD, tuned host, runtime %.1fs per row; "

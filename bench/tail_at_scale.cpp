@@ -21,6 +21,13 @@
  * limping member shows up as the client's tail. The sweep starts at
  * width 1, where only ssd0 exists: a plan naming another SSD fails
  * there with a fatal error.
+ *
+ * The sweep's runs fold into one result: --attribution covers all of
+ * them, --report is the last run's, --trace-out the first run's, and
+ * the telemetry files and --metrics-json hold the merged timeline and
+ * counters. The sweep sets its own widths and client, so --ssds,
+ * --job, --per-device, --seeds, --jobs and the open-loop flags are
+ * refused.
  */
 
 #include "common.hh"
@@ -41,9 +48,13 @@ using afa::workload::FioThread;
 
 namespace {
 
+/**
+ * Run one width of the sweep and return the client's latency summary.
+ * The run folds into @p sweep; the first one keeps its spans.
+ */
 afa::stats::LatencySummary
 runClient(const afa::bench::BenchOptions &opts, TuningProfile profile,
-          unsigned width,
+          unsigned width, ExperimentResult &sweep,
           afa::obs::TelemetryTimeline *timeline_out = nullptr)
 {
     ExperimentParams params = opts.params;
@@ -82,13 +93,12 @@ runClient(const afa::bench::BenchOptions &opts, TuningProfile profile,
     tb.start();
     client.start(0);
     tb.sim().run(params.runtime + afa::sim::msec(200));
-    // Only the telemetry timeline is read back; nothing of the span
-    // log reaches the sweep table, which therefore stays
-    // byte-identical with telemetry on or off.
-    ExperimentResult result;
-    tb.collect(result, false);
-    if (timeline_out != nullptr)
-        *timeline_out = std::move(result.telemetry);
+    // Nothing of the span log reaches the sweep table, which
+    // therefore stays byte-identical with telemetry on or off.
+    const bool first_run = sweep.runs++ == 0;
+    tb.collect(sweep, params.keepSpans && first_run);
+    if (timeline_out != nullptr && tb.telemetry() != nullptr)
+        *timeline_out = tb.telemetry()->timeline();
     return afa::stats::LatencySummary::fromHistogram(
         afa::sim::strfmt("stripe-%u", width), client.histogram());
 }
@@ -98,8 +108,11 @@ runClient(const afa::bench::BenchOptions &opts, TuningProfile profile,
 int
 main(int argc, char **argv)
 {
-    auto opts = afa::bench::parseOptions(argc, argv,
-                                           /*replicates=*/false);
+    auto opts = afa::bench::parseOptions(
+        argc, argv,
+        {"ssds", "job", "per_device", "seeds", "jobs", "rate", "burst",
+         "mix", "zipf", "streams"});
+    afa::bench::rejectUnusedFlags(opts);
 
     afa::stats::Table table({"config", "width", "client_ios",
                              "avg_us", "p99_us", "p99.9_us",
@@ -109,10 +122,11 @@ main(int argc, char **argv)
     std::map<TuningProfile, std::map<unsigned,
                                      afa::obs::TelemetryTimeline>>
         timelines;
+    ExperimentResult sweep;
     for (TuningProfile profile :
          {TuningProfile::Default, TuningProfile::IrqAffinity}) {
         for (unsigned width : {1u, 4u, 16u, 64u}) {
-            auto s = runClient(opts, profile, width,
+            auto s = runClient(opts, profile, width, sweep,
                                windowed
                                    ? &timelines[profile][width]
                                    : nullptr);
@@ -170,8 +184,10 @@ main(int argc, char **argv)
             afa::bench::printTable(wt, opts.csv);
         }
     }
+    std::printf("\n");
+    afa::bench::printDetails(sweep, opts);
     std::printf(
-        "\nReading: the client completes with the *slowest* of W "
+        "Reading: the client completes with the *slowest* of W "
         "members.\nUnder the default kernel the per-member tail is "
         "long, so the\nclient p99 degrades sharply with W and the "
         "max rides the\nmillisecond scheduler tail; on the tuned "
@@ -183,5 +199,7 @@ main(int argc, char **argv)
         "(higher avg at W=64), while irqbalance's\nspreading "
         "parallelises them -- affinity tuning is per-workload, "
         "not\nuniversally optimal.\n");
+    afa::bench::writeArtifacts(afa::bench::foldedRun(std::move(sweep)),
+                               opts);
     return 0;
 }

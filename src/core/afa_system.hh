@@ -172,9 +172,6 @@ class AfaSystem
     /** Driver recovery counters (timeouts/retries/aborts). */
     const DriverStats &driverStats() const;
 
-    /** The fault engine, or nullptr when no plan is loaded. */
-    afa::fault::FaultEngine *faultEngine() { return faults.get(); }
-
     /** Outstanding driver commands, including retries waiting out
      *  their backoff (0 when quiescent). */
     std::size_t outstandingCommands() const;

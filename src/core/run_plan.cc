@@ -146,7 +146,6 @@ ParallelExperimentRunner::run(const std::vector<RunDescriptor> &plan)
                 cursor.fetch_add(1, std::memory_order_relaxed);
             if (i >= plan.size())
                 return;
-            metricsLog.noteStarted();
             const auto run_start = Clock::now(); // detlint:allow(wall-clock)
             results[i] = ExperimentRunner::run(plan[i].params);
             const std::chrono::duration<double> elapsed =

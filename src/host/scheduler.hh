@@ -227,7 +227,6 @@ class Scheduler : public afa::sim::SimObject
     void segmentComplete(unsigned cpu, TaskId id);
     void rescheduleSegment(unsigned cpu, Tick not_before);
     bool wouldPreempt(const Task &woken, const Task &curr) const;
-    void checkPreemption(unsigned cpu);
     double vruntimeDelta(const Task &t, Tick work) const;
     double execRate(unsigned cpu, const Task &t) const;
     Tick sliceFor(unsigned cpu, const Task &t) const;

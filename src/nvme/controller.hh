@@ -126,9 +126,6 @@ class Controller : public afa::sim::SimObject
     /** Dropped-out device: submitted commands are silently lost. */
     void setOffline(bool offline);
 
-    /** True while the device is dropped out. */
-    bool offline() const { return isOffline; }
-
     /** Freeze the command pipeline until @p until (firmware stall). */
     void stallUntil(Tick until);
 

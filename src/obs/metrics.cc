@@ -99,32 +99,12 @@ MetricsSnapshot::table() const
 // MetricsRegistry
 // ---------------------------------------------------------------------
 
-MetricsRegistry::Cell &
-MetricsRegistry::cell(const std::string &name, MetricKind kind)
-{
-    Cell &c = cells[name];
-    if (c.count == 0 && c.value == 0.0)
-        c.kind = kind;
-    else if (c.kind != kind)
-        afa::sim::panic("metrics: '%s' re-registered as %s (was %s)",
-                        name.c_str(), metricKindName(kind),
-                        metricKindName(c.kind));
-    return c;
-}
-
 void
 MetricsRegistry::addCounter(const std::string &name,
                             std::uint64_t delta)
 {
     afa::sync::MutexLock lock(mutex);
-    cell(name, MetricKind::Counter).count += delta;
-}
-
-void
-MetricsRegistry::setGauge(const std::string &name, double value)
-{
-    afa::sync::MutexLock lock(mutex);
-    cell(name, MetricKind::Gauge).value = value;
+    counters[name] += delta;
 }
 
 MetricsSnapshot
@@ -132,30 +112,10 @@ MetricsRegistry::snapshot() const
 {
     MetricsSnapshot snap;
     afa::sync::MutexLock lock(mutex);
-    snap.samples.reserve(cells.size());
-    for (const auto &[name, c] : cells)
-        snap.samples.push_back({name, c.kind, c.count, c.value});
+    snap.samples.reserve(counters.size());
+    for (const auto &[name, count] : counters)
+        snap.samples.push_back({name, MetricKind::Counter, count, 0.0});
     return snap;
-}
-
-void
-MetricsRegistry::absorb(const MetricsSnapshot &snap)
-{
-    afa::sync::MutexLock lock(mutex);
-    for (const MetricSample &s : snap.samples) {
-        Cell &c = cell(s.name, s.kind);
-        if (s.kind == MetricKind::Gauge)
-            c.value = std::max(c.value, s.value);
-        else
-            c.count += s.count;
-    }
-}
-
-void
-MetricsRegistry::clear()
-{
-    afa::sync::MutexLock lock(mutex);
-    cells.clear();
 }
 
 } // namespace afa::obs

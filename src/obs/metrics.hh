@@ -5,7 +5,7 @@
  * Components keep their cheap ad-hoc stats structs (FabricStats,
  * IrqStats, ...) for hot-path counting; at the end of a run the
  * experiment runner publishes them into one registry of named
- * counters and gauges. The registry is the single exposure point: its
+ * counters. The registry is the single exposure point: its
  * snapshot embeds into the --metrics-json artifacts, prints as a
  * table, and merges deterministically across geometry runs and seed
  * replicas. Duration distributions are not registry cells: per-stage
@@ -89,33 +89,13 @@ class MetricsRegistry
     void addCounter(const std::string &name, std::uint64_t delta)
         AFA_EXCLUDES(mutex);
 
-    /** Set the named gauge. */
-    void setGauge(const std::string &name, double value)
-        AFA_EXCLUDES(mutex);
-
     /** Copy out every cell, ordered by name. */
     MetricsSnapshot snapshot() const AFA_EXCLUDES(mutex);
 
-    /** Fold a snapshot into this registry (same rules as merge). */
-    void absorb(const MetricsSnapshot &snap) AFA_EXCLUDES(mutex);
-
-    /** Remove every cell. */
-    void clear() AFA_EXCLUDES(mutex);
-
   private:
-    struct Cell
-    {
-        MetricKind kind = MetricKind::Counter;
-        std::uint64_t count = 0;
-        double value = 0.0;
-    };
-
     mutable afa::sync::Mutex mutex;
     /** std::map: deterministic name order for snapshots. */
-    std::map<std::string, Cell> cells AFA_GUARDED_BY(mutex);
-
-    Cell &cell(const std::string &name, MetricKind kind)
-        AFA_REQUIRES(mutex);
+    std::map<std::string, std::uint64_t> counters AFA_GUARDED_BY(mutex);
 };
 
 } // namespace afa::obs

@@ -9,6 +9,10 @@ buildAfaTopology(Fabric &fabric, const AfaTopologyParams &params)
 {
     if (params.ssds == 0)
         afa::sim::fatal("AFA topology: need at least one SSD");
+    if (params.ssds > kMaxAfaSsds)
+        afa::sim::fatal("AFA topology: %u SSDs exceed the %u one "
+                        "fabric holds",
+                        params.ssds, kMaxAfaSsds);
     if (params.ssdsPerCarrier == 0 || params.carriersPerLeaf == 0)
         afa::sim::fatal("AFA topology: carrier geometry must be >= 1");
 

@@ -19,6 +19,14 @@
 
 namespace afa::pcie {
 
+/**
+ * The most SSDs one AFA tree holds: 16x the paper's 64-SSD slice. The
+ * fabric precomputes the route between every pair of nodes, so its
+ * tables grow with the square of the node count; at this bound they
+ * take ~200 MB, and at 100,000 SSDs they would take over a terabyte.
+ */
+constexpr unsigned kMaxAfaSsds = 1024;
+
 /** Shape of the single-host AFA slice. */
 struct AfaTopologyParams
 {
@@ -44,7 +52,8 @@ struct AfaTopology
 };
 
 /**
- * Build the AFA fabric into @p fabric and finalize it.
+ * Build the AFA fabric into @p fabric and finalize it. Fails through
+ * fatal() on zero SSDs or more than kMaxAfaSsds.
  */
 AfaTopology buildAfaTopology(Fabric &fabric,
                              const AfaTopologyParams &params);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <deque>
+#include <limits>
 
 #include "obs/span_log.hh"
 #include "sim/logging.hh"
@@ -120,6 +121,11 @@ Fabric::finalize()
                     at_node = next;
                 }
             }
+            if (pathHops.size() >
+                std::numeric_limits<std::uint32_t>::max())
+                afa::sim::fatal("fabric %s: %zu route hops overflow "
+                                "the 32-bit route offsets",
+                                name().c_str(), pathHops.size());
             pathOffset[pathIndex(src, dst) + 1] =
                 static_cast<std::uint32_t>(pathHops.size());
         }

@@ -66,11 +66,19 @@ Config::erase(const std::string &key)
     return values.erase(key) != 0;
 }
 
+const std::string *
+Config::lookup(const std::string &key) const
+{
+    readKeys.insert(key);
+    auto it = values.find(key);
+    return it == values.end() ? nullptr : &it->second;
+}
+
 std::string
 Config::getString(const std::string &key, const std::string &dflt) const
 {
-    auto it = values.find(key);
-    return it == values.end() ? dflt : it->second;
+    const std::string *raw = lookup(key);
+    return raw ? *raw : dflt;
 }
 
 namespace {
@@ -122,60 +130,60 @@ parseDouble(const std::string &raw, double &out)
 bool
 Config::getBool(const std::string &key, bool dflt) const
 {
-    auto it = values.find(key);
-    if (it == values.end())
+    const std::string *raw = lookup(key);
+    if (!raw)
         return dflt;
     bool out = dflt;
-    parseBool(it->second, key, out);
+    parseBool(*raw, key, out);
     return out;
 }
 
 std::int64_t
 Config::getInt(const std::string &key, std::int64_t dflt) const
 {
-    auto it = values.find(key);
-    if (it == values.end())
+    const std::string *raw = lookup(key);
+    if (!raw)
         return dflt;
     std::int64_t out;
-    if (!parseInt(it->second, out))
+    if (!parseInt(*raw, out))
         fatal("config key '%s': '%s' is not an integer",
-              key.c_str(), it->second.c_str());
+              key.c_str(), raw->c_str());
     return out;
 }
 
 std::uint64_t
 Config::getUint(const std::string &key, std::uint64_t dflt) const
 {
-    auto it = values.find(key);
-    if (it == values.end())
+    const std::string *raw = lookup(key);
+    if (!raw)
         return dflt;
     std::int64_t out;
-    if (!parseInt(it->second, out) || out < 0)
+    if (!parseInt(*raw, out) || out < 0)
         fatal("config key '%s': '%s' is not a non-negative integer",
-              key.c_str(), it->second.c_str());
+              key.c_str(), raw->c_str());
     return static_cast<std::uint64_t>(out);
 }
 
 double
 Config::getDouble(const std::string &key, double dflt) const
 {
-    auto it = values.find(key);
-    if (it == values.end())
+    const std::string *raw = lookup(key);
+    if (!raw)
         return dflt;
     double out;
-    if (!parseDouble(it->second, out))
+    if (!parseDouble(*raw, out))
         fatal("config key '%s': '%s' is not a finite number",
-              key.c_str(), it->second.c_str());
+              key.c_str(), raw->c_str());
     return out;
 }
 
 std::string
 Config::requireString(const std::string &key) const
 {
-    auto it = values.find(key);
-    if (it == values.end())
+    const std::string *raw = lookup(key);
+    if (!raw)
         fatal("missing required config key '%s'", key.c_str());
-    return it->second;
+    return *raw;
 }
 
 std::int64_t
@@ -251,6 +259,16 @@ Config::keysWithPrefix(const std::string &prefix) const
             break;
         out.push_back(it->first);
     }
+    return out;
+}
+
+std::vector<std::string>
+Config::unreadKeys() const
+{
+    std::vector<std::string> out;
+    for (const auto &[k, v] : values)
+        if (readKeys.count(k) == 0)
+            out.push_back(k);
     return out;
 }
 

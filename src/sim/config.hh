@@ -9,7 +9,9 @@
  *
  * The store also powers command-line parsing for benches and examples:
  * "--key=value" and "--key value" forms set entries; "--flag" sets the
- * entry to "true".
+ * entry to "true". Every getter remembers the key it looked up, so a
+ * command line can fail on the flags no code read (unreadKeys()); that
+ * bookkeeping makes concurrent reads of one Config unsafe.
  */
 
 #ifndef AFA_SIM_CONFIG_HH
@@ -17,6 +19,7 @@
 
 #include <cstdint>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -78,11 +81,19 @@ class Config
     /** Number of entries. */
     std::size_t size() const { return values.size(); }
 
+    /** Set keys that no getter has looked up yet, in key order. */
+    std::vector<std::string> unreadKeys() const;
+
     /** Render as sorted "key = value" lines (for logs and reports). */
     std::string toString() const;
 
   private:
     std::map<std::string, std::string> values;
+    /** Keys a getter has looked up, present or not. */
+    mutable std::set<std::string> readKeys;
+
+    /** The value of @p key (nullptr when absent); marks it read. */
+    const std::string *lookup(const std::string &key) const;
 };
 
 } // namespace afa::sim

@@ -28,7 +28,6 @@ RunMetricsLog::reset()
 {
     afa::sync::MutexLock lock(mutex);
     runs.clear();
-    numStarted = 0;
 }
 
 void
@@ -36,20 +35,6 @@ RunMetricsLog::record(RunMetrics metrics)
 {
     afa::sync::MutexLock lock(mutex);
     runs.push_back(std::move(metrics));
-}
-
-void
-RunMetricsLog::noteStarted()
-{
-    afa::sync::MutexLock lock(mutex);
-    ++numStarted;
-}
-
-std::size_t
-RunMetricsLog::started() const
-{
-    afa::sync::MutexLock lock(mutex);
-    return numStarted;
 }
 
 std::size_t
@@ -72,16 +57,6 @@ RunMetricsLog::snapshot() const
                   return a.index < b.index;
               });
     return copy;
-}
-
-std::uint64_t
-RunMetricsLog::totalEvents() const
-{
-    afa::sync::MutexLock lock(mutex);
-    std::uint64_t total = 0;
-    for (const RunMetrics &m : runs)
-        total += m.events;
-    return total;
 }
 
 Table

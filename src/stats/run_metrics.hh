@@ -44,31 +44,22 @@ struct RunMetrics
 };
 
 /**
- * Thread-safe collector of RunMetrics plus suite-level counters.
+ * Thread-safe collector of RunMetrics.
  */
 class RunMetricsLog
 {
   public:
-    /** Drop all recorded runs and counters. */
+    /** Drop all recorded runs. */
     void reset();
 
     /** Record one finished run. */
     void record(RunMetrics metrics);
-
-    /** Note that a run started (for progress accounting). */
-    void noteStarted();
-
-    /** Runs started so far. */
-    std::size_t started() const;
 
     /** Runs finished so far. */
     std::size_t finished() const;
 
     /** Snapshot of the recorded metrics, ordered by run index. */
     std::vector<RunMetrics> snapshot() const;
-
-    /** Sum of simulated events across recorded runs. */
-    std::uint64_t totalEvents() const;
 
     /**
      * Per-run metrics table: index, label, worker, events, wall
@@ -86,7 +77,6 @@ class RunMetricsLog
   private:
     mutable afa::sync::Mutex mutex;
     std::vector<RunMetrics> runs AFA_GUARDED_BY(mutex);
-    std::size_t numStarted AFA_GUARDED_BY(mutex) = 0;
 };
 
 } // namespace afa::stats

@@ -152,7 +152,6 @@ TEST(ParallelRunnerTest, CollectsMetricsForEveryRun)
     auto results = runner.run(descriptors);
     ASSERT_EQ(results.size(), 2u);
 
-    EXPECT_EQ(runner.metrics().started(), 2u);
     EXPECT_EQ(runner.metrics().finished(), 2u);
     auto metrics = runner.metrics().snapshot();
     ASSERT_EQ(metrics.size(), 2u);
@@ -164,9 +163,6 @@ TEST(ParallelRunnerTest, CollectsMetricsForEveryRun)
         EXPECT_GE(metrics[i].wallSeconds, 0.0);
     }
     EXPECT_GT(runner.suiteWallSeconds(), 0.0);
-    EXPECT_EQ(runner.metrics().totalEvents(),
-              results[0].simulatedEvents +
-                  results[1].simulatedEvents);
 
     auto table = runner.metricsTable();
     EXPECT_EQ(table.rows(), 3u); // two runs + totals

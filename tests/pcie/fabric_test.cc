@@ -290,6 +290,15 @@ TEST_F(AfaTopologyTest, ZeroSsdsIsFatal)
     EXPECT_THROW(buildAfaTopology(f, p), afa::sim::SimError);
 }
 
+TEST_F(AfaTopologyTest, MoreSsdsThanTheFabricHoldsIsFatal)
+{
+    Fabric f(sim, "afa");
+    AfaTopologyParams p;
+    p.ssds = kMaxAfaSsds + 1;
+    EXPECT_THROW(buildAfaTopology(f, p), afa::sim::SimError);
+    EXPECT_EQ(f.nodes(), 0u); // refused before building anything
+}
+
 TEST_F(AfaTopologyTest, NodeNamesAreMeaningful)
 {
     Fabric f(sim, "afa");

@@ -162,4 +162,24 @@ TEST_F(ConfigTest, ToStringListsSortedEntries)
     EXPECT_EQ(cfg.toString(), "a = 1\nb = 2\n");
 }
 
+TEST_F(ConfigTest, UnreadKeysAreThoseNoGetterLookedUp)
+{
+    const char *argv[] = {"--runtime-ms", "20", "--runtim-ms", "5",
+                          "--csv", "--seed=3"};
+    cfg.parseArgs(6, argv);
+    EXPECT_EQ(cfg.unreadKeys(),
+              (std::vector<std::string>{"csv", "runtim_ms",
+                                        "runtime_ms", "seed"}));
+    EXPECT_EQ(cfg.getUint("runtime_ms", 0), 20u);
+    EXPECT_TRUE(cfg.getBool("csv", false));
+    EXPECT_EQ(cfg.requireInt("seed"), 3);
+    // Looking up an absent key marks nothing that is set.
+    EXPECT_EQ(cfg.getString("absent", "x"), "x");
+    EXPECT_EQ(cfg.unreadKeys(), std::vector<std::string>{"runtim_ms"});
+    // has() and keysWithPrefix() inspect without reading.
+    EXPECT_TRUE(cfg.has("runtim_ms"));
+    EXPECT_EQ(cfg.keysWithPrefix("runtim").size(), 2u);
+    EXPECT_EQ(cfg.unreadKeys(), std::vector<std::string>{"runtim_ms"});
+}
+
 } // namespace
