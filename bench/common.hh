@@ -112,8 +112,6 @@ struct BenchOptions
     afa::sim::Config cfg;
     /** The bench's name (argv[0] without its directory). */
     std::string program;
-    /** Arguments that are not flags: each one fails the flag check. */
-    std::vector<std::string> positional;
     /** Given flags the bench cannot act on (parseOptions' list). */
     std::vector<std::string> unusable;
 
@@ -139,7 +137,7 @@ parseArgs(int argc, char **argv)
     BenchOptions opts;
     const std::string path = argv[0];
     opts.program = path.substr(path.find_last_of('/') + 1);
-    opts.positional = opts.cfg.parseArgs(argc - 1, argv + 1);
+    opts.cfg.parseArgs(argc - 1, argv + 1);
     return opts;
 }
 
@@ -239,22 +237,11 @@ parseOptions(int argc, char **argv,
  */
 inline void
 rejectUnusedFlags(const BenchOptions &opts,
-                  const std::vector<std::string> &unused = {})
+                  std::vector<std::string> unused = {})
 {
-    std::vector<std::string> keys = opts.cfg.unreadKeys();
-    keys.insert(keys.end(), opts.unusable.begin(), opts.unusable.end());
-    keys.insert(keys.end(), unused.begin(), unused.end());
-    std::sort(keys.begin(), keys.end());
-    std::string names;
-    for (std::string key : keys) {
-        std::replace(key.begin(), key.end(), '_', '-');
-        names += (names.empty() ? "--" : ", --") + key;
-    }
-    for (const std::string &arg : opts.positional)
-        names += (names.empty() ? "'" : ", '") + arg + "'";
-    if (!names.empty())
-        afa::sim::fatal("%s: this bench does not act on %s",
-                        opts.program.c_str(), names.c_str());
+    unused.insert(unused.end(), opts.unusable.begin(),
+                  opts.unusable.end());
+    opts.cfg.rejectUnread(opts.program, unused);
 }
 
 inline void

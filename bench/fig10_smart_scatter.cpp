@@ -12,7 +12,8 @@
  * samples, so --rate is refused.
  *
  * Extra flags over the common set:
- *   --scatter-devices N     devices whose samples are logged (32)
+ *   --scatter-devices N     devices whose samples are logged, in
+ *                           [1, --ssds] (min(32, --ssds))
  *   --spike-threshold-us T  spike cluster threshold (150)
  *   --dump-samples          print every 100th logged sample
  */
@@ -23,8 +24,15 @@ int
 main(int argc, char **argv)
 {
     auto opts = afa::bench::parseOptions(argc, argv, {"rate"});
-    opts.params.scatterDevices = static_cast<unsigned>(
-        opts.cfg.getUint("scatter_devices", 32));
+    const unsigned ssds = opts.params.ssds;
+    const std::uint64_t logged =
+        opts.cfg.getUint("scatter_devices", std::min(32u, ssds));
+    // --ssds 0 fails in the run's geometry with its own message.
+    if (ssds != 0 && (logged < 1 || logged > ssds))
+        afa::sim::fatal("--scatter-devices %llu: must be in [1, %u], "
+                        "the --ssds count",
+                        (unsigned long long)logged, ssds);
+    opts.params.scatterDevices = static_cast<unsigned>(logged);
     const auto threshold = afa::sim::usec(static_cast<double>(
         opts.cfg.getUint("spike_threshold_us", 150)));
     const bool dump_samples = opts.cfg.getBool("dump_samples", false);
@@ -33,9 +41,10 @@ main(int argc, char **argv)
     auto run = afa::bench::executePlan(plan, opts);
     const auto &result = run.results[0];
 
-    afa::bench::reportFigure(
-        "Fig. 10", "latency samples from 32 SSDs (SMART spikes)",
-        result, opts);
+    const std::string caption = afa::sim::strfmt(
+        "latency samples from %u SSDs (SMART spikes)",
+        opts.params.scatterDevices);
+    afa::bench::reportFigure("Fig. 10", caption.c_str(), result, opts);
 
     const auto &scatter = result.scatter;
     auto clusters = scatter.clusters(threshold, afa::sim::msec(50));

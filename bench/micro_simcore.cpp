@@ -224,11 +224,13 @@ BM_FabricSendContended(benchmark::State &state)
 BENCHMARK(BM_FabricSendContended);
 
 /**
- * One SSD stack driven directly (no fabric, loopback transport): the
- * device command path that the fast path collapses. Arg(1) runs the
- * single-event fast path, Arg(0) forces the chained reference model,
- * so the Arg(1)/Arg(0) ratio is the in-binary A/B -- both sides are
- * tick-identical by the differential tests, only event count moves.
+ * One SSD stack driven directly (no fabric, loopback transport) over a
+ * half-preconditioned drive: the device command path that the fast
+ * path collapses. Arg(1) runs the single-event fast path, Arg(0)
+ * forces the chained reference model, so the Arg(1)/Arg(0) ratio is
+ * the in-binary A/B -- both sides are tick-identical by the
+ * differential tests, only event count moves. Only reads of the
+ * unmapped half can take the fast path.
  */
 struct DeviceBench
 {
@@ -274,17 +276,18 @@ struct DeviceBench
 void
 BM_DeviceReadCommand(benchmark::State &state)
 {
-    // QD1 mapped 4 KiB reads: the uncontended hot path of every
-    // random-read figure.
+    // QD1 FOB 4 KiB reads of the unmapped half: the uncontended hot
+    // path of every random-read figure.
     DeviceBench d(state.range(0) != 0);
     const std::uint64_t mapped = d.ctrl.ftl().logicalBlocks() / 2;
+    const std::uint64_t unmapped = d.ctrl.ftl().logicalBlocks() - mapped;
     std::uint64_t id = 1;
     for (auto _ : state) {
         afa::nvme::NvmeCommand cmd;
         cmd.cmdId = id;
         cmd.tag = id;
         cmd.op = afa::nvme::Op::Read;
-        cmd.lba = (id * 7919) % mapped;
+        cmd.lba = mapped + (id * 7919) % unmapped;
         cmd.bytes = afa::nvme::kLogicalBlockBytes;
         ++id;
         d.done = false;
@@ -297,9 +300,8 @@ BENCHMARK(BM_DeviceReadCommand)->Arg(0)->Arg(1);
 void
 BM_DeviceWriteCommand(benchmark::State &state)
 {
-    // QD1 random 4 KiB writes: the collapsed write-buffer triple when
-    // the placement is inert, the chained model when it is not (page
-    // programs, GC).
+    // QD1 random 4 KiB writes into the mapped half. Every write takes
+    // the chained model, so only Arg(0) runs.
     DeviceBench d(state.range(0) != 0);
     std::uint64_t id = 1;
     for (auto _ : state) {
@@ -315,17 +317,19 @@ BM_DeviceWriteCommand(benchmark::State &state)
         d.drain();
     }
 }
-BENCHMARK(BM_DeviceWriteCommand)->Arg(0)->Arg(1);
+BENCHMARK(BM_DeviceWriteCommand)->Arg(0);
 
 void
 BM_DeviceCommandContended(benchmark::State &state)
 {
-    // An 8-deep same-tick burst ending in a flush: the flush is
-    // always chained and demotes every in-flight fast command, so
-    // this bounds the demotion + fallback cost the fast path adds to
-    // contended traffic. One iteration = 8 commands + full drain.
+    // An 8-deep same-tick burst of six FOB reads, a write and a
+    // flush: the write is always chained and demotes every in-flight
+    // fast read, so this bounds the demotion + fallback cost the fast
+    // path adds to contended traffic. One iteration = 8 commands +
+    // full drain.
     DeviceBench d(state.range(0) != 0);
     const std::uint64_t mapped = d.ctrl.ftl().logicalBlocks() / 2;
+    const std::uint64_t unmapped = d.ctrl.ftl().logicalBlocks() - mapped;
     std::uint64_t id = 1;
     for (auto _ : state) {
         d.pending = 8;
@@ -341,7 +345,7 @@ BM_DeviceCommandContended(benchmark::State &state)
                 cmd.bytes = afa::nvme::kLogicalBlockBytes;
             } else {
                 cmd.op = afa::nvme::Op::Read;
-                cmd.lba = (id * 7919) % mapped;
+                cmd.lba = mapped + (id * 7919) % unmapped;
                 cmd.bytes = afa::nvme::kLogicalBlockBytes;
             }
             ++id;

@@ -27,6 +27,7 @@ main(int argc, char **argv)
     params.runtime = afa::sim::msec(
         static_cast<double>(cfg.getUint("runtime_ms", 1500)));
     params.seed = cfg.getUint("seed", 3);
+    cfg.rejectUnread("capacity_planner");
     params.profile = TuningProfile::IrqAffinity;
 
     std::printf("AFA capacity planner: %u SSDs on a %s host\n\n",

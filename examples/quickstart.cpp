@@ -27,6 +27,7 @@ main(int argc, char **argv)
     params.runtime =
         afa::sim::msec(double(cfg.getUint("runtime_ms", 1000)));
     params.seed = cfg.getUint("seed", 42);
+    cfg.rejectUnread("quickstart");
     params.job = afa::workload::FioJob::parse(
         "rw=randread bs=4k iodepth=1");
 

@@ -86,6 +86,7 @@ main(int argc, char **argv)
         params.telemetryWindow = afa::sim::msec(100);
 
     const std::string fault_path = cfg.getString("faults", "");
+    cfg.rejectUnread("ssd_profiler");
     if (!fault_path.empty()) {
         params.faults = std::make_shared<afa::fault::FaultPlan>(
             afa::fault::FaultPlan::parseFile(fault_path));

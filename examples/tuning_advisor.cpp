@@ -27,6 +27,7 @@ main(int argc, char **argv)
     params.runtime = afa::sim::msec(
         static_cast<double>(cfg.getUint("runtime_ms", 2000)));
     params.seed = cfg.getUint("seed", 11);
+    cfg.rejectUnread("tuning_advisor");
 
     const std::size_t kMax = afa::stats::NinesLadder::kPoints - 1;
 

@@ -107,10 +107,23 @@ describeExperiment(const ExperimentResult &result)
        << " runs=" << result.runs
        << " runtime=" << afa::sim::toSec(result.params.runtime) << "s"
        << " seed=" << result.params.seed << "\n";
-    os << "workload: rw=" << rwModeName(result.params.job.rw)
-       << " bs=" << result.params.job.blockSize
-       << " iodepth=" << result.params.job.ioDepth
-       << (result.tuning.fioRtPriority > 0
+    if (const auto &ol = result.params.openLoop) {
+        // The open-loop engine runs instead of the FIO job.
+        const bool bursty =
+            ol->arrival.kind == afa::workload::ArrivalKind::Bursty &&
+            ol->arrival.burstFactor > 1.0;
+        os << afa::sim::strfmt(
+            "workload: open-loop rate=%.10g/s read=%.10g%% zipf=%g "
+            "burst=%g streams=%u bs=%u",
+            ol->arrival.ratePerSec, ol->readFraction * 100.0,
+            ol->zipfTheta, bursty ? ol->arrival.burstFactor : 1.0,
+            ol->streams, ol->blockSize);
+    } else {
+        os << "workload: rw=" << rwModeName(result.params.job.rw)
+           << " bs=" << result.params.job.blockSize
+           << " iodepth=" << result.params.job.ioDepth;
+    }
+    os << (result.tuning.fioRtPriority > 0
                ? afa::sim::strfmt(" chrt -f %d",
                                   result.tuning.fioRtPriority)
                : std::string())

@@ -57,7 +57,7 @@ NandArray::addrForDie(unsigned linear_die, std::uint32_t block,
 
 Tick
 NandArray::readAt(const PageAddr &addr, std::uint32_t bytes,
-                  Tick start_floor, std::uint64_t io)
+                  std::uint64_t io)
 {
     checkAddr(addr);
     std::size_t di = dieIndex(addr);
@@ -65,7 +65,7 @@ NandArray::readAt(const PageAddr &addr, std::uint32_t bytes,
     Tick t_r = static_cast<Tick>(
         rng().lognormal(static_cast<double>(nandParams.readLatency),
                         nandParams.readSigma));
-    Tick die_start = std::max(start_floor, dieBusy[di]);
+    Tick die_start = std::max(now(), dieBusy[di]);
     Tick die_end = die_start + t_r;
     dieBusy[di] = die_end;
     nandStats.dieBusyTime += t_r;
@@ -88,7 +88,7 @@ Tick
 NandArray::read(const PageAddr &addr, std::uint32_t bytes, DoneFn done,
                 std::uint64_t io)
 {
-    Tick ch_end = readAt(addr, bytes, now(), io);
+    Tick ch_end = readAt(addr, bytes, io);
     at(ch_end, std::move(done));
     return ch_end;
 }

@@ -4,8 +4,8 @@
  * timing and per-channel bus transfer arbitration.
  *
  * Used by the FTL for mapped (written) data; fresh-out-of-box reads
- * never reach NAND (the controller answers unmapped reads from the
- * zero-fill fast path), matching the paper's FOB methodology.
+ * never reach NAND (the controller answers unmapped reads with zero
+ * fill), matching the paper's FOB methodology.
  */
 
 #ifndef AFA_NAND_NAND_ARRAY_HH
@@ -89,16 +89,6 @@ class NandArray : public afa::sim::SimObject
               std::uint64_t io = 0);
 
     /**
-     * Claim-only read for the controller's single-event command fast
-     * path: identical die/channel horizon arithmetic, RNG draw, span
-     * and stats as read() with now() == @p start_floor, but no
-     * completion event is scheduled -- the caller folds the returned
-     * data-out tick into its own single completion event.
-     */
-    Tick readAt(const PageAddr &addr, std::uint32_t bytes,
-                Tick start_floor, std::uint64_t io = 0);
-
-    /**
      * Program a page; @p done fires when tProg completes (the
      * returned tick).
      */
@@ -142,6 +132,10 @@ class NandArray : public afa::sim::SimObject
     afa::obs::SpanLog *spanLog = nullptr;
     std::uint16_t spanTrack = 0;
 
+    /** read()'s claims: the die for tR, then the channel for the
+     *  data-out, from now(); returns the data-out end. */
+    Tick readAt(const PageAddr &addr, std::uint32_t bytes,
+                std::uint64_t io);
     std::size_t dieIndex(const PageAddr &addr) const;
     void checkAddr(const PageAddr &addr) const;
     Tick transferTime(afa::sim::Bytes bytes) const;

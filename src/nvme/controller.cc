@@ -1,6 +1,7 @@
 #include "nvme/controller.hh"
 
 #include <algorithm>
+#include <cassert>
 #include <memory>
 
 #include "obs/span_log.hh"
@@ -252,9 +253,8 @@ Controller::serveRead(const NvmeCommand &cmd)
     }
     const std::uint64_t blocks = cmd.bytes / kLogicalBlockBytes;
     Tick pipe_done = throughPipeline(fwConfig.readProcTime, cmd.tag);
-    bool all_mapped = false;
-    if (fastReadEligible(cmd, blocks, all_mapped)) {
-        fastRead(cmd, blocks, pipe_done, all_mapped);
+    if (fastReadEligible(cmd)) {
+        fastRead(cmd, pipe_done);
         return;
     }
     fallbackDispatch();
@@ -269,7 +269,7 @@ Controller::serveRead(const NvmeCommand &cmd)
         Tick hiccup = sampleHiccup();
         Tick media_begin = now();
         if (!any_mapped) {
-            // FOB zero-fill fast path: no NAND involved.
+            // FOB zero fill: no NAND involved.
             Tick media = static_cast<Tick>(rng().lognormal(
                 static_cast<double>(fwConfig.fobReadLatency),
                 fwConfig.fobReadSigma));
@@ -293,9 +293,7 @@ Controller::serveRead(const NvmeCommand &cmd)
 }
 
 bool
-Controller::fastReadEligible(const NvmeCommand &cmd,
-                             std::uint64_t blocks,
-                             bool &all_mapped) const
+Controller::fastReadEligible(const NvmeCommand &cmd) const
 {
     if (!fastPathEnabled || chainDepth != 0)
         return false;
@@ -303,65 +301,37 @@ Controller::fastReadEligible(const NvmeCommand &cmd,
     // serve this command at its own event times: stay chained.
     if (limp != 1.0 || faultStallUntilTick > now())
         return false;
-    // A pending fast write to an overlapping range would flip this
-    // range's mapped-ness between now and the reference pipe event.
-    for (const FastWrite &fw : fastWrites)
-        if (cmd.lba < fw.cmd.lba + fw.blocks &&
-            fw.cmd.lba < cmd.lba + blocks)
-            return false;
-    std::uint64_t mapped = 0;
+    // Only a wholly unmapped range skips NAND. With no chained
+    // command pending, no write can map a block of it before the
+    // reference pipe event: a later write demotes this read first.
+    const std::uint64_t blocks = cmd.bytes / kLogicalBlockBytes;
     for (std::uint64_t b = 0; b < blocks; ++b)
         if (ftlLayer.isMapped(cmd.lba + b))
-            ++mapped;
-    if (mapped != 0 && mapped != blocks)
-        return false; // mixed range: chained fan-out with holes
-    all_mapped = mapped == blocks && mapped != 0;
-    // Mapped reads draw from the NAND stream and claim die/channel
-    // horizons; a running GC interleaves its own claims and draws at
-    // callback times we cannot pre-order against.
-    if (all_mapped && ftlLayer.gcRunning())
-        return false;
+            return false;
     return true;
 }
 
 void
-Controller::fastRead(const NvmeCommand &cmd, std::uint64_t blocks,
-                     Tick pipe_done, bool all_mapped)
+Controller::fastRead(const NvmeCommand &cmd, Tick pipe_done)
 {
+    // The reference model claims the DMA engine at the pipe event,
+    // and pipe exits rise in submit order, so no in-flight claim can
+    // be due after ours.
+    assert((fastReads.empty() || fastReads.back().pipeDone <= pipe_done) &&
+           "fast read claims out of reference order");
     ++ctrlStats.fastPathCommands;
     // Draws happen in the reference order: hiccup first, then media.
     Tick hiccup = sampleHiccup();
-    Tick media_begin = pipe_done;
-    Tick media_done;
-    if (!all_mapped) {
-        Tick media = static_cast<Tick>(rng().lognormal(
-            static_cast<double>(fwConfig.fobReadLatency),
-            fwConfig.fobReadSigma));
-        media_done = pipe_done + media;
-    } else {
-        media_done = 0;
-        for (std::uint64_t b = 0; b < blocks; ++b)
-            media_done = std::max(
-                media_done,
-                ftlLayer.readMappedAt(cmd.lba + b, pipe_done, cmd.tag));
-    }
-    // The reference model claims the DMA engine at its finish tick:
-    // the pipe event for FOB reads (monotone in submit order), the
-    // last NAND data-out for mapped ones (not monotone). Enforce the
-    // reference claim order by demoting any in-flight entry whose
-    // reference claim would land after ours.
-    Tick finish_tick = all_mapped ? media_done : pipe_done;
-    while (!fastReads.empty() &&
-           fastReads.back().finishTick > finish_tick)
-        demoteBackFastRead();
+    Tick media = static_cast<Tick>(rng().lognormal(
+        static_cast<double>(fwConfig.fobReadLatency),
+        fwConfig.fobReadSigma));
     FastRead fr;
     fr.cmd = cmd;
     fr.hiccup = hiccup;
-    fr.mediaBegin = media_begin;
-    fr.mediaDone = media_done;
-    fr.finishTick = finish_tick;
+    fr.pipeDone = pipe_done;
+    fr.mediaDone = pipe_done + media;
     fr.prevXferBusy = xferBusy;
-    fr.xferReady = media_done + hiccup;
+    fr.xferReady = fr.mediaDone + hiccup;
     fr.xferDone = throughXfer(fr.xferReady, afa::sim::Bytes{cmd.bytes});
     if (fastReads.empty())
         fastReadEv = at(fr.xferDone, [this] { completeFastRead(); });
@@ -385,7 +355,7 @@ Controller::completeFastRead()
     // counts are order-independent).
     if (spanLog && spanLog->wants(afa::obs::Category::Nvme)) {
         spanLog->record(afa::obs::Stage::MediaRead, fr.cmd.tag,
-                        fr.mediaBegin, fr.mediaDone, spanTrack);
+                        fr.pipeDone, fr.mediaDone, spanTrack);
         spanLog->record(afa::obs::Stage::DeviceXfer, fr.cmd.tag,
                         fr.xferReady, fr.xferDone, spanTrack);
     }
@@ -406,27 +376,9 @@ Controller::demoteBackFastRead()
     ++chainDepth;
     --ctrlStats.fastPathCommands;
     ++ctrlStats.fallbackCommands;
-    at(fr.finishTick, [this, fr] {
-        finishRead(fr.cmd, fr.hiccup, fr.mediaBegin, fr.mediaDone);
+    at(fr.pipeDone, [this, fr] {
+        finishRead(fr.cmd, fr.hiccup, fr.pipeDone, fr.mediaDone);
     });
-}
-
-void
-Controller::chainedWriteBody(const NvmeCommand &cmd,
-                             std::uint64_t blocks)
-{
-    auto remaining = std::make_shared<std::uint64_t>(blocks);
-    for (std::uint64_t b = 0; b < blocks; ++b) {
-        ftlLayer.write(cmd.lba + b, [this, cmd, remaining] {
-            if (--*remaining != 0)
-                return;
-            ++ctrlStats.writesCompleted;
-            ctrlStats.bytesWritten += cmd.bytes;
-            complete(cmd, 16, Status::Success);
-            // FTL placement (and any GC it started) is resolved.
-            --chainDepth;
-        });
-    }
 }
 
 void
@@ -456,75 +408,20 @@ Controller::serveWrite(const NvmeCommand &cmd)
     }
     Tick start = std::max(pipe_done, writePipeBusy);
     writePipeBusy = start + service;
-    if (fastWriteEligible(blocks)) {
-        ++ctrlStats.fastPathCommands;
-        FastWrite fw;
-        fw.cmd = cmd;
-        fw.blocks = blocks;
-        fw.wpbTick = writePipeBusy;
-        if (fastWrites.empty())
-            fastWriteEv =
-                at(writePipeBusy, [this] { completeFastWrite(); });
-        pendingFastWriteSlots += static_cast<unsigned>(blocks);
-        fastWrites.push_back(std::move(fw));
-        return;
-    }
     fallbackDispatch();
-    at(writePipeBusy,
-       [this, cmd, blocks] { chainedWriteBody(cmd, blocks); });
-}
-
-bool
-Controller::fastWriteEligible(std::uint64_t blocks) const
-{
-    if (!fastPathEnabled || chainDepth != 0)
-        return false;
-    if (limp != 1.0 || faultStallUntilTick > now())
-        return false;
-    // The placement must be provably inert at the write-pipe exit:
-    // open-page room (no program -> no NAND draw), admission
-    // headroom, no GC. Out-of-range LBAs panic either way.
-    return blocks < ftlLayer.logicalBlocks() &&
-        ftlLayer.canFastWrite(pendingFastWriteSlots,
-                              static_cast<unsigned>(blocks));
-}
-
-void
-Controller::completeFastWrite()
-{
-    if (fastWrites.empty())
-        afa::sim::panic("%s: fast write completion without flight",
-                        name().c_str());
-    FastWrite fw = std::move(fastWrites.front());
-    fastWrites.pop_front();
-    if (!fastWrites.empty())
-        fastWriteEv = at(fastWrites.front().wpbTick,
-                         [this] { completeFastWrite(); });
-    pendingFastWriteSlots -= static_cast<unsigned>(fw.blocks);
-    // The collapsed write-buffer path: place every block directly --
-    // the reference model's write() + after(0, on_buffered) per
-    // block, minus the zero-delay events -- then complete at the
-    // same tick.
-    for (std::uint64_t b = 0; b < fw.blocks; ++b)
-        ftlLayer.writeFast(fw.cmd.lba + b);
-    ++ctrlStats.writesCompleted;
-    ctrlStats.bytesWritten += fw.cmd.bytes;
-    complete(fw.cmd, 16, Status::Success);
-}
-
-void
-Controller::demoteBackFastWrite()
-{
-    FastWrite fw = std::move(fastWrites.back());
-    fastWrites.pop_back();
-    if (fastWrites.empty())
-        sim().cancel(fastWriteEv);
-    pendingFastWriteSlots -= static_cast<unsigned>(fw.blocks);
-    ++chainDepth;
-    --ctrlStats.fastPathCommands;
-    ++ctrlStats.fallbackCommands;
-    at(fw.wpbTick, [this, cmd = fw.cmd, blocks = fw.blocks] {
-        chainedWriteBody(cmd, blocks);
+    at(writePipeBusy, [this, cmd, blocks] {
+        auto remaining = std::make_shared<std::uint64_t>(blocks);
+        for (std::uint64_t b = 0; b < blocks; ++b) {
+            ftlLayer.write(cmd.lba + b, [this, cmd, remaining] {
+                if (--*remaining != 0)
+                    return;
+                ++ctrlStats.writesCompleted;
+                ctrlStats.bytesWritten += cmd.bytes;
+                complete(cmd, 16, Status::Success);
+                // FTL placement (and any GC it started) is resolved.
+                --chainDepth;
+            });
+        }
     });
 }
 
@@ -539,16 +436,12 @@ Controller::fallbackDispatch()
 void
 Controller::demoteAllFast()
 {
-    // Reads whose reference finish tick has passed hold final claims
-    // and keep their single event; the rest re-enter the chained
-    // model at exactly that tick (entries are finishTick-sorted, so
-    // the revocable ones form the LIFO-rollback-safe suffix).
-    while (!fastReads.empty() && fastReads.back().finishTick > now())
+    // Reads whose pipe exit has passed hold final claims and keep
+    // their single event; the rest re-enter the chained model at
+    // exactly that tick (entries are pipeDone-sorted, so the
+    // revocable ones form the LIFO-rollback-safe suffix).
+    while (!fastReads.empty() && fastReads.back().pipeDone > now())
         demoteBackFastRead();
-    // A write's placement is only inert while nothing chained can
-    // interleave with it; demote them all.
-    while (!fastWrites.empty())
-        demoteBackFastWrite();
 }
 
 void

@@ -5,7 +5,7 @@
  * A command arriving from the host passes through:
  *   1. the command pipeline, a serialising server (readProcTime per
  *      command) that is also where SMART housekeeping stalls bite;
- *   2. the media stage: zero-fill fast path for unmapped (FOB) reads,
+ *   2. the media stage: zero fill for unmapped (FOB) reads,
  *      NAND via the FTL for mapped data, the write pipe for writes;
  *   3. the internal DMA engine (internalMBps) moving data to the host
  *      buffer;
@@ -131,8 +131,8 @@ class Controller : public afa::sim::SimObject
 
     /**
      * Enable/disable the single-event command fast path (default
-     * on). Disabling demotes any in-flight fast commands back onto
-     * the chained event model at their reference ticks, so a
+     * on). Disabling demotes any in-flight fast reads back onto the
+     * chained event model at their reference ticks, so a
      * mid-run switch stays exact. Completion ticks, RNG draw order,
      * horizons, stats and span values are identical either way; only
      * the executed-event count (and span ring order) differ.
@@ -173,41 +173,31 @@ class Controller : public afa::sim::SimObject
     std::uint16_t spanTrack = 0;
 
     // ------------------------------------------------------------------
-    // Single-event command fast path (DESIGN.md §9). An eligible
-    // command claims every horizon and draws every latency at submit
-    // time -- in the chained model's FP operation and RNG draw order
-    // -- and schedules one completion event. A FlightRecord per
-    // in-flight fast command makes the claim revocable: if a later
-    // command must take the chained model (or a fault hook fires)
-    // before the record's reference claim tick, the record is demoted
-    // -- its claim rolled back LIFO and the unchanged chained tail
-    // rescheduled at the tick the reference model would run it.
+    // Single-event command fast path (DESIGN.md §9). A read of wholly
+    // unmapped (FOB) blocks on a healthy device, with no chained
+    // command pending, draws its hiccup and media latency and claims
+    // the DMA engine at submit time -- in the chained model's FP
+    // operation and RNG draw order -- and schedules one completion
+    // event. Until its pipe exit, the tick the reference model would
+    // make that claim, the claim is revocable: a chained dispatch, a
+    // fault hook or the toggle demotes it -- the claim rolled back
+    // LIFO and the unchanged chained tail rescheduled at the pipe
+    // exit. Every other command takes the chained model.
     // ------------------------------------------------------------------
 
     /** An in-flight fast-path read. */
     struct FastRead
     {
         NvmeCommand cmd;
-        Tick hiccup;     ///< sampled firmware hiccup penalty
-        Tick mediaBegin; ///< pipe exit (reference media start)
-        Tick mediaDone;  ///< media end (FOB draw or max NAND data-out)
-        /** Tick the reference model claims the DMA engine: the pipe
-         *  event for FOB reads, the last NAND callback for mapped
-         *  ones. Claims must happen in this order; a violation
-         *  demotes the entry. At or past this tick the claim is
-         *  final. */
-        Tick finishTick;
+        Tick hiccup; ///< sampled firmware hiccup penalty
+        /** Pipe exit: the reference media start and the tick the
+         *  reference model claims the DMA engine. At or past it the
+         *  claim is final. */
+        Tick pipeDone;
+        Tick mediaDone;    ///< pipeDone + the FOB media draw
         Tick xferReady;    ///< mediaDone + hiccup (healthy window)
         Tick xferDone;     ///< completion tick
         Tick prevXferBusy; ///< xferBusy before our claim (rollback)
-    };
-
-    /** An in-flight fast-path write: placement deferred to wpbTick. */
-    struct FastWrite
-    {
-        NvmeCommand cmd;
-        std::uint64_t blocks;
-        Tick wpbTick; ///< write-pipe exit = placement + completion
     };
 
     bool fastPathEnabled = true;
@@ -216,17 +206,15 @@ class Controller : public afa::sim::SimObject
      *  shared streams at its own event times, so a fast command
      *  submitted behind it would reorder draws. */
     unsigned chainDepth = 0;
-    /** 4 KiB slots owed to the open frontier page by fastWrites. */
-    unsigned pendingFastWriteSlots = 0;
-    std::deque<FastRead> fastReads;   ///< finishTick-ordered
-    std::deque<FastWrite> fastWrites; ///< wpbTick-ordered
-    /** The DMA engine and the write pipe are FIFO servers, so fast
-     *  completions fire in dispatch order: one pending event per
-     *  deque (the front entry's) is enough. Each completion schedules
-     *  the next front; demoting a whole suffix costs at most one
-     *  cancel. Valid only while the matching deque is non-empty. */
+    /** pipeDone-ordered: every command passes the one pipeline, so
+     *  pipe exits rise in submit order. */
+    std::deque<FastRead> fastReads;
+    /** The DMA engine is a FIFO server, so fast completions fire in
+     *  dispatch order: one pending event (the front entry's) is
+     *  enough. Each completion schedules the next front; demoting a
+     *  whole suffix costs at most one cancel. Valid only while
+     *  fastReads is non-empty. */
     afa::sim::EventHandle fastReadEv;
-    afa::sim::EventHandle fastWriteEv;
 
     void serveRead(const NvmeCommand &cmd);
     void serveWrite(const NvmeCommand &cmd);
@@ -246,19 +234,14 @@ class Controller : public afa::sim::SimObject
 
     // Fast-path machinery ----------------------------------------------
 
-    /** True when a read may take the fast path; sets @p all_mapped. */
-    bool fastReadEligible(const NvmeCommand &cmd, std::uint64_t blocks,
-                          bool &all_mapped) const;
+    /** True when a read may take the fast path. */
+    bool fastReadEligible(const NvmeCommand &cmd) const;
 
-    /** True when a write may take the fast path. */
-    bool fastWriteEligible(std::uint64_t blocks) const;
+    /** Draw latencies and claim the DMA engine at submit; one event. */
+    void fastRead(const NvmeCommand &cmd, Tick pipe_done);
 
-    /** Claim horizons + draw latencies at submit; one event. */
-    void fastRead(const NvmeCommand &cmd, std::uint64_t blocks,
-                  Tick pipe_done, bool all_mapped);
-
-    /** Chained dispatch bookkeeping: demote in-flight fast commands
-     *  and raise the chain guard. */
+    /** Chained dispatch bookkeeping: demote in-flight fast reads and
+     *  raise the chain guard. */
     void fallbackDispatch();
 
     /** Shared chained-model read tail (the reference finish()): limp
@@ -267,19 +250,14 @@ class Controller : public afa::sim::SimObject
     void finishRead(const NvmeCommand &cmd, Tick hiccup,
                     Tick media_begin, Tick media_done);
 
-    /** The chained write-pipe exit body (reference model). */
-    void chainedWriteBody(const NvmeCommand &cmd, std::uint64_t blocks);
-
-    /** Fast completion events (front entry is always the one due). */
+    /** Fast completion event (the front entry is always the one due). */
     void completeFastRead();
-    void completeFastWrite();
 
-    /** Roll the newest fast read/write back onto the chained model. */
+    /** Roll the newest fast read back onto the chained model. */
     void demoteBackFastRead();
-    void demoteBackFastWrite();
 
-    /** Demote every revocable fast command (chained dispatch, fault
-     *  hook, or setFastPath(false)). */
+    /** Demote every revocable fast read (chained dispatch, fault hook,
+     *  or setFastPath(false)). */
     void demoteAllFast();
 
     void complete(const NvmeCommand &cmd, std::uint32_t reply_bytes,

@@ -326,62 +326,6 @@ Ftl::readMapped(std::uint64_t lba, DoneFn done, std::uint64_t io)
                         spanTrack);
 }
 
-Tick
-Ftl::readMappedAt(std::uint64_t lba, Tick start_floor, std::uint64_t io)
-{
-    if (!isMapped(lba))
-        afa::sim::panic("%s: readMappedAt on unmapped lba %llu",
-                        name().c_str(), (unsigned long long)lba);
-    ++ftlStats.hostReadsMapped;
-    Tick nand_done = nand.readAt(slotToAddr(map.get(lba)),
-                                 kLogicalBlockBytes, start_floor, io);
-    if (spanLog && spanLog->wants(afa::obs::Category::Ftl))
-        spanLog->record(afa::obs::Stage::FtlRead, io, start_floor,
-                        nand_done, spanTrack);
-    return nand_done;
-}
-
-bool
-Ftl::canFastWrite(unsigned pending_slots, unsigned extra_slots) const
-{
-    // The fast write defers its placements to the write-pipe exit
-    // tick with no event between them, so they must be provably
-    // inert: every slot lands in the currently open page on the
-    // current frontier die (no program, so no NAND draw), admission
-    // cannot backpressure, and GC can neither be running nor be
-    // triggered by the placement.
-    if (!writeStructuresReady || gcActive)
-        return false;
-    if (!pendingWrites.empty() || !flushWaiters.empty())
-        return false;
-    if (bufferedEntries + pending_slots + extra_slots >
-        params.writeBufferEntries)
-        return false;
-    if (!frontier[nextDie].valid)
-        return false;
-    if (frontier[nextDie].slot + pending_slots + extra_slots >=
-        slotsPerPage)
-        return false;
-    if (freeBlocks() < gcThreshold)
-        return false;
-    return true;
-}
-
-void
-Ftl::writeFast(std::uint64_t lba)
-{
-    // The fast-path placement: identical state mutations to write()
-    // minus the after(0, on_buffered) hop -- the controller completes
-    // the command from its own single event at the same tick.
-    if (lba >= params.logicalBlocks)
-        afa::sim::panic("%s: write lba %llu out of range",
-                        name().c_str(), (unsigned long long)lba);
-    if (!writeStructuresReady || !canAdmitWrite())
-        afa::sim::panic("%s: fast write without admission (eligibility "
-                        "bug)", name().c_str());
-    placeWrite(lba, nullptr);
-}
-
 void
 Ftl::maybeStartGc()
 {

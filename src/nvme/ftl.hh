@@ -92,21 +92,11 @@ class Ftl : public afa::sim::SimObject
 
     /**
      * Read a mapped logical block from NAND. The caller must ensure
-     * isMapped(lba); unmapped reads take the controller's zero-fill
-     * fast path instead. @p io tags the obs spans this read emits.
+     * isMapped(lba); the controller zero-fills unmapped blocks without
+     * NAND. @p io tags the obs spans this read emits.
      */
     void readMapped(std::uint64_t lba, DoneFn done,
                     std::uint64_t io = 0);
-
-    /**
-     * Claim-only variant of readMapped() for the controller's
-     * single-event command fast path: same NAND horizon arithmetic,
-     * RNG draw order, stats and spans as readMapped() running at
-     * @p start_floor, but no completion callback is scheduled. The
-     * returned tick is the NAND data-out end.
-     */
-    Tick readMappedAt(std::uint64_t lba, Tick start_floor,
-                      std::uint64_t io = 0);
 
     /** Attach the span log; spans use @p track (the owning SSD's). */
     void
@@ -137,29 +127,6 @@ class Ftl : public afa::sim::SimObject
      * Table I read experiments.
      */
     void precondition(double mapped_fraction);
-
-    /**
-     * True when @p extra_slots logical blocks can be placed by
-     * writeFast() with zero divergence from write(): structures
-     * ready, no GC running or triggerable, no backpressure, and the
-     * open page on the frontier die has room for the placement on
-     * top of @p pending_slots earlier fast-path slots that have not
-     * been placed yet. Pure query; draws nothing.
-     */
-    bool canFastWrite(unsigned pending_slots,
-                      unsigned extra_slots) const;
-
-    /**
-     * Place one logical block immediately (fast path). Requires a
-     * canFastWrite() window covering this slot; panics if admission
-     * would have backpressured. Identical map/buffer mutations to
-     * write(), but the buffered notification is the caller's own
-     * completion -- no after(0) event.
-     */
-    void writeFast(std::uint64_t lba);
-
-    /** True while the garbage collector is relocating/erasing. */
-    bool gcRunning() const { return gcActive; }
 
     /** Entries currently buffered in DRAM. */
     unsigned buffered() const { return bufferedEntries; }

@@ -240,6 +240,8 @@ Config::parseArgs(int argc, const char *const *argv)
             fatal("malformed option '%s'", arg.c_str());
         values[key] = value;
     }
+    positionalArgs.insert(positionalArgs.end(), positional.begin(),
+                          positional.end());
     return positional;
 }
 
@@ -270,6 +272,24 @@ Config::unreadKeys() const
         if (readKeys.count(k) == 0)
             out.push_back(k);
     return out;
+}
+
+void
+Config::rejectUnread(const std::string &program,
+                     const std::vector<std::string> &unusable) const
+{
+    std::vector<std::string> keys = unreadKeys();
+    keys.insert(keys.end(), unusable.begin(), unusable.end());
+    std::sort(keys.begin(), keys.end());
+    std::string names;
+    for (std::string key : keys) {
+        std::replace(key.begin(), key.end(), '_', '-');
+        names += (names.empty() ? "--" : ", --") + key;
+    }
+    for (const std::string &arg : positionalArgs)
+        names += (names.empty() ? "'" : ", '") + arg + "'";
+    if (!names.empty())
+        fatal("%s does not act on %s", program.c_str(), names.c_str());
 }
 
 std::string

@@ -10,8 +10,9 @@
  * The store also powers command-line parsing for benches and examples:
  * "--key=value" and "--key value" forms set entries; "--flag" sets the
  * entry to "true". Every getter remembers the key it looked up, so a
- * command line can fail on the flags no code read (unreadKeys()); that
- * bookkeeping makes concurrent reads of one Config unsafe.
+ * command line can fail on the flags no code read and on its
+ * positional arguments (rejectUnread()); that bookkeeping makes
+ * concurrent reads of one Config unsafe.
  */
 
 #ifndef AFA_SIM_CONFIG_HH
@@ -64,8 +65,9 @@ class Config
      * Parse argv-style options into this config.
      *
      * Recognises "--key=value", "--key value", and bare "--flag"
-     * (stored as "true"). Positional arguments are returned.
-     * Dashes in key names are normalised to underscores.
+     * (stored as "true"). Positional arguments are returned, and
+     * kept for rejectUnread(). Dashes in key names are normalised to
+     * underscores.
      */
     std::vector<std::string> parseArgs(int argc, const char *const *argv);
 
@@ -84,6 +86,17 @@ class Config
     /** Set keys that no getter has looked up yet, in key order. */
     std::vector<std::string> unreadKeys() const;
 
+    /**
+     * Fail through fatal() on every set key no getter has read, every
+     * given key in @p unusable and every positional argument
+     * parseArgs() saw, naming each one ("--runtim-ms, 'extra'"). A
+     * command-line program calls it once it has read all its flags,
+     * before it starts any work; @p program heads the message.
+     */
+    void rejectUnread(const std::string &program,
+                      const std::vector<std::string> &unusable = {})
+        const;
+
     /** Render as sorted "key = value" lines (for logs and reports). */
     std::string toString() const;
 
@@ -91,6 +104,8 @@ class Config
     std::map<std::string, std::string> values;
     /** Keys a getter has looked up, present or not. */
     mutable std::set<std::string> readKeys;
+    /** Every positional argument parseArgs() has seen. */
+    std::vector<std::string> positionalArgs;
 
     /** The value of @p key (nullptr when absent); marks it read. */
     const std::string *lookup(const std::string &key) const;

@@ -185,7 +185,7 @@ TEST_F(DeterminismTest, OpenLoopPinnedWithExactAccounting)
     const auto params = openLoopParams();
     const auto result = ExperimentRunner::run(params);
     const std::string base = openLoopCanonical(result);
-    EXPECT_EQ(hashTag(base), 0xee71ef2022f01ca8ULL);
+    EXPECT_EQ(hashTag(base), 0xb3be42d1f0f2ffa1ULL);
     // The run did real open-loop work with exact accounting.
     EXPECT_FALSE(result.openLoop.empty());
     const auto &t = result.openLoop.totals;
@@ -198,6 +198,24 @@ TEST_F(DeterminismTest, OpenLoopPinnedWithExactAccounting)
     const auto sampled = ExperimentRunner::run(telem);
     EXPECT_EQ(openLoopCanonical(sampled), base);
     EXPECT_FALSE(sampled.telemetry.empty());
+}
+
+TEST_F(DeterminismTest, DeviceFastPathMovesOnlyTheEventCount)
+{
+    // Mixed open-loop traffic (bursty, zipf, 30% writes) with the
+    // device command fast path on and off. The fast path serves only
+    // unmapped reads, each as the exact twin of its chained model, so
+    // every printed byte but the event count agrees.
+    auto params = openLoopParams();
+    const auto fast = ExperimentRunner::run(params);
+    params.deviceFastPath = false;
+    const auto chained = ExperimentRunner::run(params);
+    const auto without_events = [](const ExperimentResult &r) {
+        const std::string text = openLoopCanonical(r);
+        return text.substr(0, text.rfind("events="));
+    };
+    EXPECT_EQ(without_events(fast), without_events(chained));
+    EXPECT_LT(fast.simulatedEvents, chained.simulatedEvents);
 }
 
 TEST_F(DeterminismTest, TracingDoesNotPerturbTheModel)

@@ -163,6 +163,31 @@ TEST_F(ExperimentTest, ReportsRenderNonEmpty)
     EXPECT_EQ(table.rows(), 2u);
 }
 
+TEST_F(ExperimentTest, OpenLoopRunDescribesItsArrivalShape)
+{
+    // An open-loop run never runs the FIO job, so its workload line
+    // names the arrival shape; its streams keep the profile's
+    // SCHED_FIFO priority.
+    auto p = baseParams(TuningProfile::Chrt);
+    p.ssds = 2;
+    p.runtime = msec(20);
+    afa::workload::OpenLoopParams ol;
+    ol.arrival.kind = afa::workload::ArrivalKind::Bursty;
+    ol.arrival.ratePerSec = 20000.0;
+    ol.arrival.burstFactor = 3.0;
+    ol.readFraction = 0.7;
+    ol.zipfTheta = 0.5;
+    ol.streams = 2;
+    p.openLoop = ol;
+    const std::string text = describeExperiment(ExperimentRunner::run(p));
+    EXPECT_NE(text.find("\nworkload: open-loop rate=20000/s read=70% "
+                        "zipf=0.5 burst=3 streams=2 bs=4096 "
+                        "chrt -f 99\n"),
+              std::string::npos)
+        << text;
+    EXPECT_EQ(text.find("iodepth"), std::string::npos) << text;
+}
+
 TEST(TestbedTest, ZeroPeriodsKeepTheDefaults)
 {
     ExperimentParams p;

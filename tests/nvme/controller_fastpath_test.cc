@@ -386,6 +386,46 @@ TEST_F(ControllerFastPathTest, LightWorkloadTakesFastPath)
     EXPECT_GT(ref.ctrl->stats().fallbackCommands, 400u);
 }
 
+TEST_F(ControllerFastPathTest, OnlyUnmappedReadsTakeTheFastPath)
+{
+    // One 4 KiB command at a time on an idle, healthy,
+    // half-preconditioned drive. A warm-up write opens a frontier
+    // page, so the measured write's placement needs no program, no
+    // allocation and no GC; it still takes the chained model, and so
+    // does a read of a mapped block. Only a read of an unmapped block
+    // runs as one event.
+    fast.build(true, false);
+    fast.ctrl->ftl().precondition(0.5);
+    std::uint64_t id = 1;
+    const auto run_one = [this, &id](Op op, std::uint64_t lba) {
+        NvmeCommand cmd;
+        cmd.cmdId = id;
+        cmd.tag = id++;
+        cmd.op = op;
+        cmd.lba = lba;
+        cmd.bytes = kLogicalBlockBytes;
+        fast.sim->scheduleAfter(usec(10),
+                                [this, cmd] { fast.ctrl->submit(cmd); });
+        fast.sim->run();
+    };
+    const ControllerStats &st = fast.ctrl->stats();
+    const Ftl &ftl = fast.ctrl->ftl();
+    ASSERT_TRUE(ftl.isMapped(100));
+    ASSERT_FALSE(ftl.isMapped(6000));
+
+    run_one(Op::Write, 7);
+    run_one(Op::Write, 100);
+    EXPECT_EQ(st.fastPathCommands, 0u);
+    EXPECT_EQ(st.fallbackCommands, 2u);
+    run_one(Op::Read, 100);
+    EXPECT_EQ(st.fastPathCommands, 0u);
+    EXPECT_EQ(st.fallbackCommands, 3u);
+    run_one(Op::Read, 6000);
+    EXPECT_EQ(st.fastPathCommands, 1u);
+    EXPECT_EQ(st.fallbackCommands, 3u);
+    EXPECT_EQ(fast.completions.size(), 4u);
+}
+
 TEST_F(ControllerFastPathTest, AdminCommandsReplayTickIdentical)
 {
     // Formats and log pages are always chained; a format's 500 ms

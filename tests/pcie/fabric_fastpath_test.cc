@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "pcie/afa_topology.hh"
@@ -347,6 +348,42 @@ TEST_F(FabricFastPathTest, SameTickDeliveryCascadeMatchesReference)
     // serialization.
     EXPECT_EQ(fast_ticks[0], fast_ticks[1]);
     EXPECT_GT(fast_ticks[3], fast_ticks[2]);
+}
+
+TEST_F(FabricFastPathTest, HostDeliveryTiesWithPlainEventInPostOrder)
+{
+    // The same-tick caveat of DESIGN.md §9, pinned both ways. A host
+    // delivery runs in band 0, in post order with every other band-0
+    // event of its tick. The fast path posts it at send time, the
+    // per-hop model at its last hop. So a plain event posted right
+    // after the send, for the delivery tick, runs after the delivery
+    // under the fast path and before it under the per-hop model. A
+    // change that gives host deliveries their own band flips the
+    // fast-path side of this test.
+    for (bool fast_path : {true, false}) {
+        Simulator sim(1);
+        Fabric f(sim, "f");
+        NodeId dev = f.addEndpoint("dev");
+        NodeId sw = f.addSwitch("sw", 300);
+        NodeId host = f.addEndpoint("host");
+        f.connect(dev, sw, LinkParams{4, Gen::Gen3, 100});
+        f.connect(sw, host, LinkParams{16, Gen::Gen3, 100});
+        f.finalize();
+        f.setFastPath(fast_path);
+        ASSERT_EQ(f.hopCount(dev, host), 2u);
+        const Tick due = f.unloadedLatency(dev, host, 4096);
+        std::string order;
+        Tick delivered = 0;
+        f.send(dev, host, 4096, [&] {
+            order += "delivery ";
+            delivered = sim.now();
+        });
+        sim.scheduleAt(due, [&] { order += "plain "; });
+        sim.run();
+        EXPECT_EQ(delivered, due);
+        EXPECT_EQ(order, fast_path ? "delivery plain " : "plain delivery ")
+            << (fast_path ? "fast path" : "per-hop model");
+    }
 }
 
 TEST_F(FabricFastPathTest, MidPathContentionFallsBackAtSharedUplink)

@@ -182,4 +182,30 @@ TEST_F(ConfigTest, UnreadKeysAreThoseNoGetterLookedUp)
     EXPECT_EQ(cfg.unreadKeys(), std::vector<std::string>{"runtim_ms"});
 }
 
+TEST_F(ConfigTest, RejectUnreadNamesEveryUnusedArgument)
+{
+    const char *argv[] = {"--runtime-ms", "20", "--runtim-ms", "5",
+                          "--rate=9", "extra"};
+    cfg.parseArgs(6, argv);
+    EXPECT_EQ(cfg.getUint("runtime_ms", 0), 20u);
+    EXPECT_EQ(cfg.getUint("rate", 0), 9u);
+    try {
+        cfg.rejectUnread("prog", {"rate"});
+        FAIL() << "unread flags were accepted";
+    } catch (const afa::sim::SimError &e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "prog does not act on --rate, --runtim-ms, "
+                      "'extra'"),
+                  std::string::npos)
+            << e.what();
+    }
+    // Once every key is read and no positional argument was given,
+    // nothing is left to reject.
+    Config clean;
+    const char *ok_argv[] = {"--seed=3"};
+    clean.parseArgs(1, ok_argv);
+    EXPECT_EQ(clean.getUint("seed", 0), 3u);
+    EXPECT_NO_THROW(clean.rejectUnread("prog"));
+}
+
 } // namespace

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <ostream>
 #include <vector>
 
 #include "sim/logging.hh"
@@ -151,6 +152,17 @@ struct DistCase
     double meanTol;
     double stddevTol;
 };
+
+/**
+ * Print a case by its name. Without this, gtest prints the raw bytes
+ * of the case into the listed test name, and those bytes hold a
+ * pointer that moves with the load address.
+ */
+void
+PrintTo(const DistCase &c, std::ostream *os)
+{
+    *os << c.name;
+}
 
 class DistributionMoments : public ::testing::TestWithParam<DistCase>
 {

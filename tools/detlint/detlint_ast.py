@@ -113,14 +113,13 @@ MODEL_SCHEDULERS = {("Simulator", "scheduleAt"),
                     ("EventQueue", "schedule")}
 
 # Functions allowed to cross the Tick <-> floating unit boundary: the
-# conversion helpers defined in src/sim/types.hh, plus the fast-path
-# horizon helpers (DESIGN.md §9) whose whole job is converting
-# floating latency draws into busy-horizon claims at submit time
-# (NandArray::readAt, Ftl::readMappedAt, Controller::sampleHiccup).
+# conversion helpers defined in src/sim/types.hh, plus the horizon
+# helpers whose whole job is converting floating latency draws into
+# busy-horizon claims (NandArray::readAt, Controller::sampleHiccup).
 TICK_HELPER_FNS = {"nsec", "usec", "msec", "sec",
                    "toUsec", "toMsec", "toSec",
                    "delta", "transferTicks",
-                   "readAt", "readMappedAt", "sampleHiccup"}
+                   "readAt", "sampleHiccup"}
 TICK_HELPER_FILE = os.path.join("src", "sim", "types.hh")
 
 TICK_RE = re.compile(r"(?<![\w:])(?:afa::sim::)?Tick(?![\w])")

@@ -37,9 +37,9 @@ latencyUsec(afa::sim::Tick begin, afa::sim::Tick end)
     return span + static_cast<double>(padded);
 }
 
-// tick-units: the fast-path horizon helpers (readAt, readMappedAt,
-// sampleHiccup) are sanctioned unit-boundary functions -- converting
-// a floating latency draw into a busy-horizon claim is their job.
+// tick-units: the horizon helpers (readAt, sampleHiccup) are
+// sanctioned unit-boundary functions -- converting a floating latency
+// draw into a busy-horizon claim is their job.
 afa::sim::Tick
 readAt(afa::sim::Tick start_floor, double draw, double sigma)
 {
