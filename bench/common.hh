@@ -10,9 +10,11 @@
  * code read, every flag the bench cannot act on and every positional
  * argument, naming each one.
  *
- * Common flags:
- *   --ssds N          devices (default 64, the paper's host slice; at
- *                     most 1024, what one AFA fabric holds)
+ * Common flags (a count or millisecond value out of its range fails
+ * through fatal(), naming the flag; a millisecond value is at most
+ * 18446744073709, the Tick range):
+ *   --ssds N          devices in [1, 1024] (default 64, the paper's
+ *                     host slice; 1024 is what one AFA fabric holds)
  *   --runtime-ms M    per-run measurement (default 4000; the paper
  *                     ran 120000 -- pass it for full fidelity)
  *   --seed S          root random seed
@@ -20,14 +22,17 @@
  *                     scaled so spikes-per-run matches 120s/30s)
  *   --irqbalance-ms   irqbalance rescan cadence (default 1000;
  *                     daemon default 10000, same scaling)
- *   --job SPEC        every FIO thread's job (default
- *                     "rw=randread bs=4k iodepth=1")
+ *   --job SPEC        every FIO thread's per-IO options (default
+ *                     "rw=randread bs=4k iodepth=1"). The run sets
+ *                     name, runtime, cpus_allowed, rtprio and
+ *                     polling itself, so those keys are refused
  *   --csv             emit CSV instead of aligned tables
- *   --jobs N          worker threads for the run plan (default 1;
- *                     0 = all hardware threads). Results are
- *                     bit-identical to a serial run.
- *   --seeds N         replicate every case with seeds S..S+N-1 and
- *                     aggregate the ladders across replicas
+ *   --jobs N          worker threads for the run plan in [0, 256]
+ *                     (default 1; 0 = all hardware threads). Results
+ *                     are bit-identical to a serial run.
+ *   --seeds N         replicate every case with seeds S..S+N-1, N in
+ *                     [1, 1000], and aggregate the ladders across
+ *                     replicas
  *   --trace C[,C...]  enable span tracing for the listed categories
  *                     (workload,sched,pcie,nvme,smart,ftl,nand,irq,
  *                     fault or "all"); figures stay bit-identical,
@@ -73,16 +78,17 @@
  * Open-loop traffic flags (DESIGN.md §14). A non-zero --rate switches
  * every run from closed-loop FIO threads to the arrival-driven
  * OpenLoopEngine; the shape flags act only on open-loop runs:
- *   --rate R          aggregate offered load in ops/sec (0 = closed
- *                     loop, the default)
- *   --mix P           read percentage of the mixed workload
- *                     (default 100 = pure reads)
+ *   --rate R          aggregate offered load in ops/sec, at least 0
+ *                     (0 = closed loop, the default)
+ *   --mix P           read percentage of the mixed workload, in
+ *                     [0, 100] (default 100 = pure reads)
  *   --zipf T          zipfian theta in [0, 1) for hot-spot device
  *                     addressing (default 0 = uniform)
  *   --burst B         burst factor: arrivals come from an on/off
  *                     process firing at B x the mean rate with duty
  *                     cycle 1/B (default 1 = plain Poisson)
- *   --streams N       independent submitter streams (default 4)
+ *   --streams N       independent submitter streams in [1, 1024]
+ *                     (default 4)
  */
 
 #ifndef AFA_BENCH_COMMON_HH
@@ -105,6 +111,11 @@
 #include "sim/logging.hh"
 
 namespace afa::bench {
+
+/** Ceilings of the count flags (--ssds has the fabric's). */
+constexpr std::uint64_t kMaxJobs = 256;
+constexpr std::uint64_t kMaxSeeds = 1000;
+constexpr std::uint64_t kMaxStreams = 1024;
 
 struct BenchOptions
 {
@@ -156,33 +167,31 @@ parseOptions(int argc, char **argv,
         if (cfg.has(key))
             opts.unusable.push_back(key);
     auto &p = opts.params;
-    const std::uint64_t ssds = cfg.getUint("ssds", 64);
-    if (ssds > afa::pcie::kMaxAfaSsds)
-        afa::sim::fatal("--ssds %llu: one AFA fabric holds at most %u "
-                        "SSDs",
-                        (unsigned long long)ssds, afa::pcie::kMaxAfaSsds);
-    p.ssds = static_cast<unsigned>(ssds);
-    p.runtime = afa::sim::msec(
-        static_cast<double>(cfg.getUint("runtime_ms", 4000)));
+    p.ssds = static_cast<unsigned>(
+        cfg.getCount("ssds", 64, 1, afa::pcie::kMaxAfaSsds));
+    p.runtime = cfg.getMsec("runtime_ms", 4000);
     p.seed = cfg.getUint("seed", 1);
-    p.smartPeriod = afa::sim::msec(
-        static_cast<double>(cfg.getUint("smart_period_ms", 1000)));
-    p.irqBalanceInterval = afa::sim::msec(
-        static_cast<double>(cfg.getUint("irqbalance_ms", 1000)));
+    p.smartPeriod = cfg.getMsec("smart_period_ms", 1000);
+    p.irqBalanceInterval = cfg.getMsec("irqbalance_ms", 1000);
     p.job = afa::workload::FioJob::parse(
         cfg.getString("job", "rw=randread bs=4k iodepth=1"));
     // The shape is read on every run, so a malformed number fails even
     // when no --rate makes the run open-loop.
     const double rate = cfg.getDouble("rate", 0.0);
+    if (rate < 0.0)
+        afa::sim::fatal("--rate %g: must be at least 0 ops/s", rate);
     const double burst = cfg.getDouble("burst", 1.0);
     if (burst > 1.0) {
         opts.shape.arrival.kind = afa::workload::ArrivalKind::Bursty;
         opts.shape.arrival.burstFactor = burst;
     }
-    opts.shape.readFraction = cfg.getDouble("mix", 100.0) / 100.0;
+    const double mix = cfg.getDouble("mix", 100.0);
+    if (mix < 0.0 || mix > 100.0)
+        afa::sim::fatal("--mix %g: must be in [0, 100]", mix);
+    opts.shape.readFraction = mix / 100.0;
     opts.shape.zipfTheta = cfg.getDouble("zipf", 0.0);
-    opts.shape.streams =
-        static_cast<unsigned>(cfg.getUint("streams", 4));
+    opts.shape.streams = static_cast<unsigned>(
+        cfg.getCount("streams", 4, 1, kMaxStreams));
     if (rate > 0.0) {
         p.openLoop = opts.shape;
         p.openLoop->arrival.ratePerSec = rate;
@@ -190,9 +199,9 @@ parseOptions(int argc, char **argv,
     opts.csv = cfg.getBool("csv", false);
     opts.perDevice = cfg.getBool("per_device", false);
     p.captureSystemReport = cfg.getBool("report", false);
-    opts.jobs = static_cast<unsigned>(cfg.getUint("jobs", 1));
-    opts.seeds = std::max<unsigned>(
-        1, static_cast<unsigned>(cfg.getUint("seeds", 1)));
+    opts.jobs = static_cast<unsigned>(cfg.getCount("jobs", 1, 0, kMaxJobs));
+    opts.seeds =
+        static_cast<unsigned>(cfg.getCount("seeds", 1, 1, kMaxSeeds));
     opts.metricsJsonPath = cfg.getString("metrics_json", "");
     std::string trace = cfg.getString("trace", "");
     if (!trace.empty())
@@ -216,8 +225,7 @@ parseOptions(int argc, char **argv,
         p.traceMask == 0)
         p.traceMask = afa::obs::kAllCategories;
     p.keepSpans = !opts.traceOutPath.empty();
-    p.telemetryWindow = afa::sim::msec(
-        static_cast<double>(cfg.getUint("telemetry", 0)));
+    p.telemetryWindow = cfg.getMsec("telemetry", 0);
     opts.telemetryOutPath = cfg.getString("telemetry_out", "");
     opts.telemetryCsvPath = cfg.getString("telemetry_csv", "");
     // A timeline consumer without an explicit window gets the 100 ms

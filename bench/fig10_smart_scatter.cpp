@@ -25,14 +25,8 @@ main(int argc, char **argv)
 {
     auto opts = afa::bench::parseOptions(argc, argv, {"rate"});
     const unsigned ssds = opts.params.ssds;
-    const std::uint64_t logged =
-        opts.cfg.getUint("scatter_devices", std::min(32u, ssds));
-    // --ssds 0 fails in the run's geometry with its own message.
-    if (ssds != 0 && (logged < 1 || logged > ssds))
-        afa::sim::fatal("--scatter-devices %llu: must be in [1, %u], "
-                        "the --ssds count",
-                        (unsigned long long)logged, ssds);
-    opts.params.scatterDevices = static_cast<unsigned>(logged);
+    opts.params.scatterDevices = static_cast<unsigned>(opts.cfg.getCount(
+        "scatter_devices", std::min(32u, ssds), 1, ssds));
     const auto threshold = afa::sim::usec(static_cast<double>(
         opts.cfg.getUint("spike_threshold_us", 150)));
     const bool dump_samples = opts.cfg.getBool("dump_samples", false);

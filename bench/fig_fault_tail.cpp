@@ -30,9 +30,10 @@
  * byte-identical with telemetry on or off.
  *
  * Extra flags over the common set:
- *   --width W           volume members (default 8)
- *   --limp-ssd D        which member limps (default width/2)
- *   --limp-factor F     latency multiplier while limping (default 8)
+ *   --width W           volume members in [3, 1024] (default 8)
+ *   --limp-ssd D        which member limps, in [0, W-1] (default W/2)
+ *   --limp-factor F     latency multiplier while limping, in
+ *                       [1, 1000000] (default 8)
  *   --rebuild-blocks N  extent rebuilt, 4 KiB blocks (default 2048)
  *   --faults F          replace the built-in limp plan entirely
  *
@@ -82,23 +83,18 @@ main(int argc, char **argv)
          "mix", "zipf", "streams"});
     const afa::sim::Config &cfg = opts.cfg;
 
-    const unsigned width =
-        static_cast<unsigned>(cfg.getUint("width", 8));
+    // A RAID-5 volume needs at least three members.
+    const unsigned width = static_cast<unsigned>(
+        cfg.getCount("width", 8, 3, afa::pcie::kMaxAfaSsds));
     const unsigned limp_ssd = static_cast<unsigned>(
-        cfg.getUint("limp_ssd", width / 2));
-    const double limp_factor =
-        static_cast<double>(cfg.getUint("limp_factor", 8));
+        cfg.getCount("limp_ssd", width / 2, 0, width - 1));
+    const double limp_factor = static_cast<double>(
+        cfg.getCount("limp_factor", 8, 1, 1000000));
     const std::uint64_t rebuild_blocks =
         cfg.getUint("rebuild_blocks", 2048);
     afa::bench::rejectUnusedFlags(opts);
     const Tick runtime = opts.params.runtime;
     const Tick phase_len = runtime / 3;
-
-    if (width < 3)
-        afa::sim::fatal("fig_fault_tail: --width must be >= 3 "
-                        "(RAID-5)");
-    if (limp_ssd >= width)
-        afa::sim::fatal("fig_fault_tail: --limp-ssd out of range");
 
     // The built-in plan: one SSD limps for the middle third. A
     // --faults file replaces it wholesale (same driver policy rules).

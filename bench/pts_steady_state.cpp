@@ -6,8 +6,10 @@
  * immediately -- which is precisely why the paper measures in the FOB
  * state -- and the rounds report shows it.
  *
- * Flags: --rounds N (default 8), --round-ms M (default 250), --seed S,
- * --csv; any other flag fails.
+ * Flags: --rounds N in [1, 1000] (default 8), --round-ms M in
+ * [1, 3600000] (default 250), --seed S, --csv; any other flag fails.
+ * The ceilings keep the run's horizon, (M + 50) x (N + 1) ms, inside
+ * the Tick range.
  */
 
 #include "common.hh"
@@ -23,8 +25,8 @@ int
 main(int argc, char **argv)
 {
     const auto opts = afa::bench::parseArgs(argc, argv);
-    auto rounds = opts.cfg.getUint("rounds", 8);
-    auto round_ms = opts.cfg.getUint("round_ms", 250);
+    const auto rounds = opts.cfg.getCount("rounds", 8, 1, 1000);
+    const auto round_ms = opts.cfg.getCount("round_ms", 250, 1, 3600000);
     bool csv = opts.cfg.getBool("csv", false);
     const std::uint64_t seed = opts.cfg.getUint("seed", 1);
     afa::bench::rejectUnusedFlags(opts);
@@ -42,9 +44,9 @@ main(int argc, char **argv)
         TuningConfig::forProfile(params.profile, geometry);
     Testbed tb(params, tuning, seed);
 
-    afa::workload::FioJob job = afa::workload::FioJob::parse(
-        afa::sim::strfmt("rw=randread bs=4k iodepth=1 runtime=%llums",
-                         (unsigned long long)round_ms));
+    afa::workload::FioJob job =
+        afa::workload::FioJob::parse("rw=randread bs=4k iodepth=1");
+    job.runtime = afa::sim::msec(static_cast<double>(round_ms));
     job.cpusAllowed = afa::host::CpuMask(1)
         << geometry.cpuForDevice(0);
     job.rtPriority = tuning.fioRtPriority;

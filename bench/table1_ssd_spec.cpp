@@ -101,8 +101,7 @@ int
 main(int argc, char **argv)
 {
     const auto opts = afa::bench::parseArgs(argc, argv);
-    Tick runtime = afa::sim::msec(
-        static_cast<double>(opts.cfg.getUint("runtime_ms", 2000)));
+    Tick runtime = opts.cfg.getMsec("runtime_ms", 2000);
     std::uint64_t seed = opts.cfg.getUint("seed", 1);
     bool csv = opts.cfg.getBool("csv", false);
     afa::bench::rejectUnusedFlags(opts);

@@ -12,6 +12,7 @@
 
 #include "core/experiment.hh"
 #include "core/report.hh"
+#include "pcie/afa_topology.hh"
 #include "sim/config.hh"
 
 using namespace afa::core;
@@ -23,9 +24,9 @@ main(int argc, char **argv)
     cfg.parseArgs(argc - 1, argv + 1);
 
     ExperimentParams params;
-    params.ssds = static_cast<unsigned>(cfg.getUint("ssds", 64));
-    params.runtime = afa::sim::msec(
-        static_cast<double>(cfg.getUint("runtime_ms", 1500)));
+    params.ssds = static_cast<unsigned>(
+        cfg.getCount("ssds", 64, 1, afa::pcie::kMaxAfaSsds));
+    params.runtime = cfg.getMsec("runtime_ms", 1500);
     params.seed = cfg.getUint("seed", 3);
     cfg.rejectUnread("capacity_planner");
     params.profile = TuningProfile::IrqAffinity;

@@ -11,6 +11,7 @@
 
 #include "core/experiment.hh"
 #include "core/report.hh"
+#include "pcie/afa_topology.hh"
 #include "sim/config.hh"
 
 using namespace afa::core;
@@ -22,10 +23,9 @@ main(int argc, char **argv)
     cfg.parseArgs(argc - 1, argv + 1);
 
     ExperimentParams params;
-    params.ssds =
-        static_cast<unsigned>(cfg.getUint("ssds", 8));
-    params.runtime =
-        afa::sim::msec(double(cfg.getUint("runtime_ms", 1000)));
+    params.ssds = static_cast<unsigned>(
+        cfg.getCount("ssds", 8, 1, afa::pcie::kMaxAfaSsds));
+    params.runtime = cfg.getMsec("runtime_ms", 1000);
     params.seed = cfg.getUint("seed", 42);
     cfg.rejectUnread("quickstart");
     params.job = afa::workload::FioJob::parse(

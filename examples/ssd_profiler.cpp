@@ -37,6 +37,7 @@
 #include "core/report.hh"
 #include "fault/fault_plan.hh"
 #include "obs/perfetto.hh"
+#include "pcie/afa_topology.hh"
 #include "sim/config.hh"
 
 using namespace afa::core;
@@ -60,9 +61,9 @@ main(int argc, char **argv)
     cfg.parseArgs(argc - 1, argv + 1);
 
     ExperimentParams params;
-    params.ssds = static_cast<unsigned>(cfg.getUint("ssds", 32));
-    params.runtime = afa::sim::msec(
-        static_cast<double>(cfg.getUint("runtime_ms", 1500)));
+    params.ssds = static_cast<unsigned>(
+        cfg.getCount("ssds", 32, 1, afa::pcie::kMaxAfaSsds));
+    params.runtime = cfg.getMsec("runtime_ms", 1500);
     params.seed = cfg.getUint("seed", 7);
     params.profile = TuningProfile::IrqAffinity;
     params.smartPeriod = afa::sim::msec(500);
@@ -79,8 +80,7 @@ main(int argc, char **argv)
         cfg.getString("telemetry_out", "");
     const std::string telemetry_csv =
         cfg.getString("telemetry_csv", "");
-    params.telemetryWindow = afa::sim::msec(
-        static_cast<double>(cfg.getUint("telemetry", 0)));
+    params.telemetryWindow = cfg.getMsec("telemetry", 0);
     if ((!telemetry_out.empty() || !telemetry_csv.empty()) &&
         params.telemetryWindow == 0)
         params.telemetryWindow = afa::sim::msec(100);

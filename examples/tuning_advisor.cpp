@@ -12,6 +12,7 @@
 
 #include "core/experiment.hh"
 #include "core/report.hh"
+#include "pcie/afa_topology.hh"
 #include "sim/config.hh"
 
 using namespace afa::core;
@@ -23,9 +24,9 @@ main(int argc, char **argv)
     cfg.parseArgs(argc - 1, argv + 1);
 
     ExperimentParams params;
-    params.ssds = static_cast<unsigned>(cfg.getUint("ssds", 32));
-    params.runtime = afa::sim::msec(
-        static_cast<double>(cfg.getUint("runtime_ms", 2000)));
+    params.ssds = static_cast<unsigned>(
+        cfg.getCount("ssds", 32, 1, afa::pcie::kMaxAfaSsds));
+    params.runtime = cfg.getMsec("runtime_ms", 2000);
     params.seed = cfg.getUint("seed", 11);
     cfg.rejectUnread("tuning_advisor");
 

@@ -2,6 +2,7 @@
 
 #include <sstream>
 
+#include "nvme/command.hh"
 #include "sim/logging.hh"
 #include "stats/summary.hh"
 
@@ -117,7 +118,7 @@ describeExperiment(const ExperimentResult &result)
             "burst=%g streams=%u bs=%u",
             ol->arrival.ratePerSec, ol->readFraction * 100.0,
             ol->zipfTheta, bursty ? ol->arrival.burstFactor : 1.0,
-            ol->streams, ol->blockSize);
+            ol->streams, afa::nvme::kLogicalBlockBytes);
     } else {
         os << "workload: rw=" << rwModeName(result.params.job.rw)
            << " bs=" << result.params.job.blockSize

@@ -481,20 +481,44 @@ Scheduler::segmentComplete(unsigned cpu, TaskId id)
     dispatch(cpu);
     if (done)
         done();
+    // on_done may have started the next segment itself (runFor).
+    const Task &after = task(id);
+    if (after.state == TaskState::Blocked && !after.queued.empty())
+        startQueued(id);
 }
 
 void
 Scheduler::runFor(TaskId id, Tick work, EventFn on_done)
 {
     Task &t = task(id);
-    if (t.state != TaskState::Blocked)
-        afa::sim::panic("%s: runFor on non-blocked task '%s'",
-                        name().c_str(), t.params.name.c_str());
     if (work == 0)
         afa::sim::panic("%s: zero-length work segment", name().c_str());
-    t.remaining = work;
-    t.onDone = std::move(on_done);
+    t.queued.push_back(Segment{work, std::move(on_done)});
+    if (t.state == TaskState::Blocked)
+        startQueued(id);
+}
+
+void
+Scheduler::startQueued(TaskId id)
+{
+    Task &t = task(id);
+    t.remaining = t.queued.front().work;
+    t.onDone = std::move(t.queued.front().onDone);
+    t.queued.erase(t.queued.begin());
     wake(id);
+}
+
+bool
+Scheduler::taskIdle(TaskId id) const
+{
+    const Task &t = task(id);
+    return t.state == TaskState::Blocked && t.queued.empty();
+}
+
+Tick
+Scheduler::wakeIpi(TaskId id, unsigned cpu) const
+{
+    return cpu == task(id).cpu ? 0 : kcfg.irq.ipiCost;
 }
 
 // ---------------------------------------------------------------------

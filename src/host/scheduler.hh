@@ -22,10 +22,11 @@
  *    throughput sharing between sibling logical CPUs.
  *
  * Tasks are driven through an async API: runFor(task, work, on_done)
- * makes a blocked task runnable with a CPU-work segment; on_done fires
- * once the work has actually executed (including every queueing,
- * preemption, interrupt and tick delay in between). interrupt()
- * injects hardirq work that steals the CPU from whatever runs there.
+ * gives a task a CPU-work segment; on_done fires once the work has
+ * actually executed (including every queueing, preemption, interrupt
+ * and tick delay in between). A task runs its segments one at a time,
+ * in call order. interrupt() injects hardirq work that steals the CPU
+ * from whatever runs there.
  */
 
 #ifndef AFA_HOST_SCHEDULER_HH
@@ -121,12 +122,22 @@ class Scheduler : public afa::sim::SimObject
     TaskId createTask(const TaskParams &params);
 
     /**
-     * Give a blocked task a CPU-work segment. The task becomes
+     * Give a task a CPU-work segment. A blocked task becomes
      * runnable, is placed on a CPU, executes @p work of CPU time
      * (spread across preemptions/interrupts as needed) and then
-     * blocks again; @p on_done fires at that instant.
+     * blocks again; @p on_done fires at that instant. A busy task
+     * queues the segment behind its earlier ones: each starts once
+     * the previous one's @p on_done has returned, so a task's
+     * segments run, and complete, in call order.
      */
     void runFor(TaskId task, Tick work, afa::sim::EventFn on_done);
+
+    /** True when the task is blocked with no segment queued. */
+    bool taskIdle(TaskId task) const;
+
+    /** IPI cost of waking @p task from @p cpu: zero on the task's own
+     *  CPU, irq.ipiCost from any other. */
+    Tick wakeIpi(TaskId task, unsigned cpu) const;
 
     /** chrt: change scheduling class/priority at runtime. */
     void setRealTime(TaskId task, int rt_priority);
@@ -169,6 +180,13 @@ class Scheduler : public afa::sim::SimObject
     void setSpanLog(afa::obs::SpanLog *log) { spanLog = log; }
 
   private:
+    /** A CPU-work segment waiting for its task. */
+    struct Segment
+    {
+        Tick work;
+        afa::sim::EventFn onDone;
+    };
+
     struct Task
     {
         TaskParams params;
@@ -179,6 +197,10 @@ class Scheduler : public afa::sim::SimObject
         bool everPlaced = false;
         Tick remaining = 0;          ///< work left in the segment
         afa::sim::EventFn onDone;
+        /// Segments given while busy, oldest first. A vector, not a
+        /// deque: it holds a few segments at most, and an empty one
+        /// allocates nothing (most tasks never queue).
+        std::vector<Segment> queued;
         afa::sim::EventHandle segEvent;
         Tick segStart = 0;           ///< when the current burst began
         double segRate = 1.0;        ///< wall ticks per work tick
@@ -225,6 +247,7 @@ class Scheduler : public afa::sim::SimObject
     void stopRunning(unsigned cpu, bool requeue);
     void accountRunning(unsigned cpu);
     void segmentComplete(unsigned cpu, TaskId id);
+    void startQueued(TaskId id);
     void rescheduleSegment(unsigned cpu, Tick not_before);
     bool wouldPreempt(const Task &woken, const Task &curr) const;
     double vruntimeDelta(const Task &t, Tick work) const;

@@ -15,7 +15,7 @@ using afa::workload::IoResult;
 namespace {
 
 /** Tag namespace for rebuild IOs: distinguishes rebuild spans from
- *  client tags ((task+1) << 32 | seq) in merged traces. */
+ *  client tags (workload::ioTag) in merged traces. */
 constexpr std::uint64_t kRebuildTagBase = 0xfee1ULL << 48;
 
 } // namespace

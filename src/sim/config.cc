@@ -60,12 +60,6 @@ Config::has(const std::string &key) const
     return values.count(key) != 0;
 }
 
-bool
-Config::erase(const std::string &key)
-{
-    return values.erase(key) != 0;
-}
-
 const std::string *
 Config::lookup(const std::string &key) const
 {
@@ -82,6 +76,14 @@ Config::getString(const std::string &key, const std::string &dflt) const
 }
 
 namespace {
+
+/** @p key as typed on a command line: "--runtime-ms" for runtime_ms. */
+std::string
+flagName(std::string key)
+{
+    std::replace(key.begin(), key.end(), '_', '-');
+    return "--" + key;
+}
 
 bool
 parseBool(const std::string &raw, const std::string &key, bool &out)
@@ -177,35 +179,27 @@ Config::getDouble(const std::string &key, double dflt) const
     return out;
 }
 
-std::string
-Config::requireString(const std::string &key) const
+std::uint64_t
+Config::getCount(const std::string &key, std::uint64_t dflt,
+                 std::uint64_t lo, std::uint64_t hi) const
 {
     const std::string *raw = lookup(key);
     if (!raw)
-        fatal("missing required config key '%s'", key.c_str());
-    return *raw;
-}
-
-std::int64_t
-Config::requireInt(const std::string &key) const
-{
+        return dflt;
     std::int64_t out;
-    std::string raw = requireString(key);
-    if (!parseInt(raw, out))
-        fatal("config key '%s': '%s' is not an integer",
-              key.c_str(), raw.c_str());
-    return out;
+    if (!parseInt(*raw, out) || out < 0 ||
+        static_cast<std::uint64_t>(out) < lo ||
+        static_cast<std::uint64_t>(out) > hi)
+        fatal("%s %s: must be an integer in [%llu, %llu]",
+              flagName(key).c_str(), raw->c_str(),
+              (unsigned long long)lo, (unsigned long long)hi);
+    return static_cast<std::uint64_t>(out);
 }
 
-double
-Config::requireDouble(const std::string &key) const
+Tick
+Config::getMsec(const std::string &key, std::uint64_t dflt_ms) const
 {
-    double out;
-    std::string raw = requireString(key);
-    if (!parseDouble(raw, out))
-        fatal("config key '%s': '%s' is not a finite number",
-              key.c_str(), raw.c_str());
-    return out;
+    return getCount(key, dflt_ms, 0, kMaxTick / kMsec) * kMsec;
 }
 
 std::vector<std::string>
@@ -245,13 +239,6 @@ Config::parseArgs(int argc, const char *const *argv)
     return positional;
 }
 
-void
-Config::merge(const Config &other)
-{
-    for (const auto &[k, v] : other.values)
-        values[k] = v;
-}
-
 std::vector<std::string>
 Config::keysWithPrefix(const std::string &prefix) const
 {
@@ -282,23 +269,12 @@ Config::rejectUnread(const std::string &program,
     keys.insert(keys.end(), unusable.begin(), unusable.end());
     std::sort(keys.begin(), keys.end());
     std::string names;
-    for (std::string key : keys) {
-        std::replace(key.begin(), key.end(), '_', '-');
-        names += (names.empty() ? "--" : ", --") + key;
-    }
+    for (const std::string &key : keys)
+        names += (names.empty() ? "" : ", ") + flagName(key);
     for (const std::string &arg : positionalArgs)
         names += (names.empty() ? "'" : ", '") + arg + "'";
     if (!names.empty())
         fatal("%s does not act on %s", program.c_str(), names.c_str());
-}
-
-std::string
-Config::toString() const
-{
-    std::ostringstream os;
-    for (const auto &[k, v] : values)
-        os << k << " = " << v << "\n";
-    return os.str();
 }
 
 } // namespace afa::sim

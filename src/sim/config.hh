@@ -3,9 +3,9 @@
  * A small typed key-value configuration store.
  *
  * Keys are dotted paths ("ssd.nand.read_us"). Values are stored as
- * strings and converted on access; accessors with defaults never fail,
- * required accessors call fatal() on missing keys or bad conversions
- * (a user error, per gem5 convention).
+ * strings and converted on access; an absent key yields the default,
+ * a malformed or out-of-range value calls fatal() (a user error, per
+ * gem5 convention).
  *
  * The store also powers command-line parsing for benches and examples:
  * "--key=value" and "--key value" forms set entries; "--flag" sets the
@@ -23,6 +23,8 @@
 #include <set>
 #include <string>
 #include <vector>
+
+#include "sim/types.hh"
 
 namespace afa::sim {
 
@@ -44,9 +46,6 @@ class Config
     /** True when @p key is present. */
     bool has(const std::string &key) const;
 
-    /** Remove a key; returns true if it existed. */
-    bool erase(const std::string &key);
-
     /** Get with default. */
     std::string getString(const std::string &key,
                           const std::string &dflt) const;
@@ -56,10 +55,19 @@ class Config
                           std::uint64_t dflt) const;
     double getDouble(const std::string &key, double dflt) const;
 
-    /** Get a required key; calls fatal() when missing or malformed. */
-    std::string requireString(const std::string &key) const;
-    std::int64_t requireInt(const std::string &key) const;
-    double requireDouble(const std::string &key) const;
+    /**
+     * Read a count flag: an integer in [@p lo, @p hi], else fatal()
+     * naming the flag as typed ("--seeds 0: ...") and the range.
+     */
+    std::uint64_t getCount(const std::string &key, std::uint64_t dflt,
+                           std::uint64_t lo, std::uint64_t hi) const;
+
+    /**
+     * Read a whole-millisecond flag as Ticks. A value that is not a
+     * non-negative integer, or whose Ticks would pass kMaxTick, is
+     * fatal(), named as getCount() names it.
+     */
+    Tick getMsec(const std::string &key, std::uint64_t dflt_ms) const;
 
     /**
      * Parse argv-style options into this config.
@@ -70,11 +78,6 @@ class Config
      * underscores.
      */
     std::vector<std::string> parseArgs(int argc, const char *const *argv);
-
-    /**
-     * Merge another config into this one; @p other wins on conflicts.
-     */
-    void merge(const Config &other);
 
     /** All keys with the given dotted prefix ("ssd." -> ssd.*). */
     std::vector<std::string> keysWithPrefix(const std::string &prefix)
@@ -96,9 +99,6 @@ class Config
     void rejectUnread(const std::string &program,
                       const std::vector<std::string> &unusable = {})
         const;
-
-    /** Render as sorted "key = value" lines (for logs and reports). */
-    std::string toString() const;
 
   private:
     std::map<std::string, std::string> values;

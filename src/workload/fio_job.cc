@@ -113,24 +113,16 @@ FioJob
 FioJob::parse(const std::string &spec)
 {
     FioJob job;
-    // Tokenize: options separate on whitespace or commas, but a comma
-    // followed by text without '=' belongs to the previous value
-    // (e.g. cpus_allowed=4-19,24-39).
+    // Tokenize: options separate on whitespace or commas.
     std::vector<std::string> tokens;
     std::stringstream ws(spec);
     std::string word;
     while (ws >> word) {
         std::stringstream cs(word);
         std::string piece;
-        while (std::getline(cs, piece, ',')) {
-            if (piece.empty())
-                continue;
-            if (piece.find('=') == std::string::npos &&
-                !tokens.empty())
-                tokens.back() += "," + piece;
-            else
+        while (std::getline(cs, piece, ','))
+            if (!piece.empty())
                 tokens.push_back(piece);
-        }
     }
     for (const std::string &token : tokens) {
         auto eq = token.find('=');
@@ -139,9 +131,7 @@ FioJob::parse(const std::string &spec)
                             token.c_str());
         std::string key = token.substr(0, eq);
         std::string value = token.substr(eq + 1);
-        if (key == "name") {
-            job.name = value;
-        } else if (key == "rw") {
+        if (key == "rw") {
             job.rw = parseRwMode(value);
         } else if (key == "bs") {
             auto size = parseSize(value, "bs");
@@ -155,8 +145,6 @@ FioJob::parse(const std::string &spec)
                 parseSize(value, "iodepth"));
             if (job.ioDepth == 0)
                 afa::sim::fatal("fio: iodepth must be >= 1");
-        } else if (key == "runtime") {
-            job.runtime = parseDuration(value, "runtime");
         } else if (key == "rwmixread") {
             job.rwMixRead = static_cast<unsigned>(
                 parseSize(value, "rwmixread"));
@@ -166,20 +154,13 @@ FioJob::parse(const std::string &spec)
             job.offsetBlocks = parseSize(value, "offset") / 4096;
         } else if (key == "size") {
             job.sizeBlocks = parseSize(value, "size") / 4096;
-        } else if (key == "cpus_allowed") {
-            job.cpusAllowed = afa::host::maskFromSet(
-                afa::host::parseCpuList(value));
-        } else if (key == "rtprio") {
-            job.rtPriority = static_cast<int>(
-                parseSize(value, "rtprio"));
         } else if (key == "thinktime") {
             job.thinkTime = parseDuration(value, "thinktime");
-        } else if (key == "polling" || key == "hipri") {
-            job.polling = value == "1" || value == "true";
         } else if (key == "direct" || key == "ioengine" ||
-                   key == "group_reporting" || key == "numjobs") {
+                   key == "group_reporting" ||
+                   (key == "numjobs" && value == "1")) {
             // Accepted-and-ignored fio options: the model is always
-            // direct async I/O on raw devices.
+            // direct async I/O on raw devices, one thread per device.
         } else {
             afa::sim::fatal("fio: unknown option '%s'", key.c_str());
         }

@@ -3,9 +3,10 @@
  * FIO-style job description and option parsing.
  *
  * The paper's workload is `rw=randread bs=4k iodepth=1 runtime=120
- * direct=1 ioengine=libaio` with cpus_allowed pinning; we accept the
- * same option vocabulary (space- or comma-separated "key=value"
- * pairs) so jobs read like fio job files.
+ * direct=1 ioengine=libaio` with cpus_allowed pinning. A job's per-IO
+ * options use fio's vocabulary (space- or comma-separated "key=value"
+ * pairs) so jobs read like fio job files; the keys a run sets itself
+ * (name, runtime, cpus_allowed, rtprio, polling) are fields only.
  */
 
 #ifndef AFA_WORKLOAD_FIO_JOB_HH
@@ -54,30 +55,24 @@ struct FioJob
     /** chrt: run the thread SCHED_FIFO at this priority (0 = CFS). */
     int rtPriority = 0;
 
-    /** CPU cost of the submit path (io_submit + blk-mq + driver). */
-    Tick submitCost = afa::sim::nsec(1800);
-    /** CPU cost of reaping a completion (io_getevents return). */
-    Tick reapCost = afa::sim::nsec(1200);
-
     /** Thinktime between IOs (0 for the paper's closed loop). */
     Tick thinkTime = 0;
 
     /**
      * Poll for completions instead of sleeping on the interrupt
      * (Section V's poll-vs-interrupt discussion). The thread burns
-     * its CPU in pollQuantum slices until the CQE appears; requires
+     * its CPU in kPollQuantum slices until the CQE appears; requires
      * iodepth=1 and a system with polled completions enabled.
      */
     bool polling = false;
 
-    /** CPU-work size of one poll step. */
-    Tick pollQuantum = afa::sim::nsec(1000);
-
     /**
      * Parse "key=value" options (whitespace or comma separated) into
      * a job, starting from the defaults above. Unknown keys are
-     * fatal. Supported keys: name, rw, bs, iodepth, runtime,
-     * rwmixread, offset, size, cpus_allowed, rtprio, thinktime.
+     * fatal. Supported keys: rw, bs, iodepth, rwmixread, offset,
+     * size, thinktime; direct, ioengine, group_reporting and
+     * numjobs=1 are accepted and ignored. The run sets name, runtime,
+     * cpus_allowed, rtprio and polling, so those keys are unknown.
      */
     static FioJob parse(const std::string &spec);
 };

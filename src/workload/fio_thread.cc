@@ -5,7 +5,6 @@
 
 namespace afa::workload {
 
-using afa::sim::EventFn;
 using afa::sim::Tick;
 
 FioThread::FioThread(afa::sim::Simulator &simulator,
@@ -15,7 +14,7 @@ FioThread::FioThread(afa::sim::Simulator &simulator,
     : SimObject(simulator, std::move(thread_name)), sched(scheduler),
       engine(io_engine), dev(device), fioJob(job), scatter(nullptr),
       endTime(0), started(false), stopped(true), inflight(0),
-      taskBusy(false), seqPointer(0)
+      seqPointer(0)
 {
     afa::host::TaskParams tp;
     tp.name = name();
@@ -65,30 +64,6 @@ FioThread::start(Tick start_at)
 }
 
 void
-FioThread::enqueueWork(Tick cost, EventFn then)
-{
-    workQueue.push_back(WorkItem{cost, std::move(then)});
-    pump();
-}
-
-void
-FioThread::pump()
-{
-    if (taskBusy || workQueue.empty())
-        return;
-    WorkItem item = std::move(workQueue.front());
-    workQueue.pop_front();
-    taskBusy = true;
-    sched.runFor(task, item.cost,
-                 [this, then = std::move(item.then)]() mutable {
-                     taskBusy = false;
-                     if (then)
-                         then();
-                     pump();
-                 });
-}
-
-void
 FioThread::maybeSubmit()
 {
     if (stopped)
@@ -99,8 +74,8 @@ FioThread::maybeSubmit()
     }
     while (inflight < fioJob.ioDepth) {
         ++inflight;
-        enqueueWork(fioJob.submitCost,
-                    [this, enq = now()] { issueOne(enq); });
+        sched.runFor(task, kSubmitCost,
+                     [this, enq = now()] { issueOne(enq); });
     }
 }
 
@@ -151,9 +126,7 @@ FioThread::issueOne(Tick enqueued_at)
     freeSlots.pop_back();
     IoSlot &io = slots[slot];
     io.submitTick = now();
-    // Tag: (task+1) in the high half keeps tags unique across
-    // threads; the low half is this thread's sequence number.
-    io.tag = (static_cast<std::uint64_t>(task + 1) << 32) | ++ioSeq;
+    io.tag = ioTag(task, ++ioSeq);
     req.tag = io.tag;
 
     unsigned cpu = sched.taskCpu(task);
@@ -178,7 +151,7 @@ FioThread::issueOne(Tick enqueued_at)
 void
 FioThread::pollStep(std::uint32_t slot)
 {
-    enqueueWork(fioJob.pollQuantum, [this, slot] {
+    sched.runFor(task, kPollQuantum, [this, slot] {
         if (!pollCompleteFlag) {
             pollStep(slot);
             return;
@@ -191,12 +164,8 @@ void
 FioThread::onDeviceComplete(std::uint32_t slot, const IoResult &result)
 {
     slots[slot].failed = !result.ok();
-    // Completion handled on a remote CPU needs an IPI to wake us.
-    Tick ipi = 0;
-    if (result.cpu != sched.taskCpu(task))
-        ipi = sched.config().irq.ipiCost;
-    after(ipi, [this, slot] {
-        enqueueWork(fioJob.reapCost, [this, slot] { finishIo(slot); });
+    after(sched.wakeIpi(task, result.cpu), [this, slot] {
+        sched.runFor(task, kReapCost, [this, slot] { finishIo(slot); });
     });
 }
 

@@ -14,7 +14,6 @@
 #ifndef AFA_WORKLOAD_FIO_THREAD_HH
 #define AFA_WORKLOAD_FIO_THREAD_HH
 
-#include <deque>
 #include <vector>
 
 #include "host/scheduler.hh"
@@ -74,7 +73,7 @@ class FioThread : public afa::sim::SimObject
     /** True once submission has stopped and all IOs completed. */
     bool finished() const
     {
-        return stopped && inflight == 0 && !taskBusy;
+        return stopped && inflight == 0 && sched.taskIdle(task);
     }
 
   private:
@@ -92,18 +91,9 @@ class FioThread : public afa::sim::SimObject
     bool started;
     bool stopped;
     unsigned inflight;
-    bool taskBusy;
     std::uint64_t seqPointer;
     std::uint64_t rangeStart;
     std::uint64_t rangeBlocks;
-
-    /** Deferred CPU work items executed serially by the task. */
-    struct WorkItem
-    {
-        afa::sim::Tick cost;
-        afa::sim::EventFn then;
-    };
-    std::deque<WorkItem> workQueue;
 
     /**
      * One in-flight IO. Completion callbacks capture only [this,
@@ -121,8 +111,6 @@ class FioThread : public afa::sim::SimObject
     std::vector<std::uint32_t> freeSlots;
     std::uint32_t ioSeq = 0;            ///< per-thread tag sequence
 
-    void pump();
-    void enqueueWork(afa::sim::Tick cost, afa::sim::EventFn then);
     void maybeSubmit();
     void issueOne(afa::sim::Tick enqueued_at);
     IoRequest nextRequest();

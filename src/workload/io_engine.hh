@@ -17,6 +17,24 @@
 
 namespace afa::workload {
 
+/** CPU cost of the submit path (io_submit + blk-mq + driver). */
+constexpr afa::sim::Tick kSubmitCost = afa::sim::nsec(1800);
+/** CPU cost of reaping a completion (io_getevents return). */
+constexpr afa::sim::Tick kReapCost = afa::sim::nsec(1200);
+/** CPU-work size of one completion-poll step (FioJob::polling). */
+constexpr afa::sim::Tick kPollQuantum = afa::sim::nsec(1000);
+
+/**
+ * Observability tag of a submitting task's @p seq-th IO: (task+1) in
+ * the high half keeps tags unique across tasks (and off 0, untagged);
+ * the low half is the task's own sequence number.
+ */
+constexpr std::uint64_t
+ioTag(std::uint32_t task, std::uint32_t seq)
+{
+    return ((static_cast<std::uint64_t>(task) + 1) << 32) | seq;
+}
+
 /** One async request. */
 struct IoRequest
 {
@@ -52,8 +70,9 @@ struct IoResult
  * submit() returns immediately; @p on_device_complete fires in
  * interrupt context on the CPU that handled the completion interrupt
  * (possibly a different CPU from the submitter -- the paper's
- * affinity problem). Waking the submitting thread, IPI costs and the
- * reap work are the caller's business.
+ * affinity problem). The caller wakes its task after
+ * host::Scheduler::wakeIpi and charges the reap (kReapCost) through
+ * host::Scheduler::runFor.
  */
 class IoEngine
 {

@@ -8,7 +8,6 @@
 
 namespace afa::workload {
 
-using afa::sim::EventFn;
 using afa::sim::Tick;
 
 void
@@ -80,9 +79,6 @@ OpenLoopEngine::OpenLoopEngine(afa::sim::Simulator &simulator,
     if (p.cpus.empty())
         afa::sim::fatal("%s: no CPUs configured for the streams",
                         name().c_str());
-    if (p.blockSize == 0 || p.blockSize % 4096 != 0)
-        afa::sim::fatal("%s: blockSize must be a multiple of 4096",
-                        name().c_str());
     if (!(p.readFraction >= 0.0 && p.readFraction <= 1.0))
         afa::sim::fatal("%s: readFraction must be in [0, 1]",
                         name().c_str());
@@ -114,7 +110,7 @@ OpenLoopEngine::OpenLoopEngine(afa::sim::Simulator &simulator,
     deviceBlocks.resize(devices);
     for (unsigned d = 0; d < devices; ++d) {
         deviceBlocks[d] = engine.deviceBlocks(d);
-        if (deviceBlocks[d] * 4096 < p.blockSize)
+        if (deviceBlocks[d] == 0)
             afa::sim::fatal("%s: device %u smaller than one block",
                             name().c_str(), d);
     }
@@ -155,10 +151,8 @@ OpenLoopEngine::onArrival(unsigned s)
 
     IoRequest req;
     req.device = static_cast<unsigned>(zipf.next(streamRng[s]));
-    req.bytes = p.blockSize;
-    const std::uint64_t bpi = p.blockSize / 4096;
-    const std::uint64_t slots = deviceBlocks[req.device] / bpi;
-    req.lba = streamRng[s].uniformInt(0, slots - 1) * bpi;
+    req.bytes = afa::nvme::kLogicalBlockBytes;
+    req.lba = streamRng[s].uniformInt(0, deviceBlocks[req.device] - 1);
     req.op = streamRng[s].chance(p.readFraction)
         ? afa::nvme::Op::Read : afa::nvme::Op::Write;
 
@@ -174,38 +168,13 @@ OpenLoopEngine::onArrival(unsigned s)
 }
 
 void
-OpenLoopEngine::enqueueWork(unsigned s, Tick cost, EventFn then)
-{
-    streams[s].workQueue.push_back(WorkItem{cost, std::move(then)});
-    pump(s);
-}
-
-void
-OpenLoopEngine::pump(unsigned s)
-{
-    Stream &st = streams[s];
-    if (st.taskBusy || st.workQueue.empty())
-        return;
-    WorkItem item = std::move(st.workQueue.front());
-    st.workQueue.pop_front();
-    st.taskBusy = true;
-    sched.runFor(st.task, item.cost,
-                 [this, s, then = std::move(item.then)]() mutable {
-                     streams[s].taskBusy = false;
-                     if (then)
-                         then();
-                     pump(s);
-                 });
-}
-
-void
 OpenLoopEngine::kickSubmit(unsigned s)
 {
     Stream &st = streams[s];
     if (st.submitQueued || st.backlog.empty() || now() >= endTime)
         return;
     st.submitQueued = true;
-    enqueueWork(s, p.submitCost, [this, s] {
+    sched.runFor(st.task, kSubmitCost, [this, s] {
         streams[s].submitQueued = false;
         issueFront(s);
         kickSubmit(s);
@@ -227,8 +196,7 @@ OpenLoopEngine::issueFront(unsigned s)
     else
         st.stats.readBytes += op.req.bytes;
 
-    const std::uint64_t tag =
-        (static_cast<std::uint64_t>(st.task + 1) << 32) | ++st.seq;
+    const std::uint64_t tag = ioTag(st.task, ++st.seq);
     op.req.tag = tag;
     flights.emplace(tag, Flight{op.arrivalTick, op.req.device,
                                 op.req.bytes, false});
@@ -253,13 +221,9 @@ OpenLoopEngine::onDeviceComplete(unsigned s, std::uint64_t tag,
         afa::sim::panic("%s: completion for unknown tag",
                         name().c_str());
     it->second.failed = !result.ok();
-    // Completion handled on a remote CPU needs an IPI to wake us.
-    Tick ipi = 0;
-    if (result.cpu != sched.taskCpu(streams[s].task))
-        ipi = sched.config().irq.ipiCost;
-    after(ipi, [this, s, tag] {
-        enqueueWork(s, p.reapCost,
-                    [this, s, tag] { finishOp(s, tag); });
+    after(sched.wakeIpi(streams[s].task, result.cpu), [this, s, tag] {
+        sched.runFor(streams[s].task, kReapCost,
+                     [this, s, tag] { finishOp(s, tag); });
     });
 }
 
@@ -302,8 +266,8 @@ OpenLoopEngine::finished() const
     if (!started)
         return false;
     for (const Stream &st : streams) {
-        if (!st.clockStopped || st.taskBusy || st.inflight > 0 ||
-            !st.workQueue.empty())
+        if (!st.clockStopped || st.inflight > 0 ||
+            !sched.taskIdle(st.task))
             return false;
     }
     return true;

@@ -62,9 +62,6 @@ struct OpenLoopParams
     /** Zipf theta for device selection in [0, 1); 0 = uniform. */
     double zipfTheta = 0.0;
 
-    /** Bytes per operation (multiple of 4096). */
-    std::uint32_t blockSize = 4096;
-
     /** Arrivals stop this long after start (the measurement). */
     Tick duration = afa::sim::sec(1);
 
@@ -75,11 +72,6 @@ struct OpenLoopParams
     /** CPUs the streams are pinned to, round-robin. Empty = the
      *  geometry's FIO CPU list (filled by the experiment runner). */
     std::vector<unsigned> cpus;
-
-    /** CPU cost charged per submission / per completion reap (same
-     *  defaults as FioJob). */
-    Tick submitCost = afa::sim::nsec(1800);
-    Tick reapCost = afa::sim::nsec(1200);
 
     /** SCHED_FIFO priority for the stream tasks (0 = CFS). */
     int rtPriority = 0;
@@ -184,13 +176,6 @@ class OpenLoopEngine : public afa::sim::SimObject
         IoRequest req;
     };
 
-    /** Deferred CPU work executed serially by a stream's task. */
-    struct WorkItem
-    {
-        Tick cost;
-        afa::sim::EventFn then;
-    };
-
     /** One submitted, not-yet-reaped IO. */
     struct Flight
     {
@@ -205,8 +190,6 @@ class OpenLoopEngine : public afa::sim::SimObject
         afa::host::TaskId task{};
         ArrivalProcess arrival;
         std::deque<QueuedOp> backlog;
-        std::deque<WorkItem> workQueue;
-        bool taskBusy = false;
         bool submitQueued = false;
         bool clockStopped = false; ///< arrival clock ran past endTime
         std::uint64_t inflight = 0;
@@ -214,9 +197,6 @@ class OpenLoopEngine : public afa::sim::SimObject
         OpenLoopStreamStats stats;
 
         explicit Stream(const ArrivalParams &ap) : arrival(ap) {}
-        // Move-only (EventFn work items): vector growth must move.
-        Stream(Stream &&) = default;
-        Stream(const Stream &) = delete;
     };
 
     afa::host::Scheduler &sched;
@@ -245,8 +225,6 @@ class OpenLoopEngine : public afa::sim::SimObject
 
     void scheduleArrival(unsigned s);
     void onArrival(unsigned s);
-    void enqueueWork(unsigned s, Tick cost, afa::sim::EventFn then);
-    void pump(unsigned s);
     void kickSubmit(unsigned s);
     void issueFront(unsigned s);
     void onDeviceComplete(unsigned s, std::uint64_t tag,

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "host/scheduler.hh"
 #include "sim/logging.hh"
@@ -99,13 +100,50 @@ TEST_F(SchedulerTest, SequentialSegmentsAccumulate)
     EXPECT_EQ(sched->taskStats(t).segments, 5u);
 }
 
-TEST_F(SchedulerTest, RunForOnRunningTaskPanics)
+TEST_F(SchedulerTest, RunForQueuesBusyTaskSegmentsInCallOrder)
 {
     build(1);
     TaskId t = spawn("t");
-    sched->runFor(t, usec(100), [] {});
-    EXPECT_THROW(sched->runFor(t, usec(1), [] {}),
-                 afa::sim::SimError);
+    const Tick work[] = {usec(10), usec(20), usec(30), usec(40)};
+    std::vector<int> order;
+    std::vector<Tick> doneAt;
+    std::vector<bool> idleAt;
+    auto finish = [&](int seg) {
+        order.push_back(seg);
+        doneAt.push_back(sim->now());
+        idleAt.push_back(sched->taskIdle(t));
+    };
+    sched->runFor(t, work[0], [&] {
+        finish(0);
+        // Given from inside on_done: it goes behind segments 1 and 2.
+        sched->runFor(t, work[3], [&] { finish(3); });
+    });
+    sched->runFor(t, work[1], [&] { finish(1); });
+    sched->runFor(t, work[2], [&] { finish(2); });
+    EXPECT_FALSE(sched->taskIdle(t));
+    sim->run();
+
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+    ASSERT_EQ(doneAt.size(), 4u);
+    // Each segment starts no earlier than its predecessor completes.
+    EXPECT_GE(doneAt[0], work[0]);
+    for (std::size_t i = 1; i < doneAt.size(); ++i)
+        EXPECT_GE(doneAt[i] - doneAt[i - 1], work[i]) << i;
+    EXPECT_EQ(idleAt, (std::vector<bool>{false, false, false, true}));
+    EXPECT_TRUE(sched->taskIdle(t));
+    EXPECT_EQ(sched->taskStats(t).segments, 4u);
+    EXPECT_EQ(sched->taskStats(t).cpuTime, usec(100));
+}
+
+TEST_F(SchedulerTest, WakeIpiIsFreeOnlyOnTheTasksCpu)
+{
+    build(2);
+    TaskId t = spawn("t", cpuBit(1));
+    sched->runFor(t, usec(10), [] {});
+    sim->run();
+    ASSERT_EQ(sched->taskCpu(t), 1u);
+    EXPECT_EQ(sched->wakeIpi(t, 1), 0u);
+    EXPECT_EQ(sched->wakeIpi(t, 0), sched->config().irq.ipiCost);
 }
 
 TEST_F(SchedulerTest, ZeroWorkPanics)

@@ -5,12 +5,28 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "sim/config.hh"
 #include "sim/logging.hh"
 
 using afa::sim::Config;
 
 namespace {
+
+/** The fatal() message @p fn fails with ("" if none). */
+template <typename Fn>
+std::string
+fatalMessage(Fn fn)
+{
+    try {
+        fn();
+    } catch (const afa::sim::SimError &e) {
+        return e.message;
+    }
+    return "";
+}
 
 class ConfigTest : public ::testing::Test
 {
@@ -60,12 +76,12 @@ TEST_F(ConfigTest, MalformedValuesAreFatal)
 {
     cfg.set("k", "not-a-number");
     EXPECT_THROW(cfg.getInt("k", 0), afa::sim::SimError);
+    EXPECT_THROW(cfg.getUint("k", 0), afa::sim::SimError);
     EXPECT_THROW(cfg.getDouble("k", 0.0), afa::sim::SimError);
     EXPECT_THROW(cfg.getBool("k", false), afa::sim::SimError);
     for (const char *raw : {"nan", "inf", "-inf", "1e400"}) {
         cfg.set("k", raw);
         EXPECT_THROW(cfg.getDouble("k", 0.0), afa::sim::SimError) << raw;
-        EXPECT_THROW(cfg.requireDouble("k"), afa::sim::SimError) << raw;
     }
 }
 
@@ -73,13 +89,6 @@ TEST_F(ConfigTest, NegativeRejectedForUint)
 {
     cfg.set("k", "-5");
     EXPECT_THROW(cfg.getUint("k", 0), afa::sim::SimError);
-}
-
-TEST_F(ConfigTest, RequireFailsWhenMissing)
-{
-    EXPECT_THROW(cfg.requireString("nope"), afa::sim::SimError);
-    EXPECT_THROW(cfg.requireInt("nope"), afa::sim::SimError);
-    EXPECT_THROW(cfg.requireDouble("nope"), afa::sim::SimError);
 }
 
 TEST_F(ConfigTest, HexIntegersParse)
@@ -121,19 +130,6 @@ TEST_F(ConfigTest, DashesNormaliseToUnderscores)
     EXPECT_EQ(cfg.getInt("smart_period_s", 0), 30);
 }
 
-TEST_F(ConfigTest, MergePrefersOther)
-{
-    cfg.set("a", 1);
-    cfg.set("b", 2);
-    Config other;
-    other.set("b", 20);
-    other.set("c", 30);
-    cfg.merge(other);
-    EXPECT_EQ(cfg.getInt("a", 0), 1);
-    EXPECT_EQ(cfg.getInt("b", 0), 20);
-    EXPECT_EQ(cfg.getInt("c", 0), 30);
-}
-
 TEST_F(ConfigTest, KeysWithPrefix)
 {
     cfg.set("ssd.nand.read_us", 20);
@@ -146,22 +142,6 @@ TEST_F(ConfigTest, KeysWithPrefix)
     EXPECT_EQ(keys[1], "ssd.nand.read_us");
 }
 
-TEST_F(ConfigTest, EraseAndHas)
-{
-    cfg.set("k", 1);
-    EXPECT_TRUE(cfg.has("k"));
-    EXPECT_TRUE(cfg.erase("k"));
-    EXPECT_FALSE(cfg.has("k"));
-    EXPECT_FALSE(cfg.erase("k"));
-}
-
-TEST_F(ConfigTest, ToStringListsSortedEntries)
-{
-    cfg.set("b", 2);
-    cfg.set("a", 1);
-    EXPECT_EQ(cfg.toString(), "a = 1\nb = 2\n");
-}
-
 TEST_F(ConfigTest, UnreadKeysAreThoseNoGetterLookedUp)
 {
     const char *argv[] = {"--runtime-ms", "20", "--runtim-ms", "5",
@@ -172,7 +152,7 @@ TEST_F(ConfigTest, UnreadKeysAreThoseNoGetterLookedUp)
                                         "runtime_ms", "seed"}));
     EXPECT_EQ(cfg.getUint("runtime_ms", 0), 20u);
     EXPECT_TRUE(cfg.getBool("csv", false));
-    EXPECT_EQ(cfg.requireInt("seed"), 3);
+    EXPECT_EQ(cfg.getUint("seed", 0), 3u);
     // Looking up an absent key marks nothing that is set.
     EXPECT_EQ(cfg.getString("absent", "x"), "x");
     EXPECT_EQ(cfg.unreadKeys(), std::vector<std::string>{"runtim_ms"});
@@ -180,6 +160,37 @@ TEST_F(ConfigTest, UnreadKeysAreThoseNoGetterLookedUp)
     EXPECT_TRUE(cfg.has("runtim_ms"));
     EXPECT_EQ(cfg.keysWithPrefix("runtim").size(), 2u);
     EXPECT_EQ(cfg.unreadKeys(), std::vector<std::string>{"runtim_ms"});
+}
+
+TEST_F(ConfigTest, CountReaderBoundsTheValueAndNamesTheFlag)
+{
+    EXPECT_EQ(cfg.getCount("ssds", 64, 1, 1024), 64u);
+    cfg.set("ssds", "1024");
+    EXPECT_EQ(cfg.getCount("ssds", 64, 1, 1024), 1024u);
+    for (const char *raw : {"0", "1025", "-5", "4294967297", "2.5", "x",
+                            "99999999999999999999"}) {
+        cfg.set("ssds", raw);
+        EXPECT_EQ(fatalMessage([&] { cfg.getCount("ssds", 64, 1, 1024); }),
+                  std::string("fatal: --ssds ") + raw +
+                      ": must be an integer in [1, 1024]");
+    }
+}
+
+TEST_F(ConfigTest, MsecReaderFailsWhereTicksWouldOverflow)
+{
+    using afa::sim::kMaxTick;
+    using afa::sim::kMsec;
+    EXPECT_EQ(cfg.getMsec("runtime_ms", 4000), afa::sim::msec(4000));
+    const std::uint64_t max_ms = kMaxTick / kMsec;
+    cfg.set("runtime_ms", max_ms);
+    EXPECT_EQ(cfg.getMsec("runtime_ms", 0), max_ms * kMsec);
+    for (const char *raw : {"30000000000000", "18446744073710", "-1",
+                            "1.5"}) {
+        cfg.set("runtime_ms", raw);
+        EXPECT_EQ(fatalMessage([&] { cfg.getMsec("runtime_ms", 0); }),
+                  std::string("fatal: --runtime-ms ") + raw +
+                      ": must be an integer in [0, 18446744073709]");
+    }
 }
 
 TEST_F(ConfigTest, RejectUnreadNamesEveryUnusedArgument)

@@ -1,10 +1,12 @@
 /**
  * @file
  * FIO job parsing tests: the paper's workload line, size/duration
- * suffixes, and error handling.
+ * suffixes, the keys the run sets itself, and error handling.
  */
 
 #include <gtest/gtest.h>
+
+#include <string>
 
 #include "sim/logging.hh"
 #include "workload/fio_job.hh"
@@ -15,6 +17,18 @@ using afa::sim::sec;
 using afa::sim::usec;
 
 namespace {
+
+/** The fatal() message parsing @p spec fails with ("" if none). */
+std::string
+parseError(const std::string &spec)
+{
+    try {
+        FioJob::parse(spec);
+    } catch (const afa::sim::SimError &e) {
+        return e.message;
+    }
+    return "";
+}
 
 class FioJobTest : public ::testing::Test
 {
@@ -34,15 +48,14 @@ TEST_F(FioJobTest, Defaults)
 
 TEST_F(FioJobTest, PaperWorkloadLine)
 {
-    // The Section III-B workload (direct/ioengine accepted, ignored).
+    // The Section III-B workload's per-IO keys (direct/ioengine and
+    // numjobs=1 accepted, ignored).
     FioJob job = FioJob::parse(
-        "name=afa rw=randread bs=4k iodepth=1 runtime=120 direct=1 "
-        "ioengine=libaio");
-    EXPECT_EQ(job.name, "afa");
+        "rw=randread bs=4k iodepth=1 direct=1 ioengine=libaio "
+        "numjobs=1");
     EXPECT_EQ(job.rw, RwMode::RandRead);
     EXPECT_EQ(job.blockSize, 4096u);
     EXPECT_EQ(job.ioDepth, 1u);
-    EXPECT_EQ(job.runtime, sec(120));
 }
 
 TEST_F(FioJobTest, CommaSeparatedForm)
@@ -62,20 +75,20 @@ TEST_F(FioJobTest, SizeSuffixes)
 
 TEST_F(FioJobTest, DurationSuffixes)
 {
-    EXPECT_EQ(FioJob::parse("runtime=500ms").runtime, msec(500));
-    EXPECT_EQ(FioJob::parse("runtime=30s").runtime, sec(30));
-    EXPECT_EQ(FioJob::parse("runtime=2m").runtime, sec(120));
-    EXPECT_EQ(FioJob::parse("runtime=250us").runtime, usec(250));
-    EXPECT_EQ(FioJob::parse("runtime=7").runtime, sec(7));
+    EXPECT_EQ(FioJob::parse("thinktime=500ms").thinkTime, msec(500));
+    EXPECT_EQ(FioJob::parse("thinktime=30s").thinkTime, sec(30));
+    EXPECT_EQ(FioJob::parse("thinktime=2m").thinkTime, sec(120));
+    EXPECT_EQ(FioJob::parse("thinktime=250us").thinkTime, usec(250));
+    EXPECT_EQ(FioJob::parse("thinktime=7").thinkTime, sec(7));
 }
 
 TEST_F(FioJobTest, CpusAllowed)
 {
-    FioJob job = FioJob::parse("cpus_allowed=4-5,24");
-    EXPECT_EQ(job.cpusAllowed,
-              (afa::host::CpuMask(1) << 4) |
-                  (afa::host::CpuMask(1) << 5) |
-                  (afa::host::CpuMask(1) << 24));
+    // The run pins each thread (Fig. 5 placement): the key is
+    // unknown, and the field keeps its unpinned default.
+    EXPECT_EQ(FioJob::parse("bs=4k").cpusAllowed, afa::host::kAllCpus);
+    EXPECT_EQ(parseError("cpus_allowed=4-5,24"),
+              "fatal: fio: unknown option 'cpus_allowed'");
 }
 
 TEST_F(FioJobTest, OffsetAndSizeInBlocks)
@@ -101,17 +114,27 @@ TEST_F(FioJobTest, Errors)
     EXPECT_THROW(FioJob::parse("bs=1000"), afa::sim::SimError);
     EXPECT_THROW(FioJob::parse("bs=0"), afa::sim::SimError);
     EXPECT_THROW(FioJob::parse("iodepth=0"), afa::sim::SimError);
-    EXPECT_THROW(FioJob::parse("runtime=5lightyears"),
+    EXPECT_THROW(FioJob::parse("thinktime=5lightyears"),
                  afa::sim::SimError);
     EXPECT_THROW(FioJob::parse("rwmixread=150"), afa::sim::SimError);
     EXPECT_THROW(FioJob::parse("unknown_key=1"), afa::sim::SimError);
     EXPECT_THROW(FioJob::parse("notkeyvalue"), afa::sim::SimError);
+    // Keys the run sets itself (--runtime-ms, the tuning profile's
+    // polling), and more than the one thread per device.
+    for (std::string key : {"name", "runtime", "polling", "hipri"})
+        EXPECT_EQ(parseError(key + "=1"),
+                  "fatal: fio: unknown option '" + key + "'");
+    EXPECT_EQ(parseError("numjobs=2"),
+              "fatal: fio: unknown option 'numjobs'");
 }
 
 TEST_F(FioJobTest, RtPriority)
 {
-    FioJob job = FioJob::parse("rtprio=99");
-    EXPECT_EQ(job.rtPriority, 99);
+    // The tuning profile sets chrt: the key is unknown, and the field
+    // keeps its CFS default.
+    EXPECT_EQ(FioJob::parse("bs=4k").rtPriority, 0);
+    EXPECT_EQ(parseError("rtprio=99"),
+              "fatal: fio: unknown option 'rtprio'");
 }
 
 } // namespace

@@ -93,9 +93,10 @@ class FioThreadTest : public ::testing::Test
     }
 
     FioThread &
-    spawn(const std::string &jobspec)
+    spawn(const std::string &jobspec, Tick runtime = sec(120))
     {
         FioJob job = FioJob::parse(jobspec);
+        job.runtime = runtime;
         job.cpusAllowed = CpuMask(1) << 0;
         threads.push_back(std::make_unique<FioThread>(
             *sim, "fio0", *sched, *engine, 0, job));
@@ -111,7 +112,7 @@ class FioThreadTest : public ::testing::Test
 TEST_F(FioThreadTest, ClosedLoopCompletesManyIos)
 {
     build(usec(20));
-    auto &t = spawn("rw=randread bs=4k iodepth=1 runtime=50ms");
+    auto &t = spawn("rw=randread bs=4k iodepth=1", msec(50));
     t.start(0);
     sim->run(msec(60));
     // Per IO: ~20 us device + submit/reap work + switches ~ 27 us.
@@ -124,7 +125,7 @@ TEST_F(FioThreadTest, ClosedLoopCompletesManyIos)
 TEST_F(FioThreadTest, LatencyIsDevicePlusHostPath)
 {
     build(usec(20));
-    auto &t = spawn("rw=randread bs=4k iodepth=1 runtime=10ms");
+    auto &t = spawn("rw=randread bs=4k iodepth=1", msec(10));
     t.start(0);
     sim->run(msec(20));
     double mean_us = t.histogram().mean() / afa::sim::kUsec;
@@ -138,12 +139,12 @@ TEST_F(FioThreadTest, LatencyIsDevicePlusHostPath)
 TEST_F(FioThreadTest, RemoteHandlerCpuPaysIpi)
 {
     build(usec(20), 0);
-    auto &local = spawn("rw=randread bs=4k iodepth=1 runtime=10ms");
+    auto &local = spawn("rw=randread bs=4k iodepth=1", msec(10));
     local.start(0);
     sim->run(msec(20));
 
     build(usec(20), 1); // handler on cpu1, thread pinned to cpu0
-    auto &remote = spawn("rw=randread bs=4k iodepth=1 runtime=10ms");
+    auto &remote = spawn("rw=randread bs=4k iodepth=1", msec(10));
     remote.start(0);
     sim->run(msec(20));
 
@@ -155,7 +156,7 @@ TEST_F(FioThreadTest, RemoteHandlerCpuPaysIpi)
 TEST_F(FioThreadTest, QueueDepthIsRespected)
 {
     build(usec(100));
-    auto &t = spawn("rw=randread bs=4k iodepth=8 runtime=20ms");
+    auto &t = spawn("rw=randread bs=4k iodepth=8", msec(20));
     t.start(0);
     sim->run(msec(40));
     EXPECT_EQ(engine->maxOutstanding, 8u);
@@ -165,7 +166,7 @@ TEST_F(FioThreadTest, QueueDepthIsRespected)
 TEST_F(FioThreadTest, Qd1NeverOverlaps)
 {
     build(usec(50));
-    auto &t = spawn("rw=randread bs=4k iodepth=1 runtime=10ms");
+    auto &t = spawn("rw=randread bs=4k iodepth=1", msec(10));
     t.start(0);
     sim->run(msec(20));
     EXPECT_EQ(engine->maxOutstanding, 1u);
@@ -174,7 +175,7 @@ TEST_F(FioThreadTest, Qd1NeverOverlaps)
 TEST_F(FioThreadTest, StopsSubmittingAtRuntime)
 {
     build(usec(20));
-    auto &t = spawn("rw=randread bs=4k iodepth=1 runtime=5ms");
+    auto &t = spawn("rw=randread bs=4k iodepth=1", msec(5));
     t.start(0);
     sim->run(msec(100));
     auto completed = t.stats().completed;
@@ -186,7 +187,7 @@ TEST_F(FioThreadTest, StopsSubmittingAtRuntime)
 TEST_F(FioThreadTest, StartDelayHonoured)
 {
     build(usec(20));
-    auto &t = spawn("rw=randread bs=4k iodepth=1 runtime=5ms");
+    auto &t = spawn("rw=randread bs=4k iodepth=1", msec(5));
     t.start(msec(10));
     sim->run(msec(5));
     EXPECT_EQ(t.stats().submitted, 0u);
@@ -197,7 +198,7 @@ TEST_F(FioThreadTest, StartDelayHonoured)
 TEST_F(FioThreadTest, SequentialLbasAdvance)
 {
     build(usec(20));
-    auto &t = spawn("rw=read bs=128k iodepth=1 runtime=2ms");
+    auto &t = spawn("rw=read bs=128k iodepth=1", msec(2));
     t.start(0);
     sim->run(msec(10));
     ASSERT_GT(engine->requests.size(), 3u);
@@ -211,7 +212,7 @@ TEST_F(FioThreadTest, RandomLbasStayInRange)
 {
     build(usec(20));
     auto &t = spawn(
-        "rw=randread bs=4k iodepth=1 runtime=5ms offset=4m size=8m");
+        "rw=randread bs=4k iodepth=1 offset=4m size=8m", msec(5));
     t.start(0);
     sim->run(msec(10));
     ASSERT_GT(engine->requests.size(), 10u);
@@ -230,7 +231,7 @@ TEST_F(FioThreadTest, MixedModeIssuesBothOps)
 {
     build(usec(20));
     auto &t = spawn(
-        "rw=randrw rwmixread=70 bs=4k iodepth=1 runtime=20ms");
+        "rw=randrw rwmixread=70 bs=4k iodepth=1", msec(20));
     t.start(0);
     sim->run(msec(40));
     unsigned reads = 0, writes = 0;
@@ -249,14 +250,14 @@ TEST_F(FioThreadTest, MixedModeIssuesBothOps)
 TEST_F(FioThreadTest, ThinkTimeThrottles)
 {
     build(usec(20));
-    auto &fast = spawn("rw=randread bs=4k iodepth=1 runtime=20ms");
+    auto &fast = spawn("rw=randread bs=4k iodepth=1", msec(20));
     fast.start(0);
     sim->run(msec(50));
     auto fast_count = fast.stats().completed;
 
     build(usec(20));
     auto &slow = spawn(
-        "rw=randread bs=4k iodepth=1 runtime=20ms thinktime=100us");
+        "rw=randread bs=4k iodepth=1 thinktime=100us", msec(20));
     slow.start(0);
     sim->run(msec(50));
     EXPECT_LT(slow.stats().completed, fast_count / 2);
@@ -265,7 +266,7 @@ TEST_F(FioThreadTest, ThinkTimeThrottles)
 TEST_F(FioThreadTest, ScatterLogCollectsSamples)
 {
     build(usec(20));
-    auto &t = spawn("rw=randread bs=4k iodepth=1 runtime=5ms");
+    auto &t = spawn("rw=randread bs=4k iodepth=1", msec(5));
     afa::stats::ScatterLog log;
     t.attachScatterLog(&log);
     t.start(0);
@@ -284,7 +285,7 @@ TEST_F(FioThreadTest, RangeBeyondDeviceIsFatal)
 TEST_F(FioThreadTest, DoubleStartPanics)
 {
     build();
-    auto &t = spawn("rw=randread bs=4k iodepth=1 runtime=1ms");
+    auto &t = spawn("rw=randread bs=4k iodepth=1", msec(1));
     t.start(0);
     EXPECT_THROW(t.start(0), afa::sim::SimError);
 }

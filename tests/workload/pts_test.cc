@@ -149,8 +149,8 @@ TEST(PtsRunnerTest, RunsRoundsAndDetectsSteadyState)
                                afa::host::CpuTopology{}, cfg);
     SettlingEngine engine(sim);
 
-    FioJob job = FioJob::parse(
-        "rw=randread bs=4k iodepth=1 runtime=50ms");
+    FioJob job = FioJob::parse("rw=randread bs=4k iodepth=1");
+    job.runtime = afa::sim::msec(50);
     job.cpusAllowed = afa::host::CpuMask(1) << 4;
     PtsRunner runner(sim, "pts", sched, engine, 0, job, 10);
     runner.start();
