@@ -84,9 +84,9 @@
  *                     [0, 100] (default 100 = pure reads)
  *   --zipf T          zipfian theta in [0, 1) for hot-spot device
  *                     addressing (default 0 = uniform)
- *   --burst B         burst factor: arrivals come from an on/off
- *                     process firing at B x the mean rate with duty
- *                     cycle 1/B (default 1 = plain Poisson)
+ *   --burst B         burst factor, at least 1: arrivals come from an
+ *                     on/off process firing at B x the mean rate with
+ *                     duty cycle 1/B (default 1 = plain Poisson)
  *   --streams N       independent submitter streams in [1, 1024]
  *                     (default 4)
  */
@@ -181,6 +181,10 @@ parseOptions(int argc, char **argv,
     if (rate < 0.0)
         afa::sim::fatal("--rate %g: must be at least 0 ops/s", rate);
     const double burst = cfg.getDouble("burst", 1.0);
+    if (burst < 1.0)
+        afa::sim::fatal("--burst %g: must be at least 1 (1 = plain "
+                        "Poisson)",
+                        burst);
     if (burst > 1.0) {
         opts.shape.arrival.kind = afa::workload::ArrivalKind::Bursty;
         opts.shape.arrival.burstFactor = burst;
@@ -189,7 +193,10 @@ parseOptions(int argc, char **argv,
     if (mix < 0.0 || mix > 100.0)
         afa::sim::fatal("--mix %g: must be in [0, 100]", mix);
     opts.shape.readFraction = mix / 100.0;
-    opts.shape.zipfTheta = cfg.getDouble("zipf", 0.0);
+    const double zipf = cfg.getDouble("zipf", 0.0);
+    if (zipf < 0.0 || zipf >= 1.0)
+        afa::sim::fatal("--zipf %g: must be in [0, 1)", zipf);
+    opts.shape.zipfTheta = zipf;
     opts.shape.streams = static_cast<unsigned>(
         cfg.getCount("streams", 4, 1, kMaxStreams));
     if (rate > 0.0) {

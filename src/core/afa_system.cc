@@ -1,5 +1,7 @@
 #include "core/afa_system.hh"
 
+#include <cassert>
+
 #include "obs/metrics.hh"
 #include "obs/span_log.hh"
 #include "obs/telemetry.hh"
@@ -28,8 +30,6 @@ AfaSystem::AfaSystem(Simulator &simulator, const AfaSystemParams &params)
     // pin the event order they produce.
     for (unsigned d = 0; d < params.ssds; ++d)
         pcieFabric->markEndpoint(fabricTopo.ssds[d]);
-    const afa::sim::Tick ship_delay =
-        static_cast<afa::sim::Tick>(pcieFabric->minPropagation().count());
 
     // Host side.
     sched = std::make_unique<afa::host::Scheduler>(
@@ -52,30 +52,16 @@ AfaSystem::AfaSystem(Simulator &simulator, const AfaSystemParams &params)
         ctrl.setFastPath(params.deviceFastPath);
         afa::pcie::NodeId dev_node = fabricTopo.ssds[d];
         afa::pcie::NodeId host_node = fabricTopo.host;
-        ctrl.setTransport([this, dev_node, host_node, d, ship_delay](
+        ctrl.setTransport([this, dev_node, host_node, d](
                               std::uint32_t bytes, std::uint64_t io,
                               afa::sim::EventFn fn) {
-            // Device -> fabric: "ship" the send one minimum link
+            // Device -> fabric: the send enters one minimum link
             // propagation later, in the device's endpoint band,
-            // backdating the fabric entry to the device-side tick.
-            // Exact because the device's edge link carries no
-            // through-traffic or reservations, so nothing can have
-            // touched it in the interim, and link arithmetic already
-            // includes >= one propagation delay. The band makes
-            // simultaneous completions from different devices walk
-            // the fabric in ascending endpoint order.
-            const afa::sim::Tick entry = sim.now();
-            sim.scheduleInternal(
-                entry + ship_delay,
-                [this, entry, dev_node, host_node, bytes, io, d,
-                 fn = std::move(fn)]() mutable {
-                    pcieFabric->sendSpannedAt(
-                        entry, dev_node, host_node, bytes, io,
-                        afa::obs::ssdTrack(d),
-                        afa::obs::Stage::FabricComplete,
-                        std::move(fn));
-                },
-                /*order=*/2 + dev_node);
+            // backdated to the device-side tick (Fabric::ship()).
+            pcieFabric->ship(dev_node, host_node, bytes, io,
+                             afa::obs::ssdTrack(d),
+                             afa::obs::Stage::FabricComplete,
+                             std::move(fn));
         });
         ctrl.setCompletionHandler(
             [this, d](const NvmeCompletion &completion) {
@@ -335,83 +321,87 @@ AfaSystem::Driver::submit(unsigned cpu,
     if (request.device >= sys.ctrls.size())
         afa::sim::panic("driver: device %u out of range",
                         request.device);
-    std::uint64_t id = nextCmdId++;
-    inFlight.emplace(id, Pending{std::move(on_device_complete),
-                                 request.tag, request, cpu, 0, {}});
-    startAttempt(id);
+    const std::uint32_t slot = inFlight.acquire();
+    Pending &pending = inFlight[slot];
+    pending.fn = std::move(on_device_complete);
+    pending.req = request;
+    pending.cpu = cpu;
+    ++numOutstanding;
+    startAttempt(slot);
 }
 
 void
-AfaSystem::Driver::startAttempt(std::uint64_t id)
+AfaSystem::Driver::startAttempt(std::uint32_t slot)
 {
-    auto it = inFlight.find(id);
-    Pending &pending = it->second;
+    Pending &pending = inFlight[slot];
     const afa::workload::IoRequest &request = pending.req;
     const unsigned cpu = pending.cpu;
+    pending.cmdId = (nextAttempt++ << 32) | slot;
 
     // Timeouts are armed only when a fault plan is loaded: on a
     // healthy run the driver schedules no extra events at all.
     if (sys.sysParams.faults)
         pending.timeout = sys.sim.scheduleAfter(
             sys.sysParams.faults->nvmeTimeout,
-            [this, id] { onTimeout(id); });
+            [this, slot] { onTimeout(slot); });
 
     NvmeCommand cmd;
     cmd.op = request.op;
     cmd.lba = request.lba;
     cmd.bytes = request.bytes;
     cmd.queueId = static_cast<std::uint16_t>(cpu);
-    cmd.cmdId = id;
+    cmd.cmdId = pending.cmdId;
     cmd.submitted = sys.sim.now();
     cmd.tag = request.tag;
 
-    afa::nvme::Controller *ctrl = sys.ctrls[request.device].get();
+    const std::uint32_t sqe = sqes.acquire();
+    sqes[sqe] = Sqe{sys.ctrls[request.device].get(), cmd};
     sys.pcieFabric->sendSpanned(sys.fabricTopo.host,
                                 sys.fabricTopo.ssds[request.device],
                                 sys.sysParams.sqeBytes, cmd.tag,
                                 afa::obs::cpuTrack(cpu),
                                 afa::obs::Stage::FabricSubmit,
-                                [ctrl, cmd] { ctrl->submit(cmd); });
+                                [this, sqe] {
+                                    const Sqe s = sqes.take(sqe);
+                                    s.ctrl->submit(s.cmd);
+                                });
 }
 
 void
-AfaSystem::Driver::onTimeout(std::uint64_t id)
+AfaSystem::Driver::onTimeout(std::uint32_t slot)
 {
-    auto it = inFlight.find(id);
-    if (it == inFlight.end())
-        afa::sim::panic("driver: timeout for unknown command %llu",
-                        (unsigned long long)id);
+    Pending &pending = inFlight[slot];
+    assert(pending.cmdId != 0 && "timeout of an answered command");
     ++drvStats.timeouts;
-    Pending pending = std::move(it->second);
-    inFlight.erase(it);
+    // The device's answer to this attempt, if it ever comes, is
+    // stale from now on.
+    pending.cmdId = 0;
     const afa::fault::FaultPlan &plan = *sys.sysParams.faults;
     if (pending.attempts >= plan.maxRetries) {
         // Retry budget exhausted: fail the IO back to the submitter
         // on its own CPU (no interrupt fires for an abort).
         ++drvStats.aborts;
-        pending.fn(afa::workload::IoResult{
-            pending.cpu, afa::nvme::Status::TimedOut});
+        --numOutstanding;
+        Pending done = inFlight.take(slot);
+        done.fn(afa::workload::IoResult{done.cpu,
+                                        afa::nvme::Status::TimedOut});
         return;
     }
     ++drvStats.retries;
     afa::sim::Tick backoff = plan.retryBackoff << pending.attempts;
-    if (sys.spanLogPtr && pending.tag &&
+    if (sys.spanLogPtr && pending.req.tag &&
         sys.spanLogPtr->wants(afa::obs::Category::Fault))
-        sys.spanLogPtr->record(afa::obs::Stage::RetryWait, pending.tag,
-                               sys.sim.now(), sys.sim.now() + backoff,
+        sys.spanLogPtr->record(afa::obs::Stage::RetryWait,
+                               pending.req.tag, sys.sim.now(),
+                               sys.sim.now() + backoff,
                                afa::obs::cpuTrack(pending.cpu));
-    ++backoffWaits;
-    sys.sim.scheduleAfter(
-        backoff, [this, pending = std::move(pending)]() mutable {
-            --backoffWaits;
-            // Resubmit under a fresh command id so a late completion
-            // of the timed-out attempt can be told apart (it counts
-            // as stale in onCompletion()).
-            std::uint64_t id = nextCmdId++;
-            ++pending.attempts;
-            inFlight.emplace(id, std::move(pending));
-            startAttempt(id);
-        });
+    // Resubmit under a fresh command id so a late completion of the
+    // timed-out attempt can be told apart (it counts as stale in
+    // onCompletion()).
+    sys.sim.scheduleAfter(backoff, [this, slot] {
+        ++inFlight[slot].attempts;
+        startAttempt(slot);
+    });
 }
 
 std::uint64_t
@@ -426,8 +416,9 @@ void
 AfaSystem::Driver::onCompletion(unsigned device,
                                 const NvmeCompletion &completion)
 {
-    auto it = inFlight.find(completion.cmdId);
-    if (it == inFlight.end()) {
+    const auto slot = static_cast<std::uint32_t>(completion.cmdId);
+    if (!inFlight.live(slot) ||
+        inFlight[slot].cmdId != completion.cmdId) {
         if (sys.sysParams.faults) {
             // The driver already timed this attempt out (and retried
             // or aborted the IO); the device's late answer is dropped
@@ -438,26 +429,29 @@ AfaSystem::Driver::onCompletion(unsigned device,
         afa::sim::panic("driver: completion for unknown command %llu",
                         (unsigned long long)completion.cmdId);
     }
-    Pending pending = std::move(it->second);
-    inFlight.erase(it);
+    Pending &pending = inFlight[slot];
+    pending.cmdId = 0;
+    --numOutstanding;
     if (sys.sysParams.faults)
         sys.sim.cancel(pending.timeout);
-    const afa::nvme::Status status = completion.status;
     if (sys.polledMode) {
         // Polled queues: the CQE sits in host memory; the submitting
         // thread's poll loop will find it. No interrupt is raised.
-        pending.fn(afa::workload::IoResult{completion.queueId, status});
+        Pending done = inFlight.take(slot);
+        done.fn(afa::workload::IoResult{completion.queueId,
+                                        completion.status});
         return;
     }
     // Deliver through the MSI-X vector of (device, submit queue);
     // its affinity decides which CPU pays the hardirq/softirq cost.
+    pending.status = completion.status;
     sys.irqSub->raise(device, completion.queueId,
-                      [fn = std::move(pending.fn),
-                       status](unsigned handler_cpu) {
-                          fn(afa::workload::IoResult{handler_cpu,
-                                                     status});
+                      [this, slot](unsigned handler_cpu) {
+                          Pending done = inFlight.take(slot);
+                          done.fn(afa::workload::IoResult{
+                              handler_cpu, done.status});
                       },
-                      pending.tag);
+                      pending.req.tag);
 }
 
 } // namespace afa::core

@@ -14,7 +14,6 @@
 
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "fault/fault_engine.hh"
@@ -25,6 +24,7 @@
 #include "nvme/controller.hh"
 #include "pcie/afa_topology.hh"
 #include "pcie/fabric.hh"
+#include "sim/pool.hh"
 #include "workload/io_engine.hh"
 
 namespace afa::obs {
@@ -192,34 +192,51 @@ class AfaSystem
         void onCompletion(unsigned device,
                           const afa::nvme::NvmeCompletion &completion);
 
-        std::size_t outstanding() const
-        {
-            return inFlight.size() + backoffWaits;
-        }
+        std::size_t outstanding() const { return numOutstanding; }
 
         const DriverStats &stats() const { return drvStats; }
 
       private:
-        /** One submitted-not-yet-completed command attempt. */
+        /**
+         * One IO, from submit() until its completion callback runs:
+         * through every attempt and backoff, and the completion
+         * interrupt. The timeout, the backoff and the interrupt
+         * handler capture [this, slot].
+         */
         struct Pending
         {
             CompleteFn fn;
-            std::uint64_t tag = 0; ///< observability tag
             afa::workload::IoRequest req; ///< kept for resubmission
+            /** Id of the attempt the device owes an answer for: the
+             *  attempt serial in the high half, the slot in the low
+             *  half. 0 between attempts and once answered, so a late
+             *  answer to a timed-out attempt reads as stale. */
+            std::uint64_t cmdId = 0;
             unsigned cpu = 0;             ///< submitting CPU
             unsigned attempts = 0;        ///< retries so far
+            afa::nvme::Status status = afa::nvme::Status::Success;
             afa::sim::EventHandle timeout;///< armed only with a plan
         };
 
-        void startAttempt(std::uint64_t id);
-        void onTimeout(std::uint64_t id);
+        /** A submission crossing the fabric: the command as issued,
+         *  even if its attempt times out on the way. */
+        struct Sqe
+        {
+            afa::nvme::Controller *ctrl = nullptr;
+            afa::nvme::NvmeCommand cmd;
+        };
+
+        void startAttempt(std::uint32_t slot);
+        void onTimeout(std::uint32_t slot);
 
         AfaSystem &sys;
-        std::uint64_t nextCmdId = 1;
-        std::unordered_map<std::uint64_t, Pending> inFlight;
-        /** IOs between a timeout and their backed-off resubmission
-         *  (in neither inFlight nor the device). */
-        std::size_t backoffWaits = 0;
+        /** Serial of the next attempt (the high half of its id). */
+        std::uint64_t nextAttempt = 1;
+        afa::sim::Pool<Pending> inFlight;
+        afa::sim::Pool<Sqe> sqes;
+        /** IOs submitted and neither answered nor aborted (retries
+         *  waiting out their backoff included). */
+        std::size_t numOutstanding = 0;
         DriverStats drvStats;
     };
 

@@ -9,6 +9,7 @@
 #ifndef AFA_HOST_CPU_TOPOLOGY_HH
 #define AFA_HOST_CPU_TOPOLOGY_HH
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -49,8 +50,9 @@ class CpuTopology
     unsigned threadOf(unsigned cpu) const;
 
     /** The logical CPUs sharing a physical core with @p cpu
-     *  (excluding @p cpu itself). */
-    std::vector<unsigned> siblingsOf(unsigned cpu) const;
+     *  (excluding @p cpu itself), ascending; a view of a list built
+     *  once at construction. */
+    std::span<const unsigned> siblingsOf(unsigned cpu) const;
 
     /** Logical CPU id for (physical core, thread). */
     unsigned logicalCpu(unsigned physical_core, unsigned thread) const;
@@ -76,6 +78,8 @@ class CpuTopology
     CpuTopologyParams params;
     unsigned numPhysical;
     unsigned numLogical;
+    /** threadsPerCore - 1 siblings per logical CPU, in CPU order. */
+    std::vector<unsigned> siblings;
 
     void checkCpu(unsigned cpu) const;
 };

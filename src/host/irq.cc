@@ -145,28 +145,34 @@ IrqSubsystem::raise(unsigned device, unsigned queue, HandlerFn handler,
         ++irqStats.crossSocket;
     }
 
+    const std::uint32_t idx = raised.acquire();
+    Raised &r = raised[idx];
+    r.handler = std::move(handler);
+    r.cpu = cpu;
     if (spanLog && spanLog->wants(afa::obs::Category::Irq)) {
         // Span covers raise -> handler execution: c-state exit plus
         // the hardirq/softirq work, on the handler CPU's track. The
         // Remote flag marks the paper's misplacement (handler CPU is
         // not the submission queue's CPU).
-        std::uint8_t flags =
+        r.traced = true;
+        r.io = io;
+        r.raisedAt = now();
+        r.device = device;
+        r.flags =
             cpu != queue ? afa::obs::kSpanFlagRemote : std::uint8_t(0);
-        sched.interrupt(
-            cpu, cost,
-            [this, handler = std::move(handler), cpu, io, flags,
-             raised = now(), device] {
-                spanLog->record(afa::obs::Stage::IrqDeliver, io,
-                                raised, now(), afa::obs::cpuTrack(cpu),
-                                flags, device);
-                handler(cpu);
-            });
-        return;
     }
+    sched.interrupt(cpu, cost, [this, idx] { handle(idx); });
+}
 
-    sched.interrupt(cpu, cost, [handler = std::move(handler), cpu] {
-        handler(cpu);
-    });
+void
+IrqSubsystem::handle(std::uint32_t idx)
+{
+    const Raised r = raised.take(idx);
+    if (r.traced)
+        spanLog->record(afa::obs::Stage::IrqDeliver, r.io, r.raisedAt,
+                        now(), afa::obs::cpuTrack(r.cpu), r.flags,
+                        r.device);
+    r.handler(r.cpu);
 }
 
 } // namespace afa::host

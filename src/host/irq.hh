@@ -24,6 +24,7 @@
 #include "host/cpu_topology.hh"
 #include "host/kernel_config.hh"
 #include "host/scheduler.hh"
+#include "sim/pool.hh"
 #include "sim/sim_object.hh"
 
 namespace afa::host {
@@ -55,7 +56,9 @@ class IrqSubsystem : public afa::sim::SimObject
      * Raise the vector of (device, queue): the hardirq executes on the
      * vector's affinity CPU (paying c-state exit, stealing CPU time),
      * then the softirq completion work, then @p handler. @p io tags
-     * the delivery span (0 = untagged).
+     * the delivery span (0 = untagged). The interrupt waits in a
+     * pooled record, so a handler within std::function's inline
+     * buffer (e.g. [object, slot]) costs no allocation.
      */
     void raise(unsigned device, unsigned queue, HandlerFn handler,
                std::uint64_t io = 0);
@@ -87,10 +90,23 @@ class IrqSubsystem : public afa::sim::SimObject
     const IrqStats &stats() const { return irqStats; }
 
   private:
+    /** A raised interrupt waiting for its hardirq work to retire. */
+    struct Raised
+    {
+        HandlerFn handler;
+        std::uint64_t io = 0;
+        Tick raisedAt = 0;
+        unsigned cpu = 0;     ///< handler CPU
+        unsigned device = 0;
+        std::uint8_t flags = 0;
+        bool traced = false;  ///< record an IrqDeliver span
+    };
+
     Scheduler &sched;
     unsigned numDevices;
     unsigned numQueues; ///< per device == logical CPUs
     afa::obs::SpanLog *spanLog = nullptr;
+    afa::sim::Pool<Raised> raised;
 
     /// affinity[device * numQueues + queue] = handler CPU
     std::vector<unsigned> affinity;
@@ -103,6 +119,7 @@ class IrqSubsystem : public afa::sim::SimObject
 
     std::size_t index(unsigned device, unsigned queue) const;
     void balancerScan();
+    void handle(std::uint32_t idx);
 };
 
 } // namespace afa::host

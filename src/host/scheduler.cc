@@ -214,7 +214,7 @@ Scheduler::enqueue(unsigned cpu, TaskId id, bool renormalize)
                 static_cast<double>(kcfg.sched.sleeperCredit);
             t.vruntime = std::max(t.vruntime, floor);
         }
-        c.fairQueue.insert({t.vruntime, id});
+        c.fairQueue.insert(t.vruntime, id);
     }
 }
 
@@ -230,11 +230,9 @@ Scheduler::dequeueFromRq(unsigned cpu, TaskId id)
                             name().c_str(), t.params.name.c_str(), cpu);
         c.rtQueue.erase(it);
     } else {
-        auto it = c.fairQueue.find({t.vruntime, id});
-        if (it == c.fairQueue.end())
+        if (!c.fairQueue.erase(t.vruntime, id))
             afa::sim::panic("%s: task %s not on fair rq %u",
                             name().c_str(), t.params.name.c_str(), cpu);
-        c.fairQueue.erase(it);
     }
 }
 
@@ -342,7 +340,7 @@ Scheduler::pickNext(unsigned cpu)
     if (!c.rtQueue.empty())
         return c.rtQueue.front();
     if (!c.fairQueue.empty())
-        return c.fairQueue.begin()->second;
+        return c.fairQueue.front().id;
     return kNoTask;
 }
 
@@ -421,7 +419,7 @@ Scheduler::accountRunning(unsigned cpu)
     // Advance min_vruntime monotonically.
     double floor = t.vruntime;
     if (!c.fairQueue.empty())
-        floor = std::min(floor, c.fairQueue.begin()->first);
+        floor = std::min(floor, c.fairQueue.front().vruntime);
     c.minVruntime = std::max(c.minVruntime, floor);
 }
 
@@ -600,7 +598,7 @@ Scheduler::onTick(unsigned cpu)
             !c.fairQueue.empty()) {
             Tick ran = now() - c.currentStarted;
             if (ran >= sliceFor(cpu, curr) &&
-                c.fairQueue.begin()->first < curr.vruntime) {
+                c.fairQueue.front().vruntime < curr.vruntime) {
                 stopRunning(cpu, true);
                 dispatch(cpu);
             }
@@ -673,25 +671,28 @@ Scheduler::tryPull(unsigned to_cpu)
     if (busiest == 64)
         return false;
     Cpu &from = cpus[busiest];
-    for (const auto &[vrt, tid] : from.fairQueue) {
-        Task &t = task(tid);
-        if (!inMask(t.params.affinity, to_cpu))
-            continue;
-        // dequeueFromRq erases the set node that vrt/tid alias, so
-        // copy the id out first and never touch the bindings after.
-        const unsigned pulled = tid;
-        dequeueFromRq(busiest, pulled);
-        // Renormalise vruntime into the new queue's frame.
-        t.vruntime = t.vruntime - from.minVruntime +
-            cpus[to_cpu].minVruntime;
-        ++t.stats.migrations;
-        ++cpus[to_cpu].stats.pulls;
-        enqueue(to_cpu, pulled, false);
-        if (cpus[to_cpu].current == kNoTask)
-            dispatch(to_cpu);
-        return true;
+    // Pick first, move after: dequeueFromRq() shifts the queue's
+    // entries, so nothing may hold an iterator across it.
+    TaskId pulled = kNoTask;
+    for (const FairQueue::Entry &e : from.fairQueue) {
+        if (inMask(task(e.id).params.affinity, to_cpu)) {
+            pulled = e.id;
+            break;
+        }
     }
-    return false;
+    if (pulled == kNoTask)
+        return false;
+    Task &t = task(pulled);
+    dequeueFromRq(busiest, pulled);
+    // Renormalise vruntime into the new queue's frame.
+    t.vruntime = t.vruntime - from.minVruntime +
+        cpus[to_cpu].minVruntime;
+    ++t.stats.migrations;
+    ++cpus[to_cpu].stats.pulls;
+    enqueue(to_cpu, pulled, false);
+    if (cpus[to_cpu].current == kNoTask)
+        dispatch(to_cpu);
+    return true;
 }
 
 // ---------------------------------------------------------------------

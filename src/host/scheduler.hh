@@ -33,13 +33,12 @@
 #define AFA_HOST_SCHEDULER_HH
 
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <set>
 #include <string>
 #include <vector>
 
 #include "host/cpu_topology.hh"
+#include "host/fair_queue.hh"
 #include "host/kernel_config.hh"
 #include "sim/sim_object.hh"
 
@@ -49,8 +48,6 @@ class SpanLog;
 
 namespace afa::host {
 
-/** Identifies a task. */
-using TaskId = std::uint32_t;
 constexpr TaskId kNoTask = 0xffffffffu;
 
 /** Scheduling class. */
@@ -212,11 +209,13 @@ class Scheduler : public afa::sim::SimObject
     {
         TaskId current = kNoTask;
         Tick currentStarted = 0;
-        /// CFS runqueue ordered by vruntime.
-        std::set<std::pair<double, TaskId>> fairQueue;
+        /// CFS runqueue ordered by (vruntime, id).
+        FairQueue fairQueue;
         /// FIFO runqueue ordered by priority (higher first), FIFO
-        /// within a priority.
-        std::deque<TaskId> rtQueue;
+        /// within a priority. A vector: it holds a few tasks, and
+        /// unlike a deque used as a FIFO it stops allocating once it
+        /// has grown.
+        std::vector<TaskId> rtQueue;
         double minVruntime = 0.0;
         TaskId lastTask = kNoTask;   ///< for cache pollution
         Tick irqBusyUntil = 0;

@@ -12,9 +12,9 @@
 #define AFA_NAND_NAND_ARRAY_HH
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
+#include "sim/event_fn.hh"
 #include "sim/sim_object.hh"
 #include "sim/types.hh"
 
@@ -76,7 +76,9 @@ struct NandStats
 class NandArray : public afa::sim::SimObject
 {
   public:
-    using DoneFn = std::function<void()>;
+    /** Completion callback; scheduled as the completion event itself,
+     *  so a closure of a pointer and indices allocates nothing. */
+    using DoneFn = afa::sim::EventFn;
 
     NandArray(afa::sim::Simulator &simulator, std::string array_name,
               const NandParams &nand_params);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <memory>
 
 #include "obs/span_log.hh"
 #include "sim/logging.hh"
@@ -210,11 +209,21 @@ Controller::submit(const NvmeCommand &cmd)
     }
 }
 
-void
-Controller::finishRead(const NvmeCommand &cmd, Tick hiccup,
-                       Tick media_begin, Tick media_done)
+std::uint32_t
+Controller::chain(const NvmeCommand &cmd)
 {
-    Tick xfer_ready = media_done + hiccup;
+    const std::uint32_t c = chained.acquire();
+    chained[c].cmd = cmd;
+    return c;
+}
+
+void
+Controller::finishRead(std::uint32_t c, Tick media_done)
+{
+    const Chained &rec = chained[c];
+    const NvmeCommand &cmd = rec.cmd;
+    const Tick media_begin = rec.mediaBegin;
+    Tick xfer_ready = media_done + rec.hiccup;
     if (limp != 1.0) {
         // Limping device: the media stage takes `limp` times as
         // long; charge the excess after the healthy window.
@@ -235,13 +244,18 @@ Controller::finishRead(const NvmeCommand &cmd, Tick hiccup,
         spanLog->record(afa::obs::Stage::DeviceXfer, cmd.tag,
                         xfer_ready, xfer_done, spanTrack);
     }
-    at(xfer_done, [this, cmd] {
-        ++ctrlStats.readsCompleted;
-        ctrlStats.bytesRead += cmd.bytes;
-        complete(cmd, cmd.bytes + 16, Status::Success);
-    });
+    at(xfer_done, [this, c] { completeRead(c); });
     // The DMA claim is made; later submissions may fast-path again.
     --chainDepth;
+}
+
+void
+Controller::completeRead(std::uint32_t c)
+{
+    const NvmeCommand cmd = chained.take(c).cmd;
+    ++ctrlStats.readsCompleted;
+    ctrlStats.bytesRead += cmd.bytes;
+    complete(cmd, cmd.bytes + 16, Status::Success);
 }
 
 void
@@ -251,45 +265,51 @@ Controller::serveRead(const NvmeCommand &cmd)
         complete(cmd, 16, Status::InvalidField);
         return;
     }
-    const std::uint64_t blocks = cmd.bytes / kLogicalBlockBytes;
     Tick pipe_done = throughPipeline(fwConfig.readProcTime, cmd.tag);
     if (fastReadEligible(cmd)) {
         fastRead(cmd, pipe_done);
         return;
     }
     fallbackDispatch();
-    at(pipe_done, [this, cmd, blocks] {
-        // Determine the media path: any mapped block forces NAND.
-        bool any_mapped = false;
-        for (std::uint64_t b = 0; b < blocks; ++b)
-            if (ftlLayer.isMapped(cmd.lba + b)) {
-                any_mapped = true;
-                break;
-            }
-        Tick hiccup = sampleHiccup();
-        Tick media_begin = now();
-        if (!any_mapped) {
-            // FOB zero fill: no NAND involved.
-            Tick media = static_cast<Tick>(rng().lognormal(
-                static_cast<double>(fwConfig.fobReadLatency),
-                fwConfig.fobReadSigma));
-            finishRead(cmd, hiccup, media_begin, now() + media);
-            return;
-        }
-        // Mapped: fan out one FTL read per mapped logical block;
-        // unmapped holes inside the range are served as zeroes.
-        auto remaining = std::make_shared<std::uint64_t>(0);
-        for (std::uint64_t b = 0; b < blocks; ++b)
-            if (ftlLayer.isMapped(cmd.lba + b))
-                ++*remaining;
-        auto on_block = [this, cmd, hiccup, media_begin, remaining] {
-            if (--*remaining == 0)
-                finishRead(cmd, hiccup, media_begin, now());
-        };
-        for (std::uint64_t b = 0; b < blocks; ++b)
-            if (ftlLayer.isMapped(cmd.lba + b))
-                ftlLayer.readMapped(cmd.lba + b, on_block, cmd.tag);
-    });
+    const std::uint32_t c = chain(cmd);
+    at(pipe_done, [this, c] { readMedia(c); });
+}
+
+void
+Controller::readMedia(std::uint32_t c)
+{
+    const NvmeCommand cmd = chained[c].cmd;
+    const std::uint64_t blocks = cmd.bytes / kLogicalBlockBytes;
+    // Determine the media path: any mapped block forces NAND.
+    std::uint64_t mapped = 0;
+    for (std::uint64_t b = 0; b < blocks; ++b)
+        if (ftlLayer.isMapped(cmd.lba + b))
+            ++mapped;
+    Chained &rec = chained[c];
+    rec.hiccup = sampleHiccup();
+    rec.mediaBegin = now();
+    if (mapped == 0) {
+        // FOB zero fill: no NAND involved.
+        Tick media = static_cast<Tick>(rng().lognormal(
+            static_cast<double>(fwConfig.fobReadLatency),
+            fwConfig.fobReadSigma));
+        finishRead(c, now() + media);
+        return;
+    }
+    // Mapped: fan out one FTL read per mapped logical block;
+    // unmapped holes inside the range are served as zeroes.
+    rec.blocksLeft = mapped;
+    for (std::uint64_t b = 0; b < blocks; ++b)
+        if (ftlLayer.isMapped(cmd.lba + b))
+            ftlLayer.readMapped(cmd.lba + b,
+                                [this, c] { blockRead(c); }, cmd.tag);
+}
+
+void
+Controller::blockRead(std::uint32_t c)
+{
+    if (--chained[c].blocksLeft == 0)
+        finishRead(c, now());
 }
 
 bool
@@ -376,9 +396,13 @@ Controller::demoteBackFastRead()
     ++chainDepth;
     --ctrlStats.fastPathCommands;
     ++ctrlStats.fallbackCommands;
-    at(fr.pipeDone, [this, fr] {
-        finishRead(fr.cmd, fr.hiccup, fr.pipeDone, fr.mediaDone);
-    });
+    const std::uint32_t c = chain(fr.cmd);
+    Chained &rec = chained[c];
+    rec.hiccup = fr.hiccup;
+    rec.mediaBegin = fr.pipeDone;
+    rec.mediaDone = fr.mediaDone;
+    at(fr.pipeDone,
+       [this, c] { finishRead(c, chained[c].mediaDone); });
 }
 
 void
@@ -409,20 +433,32 @@ Controller::serveWrite(const NvmeCommand &cmd)
     Tick start = std::max(pipe_done, writePipeBusy);
     writePipeBusy = start + service;
     fallbackDispatch();
-    at(writePipeBusy, [this, cmd, blocks] {
-        auto remaining = std::make_shared<std::uint64_t>(blocks);
-        for (std::uint64_t b = 0; b < blocks; ++b) {
-            ftlLayer.write(cmd.lba + b, [this, cmd, remaining] {
-                if (--*remaining != 0)
-                    return;
-                ++ctrlStats.writesCompleted;
-                ctrlStats.bytesWritten += cmd.bytes;
-                complete(cmd, 16, Status::Success);
-                // FTL placement (and any GC it started) is resolved.
-                --chainDepth;
-            });
-        }
-    });
+    const std::uint32_t c = chain(cmd);
+    at(writePipeBusy, [this, c] { bufferWrite(c); });
+}
+
+void
+Controller::bufferWrite(std::uint32_t c)
+{
+    Chained &rec = chained[c];
+    const std::uint64_t lba = rec.cmd.lba;
+    const std::uint64_t blocks = rec.cmd.bytes / kLogicalBlockBytes;
+    rec.blocksLeft = blocks;
+    for (std::uint64_t b = 0; b < blocks; ++b)
+        ftlLayer.write(lba + b, [this, c] { blockBuffered(c); });
+}
+
+void
+Controller::blockBuffered(std::uint32_t c)
+{
+    if (--chained[c].blocksLeft != 0)
+        return;
+    const NvmeCommand cmd = chained.take(c).cmd;
+    ++ctrlStats.writesCompleted;
+    ctrlStats.bytesWritten += cmd.bytes;
+    complete(cmd, 16, Status::Success);
+    // FTL placement (and any GC it started) is resolved.
+    --chainDepth;
 }
 
 void
@@ -452,10 +488,12 @@ Controller::serveFlush(const NvmeCommand &cmd)
         std::max(throughPipeline(fwConfig.readProcTime, cmd.tag),
                  writePipeBusy);
     fallbackDispatch();
-    at(pipe_done, [this, cmd] {
-        ftlLayer.flush([this, cmd] {
+    const std::uint32_t c = chain(cmd);
+    at(pipe_done, [this, c] {
+        ftlLayer.flush([this, c] {
+            const NvmeCommand done = chained.take(c).cmd;
             ++ctrlStats.flushesCompleted;
-            complete(cmd, 16, Status::Success);
+            complete(done, 16, Status::Success);
         });
         // The flush's synchronous work -- the forced partial-page
         // programs with their NAND draws and horizon claims -- is
@@ -473,11 +511,13 @@ Controller::serveFormat(const NvmeCommand &cmd)
     // Format stalls the whole device for its duration.
     Tick pipe_done = throughPipeline(fwConfig.formatDuration, cmd.tag);
     fallbackDispatch();
-    at(pipe_done, [this, cmd] {
+    const std::uint32_t c = chain(cmd);
+    at(pipe_done, [this, c] {
+        const NvmeCommand done = chained.take(c).cmd;
         ftlLayer.format();
         lastWriteEndLba = ~std::uint64_t(0);
         ++ctrlStats.formatsCompleted;
-        complete(cmd, 16, Status::Success);
+        complete(done, 16, Status::Success);
         --chainDepth;
     });
 }
@@ -490,9 +530,11 @@ Controller::serveLogPage(const NvmeCommand &cmd)
     if (fwConfig.logPageStallsIo)
         smartEngine.stallFor(fwConfig.logPageProcTime);
     fallbackDispatch();
-    at(pipe_done, [this, cmd] {
+    const std::uint32_t c = chain(cmd);
+    at(pipe_done, [this, c] {
+        const NvmeCommand done = chained.take(c).cmd;
         ++ctrlStats.logPagesCompleted;
-        complete(cmd, 512 + 16, Status::Success);
+        complete(done, 512 + 16, Status::Success);
         --chainDepth;
     });
 }

@@ -20,7 +20,6 @@
 #ifndef AFA_NVME_CONTROLLER_HH
 #define AFA_NVME_CONTROLLER_HH
 
-#include <deque>
 #include <functional>
 
 #include "nand/nand_array.hh"
@@ -28,6 +27,8 @@
 #include "nvme/firmware_config.hh"
 #include "nvme/ftl.hh"
 #include "nvme/smart.hh"
+#include "sim/pool.hh"
+#include "sim/ring.hh"
 #include "sim/sim_object.hh"
 
 namespace afa::obs {
@@ -172,6 +173,23 @@ class Controller : public afa::sim::SimObject
     afa::obs::SpanLog *spanLog = nullptr;
     std::uint16_t spanTrack = 0;
 
+    /**
+     * A command on the chained event model, from dispatch to its
+     * completion event. Its events and FTL/NAND callbacks capture
+     * [this, record index] (DESIGN.md §9, "Allocation budget").
+     */
+    struct Chained
+    {
+        NvmeCommand cmd;
+        Tick hiccup = 0;     ///< read: sampled firmware hiccup
+        Tick mediaBegin = 0; ///< read: media stage start
+        Tick mediaDone = 0;  ///< demoted fast read: its media end
+        /** Mapped read: NAND reads outstanding; write: blocks not
+         *  yet accepted by the FTL buffer. */
+        std::uint64_t blocksLeft = 0;
+    };
+    afa::sim::Pool<Chained> chained;
+
     // ------------------------------------------------------------------
     // Single-event command fast path (DESIGN.md §9). A read of wholly
     // unmapped (FOB) blocks on a healthy device, with no chained
@@ -208,7 +226,7 @@ class Controller : public afa::sim::SimObject
     unsigned chainDepth = 0;
     /** pipeDone-ordered: every command passes the one pipeline, so
      *  pipe exits rise in submit order. */
-    std::deque<FastRead> fastReads;
+    afa::sim::Ring<FastRead> fastReads;
     /** The DMA engine is a FIFO server, so fast completions fire in
      *  dispatch order: one pending event (the front entry's) is
      *  enough. Each completion schedules the next front; demoting a
@@ -244,11 +262,31 @@ class Controller : public afa::sim::SimObject
      *  raise the chain guard. */
     void fallbackDispatch();
 
+    /** Take a Chained record for @p cmd. */
+    std::uint32_t chain(const NvmeCommand &cmd);
+
+    /** Chained read at its pipe exit: FOB zero fill, or one FTL read
+     *  per mapped block. */
+    void readMedia(std::uint32_t c);
+
+    /** One of a mapped read's NAND reads is done. */
+    void blockRead(std::uint32_t c);
+
     /** Shared chained-model read tail (the reference finish()): limp
      *  accounting, DMA claim, spans, completion event. Runs at the
-     *  reference claim tick for chained and demoted reads alike. */
-    void finishRead(const NvmeCommand &cmd, Tick hiccup,
-                    Tick media_begin, Tick media_done);
+     *  reference claim tick for chained and demoted reads alike;
+     *  the record holds the hiccup and media start. */
+    void finishRead(std::uint32_t c, Tick media_done);
+
+    /** Chained read completion event. */
+    void completeRead(std::uint32_t c);
+
+    /** Chained write at its write-pipe exit: hand each block to the
+     *  FTL. */
+    void bufferWrite(std::uint32_t c);
+
+    /** One of a write's blocks is in the FTL buffer. */
+    void blockBuffered(std::uint32_t c);
 
     /** Fast completion event (the front entry is always the one due). */
     void completeFastRead();

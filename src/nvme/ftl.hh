@@ -28,12 +28,12 @@
 #include <array>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <vector>
 
 #include "nand/nand_array.hh"
 #include "nvme/command.hh"
+#include "sim/event_fn.hh"
 #include "sim/sim_object.hh"
 
 namespace afa::obs {
@@ -82,7 +82,8 @@ struct FtlStats
 class Ftl : public afa::sim::SimObject
 {
   public:
-    using DoneFn = std::function<void()>;
+    /** Completion callback (move-only; null where the API allows it). */
+    using DoneFn = afa::sim::EventFn;
 
     Ftl(afa::sim::Simulator &simulator, std::string ftl_name,
         afa::nand::NandArray &nand_array, const FtlParams &ftl_params);
@@ -108,9 +109,10 @@ class Ftl : public afa::sim::SimObject
     }
 
     /**
-     * Write a logical block. @p on_buffered fires when the data is
-     * accepted into the volatile buffer (possibly delayed by buffer
-     * backpressure); programming to NAND proceeds asynchronously.
+     * Write a logical block. @p on_buffered (may be null) fires when
+     * the data is accepted into the volatile buffer (possibly delayed
+     * by buffer backpressure); programming to NAND proceeds
+     * asynchronously.
      */
     void write(std::uint64_t lba, DoneFn on_buffered);
 

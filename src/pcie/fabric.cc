@@ -133,6 +133,7 @@ Fabric::finalize()
     linkResv.assign(links.size(), {});
     linkFaultRate.assign(links.size(), 0.0);
     faultedLinks = 0;
+    shipDelay = static_cast<Tick>(minPropagation().count());
     isFinalized = true;
 }
 
@@ -215,25 +216,14 @@ Fabric::nodeName(NodeId id) const
     return nodeInfo[id].name;
 }
 
-/**
- * Schedule a fabric-internal transport event (hop continuations,
- * mid-path flight completions). These are plumbing, not model events:
- * how many of them a packet needs depends on which execution strategy
- * (fast path, mid-path fallback, full chain) it happened to take.
- * Marking them internal keeps executedEvents() — and the `events=`
- * line of every figure — at exactly one counted event per delivered
- * packet regardless of the path taken, fast path on or off.
- */
-afa::sim::EventHandle
-Fabric::atInternal(Tick when, EventFn fn)
-{
-    return sim().scheduleInternal(when, std::move(fn));
-}
-
 void
-Fabric::hop(NodeId at_node, NodeId dst, std::uint32_t bytes,
-            EventFn on_delivered, DeliverCtx ctx, Tick enter)
+Fabric::hop(std::uint32_t idx, Tick enter)
 {
+    Packet &p = packets[idx];
+    assert(p.leg == Leg::Chain && "hop() on a packet outside the chain");
+    const NodeId at_node = p.at;
+    const NodeId dst = p.dst;
+    const std::uint32_t bytes = p.bytes;
     const std::size_t base = pathIndex(at_node, dst);
     if (pathOffset[base] == pathOffset[base + 1])
         fatalNoRoute(at_node, dst);
@@ -273,54 +263,130 @@ Fabric::hop(NodeId at_node, NodeId dst, std::uint32_t bytes,
             fabricStats.linkReplays += replays;
         }
     }
-    NodeId next = ph.to;
+    const NodeId next = ph.to;
     if (next == dst) {
         // The delivery: one counted event in the destination's
-        // ordering band that drops the chain mark, commits the span
-        // and then runs the callback.
-        at(
-            arrive,
-            [this, ctx, cb = std::move(on_delivered)]() mutable {
-                finishChained(ctx);
-                cb();
-            },
-            deliveryOrder(dst));
+        // ordering band.
+        at(arrive, [this, idx] { deliverChained(idx); },
+           deliveryOrder(dst));
         return;
     }
-    Tick forwarded = arrive + ph.forwardAfter;
-    atInternal(forwarded,
-               [this, next, dst, bytes, ctx,
-                cb = std::move(on_delivered)]() mutable {
-                   hop(next, dst, bytes, std::move(cb), ctx, now());
-               });
+    // Hop continuations are plumbing, not model events: how many of
+    // them a packet needs depends on which execution strategy (fast
+    // path, mid-path fallback, full chain) it happened to take.
+    // Marking them internal keeps executedEvents() — and the
+    // `events=` line of every figure — at exactly one counted event
+    // per delivered packet regardless of the path taken.
+    p.at = next;
+    sim().scheduleInternal(arrive + ph.forwardAfter,
+                           [this, idx] { hop(idx, now()); });
+}
+
+/** A chain packet's delivery event: drop the chain mark, commit the
+ *  span, free the record and run the callback. */
+void
+Fabric::deliverChained(std::uint32_t idx)
+{
+    Packet &p = packets[idx];
+    assert(p.leg == Leg::Chain && "chain delivery of a non-chain packet");
+    const DeliverCtx ctx = p.ctx;
+    EventFn cb = std::move(p.cb);
+    packets.release(idx);
+    --chainInFlight;
+    if (ctx.io) {
+        // Fallback spans get their real delivery tick: the record is
+        // committed when the packet is delivered.
+        spanLog->record(ctx.stage, ctx.io, ctx.begin, now(), ctx.track,
+                        afa::obs::kSpanFlagFallback);
+    }
+    cb();
 }
 
 void
 Fabric::send(NodeId src, NodeId dst, std::uint32_t bytes,
              EventFn on_delivered)
 {
-    sendAt(now(), src, dst, bytes, std::move(on_delivered));
+    sendWithSpan(src, dst, bytes, DeliverCtx{}, std::move(on_delivered));
 }
 
 void
-Fabric::sendAt(Tick enter, NodeId src, NodeId dst, std::uint32_t bytes,
-               EventFn on_delivered)
+Fabric::checkSend(NodeId src, NodeId dst) const
 {
     if (!isFinalized)
         afa::sim::fatal("fabric %s: send before finalize()",
                         name().c_str());
     checkNode(src);
     checkNode(dst);
-    assert(enter <= now() && "send entry tick in the future");
+}
+
+void
+Fabric::sendWithSpan(NodeId src, NodeId dst, std::uint32_t bytes,
+                     const DeliverCtx &ctx, EventFn on_delivered)
+{
+    checkSend(src, dst);
     ++fabricStats.packets;
     fabricStats.bytes += bytes;
     if (src == dst) {
-        if (curIo)
-            spanLog->record(curStage, curIo, now(), now(), curTrack,
+        if (ctx.io)
+            spanLog->record(ctx.stage, ctx.io, now(), now(), ctx.track,
                             afa::obs::kSpanFlagSelf);
         after(0, std::move(on_delivered));
         return;
     }
+    const std::uint32_t idx = packets.acquire();
+    Packet &p = packets[idx];
+    p.cb = std::move(on_delivered);
+    p.ctx = ctx;
+    p.dst = dst;
+    p.bytes = bytes;
+    route(idx, src, now());
+}
+
+void
+Fabric::ship(NodeId src, NodeId dst, std::uint32_t bytes,
+             std::uint64_t io, std::uint16_t track, afa::obs::Stage stage,
+             EventFn on_delivered)
+{
+    checkSend(src, dst);
+    if (src == dst)
+        afa::sim::panic("fabric %s: ship from %s to itself",
+                        name().c_str(), nodeInfo[src].name.c_str());
+    const std::uint32_t idx = packets.acquire();
+    Packet &p = packets[idx];
+    p.cb = std::move(on_delivered);
+    p.ctx = DeliverCtx{io, now(), track, stage};
+    p.at = src;
+    p.dst = dst;
+    p.bytes = bytes;
+    p.leg = Leg::Ship;
+    sim().scheduleInternal(now() + shipDelay,
+                           [this, idx] { enterShipped(idx); },
+                           deliveryOrder(src));
+}
+
+/** A shipped packet enters the fabric, backdated to its ship tick. */
+void
+Fabric::enterShipped(std::uint32_t idx)
+{
+    Packet &p = packets[idx];
+    assert(p.leg == Leg::Ship && "entry of a packet not shipped");
+    ++fabricStats.packets;
+    fabricStats.bytes += p.bytes;
+    const Tick enter = p.ctx.begin;
+    p.ctx = spanContext(p.ctx.io, enter, p.ctx.track, p.ctx.stage);
+    route(idx, p.at, enter);
+}
+
+/**
+ * Carry record @p idx from @p src (entered at @p enter) toward its
+ * destination: one fast-path walk where the route is free, the
+ * per-hop chain from the first contended link on.
+ */
+void
+Fabric::route(std::uint32_t idx, NodeId src, Tick enter)
+{
+    Packet &p = packets[idx];
+    const NodeId dst = p.dst;
     const std::size_t base = pathIndex(src, dst);
     const std::uint32_t first = pathOffset[base];
     const std::uint32_t last = pathOffset[base + 1];
@@ -341,29 +407,29 @@ Fabric::sendAt(Tick enter, NodeId src, NodeId dst, std::uint32_t bytes,
         // zero intermediate events. Every reservation past the first
         // hop starts in the future; each is recorded in linkResv so
         // that a packet reaching the link earlier can revoke it
-        // (displaceEarlier()). Every walk that occupies its first link
-        // travels as a FlightRecord; a record holding only that link
+        // (displaceEarlier()). A record holding only its first link
         // has no reservation, so nothing can displace it.
         Tick when = enter;
-        std::uint32_t rec_idx = kNoFlight;
         for (std::uint32_t i = first; /**/; ++i) {
             if (i == last) {
                 ++fabricStats.fastPathPackets;
                 // Span committed at the computed arrival; a later
                 // displacement moves the true delivery but not this
-                // record (see sendSpanned() in the header).
-                if (curIo)
-                    spanLog->record(curStage, curIo, curBegin, when,
-                                    curTrack, afa::obs::kSpanFlagFastPath);
+                // record (see sendSpanned() in the header), and the
+                // displaced packet commits none.
+                if (p.ctx.io) {
+                    spanLog->record(p.ctx.stage, p.ctx.io, p.ctx.begin,
+                                    when, p.ctx.track,
+                                    afa::obs::kSpanFlagFastPath);
+                    p.ctx = DeliverCtx{};
+                }
                 // The delivery: one counted event in the destination's
                 // ordering band that drops the walked reservations and
                 // then runs the callback.
-                FlightRecord &rec = flights[rec_idx];
-                rec.cb = std::move(on_delivered);
-                rec.fullWalk = true;
-                rec.hopsWalked = last - first;
-                rec.ev = at(
-                    when, [this, rec_idx] { completeFlight(rec_idx); },
+                p.fullWalk = true;
+                p.hopsWalked = last - first;
+                p.ev = at(
+                    when, [this, idx] { completeFlight(idx); },
                     deliveryOrder(dst));
                 return;
             }
@@ -382,65 +448,35 @@ Fabric::sendAt(Tick enter, NodeId src, NodeId dst, std::uint32_t bytes,
                 if (i == first)
                     break;
                 // The walked prefix stays revocable until the
-                // continuation fires.
-                FlightRecord &rec = flights[rec_idx];
-                rec.cb = std::move(on_delivered);
-                rec.ctx = beginChain();
-                rec.fullWalk = false;
-                rec.hopsWalked = i - first;
+                // continuation fires; the span commits at delivery.
+                beginChain();
+                p.fullWalk = false;
+                p.hopsWalked = i - first;
                 // Mid-path continuation, not a delivery: internal.
-                rec.ev = atInternal(when, [this, rec_idx] {
-                    completeFlight(rec_idx);
-                });
+                p.ev = sim().scheduleInternal(
+                    when, [this, idx] { completeFlight(idx); });
                 return;
             }
             Tick prev = link.busyUntil();
-            if (i == first)
-                rec_idx = allocFlight(first, dst, bytes);
-            else
+            if (i == first) {
+                p.leg = Leg::Walk;
+                p.pathFirst = first;
+            } else {
                 linkResv[ph.link].push_back(
-                    Reservation{when, prev, rec_idx, i - first});
-            when = link.occupy(when, afa::sim::Bytes{bytes}) +
+                    Reservation{when, prev, idx, i - first});
+            }
+            when = link.occupy(when, afa::sim::Bytes{p.bytes}) +
                 ph.forwardAfter;
         }
     }
-    hop(src, dst, bytes, std::move(on_delivered), beginChain(), enter);
-}
-
-std::uint32_t
-Fabric::allocFlight(std::uint32_t path_first, NodeId dst,
-                    std::uint32_t bytes)
-{
-    std::uint32_t idx;
-    if (!freeFlights.empty()) {
-        idx = freeFlights.back();
-        freeFlights.pop_back();
-    } else {
-        flights.emplace_back();
-        idx = static_cast<std::uint32_t>(flights.size() - 1);
-    }
-    FlightRecord &rec = flights[idx];
-    rec.pathFirst = path_first;
-    rec.dst = dst;
-    rec.bytes = bytes;
-    rec.active = true;
-    rec.displaced = false;
-    return idx;
-}
-
-void
-Fabric::freeFlight(std::uint32_t idx)
-{
-    FlightRecord &rec = flights[idx];
-    rec.cb = nullptr;
-    rec.ev = afa::sim::EventHandle{};
-    rec.ctx = DeliverCtx{};
-    rec.active = false;
-    freeFlights.push_back(idx);
+    beginChain();
+    p.leg = Leg::Chain;
+    p.at = src;
+    hop(idx, enter);
 }
 
 /**
- * A flight record's event fired: all of its reservations have started
+ * A walk record's event fired: all of its reservations have started
  * (the event fires no earlier than the last entry tick), so drop them
  * and either deliver (full walk) or re-enter the per-hop model after
  * the walked prefix (mid-path fallback).
@@ -448,24 +484,20 @@ Fabric::freeFlight(std::uint32_t idx)
 void
 Fabric::completeFlight(std::uint32_t idx)
 {
-    FlightRecord &rec = flights[idx];
-    assert(rec.active && "completeFlight() on a free record");
-    for (std::uint32_t h = 1; h < rec.hopsWalked; ++h)
-        pruneExpired(pathHops[rec.pathFirst + h].link);
-    EventFn cb = std::move(rec.cb);
-    DeliverCtx ctx = rec.ctx;
-    bool full = rec.fullWalk;
-    NodeId cont = full ? kInvalidNode
-        : pathHops[rec.pathFirst + rec.hopsWalked - 1].to;
-    NodeId dst = rec.dst;
-    std::uint32_t bytes = rec.bytes;
-    // Free before invoking: the callback may re-enter send() and
-    // allocate flight records itself.
-    freeFlight(idx);
-    if (full)
+    Packet &p = packets[idx];
+    assert(p.leg == Leg::Walk && "completeFlight() on a non-walk record");
+    for (std::uint32_t h = 1; h < p.hopsWalked; ++h)
+        pruneExpired(pathHops[p.pathFirst + h].link);
+    if (p.fullWalk) {
+        // Free before invoking: the callback may re-enter send().
+        EventFn cb = std::move(p.cb);
+        packets.release(idx);
         cb();
-    else
-        hop(cont, dst, bytes, std::move(cb), ctx, now());
+        return;
+    }
+    p.leg = Leg::Chain;
+    p.at = pathHops[p.pathFirst + p.hopsWalked - 1].to;
+    hop(idx, now());
 }
 
 /**
@@ -492,31 +524,30 @@ Fabric::pruneExpired(std::size_t link_idx)
  * roll each occupancy back (reverse order, so each restored horizon is
  * exact) and mark each owner displaced at the lowest affected hop.
  * Owners newly displaced (or displaced at a lower hop than before) are
- * pushed on @p work for a downstream re-scan; @p all collects each
- * displaced record once.
+ * pushed on displaceWork for a downstream re-scan; displaceAll
+ * collects each displaced record once.
  */
 void
-Fabric::cutReservations(std::size_t link_idx, std::size_t pos,
-                        std::vector<std::uint32_t> &work,
-                        std::vector<std::uint32_t> &all)
+Fabric::cutReservations(std::size_t link_idx, std::size_t pos)
 {
     auto &resv = linkResv[link_idx];
     for (std::size_t q = resv.size(); q-- > pos; ) {
         const Reservation &e = resv[q];
-        FlightRecord &rec = flights[e.rec];
-        assert(rec.active && "reservation owned by a free record");
+        Packet &rec = packets[e.rec];
+        assert(rec.leg == Leg::Walk && "reservation owned by a non-walk "
+                                       "record");
         links[link_idx].unoccupy(e.prevHorizon,
                                  afa::sim::Bytes{rec.bytes});
         if (!rec.displaced) {
             rec.displaced = true;
             rec.displacedHop = e.hop;
             rec.displacedStart = e.start;
-            work.push_back(e.rec);
-            all.push_back(e.rec);
+            displaceWork.push_back(e.rec);
+            displaceAll.push_back(e.rec);
         } else if (e.hop < rec.displacedHop) {
             rec.displacedHop = e.hop;
             rec.displacedStart = e.start;
-            work.push_back(e.rec);
+            displaceWork.push_back(e.rec);
         }
     }
     resv.resize(pos);
@@ -539,17 +570,17 @@ Fabric::cutReservations(std::size_t link_idx, std::size_t pos,
 void
 Fabric::displaceEarlier(std::size_t link_idx, Tick enter)
 {
-    std::vector<std::uint32_t> work;
-    std::vector<std::uint32_t> all;
+    displaceWork.clear();
+    displaceAll.clear();
     auto &resv = linkResv[link_idx];
     std::size_t pos = resv.size();
     while (pos > 0 && resv[pos - 1].start > enter)
         --pos;
-    cutReservations(link_idx, pos, work, all);
-    while (!work.empty()) {
-        std::uint32_t ri = work.back();
-        work.pop_back();
-        FlightRecord &rec = flights[ri];
+    cutReservations(link_idx, pos);
+    while (!displaceWork.empty()) {
+        std::uint32_t ri = displaceWork.back();
+        displaceWork.pop_back();
+        Packet &rec = packets[ri];
         // Remove the owner's not-yet-started reservations downstream
         // of its displacement point. (Entries already removed by an
         // earlier cut are simply not found.)
@@ -559,22 +590,22 @@ Fabric::displaceEarlier(std::size_t link_idx, Tick enter)
             auto &lv = linkResv[li];
             for (std::size_t p = 0; p < lv.size(); ++p) {
                 if (lv[p].rec == ri && lv[p].hop == h) {
-                    cutReservations(li, p, work, all);
+                    cutReservations(li, p);
                     break;
                 }
             }
         }
     }
-    for (std::uint32_t ri : all) {
-        FlightRecord &rec = flights[ri];
+    for (std::uint32_t ri : displaceAll) {
+        Packet &rec = packets[ri];
         bool was_pending = sim().cancel(rec.ev);
         assert(was_pending && "displaced a record whose event fired");
         (void)was_pending;
         if (rec.fullWalk) {
             // No longer a single-event delivery: recount it as a
             // fallback packet holding the fast-path gate closed until
-            // it is delivered. A displaced packet never inherits the
-            // displacing sender's span identity (ctx.io stays 0).
+            // it is delivered. Its span was committed at send time
+            // (ctx.io is 0), so the chain delivery commits none.
             --fabricStats.fastPathPackets;
             ++fabricStats.fallbackPackets;
             ++chainInFlight;
@@ -588,34 +619,31 @@ Fabric::displaceEarlier(std::size_t link_idx, Tick enter)
         // The displaced record is now a mid-path continuation (its
         // counted delivery event will be scheduled at the end of the
         // chain): internal.
-        rec.ev = atInternal(rec.displacedStart,
-                            [this, ri] { completeFlight(ri); });
+        rec.ev = sim().scheduleInternal(
+            rec.displacedStart, [this, ri] { completeFlight(ri); });
     }
 }
 
 /**
- * Mark a packet as traversing in per-hop chain mode; the returned
- * context rides to the delivery point, where finishChained() drops
- * the mark (and commits the fallback span, when one is open).
+ * Mark a packet as traversing in per-hop chain mode; its delivery
+ * (deliverChained()) drops the mark and commits the fallback span,
+ * when one is open.
  */
-Fabric::DeliverCtx
+void
 Fabric::beginChain()
 {
     ++fabricStats.fallbackPackets;
     ++chainInFlight;
-    return DeliverCtx{curIo, curBegin, curTrack, curStage};
 }
 
-void
-Fabric::finishChained(const DeliverCtx &ctx)
+Fabric::DeliverCtx
+Fabric::spanContext(std::uint64_t io, Tick begin, std::uint16_t track,
+                    afa::obs::Stage stage) const
 {
-    --chainInFlight;
-    if (ctx.io) {
-        // Fallback spans get their real delivery tick: the record is
-        // committed when the packet is delivered.
-        spanLog->record(ctx.stage, ctx.io, ctx.begin, now(), ctx.track,
-                        afa::obs::kSpanFlagFallback);
-    }
+    if (spanLog && io != 0 &&
+        spanLog->wants(afa::obs::categoryOf(stage)))
+        return DeliverCtx{io, begin, track, stage};
+    return DeliverCtx{};
 }
 
 void
@@ -623,27 +651,8 @@ Fabric::sendSpanned(NodeId src, NodeId dst, std::uint32_t bytes,
                     std::uint64_t io, std::uint16_t track,
                     afa::obs::Stage stage, EventFn on_delivered)
 {
-    sendSpannedAt(now(), src, dst, bytes, io, track, stage,
-                  std::move(on_delivered));
-}
-
-void
-Fabric::sendSpannedAt(Tick enter, NodeId src, NodeId dst,
-                      std::uint32_t bytes, std::uint64_t io,
-                      std::uint16_t track, afa::obs::Stage stage,
-                      EventFn on_delivered)
-{
-    if (spanLog && io != 0 &&
-        spanLog->wants(afa::obs::categoryOf(stage))) {
-        curIo = io;
-        curTrack = track;
-        curStage = stage;
-        curBegin = enter;
-        sendAt(enter, src, dst, bytes, std::move(on_delivered));
-        curIo = 0;
-        return;
-    }
-    sendAt(enter, src, dst, bytes, std::move(on_delivered));
+    sendWithSpan(src, dst, bytes, spanContext(io, now(), track, stage),
+                 std::move(on_delivered));
 }
 
 void

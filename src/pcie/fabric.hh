@@ -22,6 +22,11 @@
  * tick — which is exactly its reference-model arrival, so link FIFO
  * order always equals arrival order. See DESIGN.md "Events-per-IO
  * budget" for the full equivalence contract.
+ *
+ * Every packet in flight, whichever way it travels, keeps its state
+ * (callback, span context, destination, size, next node) in one
+ * pooled record; the events that move it capture only the record's
+ * index (DESIGN.md §9, "Allocation budget").
  */
 
 #ifndef AFA_PCIE_FABRIC_HH
@@ -33,6 +38,7 @@
 
 #include "obs/span.hh"
 #include "pcie/link.hh"
+#include "sim/pool.hh"
 #include "sim/sim_object.hh"
 
 namespace afa::obs {
@@ -118,22 +124,22 @@ class Fabric : public afa::sim::SimObject
                      afa::sim::EventFn on_delivered);
 
     /**
-     * sendSpanned() with an explicit entry tick @p enter <= now().
-     *
-     * The system model ships each device's outbound send to the
-     * fabric as an internal event minPropagation() after the device
-     * issued it (DESIGN.md §9); this entry point lets the shipped
-     * send compute link entry, queueing, and arrival from the tick
-     * the device issued it. Exact because (a) endpoint edge links
-     * carry no through-traffic and no reservations ever cover a
-     * route's first hop, so nothing can have touched the link in
-     * (enter, now()], and (b) every computed event time is >= enter +
-     * propagation >= now(), so nothing schedules into the past.
+     * sendSpanned() from a device, "shipped": the packet enters the
+     * fabric as an internal event minPropagation() later, in the
+     * same-tick band of @p src (markEndpoint()), and computes its
+     * link entry, queueing and arrival from the tick it was shipped
+     * (DESIGN.md §9). The band makes simultaneous sends from
+     * different devices walk the fabric in ascending endpoint order.
+     * Exact because (a) endpoint edge links carry no through-traffic
+     * and no reservations ever cover a route's first hop, so nothing
+     * can have touched the link in between, and (b) every computed
+     * event time is >= the ship tick + propagation >= the entry
+     * event's tick, so nothing schedules into the past. Packet counts
+     * and the span decision happen at entry, as for send().
      */
-    void sendSpannedAt(Tick enter, NodeId src, NodeId dst,
-                       std::uint32_t bytes, std::uint64_t io,
-                       std::uint16_t track, afa::obs::Stage stage,
-                       afa::sim::EventFn on_delivered);
+    void ship(NodeId src, NodeId dst, std::uint32_t bytes,
+              std::uint64_t io, std::uint16_t track,
+              afa::obs::Stage stage, afa::sim::EventFn on_delivered);
 
     /**
      * Declare @p node an endpoint whose deliveries (and outbound
@@ -154,7 +160,7 @@ class Fabric : public afa::sim::SimObject
 
     /**
      * Minimum propagation delay over all links (0 with no links) —
-     * the delay of the device→fabric ship (see sendSpannedAt()).
+     * the delay of the device→fabric ship (see ship()).
      */
     afa::sim::TickDelta minPropagation() const;
 
@@ -185,6 +191,9 @@ class Fabric : public afa::sim::SimObject
 
     /** Fabric-wide stats. */
     const FabricStats &stats() const { return fabricStats; }
+
+    /** Packet records ever created: the pool's high-water mark. */
+    std::size_t packetRecords() const { return packets.capacity(); }
 
     /**
      * Enable/disable the uncontended single-event fast path (on by
@@ -263,17 +272,15 @@ class Fabric : public afa::sim::SimObject
                              ///< reference-model arrival at the link)
         Tick prevHorizon;    ///< link busy horizon just before the
                              ///< occupy(), for rollback
-        std::uint32_t rec;   ///< owning FlightRecord index
+        std::uint32_t rec;   ///< owning Packet record index
         std::uint32_t hop;   ///< hop position on the owner's route
                              ///< (>= 1; hop 0 starts at send time and
                              ///< can never be displaced)
     };
 
     /**
-     * Context a chain packet carries from send() to its delivery
-     * point: the span identity to commit there. Every chain packet
-     * holds the fast-path gate until its delivery event runs
-     * finishChained() and then the caller's callback.
+     * The span a packet commits: at send time for a fast-path walk,
+     * at delivery for a chain packet (io 0 = no span).
      */
     struct DeliverCtx
     {
@@ -283,37 +290,52 @@ class Fabric : public afa::sim::SimObject
         afa::obs::Stage stage = afa::obs::Stage::FabricSubmit;
     };
 
+    /** Where a packet record is on its way (checked at every step). */
+    enum class Leg : std::uint8_t {
+        Ship,  ///< shipped by a device, not yet in the fabric
+        Walk,  ///< put on its first links by the fast-path walk
+        Chain, ///< in the per-hop event model
+    };
+
     /**
-     * A send the fast-path walk has put on at least its first link: a
-     * full walk awaiting its single delivery event, or the walked
-     * prefix of a mid-path fallback awaiting its chain continuation
-     * event. Links past the first hold revocable reservations; holding
-     * the event handle and the final callback makes the packet
+     * One packet in flight, from send() or ship() to its delivery.
+     * The events that move it capture [this, record index]; the
+     * record is freed just before the caller's callback runs, since
+     * that callback may send again.
+     *
+     * A Walk record is a full walk awaiting its single delivery
+     * event, or the walked prefix of a mid-path fallback awaiting its
+     * chain continuation event. Links past the first hold revocable
+     * reservations; holding the event handle makes the packet
      * displaceable — if another packet arrives at a reserved link
      * before the reservation starts, the event is cancelled, the
      * unstarted reservations are rolled back, and the packet re-enters
-     * the per-hop model at its recorded entry tick.
+     * the per-hop model at its recorded entry tick. A Chain record
+     * holds the fast-path gate (chainInFlight) until its delivery.
      */
-    struct FlightRecord
+    struct Packet
     {
         afa::sim::EventFn cb;       ///< the caller's on_delivered
-        afa::sim::EventHandle ev;   ///< delivery or continuation event
-        DeliverCtx ctx;             ///< span context (continuations)
-        std::uint32_t pathFirst = 0;///< base index into pathHops
-        std::uint32_t hopsWalked = 0;///< links occupied; reservations
-                                    ///< cover hops 1..hopsWalked-1
+        afa::sim::EventHandle ev;   ///< Walk: delivery or continuation
+        DeliverCtx ctx;             ///< span still to commit; Ship:
+                                    ///< the raw identity and ship tick
+        NodeId at = kInvalidNode;   ///< Ship: source; Chain: the node
+                                    ///< the next hop leaves from
         NodeId dst = kInvalidNode;
         std::uint32_t bytes = 0;
-        bool fullWalk = false;      ///< ev delivers (else it re-enters
-                                    ///< hop() after the walked prefix)
-        bool active = false;
+        Leg leg = Leg::Chain;
+        bool fullWalk = false;      ///< Walk: ev delivers (else it
+                                    ///< re-enters hop() after the
+                                    ///< walked prefix)
+        std::uint32_t pathFirst = 0;///< Walk: base index into pathHops
+        std::uint32_t hopsWalked = 0;///< Walk: links occupied;
+                                    ///< reservations cover hops
+                                    ///< 1..hopsWalked-1
         // Scratch used only inside displaceEarlier():
         bool displaced = false;
         std::uint32_t displacedHop = 0;
         Tick displacedStart = 0;
     };
-
-    static constexpr std::uint32_t kNoFlight = 0xffffffffu;
 
     std::vector<NodeInfo> nodeInfo;
     std::vector<Link> links;
@@ -329,8 +351,13 @@ class Fabric : public afa::sim::SimObject
     // entry lives from the owning send() until it starts, is displaced,
     // or the owner's event completes and prunes it.
     std::vector<std::vector<Reservation>> linkResv;
-    std::vector<FlightRecord> flights;
-    std::vector<std::uint32_t> freeFlights;
+    afa::sim::Pool<Packet> packets;
+    /** displaceEarlier()'s work lists, kept so a displacement
+     *  allocates nothing once they have grown. */
+    std::vector<std::uint32_t> displaceWork;
+    std::vector<std::uint32_t> displaceAll;
+    /** The ship() delay: minPropagation(), fixed at finalize(). */
+    Tick shipDelay = 0;
     bool isFinalized;
     bool fastPathEnabled = true;
     /**
@@ -358,18 +385,6 @@ class Fabric : public afa::sim::SimObject
     afa::sim::Rng *faultRng = nullptr;
     FabricStats fabricStats;
     afa::obs::SpanLog *spanLog = nullptr;
-    /**
-     * Span context of the sendSpanned() currently executing (io 0 =
-     * none). Valid only for the synchronous extent of send(): the
-     * commit points (self-send, fast-path walk, beginChain()) read it
-     * to stamp their span records. displaceEarlier() gives a
-     * displaced packet an empty context instead, so it never inherits
-     * the displacing sender's identity.
-     */
-    std::uint64_t curIo = 0;
-    Tick curBegin = 0;
-    std::uint16_t curTrack = 0;
-    afa::obs::Stage curStage = afa::obs::Stage::FabricSubmit;
 
     std::size_t
     pathIndex(NodeId src, NodeId dst) const
@@ -377,25 +392,24 @@ class Fabric : public afa::sim::SimObject
         return static_cast<std::size_t>(src) * nodeInfo.size() + dst;
     }
 
-    void sendAt(Tick enter, NodeId src, NodeId dst,
-                std::uint32_t bytes, afa::sim::EventFn on_delivered);
-    afa::sim::EventHandle atInternal(Tick when, afa::sim::EventFn fn);
-    void hop(NodeId at, NodeId dst, std::uint32_t bytes,
-             afa::sim::EventFn on_delivered, DeliverCtx ctx,
-             Tick enter);
+    void checkSend(NodeId src, NodeId dst) const;
+    DeliverCtx spanContext(std::uint64_t io, Tick begin,
+                           std::uint16_t track,
+                           afa::obs::Stage stage) const;
+    void sendWithSpan(NodeId src, NodeId dst, std::uint32_t bytes,
+                      const DeliverCtx &ctx,
+                      afa::sim::EventFn on_delivered);
+    void enterShipped(std::uint32_t idx);
+    void route(std::uint32_t idx, NodeId src, Tick enter);
+    void hop(std::uint32_t idx, Tick enter);
+    void deliverChained(std::uint32_t idx);
     void setLinkFaultRate(std::size_t link_idx, double rate);
     bool routeFaulted(std::uint32_t first, std::uint32_t last) const;
-    DeliverCtx beginChain();
-    void finishChained(const DeliverCtx &ctx);
-    std::uint32_t allocFlight(std::uint32_t path_first, NodeId dst,
-                              std::uint32_t bytes);
-    void freeFlight(std::uint32_t idx);
+    void beginChain();
     void completeFlight(std::uint32_t idx);
     void pruneExpired(std::size_t link_idx);
     void displaceEarlier(std::size_t link_idx, Tick enter);
-    void cutReservations(std::size_t link_idx, std::size_t pos,
-                         std::vector<std::uint32_t> &work,
-                         std::vector<std::uint32_t> &all);
+    void cutReservations(std::size_t link_idx, std::size_t pos);
     std::size_t linkIndex(NodeId from, NodeId to) const;
     void checkNode(NodeId id) const;
     [[noreturn]] void fatalNoRoute(NodeId at, NodeId dst) const;

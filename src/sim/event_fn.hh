@@ -3,14 +3,16 @@
  * The event closure type: a small-buffer-optimized, move-only
  * replacement for std::function<void()> on the simulator hot path.
  *
- * Every simulated I/O schedules dozens of events whose closures
- * capture an object pointer plus a few words of arguments — just past
- * std::function's 16-byte inline buffer, so the old event core paid a
- * heap allocation per event. EventFn stores callables up to
- * kInlineSize bytes inline; trivially copyable captures (the common
- * case: pointers and integers) move by memcpy and destroy for free.
- * Larger or over-aligned callables fall back to a heap slot, so any
- * `void()` callable is still accepted.
+ * Every simulated I/O schedules dozens of events. EventFn stores
+ * callables up to kInlineSize bytes inline; trivially copyable
+ * captures (pointers and integers) move by memcpy and destroy for
+ * free. Larger or over-aligned callables fall back to a heap slot, so
+ * any `void()` callable is still accepted -- which is why the IO path
+ * keeps to one capture rule (DESIGN.md §9, "Allocation budget"): a
+ * per-IO closure captures an object pointer plus record indices, with
+ * the IO's state parked in a pooled record (sim/pool.hh), and never
+ * captures another callback. Such a closure always fits inline; the
+ * heap fallback is left to setup, fault and GC paths.
  *
  * Invoking an empty EventFn is a precondition violation (checked in
  * debug builds); the EventQueue rejects null callbacks at schedule
@@ -33,9 +35,9 @@ namespace afa::sim {
 class EventFn
 {
   public:
-    /** Inline capture budget; sized for the simulator's largest
-     *  common closures (an object pointer + ~3 words) while keeping
-     *  the EventQueue's per-event record within one cache line. */
+    /** Inline capture budget: an object pointer plus up to three
+     *  words of indices or ticks, while keeping the EventQueue's
+     *  per-event record within one cache line. */
     static constexpr std::size_t kInlineSize = 32;
 
     EventFn() noexcept = default;

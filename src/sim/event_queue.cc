@@ -7,7 +7,7 @@
 namespace afa::sim {
 
 EventQueue::EventQueue()
-    : nextSeq(0), numExecuted(0), numPending(0)
+    : nextSeq(0), numExecuted(0), numInternal(0), numPending(0)
 {
     slab.reserve(1024);
     slotKey.reserve(1024);
@@ -26,13 +26,14 @@ EventQueue::growSlab()
 }
 
 EventHandle
-EventQueue::scheduleSlot(Tick when, std::uint32_t prio)
+EventQueue::scheduleSlot(Tick when, std::uint32_t prio, bool internal)
 {
     if (nextSeq >= kMaxSeq)
         panicSeqExhausted();
     std::uint32_t slot = allocSlot();
     Record &rec = slab[slot];
     rec.scheduled = true;
+    rec.internal = internal;
     std::uint64_t key = (nextSeq++ << kSlotBits) | slot;
     slotKey[slot] = key;
     heap.push_back(HeapEntry{when, key, prio});

@@ -61,11 +61,15 @@ class EventQueue
      * @param prio same-tick ordering band; 0 (the default) means
      *        plain FIFO scheduling order, higher bands run after
      *        every lower band of the same tick, FIFO within a band.
+     * @param internal engine plumbing: counted in internalExecuted()
+     *        as well as executed() when it runs (see
+     *        Simulator::scheduleInternal()).
      * @return handle usable with cancel().
      */
     template <typename F>
     EventHandle
-    schedule(Tick when, F &&fn, std::uint32_t prio = 0)
+    schedule(Tick when, F &&fn, std::uint32_t prio = 0,
+             bool internal = false)
     {
         if constexpr (std::is_same_v<std::decay_t<F>, EventFn>) {
             if (!fn)
@@ -74,7 +78,7 @@ class EventQueue
         // The slot/heap bookkeeping is shared out-of-line code; only
         // the closure construction is stamped out per callable, so the
         // callback lands in its slot without any intermediate moves.
-        EventHandle handle = scheduleSlot(when, prio);
+        EventHandle handle = scheduleSlot(when, prio, internal);
         slab[handle.slot].fn.assign(std::forward<F>(fn));
         return handle;
     }
@@ -130,6 +134,10 @@ class EventQueue
     /** Total events executed since construction. */
     std::uint64_t executed() const { return numExecuted; }
 
+    /** The executed() events that were scheduled as internal. They
+     *  are counted as they are popped, before the caller runs them. */
+    std::uint64_t internalExecuted() const { return numInternal; }
+
     /** Drop every pending event. */
     void clear();
 
@@ -139,6 +147,7 @@ class EventQueue
         EventFn fn;
         std::uint32_t gen = 0;
         bool scheduled = false;
+        bool internal = false; ///< engine plumbing (see schedule())
     };
 
     /** Slot index width inside a heap key (16M concurrent slots). */
@@ -190,13 +199,16 @@ class EventQueue
     std::vector<HeapEntry> heap;
     std::uint64_t nextSeq;
     std::uint64_t numExecuted;
+    std::uint64_t numInternal;
     std::size_t numPending;
 
     /**
-     * Allocate a slot, mark it scheduled, and push its heap entry;
-     * the caller constructs the callback into the returned slot.
+     * Allocate a slot, mark it scheduled (and internal or not), and
+     * push its heap entry; the caller constructs the callback into
+     * the returned slot.
      */
-    EventHandle scheduleSlot(Tick when, std::uint32_t prio);
+    EventHandle scheduleSlot(Tick when, std::uint32_t prio,
+                             bool internal);
 
     std::uint32_t
     allocSlot()
@@ -259,6 +271,7 @@ class EventQueue
         freeSlots.push_back(slot);
         --numPending;
         ++numExecuted;
+        numInternal += rec.internal;
         when_out = entry.when;
     }
 };

@@ -67,21 +67,21 @@ class Simulator
     /**
      * scheduleAt() for engine plumbing: the event runs normally but is
      * excluded from executedEvents() and counted in plumbingEvents()
-     * instead. The plumbing counter advances before the callback, so
-     * an internal event reading the counters (a telemetry sample)
-     * sees itself in both -- i.e. exactly the model events so far.
+     * instead. "Internal" is a flag on the event's queue slot, so the
+     * closure is stored as given and costs what scheduleAt() costs.
+     * The plumbing counter advances as the event is popped, before
+     * its callback runs, so an internal event reading the counters (a
+     * telemetry sample) sees itself in both -- i.e. exactly the model
+     * events so far.
      */
     template <typename F>
     EventHandle
     scheduleInternal(Tick when, F &&fn, std::uint32_t order = 0)
     {
-        return scheduleAt(
-            when,
-            [this, f = std::forward<F>(fn)]() mutable {
-                ++plumbing;
-                f();
-            },
-            order);
+        if (when < clock)
+            panicPastEvent(when, clock);
+        return q.schedule(when, std::forward<F>(fn), order,
+                          /*internal=*/true);
     }
 
     /** Cancel a pending event; see EventQueue::cancel. */
@@ -118,11 +118,11 @@ class Simulator
     std::uint64_t
     executedEvents() const
     {
-        return q.executed() - plumbing;
+        return q.executed() - q.internalExecuted();
     }
 
     /** Internal plumbing events executed since construction. */
-    std::uint64_t plumbingEvents() const { return plumbing; }
+    std::uint64_t plumbingEvents() const { return q.internalExecuted(); }
 
     /** The root random stream (fork children from this). */
     Rng &rng() { return rootRng; }
@@ -136,7 +136,6 @@ class Simulator
 
     EventQueue q;
     Tick clock = 0;
-    std::uint64_t plumbing = 0;
     bool stopRequested = false;
     Rng rootRng;
 };

@@ -1,6 +1,7 @@
 #include "workload/fio_job.hh"
 
 #include <cctype>
+#include <limits>
 #include <sstream>
 #include <vector>
 
@@ -44,12 +45,15 @@ rwModeName(RwMode mode)
 
 namespace {
 
-/** Parse fio size spellings: 4096, 4k, 128K, 1m, 2M. */
+/** Parse fio size spellings: 4096, 4k, 128K, 1m, 2M. A sign (which
+ *  stoull would wrap) and a suffix that overflows 64 bits fail. */
 std::uint64_t
 parseSize(const std::string &text, const char *key)
 {
     if (text.empty())
         afa::sim::fatal("fio: empty value for %s", key);
+    if (!std::isdigit(static_cast<unsigned char>(text[0])))
+        afa::sim::fatal("fio: bad size '%s' for %s", text.c_str(), key);
     std::size_t idx = 0;
     unsigned long long v = 0;
     try {
@@ -79,6 +83,9 @@ parseSize(const std::string &text, const char *key)
             afa::sim::fatal("fio: trailing junk in '%s' for %s",
                             text.c_str(), key);
     }
+    if (v > std::numeric_limits<std::uint64_t>::max() / mult)
+        afa::sim::fatal("fio: size '%s' for %s overflows 64 bits",
+                        text.c_str(), key);
     return v * mult;
 }
 
@@ -134,22 +141,30 @@ FioJob::parse(const std::string &spec)
         if (key == "rw") {
             job.rw = parseRwMode(value);
         } else if (key == "bs") {
-            auto size = parseSize(value, "bs");
+            const std::uint64_t size = parseSize(value, "bs");
             if (size == 0 || size % 4096 != 0)
                 afa::sim::fatal("fio: bs must be a positive multiple "
                                 "of 4k, got '%s'",
                                 value.c_str());
+            if (size > std::numeric_limits<std::uint32_t>::max())
+                afa::sim::fatal("fio: bs '%s' exceeds a command's "
+                                "32-bit byte count",
+                                value.c_str());
             job.blockSize = static_cast<std::uint32_t>(size);
         } else if (key == "iodepth") {
-            job.ioDepth = static_cast<unsigned>(
-                parseSize(value, "iodepth"));
-            if (job.ioDepth == 0)
-                afa::sim::fatal("fio: iodepth must be >= 1");
+            const std::uint64_t depth = parseSize(value, "iodepth");
+            if (depth == 0 || depth > kMaxIoDepth)
+                afa::sim::fatal("fio: iodepth must be in [1, %u], got "
+                                "'%s'",
+                                kMaxIoDepth, value.c_str());
+            job.ioDepth = static_cast<unsigned>(depth);
         } else if (key == "rwmixread") {
-            job.rwMixRead = static_cast<unsigned>(
-                parseSize(value, "rwmixread"));
-            if (job.rwMixRead > 100)
-                afa::sim::fatal("fio: rwmixread must be 0..100");
+            const std::uint64_t mix = parseSize(value, "rwmixread");
+            if (mix > 100)
+                afa::sim::fatal("fio: rwmixread must be 0..100, got "
+                                "'%s'",
+                                value.c_str());
+            job.rwMixRead = static_cast<unsigned>(mix);
         } else if (key == "offset") {
             job.offsetBlocks = parseSize(value, "offset") / 4096;
         } else if (key == "size") {

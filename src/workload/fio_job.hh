@@ -37,12 +37,18 @@ RwMode parseRwMode(const std::string &text);
 /** Name of an RwMode (fio spelling). */
 const char *rwModeName(RwMode mode);
 
+/** Deepest iodepth a job may ask for: NVMe's 64 Ki-entry queue. */
+constexpr unsigned kMaxIoDepth = 65536;
+
 /** One fio job (per-thread parameters). */
 struct FioJob
 {
     std::string name = "job0";
     RwMode rw = RwMode::RandRead;
+    /** bs: a positive multiple of 4 KiB that fits the 32-bit
+     *  NvmeCommand::bytes. */
     std::uint32_t blockSize = 4096;
+    /** iodepth, in [1, kMaxIoDepth]. */
     unsigned ioDepth = 1;
     Tick runtime = afa::sim::sec(120);
     /** Mixed-mode read fraction (rwmixread, percent). */

@@ -198,8 +198,9 @@ OpenLoopEngine::issueFront(unsigned s)
 
     const std::uint64_t tag = ioTag(st.task, ++st.seq);
     op.req.tag = tag;
-    flights.emplace(tag, Flight{op.arrivalTick, op.req.device,
-                                op.req.bytes, false});
+    const std::uint32_t f = flights.acquire();
+    flights[f] = Flight{op.arrivalTick, tag, s, op.req.device,
+                        op.req.bytes, false};
     ++st.inflight;
 
     const unsigned cpu = sched.taskCpu(st.task);
@@ -207,35 +208,28 @@ OpenLoopEngine::issueFront(unsigned s)
         spanLog->record(afa::obs::Stage::SubmitQueue, tag,
                         op.arrivalTick, now(),
                         afa::obs::cpuTrack(cpu));
-    engine.submit(cpu, op.req, [this, s, tag](const IoResult &result) {
-        onDeviceComplete(s, tag, result);
+    engine.submit(cpu, op.req, [this, f](const IoResult &result) {
+        onDeviceComplete(f, result);
     });
 }
 
 void
-OpenLoopEngine::onDeviceComplete(unsigned s, std::uint64_t tag,
-                                 const IoResult &result)
+OpenLoopEngine::onDeviceComplete(std::uint32_t f, const IoResult &result)
 {
-    auto it = flights.find(tag);
-    if (it == flights.end())
-        afa::sim::panic("%s: completion for unknown tag",
-                        name().c_str());
-    it->second.failed = !result.ok();
-    after(sched.wakeIpi(streams[s].task, result.cpu), [this, s, tag] {
-        sched.runFor(streams[s].task, kReapCost,
-                     [this, s, tag] { finishOp(s, tag); });
-    });
+    Flight &flight = flights[f];
+    flight.failed = !result.ok();
+    after(sched.wakeIpi(streams[flight.stream].task, result.cpu),
+          [this, f] {
+              sched.runFor(streams[flights[f].stream].task, kReapCost,
+                           [this, f] { finishOp(f); });
+          });
 }
 
 void
-OpenLoopEngine::finishOp(unsigned s, std::uint64_t tag)
+OpenLoopEngine::finishOp(std::uint32_t f)
 {
-    Stream &st = streams[s];
-    auto it = flights.find(tag);
-    if (it == flights.end())
-        afa::sim::panic("%s: reap for unknown tag", name().c_str());
-    const Flight flight = it->second;
-    flights.erase(it);
+    const Flight flight = flights.take(f);
+    Stream &st = streams[flight.stream];
 
     const Tick latency = now() - flight.arrivalTick;
     ++st.stats.completed;
@@ -251,7 +245,7 @@ OpenLoopEngine::finishOp(unsigned s, std::uint64_t tag)
                 ++st.stats.exceed[k];
     }
     if (spanLog && spanLog->wants(afa::obs::Category::Workload))
-        spanLog->record(afa::obs::Stage::Complete, tag,
+        spanLog->record(afa::obs::Stage::Complete, flight.tag,
                         flight.arrivalTick, now(),
                         afa::obs::ssdTrack(flight.device), 0,
                         flight.bytes);

@@ -28,11 +28,11 @@
 
 #include <array>
 #include <deque>
-#include <unordered_map>
 #include <vector>
 
 #include "host/scheduler.hh"
 #include "obs/telemetry.hh"
+#include "sim/pool.hh"
 #include "sim/sim_object.hh"
 #include "stats/histogram.hh"
 #include "workload/arrival.hh"
@@ -176,13 +176,16 @@ class OpenLoopEngine : public afa::sim::SimObject
         IoRequest req;
     };
 
-    /** One submitted, not-yet-reaped IO. */
+    /** One submitted, not-yet-reaped IO. Its completion, wake and
+     *  reap callbacks capture [this, flight index]. */
     struct Flight
     {
-        Tick arrivalTick;
-        unsigned device;
-        std::uint32_t bytes;
-        bool failed;
+        Tick arrivalTick = 0;
+        std::uint64_t tag = 0;
+        unsigned stream = 0;
+        unsigned device = 0;
+        std::uint32_t bytes = 0;
+        bool failed = false;
     };
 
     struct Stream
@@ -214,9 +217,7 @@ class OpenLoopEngine : public afa::sim::SimObject
     afa::stats::Histogram hist;
     std::vector<afa::stats::Histogram> deviceHist;
 
-    // Tag -> in-flight record. Lookup/erase only, never iterated, so
-    // the unordered map cannot leak ordering into results.
-    std::unordered_map<std::uint64_t, Flight> flights;
+    afa::sim::Pool<Flight> flights;
 
     afa::obs::SpanLog *spanLog = nullptr;
 
@@ -227,9 +228,8 @@ class OpenLoopEngine : public afa::sim::SimObject
     void onArrival(unsigned s);
     void kickSubmit(unsigned s);
     void issueFront(unsigned s);
-    void onDeviceComplete(unsigned s, std::uint64_t tag,
-                          const IoResult &result);
-    void finishOp(unsigned s, std::uint64_t tag);
+    void onDeviceComplete(std::uint32_t flight, const IoResult &result);
+    void finishOp(std::uint32_t flight);
 };
 
 } // namespace afa::workload

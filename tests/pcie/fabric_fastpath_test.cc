@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -414,6 +415,59 @@ TEST_F(FabricFastPathTest, MidPathContentionFallsBackAtSharedUplink)
     EXPECT_EQ(f.stats().fastPathPackets, 1u);
     EXPECT_EQ(f.stats().fallbackPackets, 1u);
     EXPECT_GT(f.stats().totalQueueDelay, 0u);
+}
+
+TEST_F(FabricFastPathTest, ResendFromDeliveryReusesTheRecord)
+{
+    // A packet's record is freed before its delivery callback runs,
+    // so a callback that sends again on the same route takes the
+    // freed record back instead of growing the pool: a lone resend
+    // loop holds one record, a fast-path walk and a chain packet
+    // alike. With a contender from d0, d1's first packet falls back
+    // mid-path (a chain packet under the fast path too) and the loop
+    // holds two. Delivery ticks match the per-hop reference.
+    struct Observed
+    {
+        std::vector<Tick> ticks;
+        std::size_t records = 0;
+        std::uint64_t fallbacks = 0;
+    };
+    auto run = [](bool fast_path, bool contender) {
+        Simulator sim(1);
+        Fabric f(sim, "f");
+        NodeId host = f.addEndpoint("host");
+        NodeId sw = f.addSwitch("sw", 300);
+        NodeId d0 = f.addEndpoint("d0");
+        NodeId d1 = f.addEndpoint("d1");
+        f.connect(host, sw, LinkParams{16, Gen::Gen3, 100});
+        f.connect(sw, d0, LinkParams{4, Gen::Gen3, 100});
+        f.connect(sw, d1, LinkParams{4, Gen::Gen3, 100});
+        f.finalize();
+        f.setFastPath(fast_path);
+        Observed seen;
+        std::function<void()> resend = [&] {
+            seen.ticks.push_back(sim.now());
+            if (seen.ticks.size() < 6)
+                f.send(d1, host, 4096, [&resend] { resend(); });
+        };
+        if (contender)
+            f.send(d0, host, 4096, [] {});
+        f.send(d1, host, 4096, [&resend] { resend(); });
+        sim.run();
+        seen.records = f.packetRecords();
+        seen.fallbacks = f.stats().fallbackPackets;
+        return seen;
+    };
+    for (bool contender : {false, true}) {
+        const Observed fast = run(true, contender);
+        const Observed ref = run(false, contender);
+        ASSERT_EQ(fast.ticks.size(), 6u);
+        EXPECT_EQ(fast.ticks, ref.ticks);
+        const std::size_t records = contender ? 2 : 1;
+        EXPECT_EQ(fast.records, records) << "contender " << contender;
+        EXPECT_EQ(ref.records, records) << "contender " << contender;
+        EXPECT_EQ(fast.fallbacks, contender ? 1u : 0u);
+    }
 }
 
 TEST_F(FabricFastPathTest, UncontendedSendMatchesUnloadedLatency)

@@ -185,6 +185,44 @@ TEST_F(SimulatorTest, InternalDiscountMatchesPlainRun)
     EXPECT_EQ(seen_plumbing, 3u);
 }
 
+TEST_F(SimulatorTest, InternalEventKeepsThePlainEventsQueueSlot)
+{
+    // "Internal" is a flag on the queue slot, not a wrapper: an event
+    // with a full inline-size closure runs in the same (tick, band,
+    // FIFO) position whether it is scheduled internal or plain, and
+    // only the counters tell the two apart.
+    auto run = [](bool internal) {
+        Simulator s(42);
+        std::vector<std::uint64_t> order;
+        const std::uint64_t a = 7, b = 8, c = 9;
+        auto marked = [&order, a, b, c] {
+            order.push_back(a * 100 + b * 10 + c);
+        };
+        static_assert(sizeof(marked) == afa::sim::EventFn::kInlineSize);
+        s.scheduleAt(10, [&order] { order.push_back(1); }, 2);
+        s.scheduleAt(10, [&order] { order.push_back(2); });
+        afa::sim::EventHandle h = internal
+            ? s.scheduleInternal(10, marked, 2)
+            : s.scheduleAt(10, marked, 2);
+        EXPECT_TRUE(s.pending(h));
+        s.scheduleAt(10, [&order] { order.push_back(3); }, 2);
+        s.scheduleAt(5, [&order] { order.push_back(4); });
+        s.run();
+        EXPECT_FALSE(s.pending(h));
+        return std::make_pair(order, std::make_pair(s.executedEvents(),
+                                                    s.plumbingEvents()));
+    };
+    const auto plain = run(false);
+    const auto internal = run(true);
+    EXPECT_EQ(internal.first, plain.first);
+    EXPECT_EQ(plain.first,
+              (std::vector<std::uint64_t>{4, 2, 1, 789, 3}));
+    EXPECT_EQ(plain.second, std::make_pair(std::uint64_t{5},
+                                           std::uint64_t{0}));
+    EXPECT_EQ(internal.second, std::make_pair(std::uint64_t{4},
+                                              std::uint64_t{1}));
+}
+
 TEST_F(SimulatorTest, OrderingBandsRunAfterPlainEvents)
 {
     // Same tick: band-0 events in FIFO order first, then ascending

@@ -128,6 +128,32 @@ TEST_F(FioJobTest, Errors)
               "fatal: fio: unknown option 'numjobs'");
 }
 
+TEST_F(FioJobTest, OutOfRangeSizesFailNamingTheKey)
+{
+    // Each value would wrap when narrowed to its field (or, signed,
+    // wrap inside stoull) instead of failing.
+    EXPECT_EQ(parseError("iodepth=4294967297"),
+              "fatal: fio: iodepth must be in [1, 65536], got "
+              "'4294967297'");
+    EXPECT_EQ(parseError("iodepth=65537"),
+              "fatal: fio: iodepth must be in [1, 65536], got '65537'");
+    EXPECT_EQ(parseError("iodepth=-1"),
+              "fatal: fio: bad size '-1' for iodepth");
+    EXPECT_EQ(parseError("bs=4294971392"),
+              "fatal: fio: bs '4294971392' exceeds a command's 32-bit "
+              "byte count");
+    EXPECT_EQ(parseError("rwmixread=4294967396"),
+              "fatal: fio: rwmixread must be 0..100, got '4294967396'");
+    EXPECT_EQ(parseError("size=17179869184g"),
+              "fatal: fio: size '17179869184g' for size overflows 64 "
+              "bits");
+    EXPECT_EQ(parseError("offset=+4k"),
+              "fatal: fio: bad size '+4k' for offset");
+    // The ceilings themselves are accepted.
+    EXPECT_EQ(FioJob::parse("iodepth=64k").ioDepth, kMaxIoDepth);
+    EXPECT_EQ(FioJob::parse("bs=4194300k").blockSize, 4294963200u);
+}
+
 TEST_F(FioJobTest, RtPriority)
 {
     // The tuning profile sets chrt: the key is unknown, and the field
