@@ -252,14 +252,12 @@ struct DeviceBench
     {
         ctrl.setFastPath(fast_path);
         ctrl.setTransport([this](std::uint32_t, std::uint64_t,
-                                 afa::sim::EventFn fn) {
-            sim.scheduleAfter(afa::sim::usec(2), std::move(fn));
-        });
-        ctrl.setCompletionHandler([this](
-                                      const afa::nvme::NvmeCompletion &) {
-            done = true;
-            if (pending != 0)
-                --pending;
+                                 const afa::nvme::NvmeCompletion &) {
+            sim.scheduleAfter(afa::sim::usec(2), [this] {
+                done = true;
+                if (pending != 0)
+                    --pending;
+            });
         });
         ctrl.start();
         ctrl.ftl().precondition(0.5);
@@ -322,11 +320,11 @@ BENCHMARK(BM_DeviceWriteCommand)->Arg(0);
 void
 BM_DeviceCommandContended(benchmark::State &state)
 {
-    // An 8-deep same-tick burst of six FOB reads, a write and a
-    // flush: the write is always chained and demotes every in-flight
-    // fast read, so this bounds the demotion + fallback cost the fast
-    // path adds to contended traffic. One iteration = 8 commands +
-    // full drain.
+    // An 8-deep same-tick burst of seven FOB reads and a write: the
+    // write is always chained and demotes every in-flight fast read,
+    // so this bounds the demotion + fallback cost the fast path adds
+    // to contended traffic. One iteration = 8 commands, run until all
+    // 8 complete.
     DeviceBench d(state.range(0) != 0);
     const std::uint64_t mapped = d.ctrl.ftl().logicalBlocks() / 2;
     const std::uint64_t unmapped = d.ctrl.ftl().logicalBlocks() - mapped;
@@ -337,9 +335,7 @@ BM_DeviceCommandContended(benchmark::State &state)
             afa::nvme::NvmeCommand cmd;
             cmd.cmdId = id;
             cmd.tag = id;
-            if (b == 7)
-                cmd.op = afa::nvme::Op::Flush;
-            else if (b == 6) {
+            if (b == 7) {
                 cmd.op = afa::nvme::Op::Write;
                 cmd.lba = (id * 31) % 256;
                 cmd.bytes = afa::nvme::kLogicalBlockBytes;

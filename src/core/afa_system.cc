@@ -54,19 +54,17 @@ AfaSystem::AfaSystem(Simulator &simulator, const AfaSystemParams &params)
         afa::pcie::NodeId host_node = fabricTopo.host;
         ctrl.setTransport([this, dev_node, host_node, d](
                               std::uint32_t bytes, std::uint64_t io,
-                              afa::sim::EventFn fn) {
+                              const NvmeCompletion &completion) {
             // Device -> fabric: the send enters one minimum link
             // propagation later, in the device's endpoint band,
             // backdated to the device-side tick (Fabric::ship()).
-            pcieFabric->ship(dev_node, host_node, bytes, io,
-                             afa::obs::ssdTrack(d),
-                             afa::obs::Stage::FabricComplete,
-                             std::move(fn));
+            pcieFabric->ship(
+                dev_node, host_node, bytes, io, afa::obs::ssdTrack(d),
+                afa::obs::Stage::FabricComplete,
+                [driver = driver.get(), d, completion] {
+                    driver->onCompletion(d, completion);
+                });
         });
-        ctrl.setCompletionHandler(
-            [this, d](const NvmeCompletion &completion) {
-                driver->onCompletion(d, completion);
-            });
     }
 
     if (params.pinIrqAffinity)
@@ -351,14 +349,13 @@ AfaSystem::Driver::startAttempt(std::uint32_t slot)
     cmd.bytes = request.bytes;
     cmd.queueId = static_cast<std::uint16_t>(cpu);
     cmd.cmdId = pending.cmdId;
-    cmd.submitted = sys.sim.now();
     cmd.tag = request.tag;
 
     const std::uint32_t sqe = sqes.acquire();
     sqes[sqe] = Sqe{sys.ctrls[request.device].get(), cmd};
     sys.pcieFabric->sendSpanned(sys.fabricTopo.host,
                                 sys.fabricTopo.ssds[request.device],
-                                sys.sysParams.sqeBytes, cmd.tag,
+                                kSqeBytes, cmd.tag,
                                 afa::obs::cpuTrack(cpu),
                                 afa::obs::Stage::FabricSubmit,
                                 [this, sqe] {

@@ -34,6 +34,9 @@ class Telemetry;
 
 namespace afa::core {
 
+/** Bytes of a submission (SQE fetch + doorbell) on the fabric. */
+constexpr std::uint32_t kSqeBytes = 72;
+
 /** Everything configurable about the assembled system. */
 struct AfaSystemParams
 {
@@ -60,9 +63,6 @@ struct AfaSystemParams
      * only the executed-event count differs.
      */
     bool deviceFastPath = true;
-
-    /** Bytes of a submission (SQE fetch + doorbell) on the fabric. */
-    std::uint32_t sqeBytes = 72;
 
     /**
      * Optional fault plan (nullptr = healthy run). Loading a plan
@@ -121,9 +121,6 @@ class AfaSystem
      * poll-vs-interrupt discussion). Pair with FioJob::polling.
      */
     void setPolledCompletions(bool polled) { polledMode = polled; }
-
-    /** True when completions bypass the IRQ subsystem. */
-    bool polledCompletions() const { return polledMode; }
 
     /**
      * Attach the obs span log to every instrumented layer (fabric,

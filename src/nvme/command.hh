@@ -10,26 +10,16 @@
 
 #include <cstdint>
 
-#include "sim/types.hh"
-
 namespace afa::nvme {
-
-using afa::sim::Tick;
 
 /** Logical block size all LBAs are expressed in. */
 constexpr std::uint32_t kLogicalBlockBytes = 4096;
 
 /** Operations the controller model implements. */
 enum class Op : std::uint8_t {
-    Read,        ///< NVM read
-    Write,       ///< NVM write
-    Flush,       ///< flush the volatile write buffer
-    Format,      ///< NVM format: return the drive to FOB state
-    GetLogPage,  ///< admin: SMART/health log query
+    Read,  ///< NVM read
+    Write, ///< NVM write
 };
-
-/** The name of an op (for traces and tables). */
-const char *opName(Op op);
 
 /** One NVMe command. */
 struct NvmeCommand
@@ -39,7 +29,6 @@ struct NvmeCommand
     std::uint32_t bytes = kLogicalBlockBytes;
     std::uint16_t queueId = 0;    ///< submission queue (per host CPU)
     std::uint64_t cmdId = 0;      ///< host-assigned tag
-    Tick submitted = 0;           ///< host submit tick (for accounting)
     std::uint64_t tag = 0;        ///< observability tag (0 = untagged)
 };
 
@@ -53,9 +42,6 @@ enum class Status : std::uint8_t {
     /** Host driver aborted the command (e.g. queue teardown). */
     Aborted,
 };
-
-/** The name of a status ("success", "timed-out", ...). */
-const char *statusName(Status status);
 
 /** Completion record returned to the host. */
 struct NvmeCompletion

@@ -8,47 +8,13 @@
 
 namespace afa::nvme {
 
-const char *
-opName(Op op)
-{
-    switch (op) {
-      case Op::Read:
-        return "read";
-      case Op::Write:
-        return "write";
-      case Op::Flush:
-        return "flush";
-      case Op::Format:
-        return "format";
-      case Op::GetLogPage:
-        return "get-log-page";
-    }
-    return "unknown";
-}
-
-const char *
-statusName(Status status)
-{
-    switch (status) {
-      case Status::Success:
-        return "success";
-      case Status::InvalidField:
-        return "invalid-field";
-      case Status::TimedOut:
-        return "timed-out";
-      case Status::Aborted:
-        return "aborted";
-    }
-    return "unknown";
-}
-
 Controller::Controller(afa::sim::Simulator &simulator,
                        std::string controller_name,
                        const FirmwareConfig &firmware_config,
                        afa::nand::NandArray &nand_array,
                        const FtlParams &ftl_params)
     : SimObject(simulator, std::move(controller_name)),
-      fwConfig(firmware_config), nand(nand_array),
+      fwConfig(firmware_config),
       ftlLayer(simulator, name() + ".ftl", nand_array, ftl_params),
       smartEngine(simulator, name() + ".smart", firmware_config.smart),
       procBusy(0), xferBusy(0),
@@ -60,12 +26,6 @@ void
 Controller::setTransport(TransportFn transport_fn)
 {
     transport = std::move(transport_fn);
-}
-
-void
-Controller::setCompletionHandler(CompletionFn handler)
-{
-    completionHandler = std::move(handler);
 }
 
 void
@@ -120,13 +80,12 @@ Controller::setFastPath(bool enabled)
 void
 Controller::checkWired() const
 {
-    if (!transport || !completionHandler)
-        afa::sim::fatal("%s: transport/completion handler not wired",
-                        name().c_str());
+    if (!transport)
+        afa::sim::fatal("%s: transport not wired", name().c_str());
 }
 
 Tick
-Controller::throughPipeline(Tick proc_time, std::uint64_t io)
+Controller::throughPipeline(std::uint64_t io)
 {
     Tick ready = std::max(now(), procBusy);
     Tick stalled = std::max(ready, smartEngine.stalledUntil());
@@ -146,7 +105,7 @@ Controller::throughPipeline(Tick proc_time, std::uint64_t io)
             spanLog->record(afa::obs::Stage::FaultStall, io, stalled,
                             faulted, spanTrack);
     }
-    procBusy = faulted + proc_time;
+    procBusy = faulted + fwConfig.readProcTime;
     return procBusy;
 }
 
@@ -174,10 +133,8 @@ void
 Controller::complete(const NvmeCommand &cmd, std::uint32_t reply_bytes,
                      Status status)
 {
-    NvmeCompletion completion{cmd.cmdId, cmd.queueId, status};
-    transport(reply_bytes, cmd.tag, [this, completion] {
-        completionHandler(completion);
-    });
+    transport(reply_bytes, cmd.tag,
+              NvmeCompletion{cmd.cmdId, cmd.queueId, status});
 }
 
 void
@@ -190,23 +147,10 @@ Controller::submit(const NvmeCommand &cmd)
         ++ctrlStats.droppedCommands;
         return;
     }
-    switch (cmd.op) {
-      case Op::Read:
+    if (cmd.op == Op::Read)
         serveRead(cmd);
-        break;
-      case Op::Write:
+    else
         serveWrite(cmd);
-        break;
-      case Op::Flush:
-        serveFlush(cmd);
-        break;
-      case Op::Format:
-        serveFormat(cmd);
-        break;
-      case Op::GetLogPage:
-        serveLogPage(cmd);
-        break;
-    }
 }
 
 std::uint32_t
@@ -265,7 +209,7 @@ Controller::serveRead(const NvmeCommand &cmd)
         complete(cmd, 16, Status::InvalidField);
         return;
     }
-    Tick pipe_done = throughPipeline(fwConfig.readProcTime, cmd.tag);
+    Tick pipe_done = throughPipeline(cmd.tag);
     if (fastReadEligible(cmd)) {
         fastRead(cmd, pipe_done);
         return;
@@ -413,7 +357,7 @@ Controller::serveWrite(const NvmeCommand &cmd)
         return;
     }
     const std::uint64_t blocks = cmd.bytes / kLogicalBlockBytes;
-    Tick pipe_done = throughPipeline(fwConfig.readProcTime, cmd.tag);
+    Tick pipe_done = throughPipeline(cmd.tag);
     // Write pipe: sequential streams pay bandwidth, random writes pay
     // the per-command FTL overhead that caps random IOPS (Table I).
     bool sequential = cmd.lba == lastWriteEndLba;
@@ -478,65 +422,6 @@ Controller::demoteAllFast()
     // revocable ones form the LIFO-rollback-safe suffix).
     while (!fastReads.empty() && fastReads.back().pipeDone > now())
         demoteBackFastRead();
-}
-
-void
-Controller::serveFlush(const NvmeCommand &cmd)
-{
-    // A flush drains behind every write already in the write pipe.
-    Tick pipe_done =
-        std::max(throughPipeline(fwConfig.readProcTime, cmd.tag),
-                 writePipeBusy);
-    fallbackDispatch();
-    const std::uint32_t c = chain(cmd);
-    at(pipe_done, [this, c] {
-        ftlLayer.flush([this, c] {
-            const NvmeCommand done = chained.take(c).cmd;
-            ++ctrlStats.flushesCompleted;
-            complete(done, 16, Status::Success);
-        });
-        // The flush's synchronous work -- the forced partial-page
-        // programs with their NAND draws and horizon claims -- is
-        // done; the waiter it leaves behind draws nothing and claims
-        // nothing, so later submissions may fast-path again even
-        // while the drain is still in flight (it may never finish on
-        // a drive whose last page stays partial).
-        --chainDepth;
-    });
-}
-
-void
-Controller::serveFormat(const NvmeCommand &cmd)
-{
-    // Format stalls the whole device for its duration.
-    Tick pipe_done = throughPipeline(fwConfig.formatDuration, cmd.tag);
-    fallbackDispatch();
-    const std::uint32_t c = chain(cmd);
-    at(pipe_done, [this, c] {
-        const NvmeCommand done = chained.take(c).cmd;
-        ftlLayer.format();
-        lastWriteEndLba = ~std::uint64_t(0);
-        ++ctrlStats.formatsCompleted;
-        complete(done, 16, Status::Success);
-        --chainDepth;
-    });
-}
-
-void
-Controller::serveLogPage(const NvmeCommand &cmd)
-{
-    Tick pipe_done =
-        throughPipeline(fwConfig.logPageProcTime, cmd.tag);
-    if (fwConfig.logPageStallsIo)
-        smartEngine.stallFor(fwConfig.logPageProcTime);
-    fallbackDispatch();
-    const std::uint32_t c = chain(cmd);
-    at(pipe_done, [this, c] {
-        const NvmeCommand done = chained.take(c).cmd;
-        ++ctrlStats.logPagesCompleted;
-        complete(done, 512 + 16, Status::Success);
-        --chainDepth;
-    });
 }
 
 } // namespace afa::nvme

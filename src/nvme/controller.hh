@@ -9,8 +9,8 @@
  *      NAND via the FTL for mapped data, the write pipe for writes;
  *   3. the internal DMA engine (internalMBps) moving data to the host
  *      buffer;
- *   4. the transport (PCIe fabric, injected by the host glue), after
- *      which the completion callback fires host-side.
+ *   4. the transport (PCIe fabric, injected by the host glue), which
+ *      carries the completion to the host.
  *
  * One controller exposes one queue pair per host logical CPU, like
  * the Linux 4.7 NVMe driver the paper used (64 SSDs x 40 CPUs =
@@ -42,9 +42,6 @@ struct ControllerStats
 {
     std::uint64_t readsCompleted = 0;
     std::uint64_t writesCompleted = 0;
-    std::uint64_t flushesCompleted = 0;
-    std::uint64_t formatsCompleted = 0;
-    std::uint64_t logPagesCompleted = 0;
     std::uint64_t bytesRead = 0;
     std::uint64_t bytesWritten = 0;
     std::uint64_t hiccups = 0;
@@ -64,17 +61,16 @@ struct ControllerStats
 class Controller : public afa::sim::SimObject
 {
   public:
-    /** Invoked host-side when a completion has been delivered. */
-    using CompletionFn = std::function<void(const NvmeCompletion &)>;
-
     /**
-     * Device-to-host delivery; injected by the host glue, typically
-     * Fabric::sendSpanned(deviceNode, hostNode, ...). @p io is the
+     * Device-to-host delivery of @p completion in a @p bytes reply;
+     * injected by the host glue, typically a Fabric::ship() whose
+     * delivery hands the completion to the driver. @p io is the
      * command's observability tag (0 = untagged) so the transport can
      * attribute the transfer to the IO.
      */
     using TransportFn = std::function<void(
-        std::uint32_t bytes, std::uint64_t io, afa::sim::EventFn)>;
+        std::uint32_t bytes, std::uint64_t io,
+        const NvmeCompletion &completion)>;
 
     Controller(afa::sim::Simulator &simulator,
                std::string controller_name,
@@ -84,9 +80,6 @@ class Controller : public afa::sim::SimObject
 
     /** Install the device-to-host transport. Required before use. */
     void setTransport(TransportFn transport);
-
-    /** Install the host completion handler. Required before use. */
-    void setCompletionHandler(CompletionFn handler);
 
     /** Begin background activity (the SMART schedule). */
     void start();
@@ -151,12 +144,10 @@ class Controller : public afa::sim::SimObject
 
   private:
     FirmwareConfig fwConfig;
-    afa::nand::NandArray &nand;
     Ftl ftlLayer;
     SmartEngine smartEngine;
 
     TransportFn transport;
-    CompletionFn completionHandler;
 
     // Busy horizons of the serialising stages.
     Tick procBusy;
@@ -219,10 +210,12 @@ class Controller : public afa::sim::SimObject
     };
 
     bool fastPathEnabled = true;
-    /** Chained commands dispatched but not yet complete. Any nonzero
-     *  depth disables the fast path: a chained command draws from the
-     *  shared streams at its own event times, so a fast command
-     *  submitted behind it would reorder draws. */
+    /** Chained commands dispatched but not yet past their last draw
+     *  or claim: a read's DMA claim (finishRead), a write's last
+     *  buffered block (blockBuffered). Any nonzero depth disables the
+     *  fast path: a chained command draws from the shared streams at
+     *  its own event times, so a fast command submitted behind it
+     *  would reorder draws. */
     unsigned chainDepth = 0;
     /** pipeDone-ordered: every command passes the one pipeline, so
      *  pipe exits rise in submit order. */
@@ -236,13 +229,11 @@ class Controller : public afa::sim::SimObject
 
     void serveRead(const NvmeCommand &cmd);
     void serveWrite(const NvmeCommand &cmd);
-    void serveFlush(const NvmeCommand &cmd);
-    void serveFormat(const NvmeCommand &cmd);
-    void serveLogPage(const NvmeCommand &cmd);
 
-    /** Pass through the command pipeline; returns its exit tick.
-     *  @p io tags the queue-wait and SMART-stall spans. */
-    Tick throughPipeline(Tick proc_time, std::uint64_t io = 0);
+    /** Pass through the command pipeline (readProcTime per command);
+     *  returns its exit tick. @p io tags the queue-wait and stall
+     *  spans. */
+    Tick throughPipeline(std::uint64_t io);
 
     /** Reserve the internal DMA engine from @p ready; returns end. */
     Tick throughXfer(Tick ready, afa::sim::Bytes bytes);

@@ -75,18 +75,6 @@ struct FirmwareConfig
     /** Sequential write drain bandwidth (write pipe server). */
     double writeMBps = 750.0;
 
-    /** Volatile write buffer capacity in 4 KiB entries. */
-    unsigned writeBufferEntries = 1024;
-
-    /** Admin: service time of a GetLogPage (SMART query). */
-    Tick logPageProcTime = afa::sim::usec(150);
-
-    /** True when a host GetLogPage also stalls the I/O pipeline. */
-    bool logPageStallsIo = true;
-
-    /** Duration of an NVMe format. */
-    Tick formatDuration = afa::sim::msec(500);
-
     SmartConfig smart;
 
     /** The paper's experimental firmware: SMART update/save disabled. */

@@ -14,8 +14,7 @@ Ftl::Ftl(afa::sim::Simulator &simulator, std::string ftl_name,
          afa::nand::NandArray &nand_array, const FtlParams &ftl_params)
     : SimObject(simulator, std::move(ftl_name)), params(ftl_params),
       nand(nand_array), nextDie(0), bufferedEntries(0),
-      outstandingPrograms(0), gcActive(false),
-      writeStructuresReady(false)
+      gcActive(false), writeStructuresReady(false)
 {
     const auto &np = nand.params();
     if (np.pageBytes % kLogicalBlockBytes != 0)
@@ -157,13 +156,10 @@ void
 Ftl::programFrontierPage(unsigned die)
 {
     DieFrontier &f = frontier[die];
-    if (f.slot == 0)
-        return; // nothing staged
     std::uint64_t first_slot = f.block * slotsPerBlock +
         static_cast<std::uint64_t>(f.page) * slotsPerPage;
     unsigned host_entries = f.stagedHostEntries;
     f.stagedHostEntries = 0;
-    ++outstandingPrograms;
     ++ftlStats.programs;
     nand.program(slotToAddr(first_slot), nand.params().pageBytes,
                  [this, host_entries] { finishProgram(host_entries); });
@@ -263,9 +259,7 @@ Ftl::finishProgram(unsigned host_entries)
         afa::sim::panic("%s: buffer accounting underflow",
                         name().c_str());
     bufferedEntries -= host_entries;
-    --outstandingPrograms;
     admitPendingWrites();
-    checkFlushWaiters();
 }
 
 void
@@ -276,39 +270,6 @@ Ftl::admitPendingWrites()
         pendingWrites.pop_front();
         placeWrite(lba, std::move(cb));
     }
-}
-
-bool
-Ftl::drained() const
-{
-    return bufferedEntries == 0 && outstandingPrograms == 0 &&
-        pendingWrites.empty();
-}
-
-void
-Ftl::checkFlushWaiters()
-{
-    if (flushWaiters.empty() || !drained())
-        return;
-    auto waiters = std::move(flushWaiters);
-    flushWaiters.clear();
-    for (auto &w : waiters)
-        after(0, std::move(w));
-}
-
-void
-Ftl::flush(DoneFn done)
-{
-    if (!writeStructuresReady || drained()) {
-        after(0, std::move(done));
-        return;
-    }
-    // Force out partial pages on every die so the buffer can drain.
-    for (unsigned d = 0; d < dies; ++d)
-        if (frontier[d].valid)
-            programFrontierPage(d);
-    flushWaiters.push_back(std::move(done));
-    checkFlushWaiters();
 }
 
 void
@@ -397,7 +358,6 @@ Ftl::gcStep()
                        freePerDie[die].push_back(victim);
                        ++ftlStats.erases;
                        admitPendingWrites();
-                       checkFlushWaiters();
                        gcStep();
                    });
     };
@@ -428,11 +388,9 @@ Ftl::format()
     frontier.clear();
     pendingWrites.clear();
     bufferedEntries = 0;
-    outstandingPrograms = 0;
     gcActive = false;
     writeStructuresReady = false;
     nextDie = 0;
-    checkFlushWaiters();
 }
 
 void

@@ -11,8 +11,8 @@
  *
  * In the paper's experiments every drive is kept FOB (fresh out of
  * box, via NVMe format), so host reads never consult NAND; the FTL
- * exists to support the Table I spec benches, flush semantics, and the
- * aged-drive (non-FOB) ablation the paper lists as future work.
+ * exists to support the Table I spec benches, open-loop writes, and
+ * the aged-drive (non-FOB) ablation the paper lists as future work.
  *
  * Both mapping tables (LBA -> physical slot and slot -> LBA) hold
  * 32-bit entries in fixed 256-entry leaves allocated on the first
@@ -115,9 +115,6 @@ class Ftl : public afa::sim::SimObject
      * asynchronously.
      */
     void write(std::uint64_t lba, DoneFn on_buffered);
-
-    /** Flush: @p done fires once every buffered entry is on NAND. */
-    void flush(DoneFn done);
 
     /** Return the drive to FOB: all mappings dropped. Instant. */
     void format();
@@ -244,8 +241,6 @@ class Ftl : public afa::sim::SimObject
 
     unsigned bufferedEntries;
     std::deque<std::pair<std::uint64_t, DoneFn>> pendingWrites;
-    std::vector<DoneFn> flushWaiters;
-    unsigned outstandingPrograms;
     bool gcActive;
     bool writeStructuresReady;
 
@@ -260,6 +255,8 @@ class Ftl : public afa::sim::SimObject
     /** Allocate the next slot on the striped frontier. */
     std::uint64_t allocSlot(bool host_path);
     void openBlockOnDie(unsigned die);
+    /** Program @p die's frontier page; allocSlot() calls it once the
+     *  page is full. */
     void programFrontierPage(unsigned die);
     void maybeStartGc();
     void gcStep();
@@ -269,8 +266,6 @@ class Ftl : public afa::sim::SimObject
     /** Map @p lba to @p slot both ways and count the slot valid. */
     void bind(std::uint64_t lba, std::uint64_t slot);
     void invalidate(std::uint64_t lba);
-    void checkFlushWaiters();
-    bool drained() const;
 };
 
 } // namespace afa::nvme

@@ -36,8 +36,9 @@ class SmartEngine : public afa::sim::SimObject
     Tick stalledUntil() const { return stallHorizon; }
 
     /**
-     * Raise an ad-hoc stall (used by host-driven GetLogPage when
-     * FirmwareConfig::logPageStallsIo is set).
+     * Stall the I/O pipeline for @p duration from now; collect()
+     * raises each update/save stall through it. A shorter stall
+     * never pulls an existing horizon in.
      */
     void stallFor(Tick duration);
 

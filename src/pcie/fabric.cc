@@ -133,7 +133,7 @@ Fabric::finalize()
     linkResv.assign(links.size(), {});
     linkFaultRate.assign(links.size(), 0.0);
     faultedLinks = 0;
-    shipDelay = static_cast<Tick>(minPropagation().count());
+    shipDelay = minPropagation();
     isFinalized = true;
 }
 
@@ -664,7 +664,7 @@ Fabric::markEndpoint(NodeId node)
     nodeOrder[node] = 2 + node;
 }
 
-afa::sim::TickDelta
+Tick
 Fabric::minPropagation() const
 {
     Tick min_prop = 0;
@@ -672,7 +672,7 @@ Fabric::minPropagation() const
         const Tick p = link.params().propagation;
         min_prop = min_prop == 0 ? p : std::min(min_prop, p);
     }
-    return afa::sim::TickDelta{static_cast<std::int64_t>(min_prop)};
+    return min_prop;
 }
 
 Tick

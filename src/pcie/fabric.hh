@@ -162,7 +162,7 @@ class Fabric : public afa::sim::SimObject
      * Minimum propagation delay over all links (0 with no links) —
      * the delay of the device→fabric ship (see ship()).
      */
-    afa::sim::TickDelta minPropagation() const;
+    Tick minPropagation() const;
 
     /** Attach (or detach, with nullptr) the span log. */
     void setSpanLog(afa::obs::SpanLog *log) { spanLog = log; }

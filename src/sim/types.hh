@@ -45,68 +45,16 @@ constexpr double toMsec(Tick t) { return static_cast<double>(t) / kMsec; }
 constexpr double toSec(Tick t) { return static_cast<double>(t) / kSec; }
 
 // ---------------------------------------------------------------------
-// Strong unit wrappers.
+// Strong unit wrapper.
 //
-// Tick stays a bare integer for queue/clock arithmetic, but interface
-// parameters that are *not* absolute sim times should not be: a byte
-// count, a duration, or a host wall-clock delta silently converts
-// into Tick otherwise. TickDelta and Bytes are explicit-construction
-// wrappers for those quantities; the only sanctioned crossings between
-// the unit domains are the named helpers in this header, which the
-// tick-units rule of tools/detlint/detlint_ast.py allowlists (see
-// DESIGN.md "Static-analysis contract").
+// Tick stays a bare integer for queue/clock arithmetic, but a byte
+// count passed where a time is expected would silently convert into
+// Tick. Bytes is an explicit-construction wrapper for payload sizes;
+// the only sanctioned crossing into time is transferTicks() below,
+// which, with the duration helpers above, the tick-units rule of
+// tools/detlint/detlint_ast.py allowlists (see DESIGN.md
+// "Static-analysis contract").
 // ---------------------------------------------------------------------
-
-/**
- * A signed span of simulated time (a difference of Ticks):
- * propagation delays, backoff windows. Signed so that
- * "earlier - later" stays representable during interval arithmetic.
- */
-struct TickDelta
-{
-    std::int64_t ticks = 0;
-
-    TickDelta() = default;
-    explicit constexpr TickDelta(std::int64_t t) : ticks(t) {}
-
-    /** The span in integer nanosecond ticks. */
-    constexpr std::int64_t count() const { return ticks; }
-
-    constexpr bool operator==(const TickDelta &) const = default;
-    constexpr auto operator<=>(const TickDelta &) const = default;
-
-    constexpr TickDelta operator+(TickDelta o) const
-    {
-        return TickDelta{ticks + o.ticks};
-    }
-    constexpr TickDelta operator-(TickDelta o) const
-    {
-        return TickDelta{ticks - o.ticks};
-    }
-    constexpr TickDelta operator-() const { return TickDelta{-ticks}; }
-};
-
-/** The span from @p earlier to @p later (negative if reversed). */
-constexpr TickDelta
-delta(Tick later, Tick earlier)
-{
-    return TickDelta{static_cast<std::int64_t>(later) -
-                     static_cast<std::int64_t>(earlier)};
-}
-
-/** Advance an absolute time by a span. */
-constexpr Tick
-operator+(Tick t, TickDelta d)
-{
-    return t + static_cast<Tick>(d.count());
-}
-
-/** Rewind an absolute time by a span. */
-constexpr Tick
-operator-(Tick t, TickDelta d)
-{
-    return t - static_cast<Tick>(d.count());
-}
 
 /**
  * A payload size. Distinct from Tick so byte counts cannot flow into

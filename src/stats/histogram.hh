@@ -62,9 +62,6 @@ class Histogram
      */
     Tick quantile(double q) const;
 
-    /** Convenience: quantile from a percentile in [0, 100]. */
-    Tick percentile(double p) const { return quantile(p / 100.0); }
-
     /** Samples strictly greater than @p threshold. */
     std::uint64_t countAbove(Tick threshold) const;
 
@@ -73,9 +70,6 @@ class Histogram
 
     /** Reset to empty. */
     void clear();
-
-    /** Sub-bucket bits this histogram was built with. */
-    unsigned subBucketBits() const { return subBits; }
 
     /** Upper bound on relative quantile error from bucketing. */
     double relativeError() const

@@ -200,6 +200,27 @@ TEST_F(DeterminismTest, OpenLoopPinnedWithExactAccounting)
     EXPECT_FALSE(sampled.telemetry.empty());
 }
 
+TEST_F(DeterminismTest, AgedNandOpenLoopPinned)
+{
+    // The aged_nand_mixed benchmark shape at test scale: full drives
+    // under open-loop reads and writes, so every command runs the
+    // chained device model through the FTL and NAND. Every other pin
+    // starts its drives FOB.
+    auto params = baseParams(TuningProfile::ExpFirmware);
+    params.preconditionFraction = 1.0;
+    afa::workload::OpenLoopParams ol;
+    ol.arrival.ratePerSec = 200000.0;
+    ol.readFraction = 0.7;
+    params.openLoop = ol;
+    const auto result = ExperimentRunner::run(params);
+    EXPECT_EQ(hashTag(openLoopCanonical(result) +
+                      perDeviceTable(result).toString()),
+              0x831a38053e467bd3ULL);
+    const auto &t = result.openLoop.totals;
+    EXPECT_GT(t.completed, 1000u);
+    EXPECT_GT(t.writeBytes, 0u);
+}
+
 TEST_F(DeterminismTest, DeviceFastPathMovesOnlyTheEventCount)
 {
     // Mixed open-loop traffic (bursty, zipf, 30% writes) with the

@@ -292,8 +292,7 @@ TEST_F(FaultInjectionTest, DeliveryOnDropoutOnsetTickIsDropped)
     const afa::pcie::AfaTopology topo =
         afa::pcie::buildAfaTopology(probe, shape);
     const Tick lands = submit_at +
-        probe.unloadedLatency(topo.host, topo.ssds[ssd],
-                              AfaSystemParams{}.sqeBytes);
+        probe.unloadedLatency(topo.host, topo.ssds[ssd], kSqeBytes);
 
     const auto dropped = [&](Tick onset) {
         auto plan = std::make_shared<FaultPlan>();

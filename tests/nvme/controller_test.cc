@@ -1,8 +1,8 @@
 /**
  * @file
  * Controller tests: FOB fast path latency, SMART stalls, experimental
- * firmware, command pipeline serialisation, writes, flush, format,
- * log pages, and error handling.
+ * firmware, command pipeline serialisation, writes, and error
+ * handling.
  */
 
 #include <gtest/gtest.h>
@@ -22,7 +22,6 @@ using afa::nand::NandParams;
 using afa::sim::Simulator;
 using afa::sim::Tick;
 using afa::sim::msec;
-using afa::sim::sec;
 using afa::sim::usec;
 
 namespace {
@@ -81,16 +80,12 @@ class ControllerTest : public ::testing::Test
         nand = std::make_unique<NandArray>(*sim, "nand", testNand());
         ctrl = std::make_unique<Controller>(*sim, "nvme0", fw, *nand,
                                             testFtl());
-        ctrl->setTransport(
-            [this](std::uint32_t bytes, std::uint64_t io,
-                   afa::sim::EventFn fn) {
-                (void)bytes;
-                (void)io;
-                sim->scheduleAfter(transportDelay, std::move(fn));
+        ctrl->setTransport([this](std::uint32_t, std::uint64_t,
+                                  const NvmeCompletion &c) {
+            sim->scheduleAfter(transportDelay, [this, c] {
+                completions.push_back(c);
+                completionTimes.push_back(sim->now());
             });
-        ctrl->setCompletionHandler([this](const NvmeCompletion &c) {
-            completions.push_back(c);
-            completionTimes.push_back(sim->now());
         });
         ctrl->start();
     }
@@ -123,7 +118,7 @@ TEST_F(ControllerTest, FobReadLatencyNearSpec)
 {
     // FOB fast path: proc (6 us) + media (~10 us) + xfer (~2.4 us) +
     // transport (2 us) ~ 20 us device-side.
-    Tick lat = roundTrip(NvmeCommand{Op::Read, 100, 4096, 0, 1, 0});
+    Tick lat = roundTrip(NvmeCommand{Op::Read, 100, 4096, 0, 1});
     EXPECT_GT(lat, usec(14));
     EXPECT_LT(lat, usec(30));
     EXPECT_EQ(completions[0].cmdId, 1u);
@@ -133,16 +128,16 @@ TEST_F(ControllerTest, FobReadLatencyNearSpec)
 
 TEST_F(ControllerTest, FobReadsDoNotTouchNand)
 {
-    roundTrip(NvmeCommand{Op::Read, 0, 4096, 0, 1, 0});
-    roundTrip(NvmeCommand{Op::Read, 4000, 4096, 0, 2, 0});
+    roundTrip(NvmeCommand{Op::Read, 0, 4096, 0, 1});
+    roundTrip(NvmeCommand{Op::Read, 4000, 4096, 0, 2});
     EXPECT_EQ(nand->stats().reads, 0u);
 }
 
 TEST_F(ControllerTest, MappedReadGoesThroughNand)
 {
-    roundTrip(NvmeCommand{Op::Write, 50, 4096, 0, 1, 0});
+    roundTrip(NvmeCommand{Op::Write, 50, 4096, 0, 1});
     auto reads_before = nand->stats().reads;
-    Tick lat = roundTrip(NvmeCommand{Op::Read, 50, 4096, 0, 2, 0});
+    Tick lat = roundTrip(NvmeCommand{Op::Read, 50, 4096, 0, 2});
     EXPECT_EQ(nand->stats().reads, reads_before + 1);
     // NAND tR (~50 us) makes mapped reads slower than FOB reads.
     EXPECT_GT(lat, usec(50));
@@ -150,7 +145,7 @@ TEST_F(ControllerTest, MappedReadGoesThroughNand)
 
 TEST_F(ControllerTest, WriteCompletesViaBuffer)
 {
-    Tick lat = roundTrip(NvmeCommand{Op::Write, 10, 4096, 0, 1, 0});
+    Tick lat = roundTrip(NvmeCommand{Op::Write, 10, 4096, 0, 1});
     // Buffered write: no tProg (1.3 ms) in the host latency.
     EXPECT_LT(lat, usec(100));
     EXPECT_TRUE(ctrl->ftl().isMapped(10));
@@ -167,7 +162,7 @@ TEST_F(ControllerTest, SequentialWritesFasterThanRandom)
     for (int i = 0; i < 32; ++i)
         ctrl->submit(NvmeCommand{Op::Write,
                                  static_cast<std::uint64_t>(i), 4096, 0,
-                                 static_cast<std::uint64_t>(i), t0});
+                                 static_cast<std::uint64_t>(i)});
     sim->run();
     Tick seq_done = completionTimes.back() - t0;
 
@@ -178,7 +173,7 @@ TEST_F(ControllerTest, SequentialWritesFasterThanRandom)
                                  static_cast<std::uint64_t>(
                                      (i * 97) % 8192),
                                  4096, 0,
-                                 static_cast<std::uint64_t>(i), t0});
+                                 static_cast<std::uint64_t>(i)});
     sim->run();
     Tick rand_done = completionTimes.back() - t0;
     EXPECT_GT(rand_done, 2 * seq_done);
@@ -201,7 +196,7 @@ TEST_F(ControllerTest, SmartStallDelaysReads)
     for (Tick t = 0; t < msec(20); t += usec(50)) {
         sim->run(t);
         std::size_t before = completions.size();
-        ctrl->submit(NvmeCommand{Op::Read, 0, 4096, 0, t, sim->now()});
+        ctrl->submit(NvmeCommand{Op::Read, 0, 4096, 0, t});
         Tick begin = sim->now();
         while (completions.size() == before && sim->pendingEvents())
             sim->runSteps(1);
@@ -228,7 +223,7 @@ TEST_F(ControllerTest, ExperimentalFirmwareHasNoSmartStalls)
     for (Tick t = 0; t < msec(20); t += usec(50)) {
         sim->run(t);
         std::size_t before = completions.size();
-        ctrl->submit(NvmeCommand{Op::Read, 0, 4096, 0, t, sim->now()});
+        ctrl->submit(NvmeCommand{Op::Read, 0, 4096, 0, t});
         Tick begin = sim->now();
         while (completions.size() == before && sim->pendingEvents())
             sim->runSteps(1);
@@ -243,73 +238,26 @@ TEST_F(ControllerTest, PipelineSerialisesBackToBackReads)
 {
     // Two reads submitted at once: completions spaced by at least the
     // per-command processing time.
-    ctrl->submit(NvmeCommand{Op::Read, 0, 4096, 0, 1, 0});
-    ctrl->submit(NvmeCommand{Op::Read, 8, 4096, 0, 2, 0});
+    ctrl->submit(NvmeCommand{Op::Read, 0, 4096, 0, 1});
+    ctrl->submit(NvmeCommand{Op::Read, 8, 4096, 0, 2});
     sim->run();
     ASSERT_EQ(completions.size(), 2u);
     EXPECT_GE(completionTimes[1] - completionTimes[0],
               ctrl->firmware().readProcTime / 2);
 }
 
-TEST_F(ControllerTest, FlushWaitsForBufferedData)
-{
-    ctrl->submit(NvmeCommand{Op::Write, 0, 4096, 0, 1, 0});
-    ctrl->submit(NvmeCommand{Op::Flush, 0, 0, 0, 2, 0});
-    sim->run();
-    ASSERT_EQ(completions.size(), 2u);
-    // Flush completes after the program (tProg ~ 1.3 ms).
-    EXPECT_GT(completionTimes[1], msec(1));
-    EXPECT_EQ(ctrl->stats().flushesCompleted, 1u);
-}
-
-TEST_F(ControllerTest, FormatReturnsDriveToFob)
-{
-    roundTrip(NvmeCommand{Op::Write, 42, 4096, 0, 1, 0});
-    EXPECT_TRUE(ctrl->ftl().isMapped(42));
-    Tick lat = roundTrip(NvmeCommand{Op::Format, 0, 0, 0, 2, 0});
-    EXPECT_GE(lat, ctrl->firmware().formatDuration);
-    EXPECT_FALSE(ctrl->ftl().isMapped(42));
-    EXPECT_EQ(ctrl->stats().formatsCompleted, 1u);
-}
-
-TEST_F(ControllerTest, LogPageStallsIoWhenConfigured)
-{
-    FirmwareConfig fw;
-    fw.logPageStallsIo = true;
-    fw.logPageProcTime = usec(200);
-    fw.smart.period = sec(1000); // keep periodic SMART out of the way
-    rebuild(fw);
-    ctrl->submit(NvmeCommand{Op::GetLogPage, 0, 512, 0, 1, 0});
-    Tick lat = roundTrip(NvmeCommand{Op::Read, 0, 4096, 0, 2, 0});
-    EXPECT_GT(lat, usec(150));
-    EXPECT_EQ(ctrl->stats().logPagesCompleted, 1u);
-}
-
-TEST_F(ControllerTest, LogPageQuietWhenStallDisabled)
-{
-    FirmwareConfig fw = quietFirmware();
-    fw.logPageStallsIo = false;
-    fw.logPageProcTime = usec(200);
-    fw.hiccupProbability = 0.0;
-    rebuild(fw);
-    ctrl->submit(NvmeCommand{Op::GetLogPage, 0, 512, 0, 1, 0});
-    sim->run();
-    Tick lat = roundTrip(NvmeCommand{Op::Read, 0, 4096, 0, 2, 0});
-    EXPECT_LT(lat, usec(40));
-}
-
 TEST_F(ControllerTest, InvalidSizesRejected)
 {
-    Tick lat = roundTrip(NvmeCommand{Op::Read, 0, 1000, 0, 1, 0});
+    Tick lat = roundTrip(NvmeCommand{Op::Read, 0, 1000, 0, 1});
     (void)lat;
     EXPECT_EQ(completions[0].status, Status::InvalidField);
-    roundTrip(NvmeCommand{Op::Write, 0, 0, 0, 2, 0});
+    roundTrip(NvmeCommand{Op::Write, 0, 0, 0, 2});
     EXPECT_EQ(completions[1].status, Status::InvalidField);
 }
 
 TEST_F(ControllerTest, MultiBlockReadCompletesOnce)
 {
-    Tick lat = roundTrip(NvmeCommand{Op::Read, 0, 131072, 0, 1, 0});
+    Tick lat = roundTrip(NvmeCommand{Op::Read, 0, 131072, 0, 1});
     EXPECT_EQ(completions.size(), 1u);
     // 128 KiB at 1.7 GB/s internal ~ 77 us of transfer.
     EXPECT_GT(lat, usec(70));
@@ -342,7 +290,7 @@ TEST_F(ControllerTest, HiccupsAppearAtConfiguredRate)
     rebuild(fw);
     for (int i = 0; i < 100; ++i)
         roundTrip(NvmeCommand{Op::Read, 0, 4096, 0,
-                              static_cast<std::uint64_t>(i), 0});
+                              static_cast<std::uint64_t>(i)});
     EXPECT_GT(ctrl->stats().hiccups, 20u);
     EXPECT_LT(ctrl->stats().hiccups, 80u);
 }

@@ -1,8 +1,7 @@
 /**
  * @file
  * FTL tests: mapping lifecycle, write buffering and backpressure,
- * flush, format, preconditioning, die striping, and garbage
- * collection.
+ * format, preconditioning, die striping, and garbage collection.
  */
 
 #include <gtest/gtest.h>
@@ -124,27 +123,19 @@ TEST_F(FtlTest, FullPagesProgramAutomatically)
     EXPECT_EQ(ftl->buffered(), 0u);
 }
 
-TEST_F(FtlTest, PartialPageStaysBufferedUntilFlush)
+TEST_F(FtlTest, PartialPageStaysBufferedUntilThePageFills)
 {
     ftl->write(0, [] {});
     ftl->write(1, [] {});
     sim->run();
     EXPECT_EQ(ftl->stats().programs, 0u);
     EXPECT_EQ(ftl->buffered(), 2u);
-    bool flushed = false;
-    ftl->flush([&] { flushed = true; });
+    // The page's last two slots complete it: one program drains it.
+    ftl->write(2, [] {});
+    ftl->write(3, [] {});
     sim->run();
-    EXPECT_TRUE(flushed);
     EXPECT_EQ(ftl->stats().programs, 1u);
     EXPECT_EQ(ftl->buffered(), 0u);
-}
-
-TEST_F(FtlTest, FlushOnCleanDriveIsImmediate)
-{
-    bool flushed = false;
-    ftl->flush([&] { flushed = true; });
-    sim->run();
-    EXPECT_TRUE(flushed);
 }
 
 TEST_F(FtlTest, PageStreamStripesAcrossDies)
@@ -278,10 +269,8 @@ constexpr std::size_t kLeafBytes = 256 * sizeof(std::uint32_t);
 TEST_F(FtlTest, FreshDriveHoldsNoTableMemory)
 {
     EXPECT_EQ(ftl->tableBytes(), 0u);
-    // Reads and flushes of a FOB drive allocate nothing either.
+    // Reads of a FOB drive allocate nothing either.
     EXPECT_FALSE(ftl->isMapped(511));
-    ftl->flush([] {});
-    sim->run();
     EXPECT_EQ(ftl->tableBytes(), 0u);
 }
 

@@ -19,7 +19,7 @@ AST-only rules:
                        floating variable straight from a Tick, outside
                        the sanctioned conversion helpers in
                        src/sim/types.hh (nsec/usec/msec/sec, toUsec/
-                       toMsec/toSec, delta, transferTicks). An
+                       toMsec/toSec, transferTicks). An
                        explicit cast is an opt-out: it states the
                        author crossed the unit domain on purpose.
   unordered-accumulate floating-point reduction (compound assignment)
@@ -117,8 +117,7 @@ MODEL_SCHEDULERS = {("Simulator", "scheduleAt"),
 # helpers whose whole job is converting floating latency draws into
 # busy-horizon claims (NandArray::readAt, Controller::sampleHiccup).
 TICK_HELPER_FNS = {"nsec", "usec", "msec", "sec",
-                   "toUsec", "toMsec", "toSec",
-                   "delta", "transferTicks",
+                   "toUsec", "toMsec", "toSec", "transferTicks",
                    "readAt", "sampleHiccup"}
 TICK_HELPER_FILE = os.path.join("src", "sim", "types.hh")
 
@@ -229,8 +228,7 @@ def is_floating(expr):
 
 def is_tickish(expr):
     """True when the expression's *sugared* type is the Tick alias
-    (not TickDelta, whose wrapper already enforces units) and the
-    author has not explicitly cast the units away."""
+    and the author has not explicitly cast the units away."""
     e = unwrap(expr)
     if kname(e) in CAST_KINDS:
         return False
