@@ -2,17 +2,20 @@
  * @file
  * Ablation A2 (the paper's stated future work): latency in non-FOB
  * (aged) SSD states. The paper keeps every drive fresh-out-of-box so
- * reads never touch NAND and garbage collection never runs; here we
- * precondition the drives and add write pressure so mapped reads and
- * GC interleave with the measured reads.
+ * reads never touch NAND; here we precondition the drives so reads
+ * pay NAND tR, and add write pressure so reads share dies with page
+ * programs.
  *
  * Three states on the fully tuned (exp-firmware) stack:
  *   FOB            - the paper's methodology (zero-fill fast path)
  *   aged, reads    - 100% preconditioned, pure random reads (NAND tR)
- *   aged, mixed    - preconditioned + 30% random writes on a low-OP
- *                    FTL: GC relocations collide with reads
+ *   aged, mixed    - preconditioned + 30% random writes: reads queue
+ *                    behind page programs (tProg) on their die
  *
- * Each state sets its own FIO job, so --job is refused.
+ * The sim-scaled drive has four physical slots per logical block, so
+ * no drive garbage-collects within the default 4 s (ftl.gc_runs and
+ * nand.erases stay 0). Each state sets its own FIO job, so --job is
+ * refused.
  */
 
 #include "common.hh"
@@ -29,19 +32,17 @@ main(int argc, char **argv)
 
     afa::core::RunPlan plan;
     auto add_case = [&](const char *name, double precondition,
-                        const char *jobspec, double over_provision) {
+                        const char *jobspec) {
         auto params = opts.params;
         params.preconditionFraction = precondition;
         params.job = afa::workload::FioJob::parse(jobspec);
-        params.ftl.overProvision = over_provision;
         plan.add(name, params);
     };
 
-    add_case("FOB (paper)", 0.0, "rw=randread bs=4k iodepth=1", 1.25);
-    add_case("aged, read-only", 1.0, "rw=randread bs=4k iodepth=1",
-             1.25);
+    add_case("FOB (paper)", 0.0, "rw=randread bs=4k iodepth=1");
+    add_case("aged, read-only", 1.0, "rw=randread bs=4k iodepth=1");
     add_case("aged, 30% writes", 1.0,
-             "rw=randrw rwmixread=70 bs=4k iodepth=1", 1.09);
+             "rw=randrw rwmixread=70 bs=4k iodepth=1");
 
     auto run = afa::bench::executePlan(plan, opts);
 

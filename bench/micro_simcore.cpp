@@ -321,10 +321,10 @@ void
 BM_DeviceCommandContended(benchmark::State &state)
 {
     // An 8-deep same-tick burst of seven FOB reads and a write: the
-    // write is always chained and demotes every in-flight fast read,
-    // so this bounds the demotion + fallback cost the fast path adds
-    // to contended traffic. One iteration = 8 commands, run until all
-    // 8 complete.
+    // write is always chained and leaves the pipeline after the
+    // reads, so the seven reads stay single-event and this bounds
+    // what a chained command behind fast reads costs. One iteration
+    // = 8 commands, run until all 8 complete.
     DeviceBench d(state.range(0) != 0);
     const std::uint64_t mapped = d.ctrl.ftl().logicalBlocks() / 2;
     const std::uint64_t unmapped = d.ctrl.ftl().logicalBlocks() - mapped;

@@ -57,7 +57,10 @@ Testbed::Testbed(const ExperimentParams &params,
         tp.window = params.telemetryWindow;
         telem = std::make_unique<afa::obs::Telemetry>(tp);
         if (!spans) {
+            // Telemetry reads spans as they are recorded; nothing
+            // reads this log's ring, so it keeps one slot.
             trace.mask = afa::obs::kAllCategories;
+            trace.capacity = 1;
             spans = std::make_unique<afa::obs::SpanLog>(trace);
             afaSystem->setSpanLog(spans.get());
             internalTrace = true;

@@ -37,6 +37,10 @@ FaultEngine::start()
         fabric->setFaultRng(&rng());
     for (const FaultEvent &ev : planRef->events) {
         const FaultEvent *e = &ev;
+        // A fast read whose pipe exit meets the onset must stay
+        // chained (the pipe exit applies the limp factor).
+        if (e->kind == FaultKind::Limp)
+            ctrls[e->ssd]->planLimpOnset(e->at);
         // A controller fault's edges run in ordering band 1: after
         // every plain event of the tick, before any endpoint delivery.
         const std::uint32_t band =

@@ -59,7 +59,8 @@ class FaultEngine : public afa::sim::SimObject
      * link error's edges run in plain FIFO order (band 0); a
      * controller fault's run in ordering band 1, after every plain
      * event of the tick and before any endpoint delivery (DESIGN.md
-     * §9).
+     * §9). Each limp onset is also announced to its controller
+     * (Controller::planLimpOnset()).
      */
     void start();
 

@@ -1,7 +1,7 @@
 #include "nvme/controller.hh"
 
 #include <algorithm>
-#include <cassert>
+#include <functional>
 
 #include "obs/span_log.hh"
 #include "sim/logging.hh"
@@ -48,32 +48,40 @@ Controller::setLimpFactor(double factor)
     if (!(factor >= 1.0 && factor <= kMaxLimpFactor))
         afa::sim::panic("%s: limp factor %g not in [1, %g]",
                         name().c_str(), factor, kMaxLimpFactor);
-    // In-flight fast reads pre-computed their media window with the
-    // old factor; the reference model applies limp at its finish
-    // tick, so anything not yet past that tick must re-run there.
-    demoteAllFast();
+    // A fast read took the old factor at submit; the reference model
+    // takes the factor in force at its pipe exit.
+    if (factor != limp && fastExitsBefore > now())
+        afa::sim::panic("%s: limp factor changed at tick %llu before a "
+                        "fast read's pipe exit; plan the onset with "
+                        "planLimpOnset()",
+                        name().c_str(), (unsigned long long)now());
     limp = factor;
+}
+
+void
+Controller::planLimpOnset(Tick onset)
+{
+    limpOnsets.insert(std::upper_bound(limpOnsets.begin(),
+                                       limpOnsets.end(), onset,
+                                       std::greater<Tick>()),
+                      onset);
 }
 
 void
 Controller::stallUntil(Tick until)
 {
-    demoteAllFast();
     faultStallUntilTick = std::max(faultStallUntilTick, until);
 }
 
 void
 Controller::setOffline(bool offline)
 {
-    demoteAllFast();
     isOffline = offline;
 }
 
 void
 Controller::setFastPath(bool enabled)
 {
-    if (!enabled)
-        demoteAllFast();
     fastPathEnabled = enabled;
 }
 
@@ -210,7 +218,7 @@ Controller::serveRead(const NvmeCommand &cmd)
         return;
     }
     Tick pipe_done = throughPipeline(cmd.tag);
-    if (fastReadEligible(cmd)) {
+    if (fastReadEligible(cmd, pipe_done)) {
         fastRead(cmd, pipe_done);
         return;
     }
@@ -257,17 +265,20 @@ Controller::blockRead(std::uint32_t c)
 }
 
 bool
-Controller::fastReadEligible(const NvmeCommand &cmd) const
+Controller::fastReadEligible(const NvmeCommand &cmd, Tick pipe_done)
 {
-    if (!fastPathEnabled || chainDepth != 0)
+    if (!fastPathEnabled || chainDepth != 0 || limp != 1.0)
         return false;
-    // Fault hooks change how (or whether) the reference model would
-    // serve this command at its own event times: stay chained.
-    if (limp != 1.0 || faultStallUntilTick > now())
+    // The limp factor is the one input to the pipe exit's work that
+    // can change after submit: a planned onset at or before the pipe
+    // exit keeps the read chained, whatever its same-tick band.
+    while (!limpOnsets.empty() && limpOnsets.back() < now())
+        limpOnsets.pop_back();
+    if (!limpOnsets.empty() && pipe_done >= limpOnsets.back())
         return false;
     // Only a wholly unmapped range skips NAND. With no chained
     // command pending, no write can map a block of it before the
-    // reference pipe event: a later write demotes this read first.
+    // pipe exit: a later write leaves the pipeline after this read.
     const std::uint64_t blocks = cmd.bytes / kLogicalBlockBytes;
     for (std::uint64_t b = 0; b < blocks; ++b)
         if (ftlLayer.isMapped(cmd.lba + b))
@@ -278,75 +289,38 @@ Controller::fastReadEligible(const NvmeCommand &cmd) const
 void
 Controller::fastRead(const NvmeCommand &cmd, Tick pipe_done)
 {
-    // The reference model claims the DMA engine at the pipe event,
-    // and pipe exits rise in submit order, so no in-flight claim can
-    // be due after ours.
-    assert((fastReads.empty() || fastReads.back().pipeDone <= pipe_done) &&
-           "fast read claims out of reference order");
     ++ctrlStats.fastPathCommands;
+    fastExitsBefore = pipe_done + 1;
+    const std::uint32_t c = chain(cmd);
+    Chained &rec = chained[c];
     // Draws happen in the reference order: hiccup first, then media.
-    Tick hiccup = sampleHiccup();
-    Tick media = static_cast<Tick>(rng().lognormal(
+    rec.hiccup = sampleHiccup();
+    rec.mediaBegin = pipe_done;
+    rec.mediaDone = pipe_done + static_cast<Tick>(rng().lognormal(
         static_cast<double>(fwConfig.fobReadLatency),
         fwConfig.fobReadSigma));
-    FastRead fr;
-    fr.cmd = cmd;
-    fr.hiccup = hiccup;
-    fr.pipeDone = pipe_done;
-    fr.mediaDone = pipe_done + media;
-    fr.prevXferBusy = xferBusy;
-    fr.xferReady = fr.mediaDone + hiccup;
-    fr.xferDone = throughXfer(fr.xferReady, afa::sim::Bytes{cmd.bytes});
-    if (fastReads.empty())
-        fastReadEv = at(fr.xferDone, [this] { completeFastRead(); });
-    fastReads.push_back(std::move(fr));
+    // Every command submitted after this one leaves the pipeline
+    // later, so this claim already sits in reference claim order.
+    Tick xfer_done = throughXfer(rec.mediaDone + rec.hiccup,
+                                 afa::sim::Bytes{cmd.bytes});
+    at(xfer_done, [this, c] { fastReadDone(c); });
 }
 
 void
-Controller::completeFastRead()
+Controller::fastReadDone(std::uint32_t c)
 {
-    if (fastReads.empty())
-        afa::sim::panic("%s: fast read completion without flight",
-                        name().c_str());
-    FastRead fr = std::move(fastReads.front());
-    fastReads.pop_front();
-    if (!fastReads.empty())
-        fastReadEv = at(fastReads.front().xferDone,
-                        [this] { completeFastRead(); });
     // Spans carry the exact reference values; they are recorded at
-    // the completion tick rather than the reference finish tick, so
+    // the completion tick rather than the reference claim tick, so
     // only the ring's recording order differs (attribution and drop
     // counts are order-independent).
+    const Chained &rec = chained[c];
     if (spanLog && spanLog->wants(afa::obs::Category::Nvme)) {
-        spanLog->record(afa::obs::Stage::MediaRead, fr.cmd.tag,
-                        fr.pipeDone, fr.mediaDone, spanTrack);
-        spanLog->record(afa::obs::Stage::DeviceXfer, fr.cmd.tag,
-                        fr.xferReady, fr.xferDone, spanTrack);
+        spanLog->record(afa::obs::Stage::MediaRead, rec.cmd.tag,
+                        rec.mediaBegin, rec.mediaDone, spanTrack);
+        spanLog->record(afa::obs::Stage::DeviceXfer, rec.cmd.tag,
+                        rec.mediaDone + rec.hiccup, now(), spanTrack);
     }
-    ++ctrlStats.readsCompleted;
-    ctrlStats.bytesRead += fr.cmd.bytes;
-    complete(fr.cmd, fr.cmd.bytes + 16, Status::Success);
-}
-
-void
-Controller::demoteBackFastRead()
-{
-    FastRead fr = std::move(fastReads.back());
-    fastReads.pop_back();
-    if (fastReads.empty())
-        sim().cancel(fastReadEv);
-    // Claims roll back LIFO: the back entry's claim is the newest.
-    xferBusy = fr.prevXferBusy;
-    ++chainDepth;
-    --ctrlStats.fastPathCommands;
-    ++ctrlStats.fallbackCommands;
-    const std::uint32_t c = chain(fr.cmd);
-    Chained &rec = chained[c];
-    rec.hiccup = fr.hiccup;
-    rec.mediaBegin = fr.pipeDone;
-    rec.mediaDone = fr.mediaDone;
-    at(fr.pipeDone,
-       [this, c] { finishRead(c, chained[c].mediaDone); });
+    completeRead(c);
 }
 
 void
@@ -408,20 +382,8 @@ Controller::blockBuffered(std::uint32_t c)
 void
 Controller::fallbackDispatch()
 {
-    demoteAllFast();
     ++chainDepth;
     ++ctrlStats.fallbackCommands;
-}
-
-void
-Controller::demoteAllFast()
-{
-    // Reads whose pipe exit has passed hold final claims and keep
-    // their single event; the rest re-enter the chained model at
-    // exactly that tick (entries are pipeDone-sorted, so the
-    // revocable ones form the LIFO-rollback-safe suffix).
-    while (!fastReads.empty() && fastReads.back().pipeDone > now())
-        demoteBackFastRead();
 }
 
 } // namespace afa::nvme

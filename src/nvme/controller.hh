@@ -21,6 +21,7 @@
 #define AFA_NVME_CONTROLLER_HH
 
 #include <functional>
+#include <vector>
 
 #include "nand/nand_array.hh"
 #include "nvme/command.hh"
@@ -28,7 +29,6 @@
 #include "nvme/ftl.hh"
 #include "nvme/smart.hh"
 #include "sim/pool.hh"
-#include "sim/ring.hh"
 #include "sim/sim_object.hh"
 
 namespace afa::obs {
@@ -53,7 +53,7 @@ struct ControllerStats
     Tick faultStallDelay = 0;
     /** Commands served by the single-event fast path. */
     std::uint64_t fastPathCommands = 0;
-    /** Commands served by (or demoted to) the chained event model. */
+    /** Commands served by the chained event model. */
     std::uint64_t fallbackCommands = 0;
 };
 
@@ -110,9 +110,18 @@ class Controller : public afa::sim::SimObject
      * Limping device: media service time and the write pipe scale by
      * @p factor (in [1, kMaxLimpFactor]; 1 restores health). The added
      * time is recorded as FaultStall spans and
-     * ControllerStats::faultStallDelay.
+     * ControllerStats::faultStallDelay. Panics if the factor changes
+     * while a fast read has not reached its pipe exit: announce each
+     * onset ahead with planLimpOnset().
      */
     void setLimpFactor(double factor);
+
+    /**
+     * A limp onset is due at @p onset. A read whose pipe exit is at
+     * or after the next planned onset stays on the chained model,
+     * which applies the limp factor at its pipe exit.
+     */
+    void planLimpOnset(Tick onset);
 
     /** Current limp factor (1 = healthy). */
     double limpFactor() const { return limp; }
@@ -125,11 +134,11 @@ class Controller : public afa::sim::SimObject
 
     /**
      * Enable/disable the single-event command fast path (default
-     * on). Disabling demotes any in-flight fast reads back onto the
-     * chained event model at their reference ticks, so a
-     * mid-run switch stays exact. Completion ticks, RNG draw order,
-     * horizons, stats and span values are identical either way; only
-     * the executed-event count (and span ring order) differ.
+     * on). It acts at submit: a fast read in flight is final and
+     * keeps its event, so a mid-run switch stays exact. Completion
+     * ticks, RNG draw order, horizons, stats and span values are
+     * identical either way; only the executed-event count (and span
+     * ring order) differ.
      */
     void setFastPath(bool enabled);
 
@@ -165,16 +174,17 @@ class Controller : public afa::sim::SimObject
     std::uint16_t spanTrack = 0;
 
     /**
-     * A command on the chained event model, from dispatch to its
-     * completion event. Its events and FTL/NAND callbacks capture
-     * [this, record index] (DESIGN.md §9, "Allocation budget").
+     * A command in flight, from dispatch to its completion event: a
+     * chained command, or a fast read. Its events and FTL/NAND
+     * callbacks capture [this, record index] (DESIGN.md §9,
+     * "Allocation budget").
      */
     struct Chained
     {
         NvmeCommand cmd;
         Tick hiccup = 0;     ///< read: sampled firmware hiccup
         Tick mediaBegin = 0; ///< read: media stage start
-        Tick mediaDone = 0;  ///< demoted fast read: its media end
+        Tick mediaDone = 0;  ///< fast read: its media end
         /** Mapped read: NAND reads outstanding; write: blocks not
          *  yet accepted by the FTL buffer. */
         std::uint64_t blocksLeft = 0;
@@ -183,31 +193,15 @@ class Controller : public afa::sim::SimObject
 
     // ------------------------------------------------------------------
     // Single-event command fast path (DESIGN.md §9). A read of wholly
-    // unmapped (FOB) blocks on a healthy device, with no chained
-    // command pending, draws its hiccup and media latency and claims
-    // the DMA engine at submit time -- in the chained model's FP
-    // operation and RNG draw order -- and schedules one completion
-    // event. Until its pipe exit, the tick the reference model would
-    // make that claim, the claim is revocable: a chained dispatch, a
-    // fault hook or the toggle demotes it -- the claim rolled back
-    // LIFO and the unchanged chained tail rescheduled at the pipe
-    // exit. Every other command takes the chained model.
+    // unmapped (FOB) blocks on a device that is not limping, with no
+    // chained command pending and no limp onset planned by its pipe
+    // exit, draws its hiccup and media latency and claims the DMA
+    // engine at submit -- in the chained model's FP operation and RNG
+    // draw order -- and schedules one completion event. The pipeline
+    // is one FIFO server, so nothing submitted later can change what
+    // the read computes at its pipe exit: the read is final at
+    // submit. Every other command takes the chained model.
     // ------------------------------------------------------------------
-
-    /** An in-flight fast-path read. */
-    struct FastRead
-    {
-        NvmeCommand cmd;
-        Tick hiccup; ///< sampled firmware hiccup penalty
-        /** Pipe exit: the reference media start and the tick the
-         *  reference model claims the DMA engine. At or past it the
-         *  claim is final. */
-        Tick pipeDone;
-        Tick mediaDone;    ///< pipeDone + the FOB media draw
-        Tick xferReady;    ///< mediaDone + hiccup (healthy window)
-        Tick xferDone;     ///< completion tick
-        Tick prevXferBusy; ///< xferBusy before our claim (rollback)
-    };
 
     bool fastPathEnabled = true;
     /** Chained commands dispatched but not yet past their last draw
@@ -217,15 +211,11 @@ class Controller : public afa::sim::SimObject
      *  its own event times, so a fast command submitted behind it
      *  would reorder draws. */
     unsigned chainDepth = 0;
-    /** pipeDone-ordered: every command passes the one pipeline, so
-     *  pipe exits rise in submit order. */
-    afa::sim::Ring<FastRead> fastReads;
-    /** The DMA engine is a FIFO server, so fast completions fire in
-     *  dispatch order: one pending event (the front entry's) is
-     *  enough. Each completion schedules the next front; demoting a
-     *  whole suffix costs at most one cancel. Valid only while
-     *  fastReads is non-empty. */
-    afa::sim::EventHandle fastReadEv;
+    /** Every fast read's pipe exit is before this tick (pipe exits
+     *  rise in submit order). */
+    Tick fastExitsBefore = 0;
+    /** Planned limp onsets not yet passed, latest first. */
+    std::vector<Tick> limpOnsets;
 
     void serveRead(const NvmeCommand &cmd);
     void serveWrite(const NvmeCommand &cmd);
@@ -243,14 +233,14 @@ class Controller : public afa::sim::SimObject
 
     // Fast-path machinery ----------------------------------------------
 
-    /** True when a read may take the fast path. */
-    bool fastReadEligible(const NvmeCommand &cmd) const;
+    /** True when a read leaving the pipeline at @p pipe_done may take
+     *  the fast path. */
+    bool fastReadEligible(const NvmeCommand &cmd, Tick pipe_done);
 
     /** Draw latencies and claim the DMA engine at submit; one event. */
     void fastRead(const NvmeCommand &cmd, Tick pipe_done);
 
-    /** Chained dispatch bookkeeping: demote in-flight fast reads and
-     *  raise the chain guard. */
+    /** Chained dispatch bookkeeping: raise the chain guard. */
     void fallbackDispatch();
 
     /** Take a Chained record for @p cmd. */
@@ -263,13 +253,12 @@ class Controller : public afa::sim::SimObject
     /** One of a mapped read's NAND reads is done. */
     void blockRead(std::uint32_t c);
 
-    /** Shared chained-model read tail (the reference finish()): limp
-     *  accounting, DMA claim, spans, completion event. Runs at the
-     *  reference claim tick for chained and demoted reads alike;
+    /** Chained read tail (the reference finish()): limp accounting,
+     *  DMA claim, spans, completion event. Runs at the claim tick;
      *  the record holds the hiccup and media start. */
     void finishRead(std::uint32_t c, Tick media_done);
 
-    /** Chained read completion event. */
+    /** Read completion event. */
     void completeRead(std::uint32_t c);
 
     /** Chained write at its write-pipe exit: hand each block to the
@@ -279,15 +268,9 @@ class Controller : public afa::sim::SimObject
     /** One of a write's blocks is in the FTL buffer. */
     void blockBuffered(std::uint32_t c);
 
-    /** Fast completion event (the front entry is always the one due). */
-    void completeFastRead();
-
-    /** Roll the newest fast read back onto the chained model. */
-    void demoteBackFastRead();
-
-    /** Demote every revocable fast read (chained dispatch, fault hook,
-     *  or setFastPath(false)). */
-    void demoteAllFast();
+    /** Fast read completion event: records the media and transfer
+     *  spans, then completes. */
+    void fastReadDone(std::uint32_t c);
 
     void complete(const NvmeCommand &cmd, std::uint32_t reply_bytes,
                   Status status);

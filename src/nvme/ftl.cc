@@ -28,16 +28,11 @@ Ftl::Ftl(afa::sim::Simulator &simulator, std::string ftl_name,
         static_cast<std::uint64_t>(dies) * np.blocksPerDie;
 
     std::uint64_t phys_slots = totalBlocksPhys * slotsPerBlock;
-    std::uint64_t needed = static_cast<std::uint64_t>(
-        static_cast<double>(params.logicalBlocks) * params.overProvision);
-    if (phys_slots < needed)
-        afa::sim::fatal(
-            "%s: NAND too small: %llu phys slots < %llu needed "
-            "(logical %llu x OP %.2f)",
-            name().c_str(), (unsigned long long)phys_slots,
-            (unsigned long long)needed,
-            (unsigned long long)params.logicalBlocks,
-            params.overProvision);
+    if (phys_slots < params.logicalBlocks)
+        afa::sim::fatal("%s: NAND too small: %llu phys slots < %llu "
+                        "logical blocks",
+                        name().c_str(), (unsigned long long)phys_slots,
+                        (unsigned long long)params.logicalBlocks);
     // Both tables store 32-bit entries with kNone as "unmapped", so
     // every slot index and every LBA must fit below it.
     if (phys_slots > LeafTable::kNone ||

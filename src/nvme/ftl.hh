@@ -47,11 +47,9 @@ using afa::sim::Tick;
 /** FTL geometry and policy. */
 struct FtlParams
 {
-    /** Exported logical capacity in 4 KiB blocks. */
+    /** Exported logical capacity in 4 KiB blocks. The NAND geometry
+     *  alone sets physical capacity, which must hold this many. */
     std::uint64_t logicalBlocks = 262144; // 1 GiB
-
-    /** Physical / logical capacity ratio. */
-    double overProvision = 1.25;
 
     /** Start GC when the free block pool drops below this count. */
     unsigned gcFreeBlockThreshold = 4;

@@ -170,11 +170,11 @@ TEST_F(DeterminismTest, FaultPlanPinned)
     // events; link errors draw from per-link RNG streams.
     auto params = baseParams(TuningProfile::IrqAffinity);
     params.faults = faultPlan();
-    EXPECT_EQ(runHash(params), 0x735b764fcd9560a6ULL);
+    EXPECT_EQ(runHash(params), 0xe8724fed52634888ULL);
 
     // And with tracing stacked on top of the faulted run.
     params.traceMask = afa::obs::kAllCategories;
-    EXPECT_EQ(runHash(params), 0xba5f20c5c6fc93fbULL);
+    EXPECT_EQ(runHash(params), 0x031b9bd374fc2e10ULL);
 }
 
 TEST_F(DeterminismTest, OpenLoopPinnedWithExactAccounting)
@@ -185,7 +185,7 @@ TEST_F(DeterminismTest, OpenLoopPinnedWithExactAccounting)
     const auto params = openLoopParams();
     const auto result = ExperimentRunner::run(params);
     const std::string base = openLoopCanonical(result);
-    EXPECT_EQ(hashTag(base), 0xb3be42d1f0f2ffa1ULL);
+    EXPECT_EQ(hashTag(base), 0x75caa441b49b6b42ULL);
     // The run did real open-loop work with exact accounting.
     EXPECT_FALSE(result.openLoop.empty());
     const auto &t = result.openLoop.totals;

@@ -14,6 +14,7 @@
 
 #include "core/experiment.hh"
 #include "core/report.hh"
+#include "obs/span_log.hh"
 #include "sim/logging.hh"
 
 using namespace afa::core;
@@ -216,6 +217,36 @@ TEST(TestbedTest, ZeroPeriodsKeepTheDefaults)
               msec(300));
     EXPECT_EQ(scaled.system().params().kernel.irq.irqBalanceInterval,
               msec(200));
+}
+
+TEST(TestbedTest, TelemetryOnlySpanLogKeepsOneSlot)
+{
+    // With telemetry on and tracing off, the span log only feeds the
+    // timeline's stage rows; its ring reaches no report, so it keeps
+    // one slot instead of the default million.
+    ExperimentParams p;
+    p.ssds = 2;
+    p.telemetryWindow = msec(10);
+    Geometry geometry(afa::host::CpuTopology(p.topology), p.ssds);
+    Testbed bed(p, TuningConfig::forProfile(TuningProfile::Default,
+                                            geometry),
+                1);
+    ASSERT_NE(bed.spanLog(), nullptr);
+    EXPECT_EQ(bed.spanLog()->capacity(), 1u);
+    bed.start();
+    for (unsigned i = 0; i < 20; ++i)
+        bed.sim().scheduleAt(msec(1) + i * usec(100), [&bed, i] {
+            afa::workload::IoRequest req;
+            req.device = i % 2;
+            req.lba = i;
+            bed.system().ioEngine().submit(
+                0, req, [](const afa::workload::IoResult &) {});
+        });
+    bed.sim().run(msec(20));
+    EXPECT_GT(bed.spanLog()->recorded(), 20u);
+    ExperimentResult result;
+    bed.collect(result, false);
+    EXPECT_FALSE(result.telemetry.stages.empty());
 }
 
 } // namespace

@@ -49,7 +49,6 @@ testFtl()
 {
     FtlParams p;
     p.logicalBlocks = 8192;
-    p.overProvision = 1.25;
     return p;
 }
 
@@ -123,6 +122,8 @@ struct Stack
                 });
                 break;
             case ScriptOp::LimpOn:
+                // Announced ahead, as the fault engine does.
+                ctrl->planLimpOnset(op.when);
                 sim->scheduleAt(op.when,
                                 [this] { ctrl->setLimpFactor(4.0); });
                 break;
@@ -250,6 +251,21 @@ makeScript(std::uint64_t seed, std::size_t ops, bool with_faults,
         }
     }
     return script;
+}
+
+/** A one-block (4 KiB) command submitted at @p when. On the
+ *  half-preconditioned test drive, blocks from 4096 up are unmapped. */
+ScriptOp
+oneBlock(Op kind, Tick when, std::uint64_t id, std::uint64_t lba)
+{
+    ScriptOp op;
+    op.when = when;
+    op.cmd.cmdId = id;
+    op.cmd.tag = id;
+    op.cmd.op = kind;
+    op.cmd.lba = lba;
+    op.cmd.bytes = kLogicalBlockBytes;
+    return op;
 }
 
 /** Everything observable must match; event counts may not. */
@@ -408,14 +424,83 @@ TEST_F(ControllerFastPathTest, OnlyUnmappedReadsTakeTheFastPath)
     EXPECT_EQ(fast.completions.size(), 4u);
 }
 
-TEST_F(ControllerFastPathTest, FaultHooksDemoteAndStayExact)
+TEST_F(ControllerFastPathTest, FaultHooksStayExact)
 {
     runDifferential(987, 450, true, false, /*with_spans=*/false,
                     /*light=*/true);
-    // Limp windows and stalls force the chained model; between the
-    // windows the light load fast-paths.
+    // Limp windows force the chained model; stalls and the light load
+    // between the windows fast-path.
     EXPECT_GT(fast.ctrl->stats().fallbackCommands, 0u);
     EXPECT_GT(fast.ctrl->stats().fastPathCommands, 0u);
+}
+
+TEST_F(ControllerFastPathTest, ChainedDispatchLeavesFastReadsFinal)
+{
+    // Seven FOB reads and a write on one tick of an idle drive (the
+    // BM_DeviceCommandContended burst). The write leaves the pipeline
+    // after every read, so its draws, DMA claim and FTL writes all
+    // come after the reads' pipe exits: the reads keep their single
+    // event.
+    std::vector<ScriptOp> script;
+    for (std::uint64_t i = 1; i <= 7; ++i)
+        script.push_back(oneBlock(Op::Read, usec(10), i, 6000 + 8 * i));
+    script.push_back(oneBlock(Op::Write, usec(10), 8, 7));
+    fast.build(true, false);
+    ref.build(false, false);
+    fast.replay(script);
+    ref.replay(script);
+    EXPECT_EQ(fast.ctrl->stats().fastPathCommands, 7u);
+    EXPECT_EQ(fast.ctrl->stats().fallbackCommands, 1u);
+    EXPECT_EQ(ref.ctrl->stats().fallbackCommands, 8u);
+    ASSERT_EQ(fast.completions.size(), 8u);
+    expectSameObservables(fast, ref);
+}
+
+TEST_F(ControllerFastPathTest, PlannedLimpOnsetKeepsLaterPipeExitsChained)
+{
+    // Two reads on one tick of an idle drive leave the pipeline one
+    // readProcTime apart. With an onset planned on the second's pipe
+    // exit, the first runs fast and the second stays chained and
+    // takes the limp factor there, as on the chained stack.
+    const Tick submit_at = usec(10);
+    const Tick proc = spicyFirmware().readProcTime;
+    ScriptOp limp_on;
+    limp_on.kind = ScriptOp::LimpOn;
+    limp_on.when = submit_at + 2 * proc;
+    ScriptOp limp_off;
+    limp_off.kind = ScriptOp::LimpOff;
+    limp_off.when = limp_on.when + usec(200);
+    const std::vector<ScriptOp> script = {
+        oneBlock(Op::Read, submit_at, 1, 6000),
+        oneBlock(Op::Read, submit_at, 2, 6100), limp_on, limp_off};
+    fast.build(true, false);
+    ref.build(false, false);
+    fast.replay(script);
+    ref.replay(script);
+    EXPECT_EQ(fast.ctrl->stats().fastPathCommands, 1u);
+    EXPECT_EQ(fast.ctrl->stats().fallbackCommands, 1u);
+    EXPECT_GT(fast.ctrl->stats().faultStallDelay, 0u);
+    ASSERT_EQ(fast.completions.size(), 2u);
+    expectSameObservables(fast, ref);
+
+    // Unplanned, a limp edge before a fast read's pipe exit would
+    // leave the read with the wrong factor, so it throws; one tick
+    // past the pipe exit the read is unaffected.
+    for (const Tick after_submit : {proc - 1, proc + 1}) {
+        Stack bare;
+        bare.build(true, false);
+        bare.ctrl->ftl().precondition(0.5);
+        bare.sim->scheduleAt(submit_at, [&bare] {
+            bare.ctrl->submit(oneBlock(Op::Read, 0, 1, 6000).cmd);
+        });
+        bare.sim->scheduleAt(submit_at + after_submit,
+                             [&bare] { bare.ctrl->setLimpFactor(4.0); });
+        if (after_submit < proc)
+            EXPECT_THROW(bare.sim->run(), afa::sim::SimError);
+        else
+            EXPECT_NO_THROW(bare.sim->run());
+        EXPECT_EQ(bare.ctrl->stats().fastPathCommands, 1u);
+    }
 }
 
 TEST_F(ControllerFastPathTest, MidRunToggleStaysExact)

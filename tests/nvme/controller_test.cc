@@ -42,7 +42,6 @@ testFtl()
 {
     FtlParams p;
     p.logicalBlocks = 8192;
-    p.overProvision = 1.25;
     return p;
 }
 

@@ -42,7 +42,6 @@ struct GeometryCase
     unsigned pagesPerBlock;
     unsigned blocksPerDie;
     std::uint64_t logicalBlocks;
-    double overProvision;
     double formatWeight;   ///< relative chance of a format op
     double preconditioned; ///< fraction of the drive written at start
     double edgeShare;      ///< share of writes aimed at leaf edges
@@ -81,7 +80,6 @@ TEST_P(FtlPropertyTest, AgreesWithReferenceModel)
     NandArray nand(sim, "nand", np);
     FtlParams fp;
     fp.logicalBlocks = gc.logicalBlocks;
-    fp.overProvision = gc.overProvision;
     fp.writeBufferEntries = 32;
     Ftl ftl(sim, "ftl", nand, fp);
 
@@ -164,17 +162,17 @@ TEST_P(FtlPropertyTest, AgreesWithReferenceModel)
 INSTANTIATE_TEST_SUITE_P(
     Geometries, FtlPropertyTest,
     ::testing::Values(
-        GeometryCase{"small", 2, 2, 4, 16, 512, 1.5, 0.05, 0.0, 0.0},
-        GeometryCase{"tight_op", 2, 2, 4, 16, 900, 1.05, 0.05, 0.0, 0.0},
-        GeometryCase{"one_die", 1, 1, 8, 64, 1024, 1.5, 0.05, 0.0, 0.0},
-        GeometryCase{"format_heavy", 2, 2, 4, 16, 512, 1.5, 0.15, 0.0,
-                     0.0},
-        GeometryCase{"wide", 4, 4, 8, 8, 3072, 1.3, 0.02, 0.0, 0.0},
+        GeometryCase{"small", 2, 2, 4, 16, 512, 0.05, 0.0, 0.0},
+        // 900 logical blocks of 1,024 physical slots.
+        GeometryCase{"tight_op", 2, 2, 4, 16, 900, 0.05, 0.0, 0.0},
+        GeometryCase{"one_die", 1, 1, 8, 64, 1024, 0.05, 0.0, 0.0},
+        GeometryCase{"format_heavy", 2, 2, 4, 16, 512, 0.15, 0.0, 0.0},
+        GeometryCase{"wide", 4, 4, 8, 8, 3072, 0.02, 0.0, 0.0},
         // 8 full map leaves plus a 37-entry partial one, and 9.5
         // reverse leaves, on an aged drive with 14% spare so GC
         // relocates across reverse leaves.
-        GeometryCase{"leaf_edges", 2, 2, 8, 19, 8 * 256 + 37, 1.1, 0.0,
-                     1.0, 0.3}),
+        GeometryCase{"leaf_edges", 2, 2, 8, 19, 8 * 256 + 37, 0.0, 1.0,
+                     0.3}),
     [](const ::testing::TestParamInfo<GeometryCase> &info) {
         return info.param.name;
     });

@@ -39,7 +39,6 @@ smallFtl()
     FtlParams p;
     // 4 dies * 16 blocks * 4 pages * 4 slots = 1024 phys slots.
     p.logicalBlocks = 512;
-    p.overProvision = 1.5;
     p.gcFreeBlockThreshold = 4;
     p.gcFreeBlockTarget = 6;
     p.writeBufferEntries = 64;
@@ -237,7 +236,6 @@ TEST_F(FtlTest, GcRelocatesValidData)
     // victim still holds valid data and must relocate it.
     FtlParams p = smallFtl();
     p.logicalBlocks = 900;   // of 1024 physical slots
-    p.overProvision = 1.05;
     Ftl tight(*sim, "ftl.tight", *nand, p);
     tight.precondition(1.0);
     for (std::uint64_t i = 0; i < 1200; ++i)
@@ -302,7 +300,6 @@ TEST_F(FtlTest, PreconditionAllocatesOnlyFilledLeaves)
     // Three map leaves; half the drive fills leaves 0 and 1 of them.
     FtlParams p = smallFtl();
     p.logicalBlocks = 3 * 256;
-    p.overProvision = 1.25;
     Ftl three(*sim, "ftl.three", *nand, p);
     three.precondition(0.5);
     EXPECT_TRUE(three.isMapped(383));
@@ -330,10 +327,10 @@ TEST_F(FtlTest, SlotsBeyond32BitsAreFatal)
     NandArray prod_nand(*sim, "nand.prod", NandParams{});
     Ftl prod(*sim, "ftl.prod", prod_nand, smallFtl());
     EXPECT_EQ(prod.tableBytes(), 0u);
-    // 2^32 logical blocks are fatal however few slots back them.
+    // 2^32 logical blocks are fatal: no NAND whose slots fit 32-bit
+    // entries holds them.
     FtlParams huge = smallFtl();
     huge.logicalBlocks = std::uint64_t(1) << 32;
-    huge.overProvision = 1e-7;
     EXPECT_THROW(Ftl(*sim, "ftl.huge", *nand, huge),
                  afa::sim::SimError);
 }
