@@ -185,10 +185,7 @@ parseOptions(int argc, char **argv,
         afa::sim::fatal("--burst %g: must be at least 1 (1 = plain "
                         "Poisson)",
                         burst);
-    if (burst > 1.0) {
-        opts.shape.arrival.kind = afa::workload::ArrivalKind::Bursty;
-        opts.shape.arrival.burstFactor = burst;
-    }
+    opts.shape.arrival.burstFactor = burst;
     const double mix = cfg.getDouble("mix", 100.0);
     if (mix < 0.0 || mix > 100.0)
         afa::sim::fatal("--mix %g: must be in [0, 100]", mix);

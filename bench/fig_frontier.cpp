@@ -100,8 +100,7 @@ main(int argc, char **argv)
 
     std::printf("=== throughput-latency frontier: open-loop %s "
                 "arrivals, %u streams, %.0f%% reads, zipf %.2f ===\n",
-                shape.arrival.kind ==
-                        afa::workload::ArrivalKind::Bursty
+                shape.arrival.burstFactor > 1.0
                     ? afa::sim::strfmt(
                           "bursty (x%.0f)",
                           shape.arrival.burstFactor).c_str()

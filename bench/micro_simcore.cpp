@@ -455,8 +455,7 @@ BM_OpenLoopArrival(benchmark::State &state)
     // zipfian device pick and one LBA/op-mix draw. Bounds the
     // generation overhead fig_frontier adds on top of the I/O path.
     afa::workload::ArrivalParams ap;
-    ap.kind = state.range(0) ? afa::workload::ArrivalKind::Bursty
-                             : afa::workload::ArrivalKind::Poisson;
+    ap.burstFactor = state.range(0) ? 4.0 : 1.0;
     ap.ratePerSec = 400000.0;
     afa::workload::ArrivalProcess arrivals(ap);
     afa::workload::ZipfGenerator zipf(64, 0.9);

@@ -123,7 +123,7 @@ main(int argc, char **argv)
     // With --trace: where inside the stack the profile time went.
     if (!parallel.attribution.empty()) {
         std::printf("\nlatency attribution across the batch:\n%s",
-                    parallel.attribution.toText().c_str());
+                    parallel.attribution.table().toString().c_str());
         std::printf("smart stalls hit %llu commands for %.1f ms "
                     "total\n",
                     (unsigned long long)parallel.attribution

@@ -110,9 +110,7 @@ describeExperiment(const ExperimentResult &result)
        << " seed=" << result.params.seed << "\n";
     if (const auto &ol = result.params.openLoop) {
         // The open-loop engine runs instead of the FIO job.
-        const bool bursty =
-            ol->arrival.kind == afa::workload::ArrivalKind::Bursty &&
-            ol->arrival.burstFactor > 1.0;
+        const bool bursty = ol->arrival.burstFactor > 1.0;
         os << afa::sim::strfmt(
             "workload: open-loop rate=%.10g/s read=%.10g%% zipf=%g "
             "burst=%g streams=%u bs=%u",

@@ -1,7 +1,5 @@
 #include "core/tuning.hh"
 
-#include "sim/logging.hh"
-
 namespace afa::core {
 
 const char *
@@ -20,24 +18,6 @@ tuningProfileName(TuningProfile profile)
         return "exp-fw";
     }
     return "?";
-}
-
-TuningProfile
-parseTuningProfile(const std::string &text)
-{
-    if (text == "default")
-        return TuningProfile::Default;
-    if (text == "chrt")
-        return TuningProfile::Chrt;
-    if (text == "isolcpus")
-        return TuningProfile::Isolcpus;
-    if (text == "irq" || text == "irq-affinity")
-        return TuningProfile::IrqAffinity;
-    if (text == "exp-fw" || text == "firmware")
-        return TuningProfile::ExpFirmware;
-    afa::sim::fatal("unknown tuning profile '%s' (want default, chrt, "
-                    "isolcpus, irq, exp-fw)",
-                    text.c_str());
 }
 
 TuningConfig

@@ -18,8 +18,6 @@
 #ifndef AFA_CORE_TUNING_HH
 #define AFA_CORE_TUNING_HH
 
-#include <string>
-
 #include "core/geometry.hh"
 #include "host/kernel_config.hh"
 #include "nvme/firmware_config.hh"
@@ -37,9 +35,6 @@ enum class TuningProfile : std::uint8_t {
 
 /** Printable name ("default", "chrt", "isolcpus", "irq", "exp-fw"). */
 const char *tuningProfileName(TuningProfile profile);
-
-/** Parse a profile name (as printed above). */
-TuningProfile parseTuningProfile(const std::string &text);
 
 /** The concrete settings a profile expands to. */
 struct TuningConfig

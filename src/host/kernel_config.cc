@@ -6,39 +6,6 @@
 
 namespace afa::host {
 
-CpuSet
-parseCpuList(const std::string &list)
-{
-    CpuSet out;
-    std::stringstream ss(list);
-    std::string part;
-    while (std::getline(ss, part, ',')) {
-        if (part.empty())
-            continue;
-        auto dash = part.find('-');
-        try {
-            if (dash == std::string::npos) {
-                out.insert(static_cast<unsigned>(std::stoul(part)));
-            } else {
-                unsigned lo = static_cast<unsigned>(
-                    std::stoul(part.substr(0, dash)));
-                unsigned hi = static_cast<unsigned>(
-                    std::stoul(part.substr(dash + 1)));
-                if (hi < lo)
-                    afa::sim::fatal("bad cpu range '%s'", part.c_str());
-                for (unsigned c = lo; c <= hi; ++c)
-                    out.insert(c);
-            }
-        } catch (const std::invalid_argument &) {
-            afa::sim::fatal("bad cpu list entry '%s'", part.c_str());
-        } catch (const std::out_of_range &) {
-            afa::sim::fatal("cpu list entry out of range '%s'",
-                            part.c_str());
-        }
-    }
-    return out;
-}
-
 std::string
 formatCpuList(const CpuSet &cpus)
 {
@@ -88,37 +55,6 @@ KernelConfig::bootCommandLine() const
     if (cstate.idlePoll)
         emit("idle=poll");
     return os.str();
-}
-
-KernelConfig
-KernelConfig::fromBootCommandLine(const std::string &cmdline)
-{
-    KernelConfig cfg;
-    std::stringstream ss(cmdline);
-    std::string token;
-    while (ss >> token) {
-        auto eq = token.find('=');
-        std::string key =
-            eq == std::string::npos ? token : token.substr(0, eq);
-        std::string value =
-            eq == std::string::npos ? "" : token.substr(eq + 1);
-        if (key == "isolcpus") {
-            cfg.isolcpus = parseCpuList(value);
-        } else if (key == "nohz_full") {
-            cfg.nohzFull = parseCpuList(value);
-        } else if (key == "rcu_nocbs") {
-            cfg.rcuNocbs = parseCpuList(value);
-        } else if (key == "processor.max_cstate") {
-            cfg.cstate.maxCstate =
-                static_cast<unsigned>(std::stoul(value));
-        } else if (key == "idle") {
-            cfg.cstate.idlePoll = (value == "poll");
-        } else {
-            afa::sim::warn("ignoring unknown boot option '%s'",
-                           token.c_str());
-        }
-    }
-    return cfg;
 }
 
 } // namespace afa::host

@@ -23,9 +23,6 @@ using afa::sim::Tick;
 /** A set of logical CPU ids (boot-option list like "4-19,24-39"). */
 using CpuSet = std::set<unsigned>;
 
-/** Parse a kernel cpu-list string ("4-19,24-39") into a CpuSet. */
-CpuSet parseCpuList(const std::string &list);
-
 /** Render a CpuSet as a kernel cpu-list string. */
 std::string formatCpuList(const CpuSet &cpus);
 
@@ -141,9 +138,6 @@ struct KernelConfig
      * in the paper's Section IV-C format.
      */
     std::string bootCommandLine() const;
-
-    /** Apply a boot command line (the reverse of the above). */
-    static KernelConfig fromBootCommandLine(const std::string &cmdline);
 };
 
 } // namespace afa::host

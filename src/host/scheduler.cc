@@ -89,33 +89,6 @@ Scheduler::createTask(const TaskParams &params)
     return static_cast<TaskId>(tasks.size() - 1);
 }
 
-void
-Scheduler::setRealTime(TaskId id, int rt_priority)
-{
-    if (rt_priority < 1 || rt_priority > 99)
-        afa::sim::fatal("%s: rt priority %d out of [1,99]",
-                        name().c_str(), rt_priority);
-    Task &t = task(id);
-    if (t.state != TaskState::Blocked)
-        afa::sim::fatal("%s: chrt on non-blocked task '%s' unsupported",
-                        name().c_str(), t.params.name.c_str());
-    t.params.klass = SchedClass::RealTime;
-    t.params.rtPriority = rt_priority;
-}
-
-void
-Scheduler::setAffinity(TaskId id, CpuMask mask)
-{
-    if (mask == 0)
-        afa::sim::fatal("%s: empty affinity mask", name().c_str());
-    Task &t = task(id);
-    if (t.state != TaskState::Blocked)
-        afa::sim::fatal(
-            "%s: changing affinity of non-blocked task unsupported",
-            name().c_str());
-    t.params.affinity = mask;
-}
-
 TaskState
 Scheduler::taskState(TaskId id) const
 {

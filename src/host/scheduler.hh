@@ -136,12 +136,6 @@ class Scheduler : public afa::sim::SimObject
      *  CPU, irq.ipiCost from any other. */
     Tick wakeIpi(TaskId task, unsigned cpu) const;
 
-    /** chrt: change scheduling class/priority at runtime. */
-    void setRealTime(TaskId task, int rt_priority);
-
-    /** sched_setaffinity. */
-    void setAffinity(TaskId task, CpuMask mask);
-
     /**
      * Inject hardirq work on @p cpu: wakes the CPU out of any
      * c-state, occupies it for @p duration (stealing time from the

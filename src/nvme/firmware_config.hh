@@ -76,15 +76,6 @@ struct FirmwareConfig
     double writeMBps = 750.0;
 
     SmartConfig smart;
-
-    /** The paper's experimental firmware: SMART update/save disabled. */
-    static FirmwareConfig
-    experimental()
-    {
-        FirmwareConfig cfg;
-        cfg.smart.enabled = false;
-        return cfg;
-    }
 };
 
 } // namespace afa::nvme

@@ -54,10 +54,4 @@ Attribution::table() const
     return table;
 }
 
-std::string
-Attribution::toText() const
-{
-    return table().toString();
-}
-
 } // namespace afa::obs

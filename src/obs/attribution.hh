@@ -17,7 +17,6 @@
 #define AFA_OBS_ATTRIBUTION_HH
 
 #include <array>
-#include <string>
 
 #include "obs/log2_histogram.hh"
 #include "obs/span.hh"
@@ -48,9 +47,6 @@ struct Attribution
      * Complete stage's total).
      */
     afa::stats::Table table() const;
-
-    /** The table rendered as text (for reports and examples). */
-    std::string toText() const;
 };
 
 } // namespace afa::obs

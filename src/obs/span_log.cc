@@ -72,14 +72,4 @@ SpanLog::snapshot() const
     return out;
 }
 
-void
-SpanLog::clear()
-{
-    ring.clear();
-    head = 0;
-    numRecorded = 0;
-    numDropped = 0;
-    accum = Attribution{};
-}
-
 } // namespace afa::obs

@@ -91,9 +91,6 @@ class SpanLog
     /** Exact per-stage totals (independent of ring drops). */
     const Attribution &attribution() const { return accum; }
 
-    /** Drop retained records and reset counters and totals. */
-    void clear();
-
     /**
      * Attach a telemetry sink: every record() additionally feeds the
      * sink's windowed per-stage histograms (same exactness guarantee

@@ -4,7 +4,6 @@
 #include <cerrno>
 #include <cmath>
 #include <cstdlib>
-#include <sstream>
 
 #include "sim/logging.hh"
 
@@ -14,44 +13,6 @@ void
 Config::set(const std::string &key, const std::string &value)
 {
     values[key] = value;
-}
-
-void
-Config::set(const std::string &key, const char *value)
-{
-    values[key] = value;
-}
-
-void
-Config::set(const std::string &key, bool value)
-{
-    values[key] = value ? "true" : "false";
-}
-
-void
-Config::set(const std::string &key, std::int64_t value)
-{
-    values[key] = std::to_string(value);
-}
-
-void
-Config::set(const std::string &key, std::uint64_t value)
-{
-    values[key] = std::to_string(value);
-}
-
-void
-Config::set(const std::string &key, int value)
-{
-    values[key] = std::to_string(value);
-}
-
-void
-Config::set(const std::string &key, double value)
-{
-    std::ostringstream os;
-    os << value;
-    values[key] = os.str();
 }
 
 bool
@@ -137,19 +98,6 @@ Config::getBool(const std::string &key, bool dflt) const
         return dflt;
     bool out = dflt;
     parseBool(*raw, key, out);
-    return out;
-}
-
-std::int64_t
-Config::getInt(const std::string &key, std::int64_t dflt) const
-{
-    const std::string *raw = lookup(key);
-    if (!raw)
-        return dflt;
-    std::int64_t out;
-    if (!parseInt(*raw, out))
-        fatal("config key '%s': '%s' is not an integer",
-              key.c_str(), raw->c_str());
     return out;
 }
 

@@ -36,12 +36,6 @@ class Config
 
     /** Set (or overwrite) a key. */
     void set(const std::string &key, const std::string &value);
-    void set(const std::string &key, const char *value);
-    void set(const std::string &key, bool value);
-    void set(const std::string &key, std::int64_t value);
-    void set(const std::string &key, std::uint64_t value);
-    void set(const std::string &key, int value);
-    void set(const std::string &key, double value);
 
     /** True when @p key is present. */
     bool has(const std::string &key) const;
@@ -50,7 +44,6 @@ class Config
     std::string getString(const std::string &key,
                           const std::string &dflt) const;
     bool getBool(const std::string &key, bool dflt) const;
-    std::int64_t getInt(const std::string &key, std::int64_t dflt) const;
     std::uint64_t getUint(const std::string &key,
                           std::uint64_t dflt) const;
     double getDouble(const std::string &key, double dflt) const;

@@ -98,15 +98,6 @@ EventQueue::skimStale()
         popTop();
 }
 
-Tick
-EventQueue::nextTime()
-{
-    if (numPending == 0)
-        return kMaxTick;
-    skimStale();
-    return heap.empty() ? kMaxTick : heap.front().when;
-}
-
 bool
 EventQueue::popNext(Tick &when_out, EventFn &fn_out)
 {
@@ -145,25 +136,6 @@ EventQueue::runNext(Tick &now_out)
         return false;
     fn();
     return true;
-}
-
-void
-EventQueue::clear()
-{
-    for (auto &entry : heap) {
-        if (!live(entry))
-            continue;
-        std::uint32_t slot =
-            static_cast<std::uint32_t>(entry.key & kSlotMask);
-        Record &rec = slab[slot];
-        rec.scheduled = false;
-        rec.fn = nullptr;
-        ++rec.gen;
-        slotKey[slot] = kStaleKey;
-        freeSlots.push_back(slot);
-    }
-    heap.clear();
-    numPending = 0;
 }
 
 } // namespace afa::sim

@@ -101,13 +101,6 @@ class EventQueue
     bool empty() const { return numPending == 0; }
 
     /**
-     * Time of the earliest pending event; kMaxTick when empty.
-     * Discards stale (cancelled) heap entries as a side effect, so the
-     * call is amortised O(log n).
-     */
-    Tick nextTime();
-
-    /**
      * Pop and run the earliest pending event.
      * @param now_out receives the event's scheduled time.
      * @retval false when the queue was empty.
@@ -124,8 +117,8 @@ class EventQueue
 
     /**
      * Pop the earliest pending event only if it is due at or before
-     * @p until. Combines nextTime() + popNext() into one heap pass --
-     * the Simulator::run() hot path.
+     * @p until, in one heap pass -- the Simulator::run() hot path.
+     * Discards stale (cancelled) heap entries on the way.
      * @retval false when the queue is empty or the earliest event is
      *         after @p until (distinguish via empty()).
      */
@@ -137,9 +130,6 @@ class EventQueue
     /** The executed() events that were scheduled as internal. They
      *  are counted as they are popped, before the caller runs them. */
     std::uint64_t internalExecuted() const { return numInternal; }
-
-    /** Drop every pending event. */
-    void clear();
 
   private:
     struct Record

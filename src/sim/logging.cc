@@ -16,16 +16,14 @@ namespace {
 // Global logger state and its concurrency contract
 // -------------------------------------------------
 //
-// Worker threads of a parallel experiment sweep call warn()/inform()/
-// debug() concurrently while the main thread may call setLogLevel()/
+// Worker threads of a parallel experiment sweep call warn()/panic()/
+// fatal() concurrently while the main thread may call
 // setThrowOnError(). Two pieces of shared state make that safe:
 //
-//  * g_level / g_throw are std::atomic with relaxed ordering. They
-//    are pure configuration flags: no other memory is published
-//    through them, so no acquire/release pairing is needed. A racing
-//    setLogLevel() may let an in-flight message through under the old
-//    verbosity, which is acceptable for logging. Crucially they never
-//    feed simulation state, so they cannot perturb results.
+//  * g_throw is a std::atomic with relaxed ordering. It is a pure
+//    configuration flag: no other memory is published through it, so
+//    no acquire/release pairing is needed. Crucially it never feeds
+//    simulation state, so it cannot perturb results.
 //
 //  * g_sink serialises the actual stream writes so a message is
 //    emitted as one unbroken line even when several workers log at
@@ -36,7 +34,6 @@ namespace {
 // code precisely because shared state is how nondeterminism leaks
 // into figures; logging is the audited exception since nothing here
 // flows back into the simulation.
-std::atomic<LogLevel> g_level{LogLevel::Warn}; // detlint:allow(mutable-static)
 std::atomic<bool> g_throw{false}; // detlint:allow(mutable-static)
 
 std::string
@@ -82,18 +79,6 @@ LogSink g_sink; // detlint:allow(mutable-static)
 } // namespace
 
 void
-setLogLevel(LogLevel level)
-{
-    g_level.store(level, std::memory_order_relaxed);
-}
-
-LogLevel
-logLevel()
-{
-    return g_level.load(std::memory_order_relaxed);
-}
-
-void
 setThrowOnError(bool enable)
 {
     g_throw.store(enable, std::memory_order_relaxed);
@@ -128,37 +113,11 @@ fatal(const char *fmt, ...)
 void
 warn(const char *fmt, ...)
 {
-    if (g_level.load(std::memory_order_relaxed) < LogLevel::Warn)
-        return;
     va_list ap;
     va_start(ap, fmt);
     std::string msg = vstrfmt(fmt, ap);
     va_end(ap);
     g_sink.write(stderr, "warn", msg);
-}
-
-void
-inform(const char *fmt, ...)
-{
-    if (g_level.load(std::memory_order_relaxed) < LogLevel::Info)
-        return;
-    va_list ap;
-    va_start(ap, fmt);
-    std::string msg = vstrfmt(fmt, ap);
-    va_end(ap);
-    g_sink.write(stdout, "info", msg);
-}
-
-void
-debug(const char *fmt, ...)
-{
-    if (g_level.load(std::memory_order_relaxed) < LogLevel::Debug)
-        return;
-    va_list ap;
-    va_start(ap, fmt);
-    std::string msg = vstrfmt(fmt, ap);
-    va_end(ap);
-    g_sink.write(stdout, "debug", msg);
 }
 
 std::string

@@ -2,20 +2,17 @@
  * @file
  * Logging and error-reporting helpers in the gem5 tradition.
  *
- * panic()  - an internal invariant was violated (simulator bug); aborts.
- * fatal()  - the user supplied an impossible configuration; exits(1).
- * warn()   - something is suspicious but simulation can continue.
- * inform() - status messages for the user.
+ * panic() - an internal invariant was violated (simulator bug); aborts.
+ * fatal() - the user supplied an impossible configuration; exits(1).
+ * warn()  - something is suspicious but simulation can continue.
  *
  * All functions accept printf-style format strings and are checked by
  * the compiler.
  *
  * Thread safety: every function here may be called concurrently from
- * parallel-sweep workers. Verbosity/throw configuration is relaxed
- * atomics (a racing setLogLevel() may let an in-flight message
- * through under the old level; nothing tears), and emitted lines are
- * serialised by a mutex so they never interleave mid-line. See the
- * contract comment in logging.cc.
+ * parallel-sweep workers. The throw switch is a relaxed atomic, and
+ * emitted lines are serialised by a mutex so they never interleave
+ * mid-line. See the contract comment in logging.cc.
  */
 
 #ifndef AFA_SIM_LOGGING_HH
@@ -25,20 +22,6 @@
 #include <string>
 
 namespace afa::sim {
-
-/** Verbosity levels for the global logger. */
-enum class LogLevel {
-    Quiet,  ///< only panic/fatal output
-    Warn,   ///< warnings and errors
-    Info,   ///< informational messages too
-    Debug,  ///< everything, including debug chatter
-};
-
-/** Set the global log verbosity. */
-void setLogLevel(LogLevel level);
-
-/** Current global log verbosity. */
-LogLevel logLevel();
 
 /**
  * Report an internal simulator bug and abort.
@@ -54,14 +37,8 @@ LogLevel logLevel();
 [[noreturn]] void fatal(const char *fmt, ...)
     __attribute__((format(printf, 1, 2)));
 
-/** Emit a warning (suppressed below LogLevel::Warn). */
+/** Emit a warning on stderr. */
 void warn(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
-
-/** Emit an informational message (suppressed below LogLevel::Info). */
-void inform(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
-
-/** Emit a debug message (suppressed below LogLevel::Debug). */
-void debug(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 
 /** printf-style formatting into a std::string. */
 std::string strfmt(const char *fmt, ...)

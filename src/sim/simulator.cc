@@ -32,8 +32,7 @@ std::uint64_t
 Simulator::run(Tick until)
 {
     const std::uint64_t before = executedEvents();
-    stopRequested = false;
-    while (!stopRequested) {
+    for (;;) {
         Tick when = 0;
         EventFn fn;
         if (!q.popNextIfBefore(until, when, fn)) {
@@ -53,8 +52,7 @@ std::uint64_t
 Simulator::runSteps(std::uint64_t max_events)
 {
     std::uint64_t executed = 0;
-    stopRequested = false;
-    while (executed < max_events && !stopRequested) {
+    while (executed < max_events) {
         Tick when = 0;
         EventFn fn;
         if (!q.popNext(when, fn))

@@ -108,9 +108,6 @@ class Simulator
      */
     std::uint64_t runSteps(std::uint64_t max_events);
 
-    /** Request that run() return after the current event. */
-    void requestStop() { stopRequested = true; }
-
     /** Pending event count. */
     std::size_t pendingEvents() const { return q.size(); }
 
@@ -136,7 +133,6 @@ class Simulator
 
     EventQueue q;
     Tick clock = 0;
-    bool stopRequested = false;
     Rng rootRng;
 };
 

@@ -4,29 +4,23 @@
 #include <bit>
 #include <cmath>
 
-#include "sim/logging.hh"
-
 namespace afa::stats {
 
-Histogram::Histogram(unsigned sub_bucket_bits)
-    : subBits(sub_bucket_bits), numSamples(0), minValue(0), maxValue(0),
-      sum(0.0), sumSquares(0.0)
+Histogram::Histogram()
+    : numSamples(0), minValue(0), maxValue(0), sum(0.0), sumSquares(0.0)
 {
-    if (subBits < 1 || subBits > 16)
-        afa::sim::fatal("Histogram: sub_bucket_bits %u out of [1,16]",
-                        subBits);
-    // Magnitude groups: values below 2^subBits land in group 0 with
+    // Magnitude groups: values below 2^kSubBits land in group 0 with
     // exact (1-tick) resolution; each further power of two is one
-    // group of 2^subBits sub-buckets. 64-bit values need at most
-    // (64 - subBits) groups plus the base group.
-    std::size_t groups = 64 - subBits + 1;
-    buckets.assign((groups + 1) << subBits, 0);
+    // group of 2^kSubBits sub-buckets. 64-bit values need at most
+    // (64 - kSubBits) groups plus the base group.
+    std::size_t groups = 64 - kSubBits + 1;
+    buckets.assign((groups + 1) << kSubBits, 0);
 }
 
 std::size_t
 Histogram::bucketIndex(Tick value) const
 {
-    const unsigned sub = subBits;
+    const unsigned sub = kSubBits;
     if (value < (Tick(1) << sub))
         return static_cast<std::size_t>(value); // exact region
     // Magnitude = index of highest set bit. Values in
@@ -44,7 +38,7 @@ Histogram::bucketIndex(Tick value) const
 Tick
 Histogram::bucketLow(std::size_t index) const
 {
-    const unsigned sub = subBits;
+    const unsigned sub = kSubBits;
     const std::size_t base = std::size_t(1) << sub;
     if (index < base)
         return static_cast<Tick>(index);
@@ -59,7 +53,7 @@ Histogram::bucketLow(std::size_t index) const
 Tick
 Histogram::bucketHigh(std::size_t index) const
 {
-    const unsigned sub = subBits;
+    const unsigned sub = kSubBits;
     const std::size_t base = std::size_t(1) << sub;
     if (index < base)
         return static_cast<Tick>(index);
@@ -72,14 +66,6 @@ Histogram::bucketHigh(std::size_t index) const
 void
 Histogram::record(Tick value)
 {
-    record(value, 1);
-}
-
-void
-Histogram::record(Tick value, std::uint64_t count)
-{
-    if (count == 0)
-        return;
     if (numSamples == 0) {
         minValue = value;
         maxValue = value;
@@ -87,12 +73,11 @@ Histogram::record(Tick value, std::uint64_t count)
         minValue = std::min(minValue, value);
         maxValue = std::max(maxValue, value);
     }
-    numSamples += count;
+    ++numSamples;
     double v = static_cast<double>(value);
-    double c = static_cast<double>(count);
-    sum += v * c;
-    sumSquares += v * v * c;
-    buckets[bucketIndex(value)] += count;
+    sum += v;
+    sumSquares += v * v;
+    ++buckets[bucketIndex(value)];
 }
 
 double
@@ -148,24 +133,9 @@ Histogram::quantile(double q) const
     return maxValue;
 }
 
-std::uint64_t
-Histogram::countAbove(Tick threshold) const
-{
-    if (numSamples == 0 || threshold >= maxValue)
-        return 0;
-    std::uint64_t total = 0;
-    std::size_t from = bucketIndex(threshold) + 1;
-    for (std::size_t i = from; i < buckets.size(); ++i)
-        total += buckets[i];
-    return total;
-}
-
 void
 Histogram::merge(const Histogram &other)
 {
-    if (other.subBits != subBits)
-        afa::sim::fatal("Histogram::merge: geometry mismatch (%u vs %u)",
-                        other.subBits, subBits);
     if (other.numSamples == 0)
         return;
     if (numSamples == 0) {
@@ -180,17 +150,6 @@ Histogram::merge(const Histogram &other)
     sumSquares += other.sumSquares;
     for (std::size_t i = 0; i < buckets.size(); ++i)
         buckets[i] += other.buckets[i];
-}
-
-void
-Histogram::clear()
-{
-    std::fill(buckets.begin(), buckets.end(), 0);
-    numSamples = 0;
-    minValue = 0;
-    maxValue = 0;
-    sum = 0.0;
-    sumSquares = 0.0;
 }
 
 } // namespace afa::stats

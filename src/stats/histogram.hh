@@ -3,10 +3,10 @@
  * HDR-style log-linear histogram for latency samples.
  *
  * Values (ticks, i.e. nanoseconds) are bucketed into power-of-two
- * magnitude groups, each split into a fixed number of linear
- * sub-buckets. This gives a bounded relative error (~1/subBuckets)
- * across the full range from 1 ns to minutes while using a few KB per
- * device -- the same trade FIO and HdrHistogram make. Exact min, max,
+ * magnitude groups, each split into 64 linear sub-buckets. This gives
+ * a bounded relative error (~1/64) across the full range from 1 ns to
+ * minutes while using a few KB per device -- the same trade FIO and
+ * HdrHistogram make. Exact min, max,
  * mean, and standard deviation are tracked alongside.
  */
 
@@ -26,17 +26,14 @@ using afa::sim::Tick;
 class Histogram
 {
   public:
-    /**
-     * @param sub_bucket_bits log2 of linear sub-buckets per magnitude
-     *        group; 6 (64 sub-buckets) bounds quantile error to ~1.6%.
-     */
-    explicit Histogram(unsigned sub_bucket_bits = 6);
+    /** log2 of the linear sub-buckets per magnitude group: 64
+     *  sub-buckets bound the quantile error to ~1.6%. */
+    static constexpr unsigned kSubBits = 6;
+
+    Histogram();
 
     /** Record one sample. */
     void record(Tick value);
-
-    /** Record @p count identical samples. */
-    void record(Tick value, std::uint64_t count);
 
     /** Number of recorded samples. */
     std::uint64_t count() const { return numSamples; }
@@ -62,23 +59,10 @@ class Histogram
      */
     Tick quantile(double q) const;
 
-    /** Samples strictly greater than @p threshold. */
-    std::uint64_t countAbove(Tick threshold) const;
-
-    /** Merge another histogram (same geometry required). */
+    /** Merge another histogram. */
     void merge(const Histogram &other);
 
-    /** Reset to empty. */
-    void clear();
-
-    /** Upper bound on relative quantile error from bucketing. */
-    double relativeError() const
-    {
-        return 1.0 / static_cast<double>(1u << subBits);
-    }
-
   private:
-    unsigned subBits;
     std::vector<std::uint64_t> buckets;
     std::uint64_t numSamples;
     Tick minValue;

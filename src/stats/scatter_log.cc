@@ -28,16 +28,6 @@ ScatterLog::record(Tick when, Tick latency, std::uint32_t device)
     buf.push_back(Sample{nextIndex++, when, latency, device});
 }
 
-std::vector<Sample>
-ScatterLog::outliers(Tick threshold) const
-{
-    std::vector<Sample> out;
-    for (const auto &s : buf)
-        if (s.latency > threshold)
-            out.push_back(s);
-    return out;
-}
-
 std::vector<SpikeCluster>
 ScatterLog::clusters(Tick threshold, Tick gap) const
 {

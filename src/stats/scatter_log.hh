@@ -57,9 +57,6 @@ class ScatterLog
     /** All retained samples in completion order. */
     const std::vector<Sample> &samples() const { return buf; }
 
-    /** Samples whose latency exceeds @p threshold. */
-    std::vector<Sample> outliers(Tick threshold) const;
-
     /**
      * Group outliers into clusters: consecutive outliers closer than
      * @p gap in completion time belong to the same cluster.

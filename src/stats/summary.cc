@@ -30,16 +30,6 @@ NinesLadder::labels()
     return l;
 }
 
-const std::array<const char *, NinesLadder::kPoints> &
-NinesLadder::shortLabels()
-{
-    static const std::array<const char *, kPoints> l = {
-        "avg", "2-nines", "3-nines", "4-nines", "5-nines", "6-nines",
-        "max",
-    };
-    return l;
-}
-
 LatencySummary
 LatencySummary::fromHistogram(const std::string &device,
                               const Histogram &hist)

@@ -28,9 +28,6 @@ struct NinesLadder
 
     /** Human-readable labels: "avg", "99%", ..., "99.9999%", "max". */
     static const std::array<const char *, kPoints> &labels();
-
-    /** Short labels: "avg", "2-nines", ..., "6-nines", "max". */
-    static const std::array<const char *, kPoints> &shortLabels();
 };
 
 /**

@@ -13,10 +13,10 @@ ArrivalProcess::ArrivalProcess(const ArrivalParams &params)
     if (!(p.ratePerSec > 0.0) || !std::isfinite(p.ratePerSec))
         afa::sim::fatal("arrival: ratePerSec must be positive and "
                         "finite (got %g)", p.ratePerSec);
-    if (p.kind == ArrivalKind::Bursty && !std::isfinite(p.burstFactor))
+    if (!std::isfinite(p.burstFactor))
         afa::sim::fatal("arrival: burstFactor must be finite (got %g)",
                         p.burstFactor);
-    bursty = p.kind == ArrivalKind::Bursty && p.burstFactor > 1.0;
+    bursty = p.burstFactor > 1.0;
     const double mean_gap = 1e9 / p.ratePerSec;
     if (bursty) {
         onGapMean = mean_gap / p.burstFactor;

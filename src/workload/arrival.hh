@@ -31,17 +31,9 @@ namespace afa::workload {
 
 using afa::sim::Tick;
 
-/** The arrival-clock shapes. */
-enum class ArrivalKind : std::uint8_t {
-    Poisson, ///< memoryless arrivals at the mean rate
-    Bursty,  ///< Markov-modulated on/off (MMPP-2 with a silent phase)
-};
-
 /** Configuration of one arrival stream. */
 struct ArrivalParams
 {
-    ArrivalKind kind = ArrivalKind::Poisson;
-
     /**
      * Long-run mean arrival rate of this stream (ops/sec). Rates whose
      * mean gap exceeds kMaxTick / 37 ns are fatal: a gap could overflow
@@ -50,11 +42,13 @@ struct ArrivalParams
     double ratePerSec = 10000.0;
 
     /**
-     * Bursty only: the on-phase fires at burstFactor * ratePerSec;
-     * the duty cycle is 1/burstFactor so the mean stays ratePerSec.
-     * Values <= 1 degenerate to Poisson.
+     * Above 1 the stream is bursty: a Markov-modulated on/off process
+     * (MMPP-2 with a silent phase) whose on phases fire at
+     * burstFactor * ratePerSec, duty-cycled at 1/burstFactor so the
+     * mean stays ratePerSec. At 1 or below, arrivals are Poisson
+     * (memoryless at the mean rate).
      */
-    double burstFactor = 4.0;
+    double burstFactor = 1.0;
 
     /** Bursty only: mean on-phase duration (exponential). */
     Tick onMean = afa::sim::msec(5);
@@ -76,7 +70,7 @@ class ArrivalProcess
 
   private:
     ArrivalParams p;
-    bool bursty;       ///< effective kind after degenerate checks
+    bool bursty;       ///< burstFactor > 1
     double onGapMean;  ///< mean gap within an on phase (ns)
     double onMeanNs;   ///< mean on-phase length (ns)
     double offMeanNs;  ///< mean off-phase length (ns)

@@ -27,6 +27,26 @@ OpenLoopStreamStats::add(const OpenLoopStreamStats &o)
     inflightAtEnd += o.inflightAtEnd;
 }
 
+void
+checkOpenLoopBalance(const std::vector<OpenLoopStreamStats> &streams)
+{
+    for (std::size_t s = 0; s < streams.size(); ++s) {
+        const OpenLoopStreamStats &t = streams[s];
+        if (t.arrivals != t.submitted + t.dropped + t.finalBacklog ||
+            t.submitted != t.completed + t.inflightAtEnd)
+            afa::sim::panic(
+                "open-loop stream %zu out of balance: arrivals %llu, "
+                "submitted %llu, dropped %llu, final backlog %llu, "
+                "completed %llu, in flight %llu",
+                s, (unsigned long long)t.arrivals,
+                (unsigned long long)t.submitted,
+                (unsigned long long)t.dropped,
+                (unsigned long long)t.finalBacklog,
+                (unsigned long long)t.completed,
+                (unsigned long long)t.inflightAtEnd);
+    }
+}
+
 double
 OpenLoopResult::measuredSeconds() const
 {
@@ -295,6 +315,7 @@ OpenLoopEngine::result() const
 {
     OpenLoopResult r;
     r.perStream = streamStats();
+    checkOpenLoopBalance(r.perStream);
     for (const OpenLoopStreamStats &s : r.perStream)
         r.totals.add(s);
     r.responseHist = hist;

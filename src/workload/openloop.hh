@@ -20,7 +20,7 @@
  * telemetry. Backlog overflow drops are counted exactly:
  *   arrivals == submitted + dropped + finalBacklog
  *   submitted == completed + inflightAtEnd
- * hold for every stream, at any load.
+ * hold for every stream, at any load, and result() checks both.
  */
 
 #ifndef AFA_WORKLOAD_OPENLOOP_HH
@@ -99,6 +99,13 @@ struct OpenLoopStreamStats
     void add(const OpenLoopStreamStats &o);
 };
 
+/**
+ * Check both balances of every stream (see the file comment); the
+ * first stream that breaks one fails through panic(), named by its
+ * index with its counts.
+ */
+void checkOpenLoopBalance(const std::vector<OpenLoopStreamStats> &streams);
+
 /** Mergeable open-loop slice of an ExperimentResult. */
 struct OpenLoopResult
 {
@@ -153,7 +160,8 @@ class OpenLoopEngine : public afa::sim::SimObject
     /** Sum of the per-stream stats. */
     OpenLoopStreamStats totals() const;
 
-    /** Bundle everything into the mergeable result slice. */
+    /** Bundle everything into the mergeable result slice, after
+     *  checking every stream's balances. */
     OpenLoopResult result() const;
 
     /** Attach the obs span log; nullptr detaches. SubmitQueue spans

@@ -67,7 +67,7 @@ class DeterminismTest : public ::testing::Test
            << envelopeTable(r).toString() << '\n'
            << "runs=" << r.runs << " events=" << r.simulatedEvents
            << " spanDrops=" << r.spanDrops << '\n'
-           << r.attribution.toText();
+           << r.attribution.table().toString();
         return os.str();
     }
 
@@ -79,7 +79,7 @@ class DeterminismTest : public ::testing::Test
     {
         auto p = baseParams(TuningProfile::Default);
         afa::workload::OpenLoopParams ol;
-        ol.arrival.kind = afa::workload::ArrivalKind::Bursty;
+        ol.arrival.burstFactor = 4.0;
         ol.arrival.ratePerSec = 100000.0;
         ol.streams = 2;
         ol.readFraction = 0.7;

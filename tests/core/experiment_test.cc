@@ -173,7 +173,6 @@ TEST_F(ExperimentTest, OpenLoopRunDescribesItsArrivalShape)
     p.ssds = 2;
     p.runtime = msec(20);
     afa::workload::OpenLoopParams ol;
-    ol.arrival.kind = afa::workload::ArrivalKind::Bursty;
     ol.arrival.ratePerSec = 20000.0;
     ol.arrival.burstFactor = 3.0;
     ol.readFraction = 0.7;

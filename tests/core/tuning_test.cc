@@ -79,14 +79,4 @@ TEST_F(TuningTest, ExpFirmwareDisablesSmartOnly)
     EXPECT_FALSE(cfg.kernel.isolcpus.empty());
 }
 
-TEST_F(TuningTest, NamesRoundTrip)
-{
-    for (TuningProfile p :
-         {TuningProfile::Default, TuningProfile::Chrt,
-          TuningProfile::Isolcpus, TuningProfile::IrqAffinity,
-          TuningProfile::ExpFirmware})
-        EXPECT_EQ(parseTuningProfile(tuningProfileName(p)), p);
-    EXPECT_THROW(parseTuningProfile("bogus"), afa::sim::SimError);
-}
-
 } // namespace

@@ -502,21 +502,6 @@ TEST_F(SchedulerTest, EmptyAffinityIsFatal)
     EXPECT_THROW(sched->createTask(p), afa::sim::SimError);
 }
 
-TEST_F(SchedulerTest, ChrtChangesClass)
-{
-    build(1);
-    TaskId t = spawn("t", cpuBit(0));
-    sched->setRealTime(t, 99);
-    TaskId hog = spawn("hog", cpuBit(0));
-    sched->runFor(hog, msec(10), [] {});
-    sim->run(usec(100));
-    Tick done = 0;
-    sched->runFor(t, usec(5), [&] { done = sim->now(); });
-    sim->run(msec(1));
-    EXPECT_GT(done, 0u);
-    EXPECT_LT(done - usec(100), usec(15));
-}
-
 TEST_F(SchedulerTest, RcuNoiseInterruptsBusyCpu)
 {
     KernelConfig cfg;

@@ -214,7 +214,7 @@ TEST_F(ControllerTest, SmartStallDelaysReads)
 
 TEST_F(ControllerTest, ExperimentalFirmwareHasNoSmartStalls)
 {
-    FirmwareConfig fw = FirmwareConfig::experimental();
+    FirmwareConfig fw = quietFirmware(); // the experimental firmware
     fw.smart.period = msec(5); // would fire often if enabled
     fw.hiccupProbability = 0.0;
     rebuild(fw);

@@ -45,7 +45,7 @@ TEST(AttributionTest, TableSkipsEmptyStagesAndShowsShares)
     Attribution attr;
     attr.add(Stage::Complete, 1000);
     attr.add(Stage::SchedulerWait, 250);
-    std::string text = attr.toText();
+    std::string text = attr.table().toString();
     EXPECT_NE(text.find("complete"), std::string::npos);
     EXPECT_NE(text.find("sched_wait"), std::string::npos);
     // 250 / 1000 of the IO total.

@@ -93,21 +93,6 @@ TEST(SpanLogTest, AttributionStaysExactAcrossDrops)
     EXPECT_EQ(media.maxTicks, 100u);
 }
 
-TEST(SpanLogTest, ClearResetsEverything)
-{
-    SpanLog log(params(kAllCategories, 8));
-    for (int i = 0; i < 20; ++i)
-        log.record(Stage::Complete, 1, 0, 10, cpuTrack(0));
-    log.clear();
-    EXPECT_EQ(log.recorded(), 0u);
-    EXPECT_EQ(log.dropped(), 0u);
-    EXPECT_EQ(log.retained(), 0u);
-    EXPECT_TRUE(log.attribution().empty());
-    // Still usable after clear.
-    log.record(Stage::Complete, 2, 0, 10, cpuTrack(0));
-    EXPECT_EQ(log.recorded(), 1u);
-}
-
 TEST(SpanLogTest, GrowthPhaseKeepsEverythingUpToCapacity)
 {
     // More than the initial 1024-slot allocation but under capacity:

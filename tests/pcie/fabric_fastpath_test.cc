@@ -157,7 +157,7 @@ TEST_F(FabricFastPathTest, DeepLineTopologyBackToBackMatchesReference)
         nodes.push_back(f.addEndpoint("a"));
         for (int s = 1; s <= 4; ++s)
             nodes.push_back(
-                f.addSwitch("s" + std::to_string(s), 150 * s));
+                f.addSwitch(afa::sim::strfmt("s%d", s), 150 * s));
         nodes.push_back(f.addEndpoint("b"));
         for (std::size_t i = 0; i + 1 < nodes.size(); ++i)
             f.connect(nodes[i], nodes[i + 1],

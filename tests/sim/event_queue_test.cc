@@ -13,6 +13,7 @@
 
 using afa::sim::EventHandle;
 using afa::sim::EventQueue;
+using afa::sim::kMaxTick;
 using afa::sim::Tick;
 
 namespace {
@@ -39,7 +40,6 @@ TEST_F(EventQueueTest, EmptyQueueReportsEmpty)
 {
     EXPECT_TRUE(q.empty());
     EXPECT_EQ(q.size(), 0u);
-    EXPECT_EQ(q.nextTime(), afa::sim::kMaxTick);
     Tick when = 0;
     EXPECT_FALSE(q.runNext(when));
 }
@@ -67,11 +67,15 @@ TEST_F(EventQueueTest, SameTickEventsRunFifo)
         EXPECT_EQ(order[i], i);
 }
 
-TEST_F(EventQueueTest, NextTimeReportsEarliestPending)
+TEST_F(EventQueueTest, PopNextIfBeforeStopsAtEarliestPending)
 {
     q.schedule(50, [] {});
     q.schedule(40, [] {});
-    EXPECT_EQ(q.nextTime(), 40u);
+    Tick when = 0;
+    afa::sim::EventFn fn;
+    EXPECT_FALSE(q.popNextIfBefore(39, when, fn));
+    EXPECT_TRUE(q.popNextIfBefore(40, when, fn));
+    EXPECT_EQ(when, 40u);
 }
 
 TEST_F(EventQueueTest, CancelPreventsExecution)
@@ -126,23 +130,17 @@ TEST_F(EventQueueTest, StaleHandleCannotCancelRecycledSlot)
     EXPECT_EQ(order, (std::vector<int>{2}));
 }
 
-TEST_F(EventQueueTest, NextTimeSkipsCancelledTop)
+TEST_F(EventQueueTest, PopNextIfBeforeSkipsCancelledTop)
 {
     auto h = q.schedule(10, [] {});
     q.schedule(50, [] {});
     q.cancel(h);
-    EXPECT_EQ(q.nextTime(), 50u);
-}
-
-TEST_F(EventQueueTest, ClearDropsEverything)
-{
-    for (int i = 0; i < 10; ++i)
-        q.schedule(i, [&] { order.push_back(0); });
-    q.clear();
+    Tick when = 0;
+    afa::sim::EventFn fn;
+    EXPECT_FALSE(q.popNextIfBefore(49, when, fn));
+    EXPECT_TRUE(q.popNextIfBefore(kMaxTick, when, fn));
+    EXPECT_EQ(when, 50u);
     EXPECT_TRUE(q.empty());
-    Tick when;
-    EXPECT_FALSE(q.runNext(when));
-    EXPECT_TRUE(order.empty());
 }
 
 TEST_F(EventQueueTest, ScheduleFromWithinEvent)

@@ -75,21 +75,6 @@ TEST_F(SimulatorTest, EventExactlyAtBoundRuns)
     EXPECT_EQ(fired, 1);
 }
 
-TEST_F(SimulatorTest, RequestStopEndsRun)
-{
-    int fired = 0;
-    sim.scheduleAt(10, [&] {
-        ++fired;
-        sim.requestStop();
-    });
-    sim.scheduleAt(20, [&] { ++fired; });
-    sim.run();
-    EXPECT_EQ(fired, 1);
-    // A later run() resumes.
-    sim.run();
-    EXPECT_EQ(fired, 2);
-}
-
 TEST_F(SimulatorTest, SchedulingInPastPanics)
 {
     sim.scheduleAt(100, [&] {

@@ -12,7 +12,6 @@
 #include <ostream>
 #include <vector>
 
-#include "sim/logging.hh"
 #include "sim/random.hh"
 #include "stats/histogram.hh"
 
@@ -49,8 +48,8 @@ TEST(HistogramTest, SingleSample)
 
 TEST(HistogramTest, ExactRegionIsExact)
 {
-    // Values below 2^subBits are stored with one-tick resolution.
-    Histogram h(6);
+    // Values below 2^kSubBits are stored with one-tick resolution.
+    Histogram h;
     for (Tick v = 0; v < 64; ++v)
         h.record(v);
     for (int i = 1; i <= 9; ++i) {
@@ -87,24 +86,13 @@ TEST(HistogramTest, StddevMatchesDirectComputation)
 TEST(HistogramTest, WeightedRecord)
 {
     Histogram h;
-    h.record(100, 9);
-    h.record(1000, 1);
+    for (int i = 0; i < 9; ++i)
+        h.record(100);
+    h.record(1000);
     EXPECT_EQ(h.count(), 10u);
     EXPECT_DOUBLE_EQ(h.mean(), (9 * 100 + 1000) / 10.0);
     EXPECT_LE(h.quantile(0.9), 101u);
     EXPECT_EQ(h.quantile(1.0), 1000u);
-}
-
-TEST(HistogramTest, CountAbove)
-{
-    Histogram h;
-    for (Tick v : {10u, 20u, 30u, 40u, 50u})
-        h.record(v);
-    EXPECT_EQ(h.countAbove(30), 2u);
-    EXPECT_EQ(h.countAbove(50), 0u);
-    EXPECT_EQ(h.countAbove(0), 5u);
-    // threshold above max
-    EXPECT_EQ(h.countAbove(1000), 0u);
 }
 
 TEST(HistogramTest, MergeCombinesEverything)
@@ -120,14 +108,6 @@ TEST(HistogramTest, MergeCombinesEverything)
     EXPECT_EQ(a.max(), 100000u);
 }
 
-TEST(HistogramTest, MergeGeometryMismatchIsFatal)
-{
-    afa::sim::setThrowOnError(true);
-    Histogram a(6), b(7);
-    EXPECT_THROW(a.merge(b), afa::sim::SimError);
-    afa::sim::setThrowOnError(false);
-}
-
 TEST(HistogramTest, MergeIntoEmpty)
 {
     Histogram a, b;
@@ -136,25 +116,6 @@ TEST(HistogramTest, MergeIntoEmpty)
     EXPECT_EQ(a.min(), 42u);
     EXPECT_EQ(a.max(), 42u);
     EXPECT_EQ(a.count(), 1u);
-}
-
-TEST(HistogramTest, ClearResets)
-{
-    Histogram h;
-    h.record(100);
-    h.clear();
-    EXPECT_EQ(h.count(), 0u);
-    EXPECT_EQ(h.max(), 0u);
-    h.record(7);
-    EXPECT_EQ(h.min(), 7u);
-}
-
-TEST(HistogramTest, InvalidSubBucketBitsFatal)
-{
-    afa::sim::setThrowOnError(true);
-    EXPECT_THROW(Histogram(0), afa::sim::SimError);
-    EXPECT_THROW(Histogram(17), afa::sim::SimError);
-    afa::sim::setThrowOnError(false);
 }
 
 TEST(HistogramTest, HugeValuesDoNotOverflow)
@@ -196,7 +157,7 @@ class QuantileAccuracy : public ::testing::TestWithParam<QuantileCase>
 TEST_P(QuantileAccuracy, BoundedRelativeError)
 {
     Rng r(77);
-    Histogram h(6);
+    Histogram h;
     const int n = 50000;
     std::vector<Tick> vals;
     vals.reserve(n);
@@ -218,8 +179,8 @@ TEST_P(QuantileAccuracy, BoundedRelativeError)
                      static_cast<double>(exact)) /
             static_cast<double>(exact);
         // Interpolation within the bucket can add at most one bucket
-        // width; allow 2x the nominal bound.
-        EXPECT_LE(rel_err, 2.0 * h.relativeError())
+        // width; allow 2x the nominal bound of 2^-kSubBits.
+        EXPECT_LE(rel_err, 2.0 / (1u << Histogram::kSubBits))
             << GetParam().name << " q=" << q;
     }
 }

@@ -36,17 +36,6 @@ TEST(ScatterLogTest, CapacityBoundCountsDrops)
     EXPECT_EQ(log.dropped(), 3u);
 }
 
-TEST(ScatterLogTest, OutliersAboveThreshold)
-{
-    ScatterLog log;
-    log.record(1, usec(30), 0);
-    log.record(2, usec(600), 0);
-    log.record(3, usec(29), 0);
-    auto out = log.outliers(usec(100));
-    ASSERT_EQ(out.size(), 1u);
-    EXPECT_EQ(out[0].latency, usec(600));
-}
-
 TEST(ScatterLogTest, ClustersGroupNearbyOutliers)
 {
     ScatterLog log;

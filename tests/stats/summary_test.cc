@@ -29,16 +29,15 @@ TEST(NinesLadderTest, LadderShape)
     EXPECT_DOUBLE_EQ(q[5], 0.999999);
     EXPECT_DOUBLE_EQ(q[6], 1.0);
     EXPECT_STREQ(NinesLadder::labels()[1], "99%");
-    EXPECT_STREQ(NinesLadder::shortLabels()[5], "6-nines");
-    EXPECT_STREQ(NinesLadder::shortLabels()[6], "max");
 }
 
 TEST(LatencySummaryTest, FromHistogramBasics)
 {
     Histogram h;
     // 999 fast samples at 30us, one slow at 5ms.
-    h.record(usec(30), 999);
-    h.record(afa::sim::msec(5), 1);
+    for (int i = 0; i < 999; ++i)
+        h.record(usec(30));
+    h.record(afa::sim::msec(5));
     auto s = LatencySummary::fromHistogram("nvme0", h);
     EXPECT_EQ(s.device, "nvme0");
     EXPECT_EQ(s.samples, 1000u);
@@ -81,7 +80,8 @@ TEST(LadderAggregateTest, EmptyInput)
 TEST(LadderAggregateTest, SingleDeviceHasZeroStddev)
 {
     Histogram h;
-    h.record(usec(30), 100);
+    for (int i = 0; i < 100; ++i)
+        h.record(usec(30));
     auto s = LatencySummary::fromHistogram("d", h);
     auto agg = LadderAggregate::across({s});
     EXPECT_EQ(agg.devices, 1u);

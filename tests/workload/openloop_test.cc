@@ -63,7 +63,6 @@ drawGaps(const ArrivalParams &params, std::size_t n,
 TEST(ArrivalProcessTest, PoissonGapsMatchRateWithUnitCv)
 {
     ArrivalParams p;
-    p.kind = ArrivalKind::Poisson;
     p.ratePerSec = 100000.0;
     const auto s = drawGaps(p, 200000, 42);
     // Mean gap = 1e9 / rate ns; exponential gaps have CV 1.
@@ -74,7 +73,6 @@ TEST(ArrivalProcessTest, PoissonGapsMatchRateWithUnitCv)
 TEST(ArrivalProcessTest, BurstyKeepsMeanRateWithHigherCv)
 {
     ArrivalParams p;
-    p.kind = ArrivalKind::Bursty;
     p.ratePerSec = 100000.0;
     p.burstFactor = 8.0;
     p.onMean = msec(1);
@@ -88,7 +86,6 @@ TEST(ArrivalProcessTest, BurstyKeepsMeanRateWithHigherCv)
 TEST(ArrivalProcessTest, BurstFactorOneDegeneratesToPoisson)
 {
     ArrivalParams p;
-    p.kind = ArrivalKind::Bursty;
     p.ratePerSec = 100000.0;
     p.burstFactor = 1.0;
     const auto s = drawGaps(p, 100000, 7);
@@ -268,6 +265,44 @@ TEST_F(OpenLoopEngineTest, SaturationShedsLoadWithExactCounts)
     expectExactAccounting(totals);
 }
 
+TEST_F(OpenLoopEngineTest, BalanceCheckCatchesADoctoredStream)
+{
+    // Stopped mid-run past saturation, so drops, backlog and in-flight
+    // IOs all take part; result() checks the same balances.
+    build(usec(20));
+    auto p = baseParams();
+    p.arrival.ratePerSec = 4e6;
+    p.maxBacklog = 4;
+    auto &eng = spawn(p);
+    eng.start(0);
+    sim->run(msec(10));
+    auto streams = eng.streamStats();
+    EXPECT_NO_THROW(checkOpenLoopBalance(streams));
+    EXPECT_NO_THROW(eng.result());
+
+    ASSERT_GT(streams[1].dropped, 0u);
+    --streams[1].dropped; // one drop too few
+    try {
+        checkOpenLoopBalance(streams);
+        FAIL() << "a stream one drop short passed";
+    } catch (const afa::sim::SimError &e) {
+        EXPECT_EQ(e.message.rfind("panic: open-loop stream 1 out of "
+                                  "balance: arrivals ",
+                                  0),
+                  0u)
+            << e.message;
+        EXPECT_NE(e.message.find(
+                      afa::sim::strfmt("dropped %llu,",
+                                       (unsigned long long)streams[1]
+                                           .dropped)),
+                  std::string::npos)
+            << e.message;
+    }
+    ++streams[1].dropped;
+    ++streams[0].completed; // a completion nothing submitted
+    EXPECT_THROW(checkOpenLoopBalance(streams), afa::sim::SimError);
+}
+
 TEST_F(OpenLoopEngineTest, MixedOpsFollowReadFraction)
 {
     build(usec(20));
@@ -317,7 +352,7 @@ TEST_F(OpenLoopEngineTest, SameSeedIsBitIdentical)
     const auto run = [this] {
         build(usec(20), 1, 20260808);
         auto p = baseParams();
-        p.arrival.kind = ArrivalKind::Bursty;
+        p.arrival.burstFactor = 4.0;
         p.readFraction = 0.7;
         p.zipfTheta = 0.9;
         auto &eng = spawn(p);
@@ -401,13 +436,11 @@ TEST_F(OpenLoopEngineTest, RejectsBrokenConfigs)
         // below the smallest double.
         auto p = baseParams();
         p.arrival.ratePerSec = 1e300;
-        p.arrival.kind = ArrivalKind::Bursty;
         p.arrival.burstFactor = burst;
         EXPECT_THROW(spawn(p), afa::sim::SimError) << burst;
     }
     // A finite burst factor can still stretch off phases past Tick.
     auto longOff = baseParams();
-    longOff.arrival.kind = ArrivalKind::Bursty;
     longOff.arrival.burstFactor = 1e18;
     EXPECT_THROW(spawn(longOff), afa::sim::SimError);
     auto nanMix = baseParams();
