@@ -57,6 +57,39 @@ BM_EventQueueDeepHeap(benchmark::State &state)
 BENCHMARK(BM_EventQueueDeepHeap)->Arg(256)->Arg(1024)->Arg(65536);
 
 void
+BM_EventQueueHold(benchmark::State &state)
+{
+    // The classic hold model run through Simulator::run(): a standing
+    // population of events, each of which schedules one successor at
+    // now plus a random delay, so each pop leaves the root vacant and
+    // the callback's schedule fills it (EventQueue's fused pop). One
+    // iteration runs half the delay range, about `depth` events;
+    // items_per_second counts events.
+    constexpr std::uint64_t kMaxDelay = 1u << 20;
+    struct Hold
+    {
+        afa::sim::Simulator *sim;
+        afa::sim::Rng *rng;
+
+        void
+        operator()() const
+        {
+            sim->scheduleAfter(rng->uniformInt(1, kMaxDelay), *this);
+        }
+    };
+    afa::sim::Simulator sim(1);
+    afa::sim::Rng rng(1);
+    for (std::int64_t i = 0; i < state.range(0); ++i)
+        sim.scheduleAt(rng.uniformInt(1, kMaxDelay), Hold{&sim, &rng});
+    std::uint64_t events = 0;
+    for (auto _ : state)
+        events += sim.run(sim.now() + kMaxDelay / 2);
+    benchmark::DoNotOptimize(events);
+    state.SetItemsProcessed(static_cast<std::int64_t>(events));
+}
+BENCHMARK(BM_EventQueueHold)->Arg(256)->Arg(1024);
+
+void
 BM_EventQueueCapturingEvent(benchmark::State &state)
 {
     // The shape of a real simulator event: an object pointer plus a

@@ -204,7 +204,8 @@ AfaSystem::publishMetrics(afa::obs::MetricsRegistry &registry) const
     registry.addCounter("fabric.bytes", fs.bytes);
     registry.addCounter("fabric.fast_path_packets", fs.fastPathPackets);
     registry.addCounter("fabric.fallback_packets", fs.fallbackPackets);
-    registry.addCounter("fabric.queue_delay_ticks", fs.totalQueueDelay);
+    registry.addCounter("fabric.queue_delay_ticks",
+                        pcieFabric->queueDelay());
     registry.addCounter("fabric.link_replays", fs.linkReplays);
 
     const afa::host::IrqStats &is = irqSub->stats();

@@ -83,7 +83,7 @@ systemReport(AfaSystem &system)
     fab.addRow({"mean queue delay per packet (ns)",
                 Table::num(fabric_stats.packets
                                ? static_cast<double>(
-                                     fabric_stats.totalQueueDelay) /
+                                     system.fabric().queueDelay()) /
                                    static_cast<double>(
                                        fabric_stats.packets)
                                : 0.0,

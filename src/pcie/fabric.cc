@@ -221,18 +221,11 @@ Fabric::hop(std::uint32_t idx, Tick enter)
 {
     Packet &p = packets[idx];
     assert(p.leg == Leg::Chain && "hop() on a packet outside the chain");
-    const NodeId at_node = p.at;
+    assert(p.chainHop < pathHops.size() && "chain hop past every route");
+    assert(enter <= now() && "hop entry tick in the future");
     const NodeId dst = p.dst;
     const std::uint32_t bytes = p.bytes;
-    const std::size_t base = pathIndex(at_node, dst);
-    if (pathOffset[base] == pathOffset[base + 1])
-        fatalNoRoute(at_node, dst);
-    const PathHop &ph = pathHops[pathOffset[base]];
-    assert(ph.link < links.size() &&
-           "precompiled link index out of range");
-    assert(ph.to == nextHopFlat[base] &&
-           "precompiled route disagrees with next-hop table");
-    assert(enter <= now() && "hop entry tick in the future");
+    const PathHop &ph = pathHops[p.chainHop];
     Link &link = links[ph.link];
     // Arrival-order FIFO: anything reserved on this link for a later
     // start must yield to this packet (the reference model serves
@@ -244,9 +237,6 @@ Fabric::hop(std::uint32_t idx, Tick enter)
             displaceEarlier(ph.link, enter);
     }
     Tick arrive = link.transfer(enter, afa::sim::Bytes{bytes});
-    fabricStats.totalQueueDelay += (arrive - enter) -
-        link.serialization(afa::sim::Bytes{bytes}) -
-        link.params().propagation;
     if (faultedLinks) {
         // Injected link fault: each delivery attempt is corrupted
         // with probability `rate` and the payload re-serialised.
@@ -263,8 +253,7 @@ Fabric::hop(std::uint32_t idx, Tick enter)
             fabricStats.linkReplays += replays;
         }
     }
-    const NodeId next = ph.to;
-    if (next == dst) {
+    if (ph.to == dst) {
         // The delivery: one counted event in the destination's
         // ordering band.
         at(arrive, [this, idx] { deliverChained(idx); },
@@ -277,7 +266,7 @@ Fabric::hop(std::uint32_t idx, Tick enter)
     // Marking them internal keeps executedEvents() — and the
     // `events=` line of every figure — at exactly one counted event
     // per delivered packet regardless of the path taken.
-    p.at = next;
+    ++p.chainHop;
     sim().scheduleInternal(arrive + ph.forwardAfter,
                            [this, idx] { hop(idx, now()); });
 }
@@ -471,7 +460,7 @@ Fabric::route(std::uint32_t idx, NodeId src, Tick enter)
     }
     beginChain();
     p.leg = Leg::Chain;
-    p.at = src;
+    p.chainHop = first;
     hop(idx, enter);
 }
 
@@ -496,7 +485,7 @@ Fabric::completeFlight(std::uint32_t idx)
         return;
     }
     p.leg = Leg::Chain;
-    p.at = pathHops[p.pathFirst + p.hopsWalked - 1].to;
+    p.chainHop = p.pathFirst + p.hopsWalked;
     hop(idx, now());
 }
 
@@ -662,6 +651,15 @@ Fabric::markEndpoint(NodeId node)
     if (nodeOrder.size() < nodeInfo.size())
         nodeOrder.resize(nodeInfo.size(), 0);
     nodeOrder[node] = 2 + node;
+}
+
+Tick
+Fabric::queueDelay() const
+{
+    Tick total = 0;
+    for (const Link &link : links)
+        total += link.queueDelay();
+    return total;
 }
 
 Tick

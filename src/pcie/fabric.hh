@@ -24,7 +24,7 @@
  * budget" for the full equivalence contract.
  *
  * Every packet in flight, whichever way it travels, keeps its state
- * (callback, span context, destination, size, next node) in one
+ * (callback, span context, destination, size, next link) in one
  * pooled record; the events that move it capture only the record's
  * index (DESIGN.md §9, "Allocation budget").
  */
@@ -57,7 +57,6 @@ struct FabricStats
 {
     std::uint64_t packets = 0;
     std::uint64_t bytes = 0;
-    Tick totalQueueDelay = 0;
     /** Packets delivered by the single-event uncontended fast path. */
     std::uint64_t fastPathPackets = 0;
     /** Packets that took the per-hop event model (contention hit, or
@@ -192,6 +191,10 @@ class Fabric : public afa::sim::SimObject
     /** Fabric-wide stats. */
     const FabricStats &stats() const { return fabricStats; }
 
+    /** Queueing delay endured on every link: the sum of each
+     *  Link::queueDelay(). */
+    Tick queueDelay() const;
+
     /** Packet records ever created: the pool's high-water mark. */
     std::size_t packetRecords() const { return packets.capacity(); }
 
@@ -319,9 +322,10 @@ class Fabric : public afa::sim::SimObject
         afa::sim::EventHandle ev;   ///< Walk: delivery or continuation
         DeliverCtx ctx;             ///< span still to commit; Ship:
                                     ///< the raw identity and ship tick
-        NodeId at = kInvalidNode;   ///< Ship: source; Chain: the node
-                                    ///< the next hop leaves from
+        NodeId at = kInvalidNode;   ///< Ship: source
         NodeId dst = kInvalidNode;
+        std::uint32_t chainHop = 0; ///< Chain: index into pathHops of
+                                    ///< the next link to enter
         std::uint32_t bytes = 0;
         Leg leg = Leg::Chain;
         bool fullWalk = false;      ///< Walk: ev delivers (else it
@@ -341,6 +345,9 @@ class Fabric : public afa::sim::SimObject
     std::vector<Link> links;
     // Dense n*n next-hop table: nextHopFlat[src * n + dst] is the
     // neighbour on the shortest path (kInvalidNode if unreachable).
+    // Only finalize() reads it, but it lives as long as the fabric:
+    // freeing it at the end of finalize() made afabench's set-up
+    // cycles slower (BENCH_simcore.json event_core).
     std::vector<NodeId> nextHopFlat;
     // Precompiled routes: pathHops[pathOffset[src * n + dst] ..
     // pathOffset[src * n + dst + 1]) is the full hop sequence.

@@ -36,8 +36,28 @@ EventQueue::scheduleSlot(Tick when, std::uint32_t prio, bool internal)
     rec.internal = internal;
     std::uint64_t key = (nextSeq++ << kSlotBits) | slot;
     slotKey[slot] = key;
-    heap.push_back(HeapEntry{when, key, prio});
-    std::push_heap(heap.begin(), heap.end(), Later{});
+    const HeapEntry entry{when, key, prio};
+    if (vacantRoot) {
+        // Fused pop + push: the entry takes the popped root's place
+        // and sifts down from it. A newly scheduled event is usually
+        // due soon, so it settles near the root and the walk stops
+        // early.
+        vacantRoot = false;
+        const std::size_t n = heap.size();
+        std::size_t hole = 0;
+        for (std::size_t first = 1; first < n;
+             first = kArity * hole + 1) {
+            const std::size_t child = earliestChild(first, n);
+            if (!earlier(heap[child], entry))
+                break;
+            heap[hole] = heap[child];
+            hole = child;
+        }
+        heap[hole] = entry;
+    } else {
+        heap.push_back(entry);
+        siftUp(heap.size() - 1, entry);
+    }
     ++numPending;
     return EventHandle{slot, rec.gen};
 }
@@ -54,13 +74,49 @@ EventQueue::panicSeqExhausted()
     panic("EventQueue: event sequence space exhausted");
 }
 
-EventQueue::HeapEntry
-EventQueue::popTop()
+void
+EventQueue::siftUp(std::size_t hole, const HeapEntry &entry)
 {
-    std::pop_heap(heap.begin(), heap.end(), Later{});
-    HeapEntry top = heap.back();
+    while (hole > 0) {
+        const std::size_t parent = (hole - 1) / kArity;
+        if (!earlier(entry, heap[parent]))
+            break;
+        heap[hole] = heap[parent];
+        hole = parent;
+    }
+    heap[hole] = entry;
+}
+
+std::size_t
+EventQueue::earliestChild(std::size_t first, std::size_t n) const
+{
+    std::size_t best = first;
+    const std::size_t end = std::min(first + kArity, n);
+    for (std::size_t c = first + 1; c < end; ++c)
+        if (earlier(heap[c], heap[best]))
+            best = c;
+    return best;
+}
+
+void
+EventQueue::dropRoot()
+{
+    // Bottom-up: the last entry is usually later than most of the
+    // heap, so the hole walks to a leaf along the earliest children
+    // without testing the entry on the way, and the entry's sift up
+    // from there is short.
+    const HeapEntry last = heap.back();
     heap.pop_back();
-    return top;
+    const std::size_t n = heap.size();
+    if (n == 0)
+        return;
+    std::size_t hole = 0;
+    for (std::size_t first = 1; first < n; first = kArity * hole + 1) {
+        const std::size_t child = earliestChild(first, n);
+        heap[hole] = heap[child];
+        hole = child;
+    }
+    siftUp(hole, last);
 }
 
 bool
@@ -94,26 +150,17 @@ EventQueue::pending(EventHandle handle) const
 void
 EventQueue::skimStale()
 {
+    // A vacant root is a spent entry whose slot key takeRecord()
+    // cleared, so it reads as stale and the loop drops it.
+    vacantRoot = false;
     while (!heap.empty() && !live(heap.front()))
-        popTop();
+        dropRoot();
 }
 
 bool
 EventQueue::popNext(Tick &when_out, EventFn &fn_out)
 {
-    while (!heap.empty()) {
-        // Liveness is decided from the slot key before the sift so a
-        // live record's cache line can be fetched during the pop.
-        bool is_live = live(heap.front());
-        if (is_live)
-            prefetchRecord(heap.front());
-        HeapEntry entry = popTop();
-        if (!is_live)
-            continue; // stale: cancelled earlier
-        takeRecord(entry, when_out, fn_out);
-        return true;
-    }
-    return false;
+    return popNextIfBefore(kMaxTick, when_out, fn_out);
 }
 
 bool
@@ -122,9 +169,8 @@ EventQueue::popNextIfBefore(Tick until, Tick &when_out, EventFn &fn_out)
     skimStale();
     if (heap.empty() || heap.front().when > until)
         return false;
-    prefetchRecord(heap.front());
-    HeapEntry entry = popTop();
-    takeRecord(entry, when_out, fn_out);
+    takeRecord(heap.front(), when_out, fn_out);
+    vacantRoot = true;
     return true;
 }
 

@@ -47,6 +47,17 @@ struct EventHandle
 /**
  * Min-heap of timed events with FIFO tie-breaking and O(1) handle
  * cancellation.
+ *
+ * The heap is 4-ary. A pop takes the root's record and leaves the
+ * root vacant instead of refilling it; the next scheduleSlot() fills
+ * the vacancy with its own entry, sifting it down from the root (one
+ * sift instead of a pop plus a push), and the next pop first removes
+ * a root that is still vacant. So the root is vacant from a pop until
+ * the next schedule or pop. Removing a root refills it bottom-up: the
+ * hole walks to a leaf along the earliest children, then the heap's
+ * last entry sifts up from there. A vacant root holds a spent entry
+ * whose slot key no longer matches, so it is never live; size() and
+ * empty() count pending events, not heap slots.
  */
 class EventQueue
 {
@@ -111,14 +122,17 @@ class EventQueue
      * Pop the earliest pending event without executing it. The caller
      * (the Simulator) advances its clock to @p when_out and then
      * invokes @p fn_out, so callbacks observe the correct time.
+     * popNextIfBefore() with no bound: it too leaves the root vacant.
      * @retval false when the queue was empty.
      */
     bool popNext(Tick &when_out, EventFn &fn_out);
 
     /**
      * Pop the earliest pending event only if it is due at or before
-     * @p until, in one heap pass -- the Simulator::run() hot path.
-     * Discards stale (cancelled) heap entries on the way.
+     * @p until -- the Simulator::run() hot path. Discards a vacant
+     * root and stale (cancelled) heap entries on the way, and leaves
+     * the popped entry's root slot vacant for the next schedule to
+     * fill.
      * @retval false when the queue is empty or the earliest event is
      *         after @p until (distinguish via empty()).
      */
@@ -173,20 +187,16 @@ class EventQueue
         return a.key < b.key;
     }
 
-    /** Comparator for the std heap algorithms (max-heap inversion). */
-    struct Later
-    {
-        bool
-        operator()(const HeapEntry &a, const HeapEntry &b) const
-        {
-            return earlier(b, a);
-        }
-    };
+    /** Children per heap node: a 4-ary heap is half as deep as a
+     *  binary one, and a node's children share 1.5 cache lines. */
+    static constexpr std::size_t kArity = 4;
 
     std::vector<Record> slab;
     std::vector<std::uint64_t> slotKey; ///< parallel to slab
     std::vector<std::uint32_t> freeSlots;
     std::vector<HeapEntry> heap;
+    /** heap[0] is a spent entry left by the last pop. */
+    bool vacantRoot = false;
     std::uint64_t nextSeq;
     std::uint64_t numExecuted;
     std::uint64_t numInternal;
@@ -223,27 +233,20 @@ class EventQueue
         return slotKey[entry.key & kSlotMask] == entry.key;
     }
 
-    /** Remove and return the heap top (heap must be non-empty). */
-    HeapEntry popTop();
+    /** The earliest of the children heap[first, min(first + 4, n)). */
+    std::size_t earliestChild(std::size_t first, std::size_t n) const;
+
+    /** Put @p entry into the hole at @p hole and sift it up. */
+    void siftUp(std::size_t hole, const HeapEntry &entry);
 
     /**
-     * Start pulling a live top entry's record into cache before the
-     * heap sift runs; for deep heaps the slab access is a likely miss
-     * that this hides behind the pop.
+     * Remove the root entry (heap must be non-empty): move the hole
+     * down to a leaf along the earliest children, then sift the last
+     * entry up from there.
      */
-    void
-    prefetchRecord(const HeapEntry &entry) const
-    {
-#if defined(__GNUC__) || defined(__clang__)
-        std::uint32_t slot =
-            static_cast<std::uint32_t>(entry.key & kSlotMask);
-        __builtin_prefetch(&slab[slot], 1);
-#else
-        (void)entry;
-#endif
-    }
+    void dropRoot();
 
-    /** Pop cancelled entries off the heap top. */
+    /** Drop a vacant root, then cancelled entries off the heap top. */
     void skimStale();
 
     /** Extract a live record's callback after its entry is popped. */

@@ -181,7 +181,7 @@ TEST_F(FabricTest, SharedUplinkContentionDelaysSecondFlow)
     ASSERT_EQ(arrivals.size(), 2u);
     const Link *up = f.linkBetween(sw, host);
     EXPECT_EQ(arrivals[1] - arrivals[0], up->serialization(afa::sim::Bytes{4096}));
-    EXPECT_GT(f.stats().totalQueueDelay, 0u);
+    EXPECT_GT(f.queueDelay(), 0u);
 }
 
 /** The paper's tree at 4 SSDs, with every SSD a banded endpoint as

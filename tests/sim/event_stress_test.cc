@@ -1,31 +1,37 @@
 /**
  * @file
  * Stress and property tests for the event queue: long interleaved
- * schedule/cancel churn checked against a reference model, same-tick
- * FIFO stability under slot recycling, and generation safety of
- * handles across many recycle epochs.
+ * schedule/cancel churn checked against a reference model, directly
+ * and through the Simulator's fused pops, same-tick FIFO stability
+ * under slot recycling, and generation safety of handles across many
+ * recycle epochs.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <random>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "sim/event_queue.hh"
 #include "sim/logging.hh"
+#include "sim/simulator.hh"
 
 using afa::sim::EventHandle;
 using afa::sim::EventQueue;
+using afa::sim::Simulator;
 using afa::sim::Tick;
 
 namespace {
 
 /**
- * Reference model: pending events keyed by (when, global scheduling
- * sequence). The queue must always pop the model's minimum.
+ * Reference model: pending events keyed by (when, band, global
+ * scheduling sequence), the queue's order. The queue must always pop
+ * the model's minimum.
  */
 class ModelChecker
 {
@@ -36,14 +42,28 @@ class ModelChecker
         int id = nextId++;
         EventHandle handle =
             q.schedule(when, [&fired, id] { fired.push_back(id); });
-        pendingEvents.emplace(std::make_pair(when, nextSeq++),
-                              Entry{id, handle});
+        add(id, when, 0, handle);
         return id;
     }
 
-    /** Cancel the model entry with the given id; returns success. */
+    /** The id the next scheduled event must be recorded under. */
+    int takeId() { return nextId++; }
+
+    /** Record event @p id, scheduled at @p when in @p band. */
+    void
+    add(int id, Tick when, std::uint32_t band, EventHandle handle)
+    {
+        pendingEvents.emplace(Key{when, band, nextSeq++},
+                              Entry{id, handle});
+    }
+
+    /**
+     * Cancel the model entry with the given id on @p q (an EventQueue
+     * or a Simulator); returns success.
+     */
+    template <typename Queue>
     bool
-    cancel(EventQueue &q, int id)
+    cancel(Queue &q, int id)
     {
         for (auto it = pendingEvents.begin();
              it != pendingEvents.end(); ++it) {
@@ -68,11 +88,35 @@ class ModelChecker
         if (!popped)
             return;
         auto expect = pendingEvents.begin();
-        EXPECT_EQ(when, expect->first.first);
+        EXPECT_EQ(when, std::get<0>(expect->first));
         ASSERT_FALSE(fired.empty());
         EXPECT_EQ(fired.back(), expect->second.id);
         retired.push_back(expect->second.handle);
         pendingEvents.erase(expect);
+    }
+
+    /**
+     * Event @p id is running at @p now: it must be the model's
+     * minimum. Retires it either way.
+     * @retval false when it is not.
+     */
+    bool
+    fire(int id, Tick now)
+    {
+        if (pendingEvents.empty())
+            return false;
+        auto expect = pendingEvents.begin();
+        const bool ok = expect->second.id == id &&
+            std::get<0>(expect->first) == now;
+        for (auto it = pendingEvents.begin(); it != pendingEvents.end();
+             ++it) {
+            if (it->second.id == id) {
+                retired.push_back(it->second.handle);
+                pendingEvents.erase(it);
+                break;
+            }
+        }
+        return ok;
     }
 
     std::size_t livePending() const { return pendingEvents.size(); }
@@ -104,7 +148,9 @@ class ModelChecker
         EventHandle handle;
     };
 
-    std::map<std::pair<Tick, std::uint64_t>, Entry> pendingEvents;
+    using Key = std::tuple<Tick, std::uint32_t, std::uint64_t>;
+
+    std::map<Key, Entry> pendingEvents;
     std::vector<EventHandle> retired;
     int nextId = 0;
     std::uint64_t nextSeq = 0;
@@ -147,6 +193,108 @@ TEST(EventStressTest, InterleavedChurnMatchesReferenceModel)
     EXPECT_EQ(model.livePending(), 0u);
     Tick when;
     EXPECT_FALSE(q.runNext(when));
+}
+
+/**
+ * Randomized events driven through Simulator::run() slices and
+ * runSteps(), whose pops leave the root vacant for the next schedule
+ * to fill. Every event checks that it is the model's minimum; a
+ * quarter of them cancel a pending event while their popped root is
+ * still vacant; then each schedules up to three successors, at the
+ * current tick or later, in random bands.
+ */
+class FusedPopHarness
+{
+  public:
+    explicit FusedPopHarness(std::uint64_t seed) : rng(seed) {}
+
+    Simulator sim{1};
+    ModelChecker model;
+    std::uint64_t fired = 0;
+    std::uint64_t mismatches = 0;
+    /** Events schedule no successors, so the queue drains. */
+    bool draining = false;
+
+    void
+    scheduleOne(Tick when)
+    {
+        const std::uint32_t band = static_cast<std::uint32_t>(rng() % 4);
+        const int id = model.takeId();
+        EventHandle handle =
+            sim.scheduleAt(when, Event{this, id}, band);
+        model.add(id, when, band, handle);
+    }
+
+    void
+    cancelOne()
+    {
+        const int id = model.anyPendingId(static_cast<std::size_t>(rng()));
+        if (id >= 0)
+            model.cancel(sim, id);
+    }
+
+    /** A delay of 0 (a quarter of the time) or up to 63 ticks. */
+    Tick
+    delay()
+    {
+        return rng() % 4 == 0 ? 0 : static_cast<Tick>(rng() % 64);
+    }
+
+    std::mt19937_64 rng;
+
+  private:
+    struct Event
+    {
+        FusedPopHarness *harness;
+        int id;
+
+        void operator()() const { harness->run(id); }
+    };
+
+    void
+    run(int id)
+    {
+        ++fired;
+        if (!model.fire(id, sim.now()))
+            ++mismatches;
+        if (rng() % 4 == 0)
+            cancelOne();
+        unsigned successors =
+            draining ? 0 : static_cast<unsigned>(rng() % 4);
+        if (model.livePending() > 400)
+            successors = std::min(successors, 1u);
+        for (; successors > 0; --successors)
+            scheduleOne(sim.now() + delay());
+    }
+};
+
+TEST(EventStressTest, FusedPopsMatchReferenceModel)
+{
+    FusedPopHarness d(0xf05edull);
+    for (int i = 0; i < 64; ++i)
+        d.scheduleOne(static_cast<Tick>(d.rng() % 256));
+    for (int slice = 0; slice < 1000; ++slice) {
+        // Outside any event the root may still be vacant: the last
+        // event runSteps() ran may have scheduled nothing.
+        if (d.rng() % 2)
+            d.scheduleOne(d.sim.now() + d.delay());
+        if (d.rng() % 4 == 0)
+            d.cancelOne();
+        if (d.rng() % 3 != 0)
+            d.sim.run(d.sim.now() + static_cast<Tick>(d.rng() % 48));
+        else
+            d.sim.runSteps(1 + d.rng() % 4);
+        ASSERT_EQ(d.mismatches, 0u) << "slice " << slice;
+        ASSERT_EQ(d.sim.pendingEvents(), d.model.livePending())
+            << "slice " << slice;
+    }
+    d.draining = true;
+    d.sim.run();
+    EXPECT_EQ(d.mismatches, 0u);
+    EXPECT_EQ(d.model.livePending(), 0u);
+    EXPECT_EQ(d.sim.pendingEvents(), 0u);
+    EXPECT_EQ(d.sim.executedEvents(), d.fired);
+    EXPECT_GT(d.fired, 100000u);
 }
 
 TEST(EventStressTest, SameTickFifoSurvivesCancellationHoles)
