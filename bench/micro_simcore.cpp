@@ -41,7 +41,10 @@ BENCHMARK(BM_EventQueueScheduleRun);
 void
 BM_EventQueueDeepHeap(benchmark::State &state)
 {
-    // Schedule/run against a standing population of pending events.
+    // Schedule/run against a standing population of pending events:
+    // each new event lands a random delay after the last popped one
+    // (the hold model), so it settles at a random depth of the heap
+    // instead of at the root.
     afa::sim::EventQueue q;
     const std::int64_t depth = state.range(0);
     afa::sim::Rng rng(1);
@@ -49,7 +52,7 @@ BM_EventQueueDeepHeap(benchmark::State &state)
         q.schedule(rng.uniformInt(1, 1u << 30), [] {});
     afa::sim::Tick when = 0;
     for (auto _ : state) {
-        q.schedule(rng.uniformInt(1, 1u << 30), [] {});
+        q.schedule(when + rng.uniformInt(1, 1u << 30), [] {});
         q.runNext(when);
     }
     benchmark::DoNotOptimize(when);

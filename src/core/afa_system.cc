@@ -25,9 +25,8 @@ AfaSystem::AfaSystem(Simulator &simulator, const AfaSystemParams &params)
     ft.ssds = params.ssds;
     fabricTopo = buildAfaTopology(*pcieFabric, ft);
 
-    // Endpoint delivery bands and the device->fabric ship below are
-    // serial schedule rules (DESIGN.md §9): the goldens and digests
-    // pin the event order they produce.
+    // Endpoint delivery bands are a serial schedule rule (DESIGN.md
+    // §9): the goldens and digests pin the event order they produce.
     for (unsigned d = 0; d < params.ssds; ++d)
         pcieFabric->markEndpoint(fabricTopo.ssds[d]);
 
@@ -55,10 +54,9 @@ AfaSystem::AfaSystem(Simulator &simulator, const AfaSystemParams &params)
         ctrl.setTransport([this, dev_node, host_node, d](
                               std::uint32_t bytes, std::uint64_t io,
                               const NvmeCompletion &completion) {
-            // Device -> fabric: the send enters one minimum link
-            // propagation later, in the device's endpoint band,
-            // backdated to the device-side tick (Fabric::ship()).
-            pcieFabric->ship(
+            // Device -> fabric: the completion enters the fabric at
+            // the device-side tick.
+            pcieFabric->sendSpanned(
                 dev_node, host_node, bytes, io, afa::obs::ssdTrack(d),
                 afa::obs::Stage::FabricComplete,
                 [driver = driver.get(), d, completion] {

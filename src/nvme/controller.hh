@@ -63,8 +63,8 @@ class Controller : public afa::sim::SimObject
   public:
     /**
      * Device-to-host delivery of @p completion in a @p bytes reply;
-     * injected by the host glue, typically a Fabric::ship() whose
-     * delivery hands the completion to the driver. @p io is the
+     * injected by the host glue, typically a Fabric::sendSpanned()
+     * whose delivery hands the completion to the driver. @p io is the
      * command's observability tag (0 = untagged) so the transport can
      * attribute the transfer to the IO.
      */

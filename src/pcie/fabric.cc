@@ -1,6 +1,5 @@
 #include "pcie/fabric.hh"
 
-#include <algorithm>
 #include <cassert>
 #include <deque>
 #include <limits>
@@ -133,7 +132,6 @@ Fabric::finalize()
     linkResv.assign(links.size(), {});
     linkFaultRate.assign(links.size(), 0.0);
     faultedLinks = 0;
-    shipDelay = minPropagation();
     isFinalized = true;
 }
 
@@ -217,12 +215,12 @@ Fabric::nodeName(NodeId id) const
 }
 
 void
-Fabric::hop(std::uint32_t idx, Tick enter)
+Fabric::hop(std::uint32_t idx)
 {
     Packet &p = packets[idx];
     assert(p.leg == Leg::Chain && "hop() on a packet outside the chain");
     assert(p.chainHop < pathHops.size() && "chain hop past every route");
-    assert(enter <= now() && "hop entry tick in the future");
+    const Tick enter = now();
     const NodeId dst = p.dst;
     const std::uint32_t bytes = p.bytes;
     const PathHop &ph = pathHops[p.chainHop];
@@ -268,7 +266,7 @@ Fabric::hop(std::uint32_t idx, Tick enter)
     // per delivered packet regardless of the path taken.
     ++p.chainHop;
     sim().scheduleInternal(arrive + ph.forwardAfter,
-                           [this, idx] { hop(idx, now()); });
+                           [this, idx] { hop(idx); });
 }
 
 /** A chain packet's delivery event: drop the chain mark, commit the
@@ -298,21 +296,20 @@ Fabric::send(NodeId src, NodeId dst, std::uint32_t bytes,
     sendWithSpan(src, dst, bytes, DeliverCtx{}, std::move(on_delivered));
 }
 
+/**
+ * Carry a packet from @p src toward @p dst in one pooled record: one
+ * fast-path walk where the route is free, the per-hop chain from the
+ * first contended link on.
+ */
 void
-Fabric::checkSend(NodeId src, NodeId dst) const
+Fabric::sendWithSpan(NodeId src, NodeId dst, std::uint32_t bytes,
+                     const DeliverCtx &ctx, EventFn on_delivered)
 {
     if (!isFinalized)
         afa::sim::fatal("fabric %s: send before finalize()",
                         name().c_str());
     checkNode(src);
     checkNode(dst);
-}
-
-void
-Fabric::sendWithSpan(NodeId src, NodeId dst, std::uint32_t bytes,
-                     const DeliverCtx &ctx, EventFn on_delivered)
-{
-    checkSend(src, dst);
     ++fabricStats.packets;
     fabricStats.bytes += bytes;
     if (src == dst) {
@@ -328,54 +325,6 @@ Fabric::sendWithSpan(NodeId src, NodeId dst, std::uint32_t bytes,
     p.ctx = ctx;
     p.dst = dst;
     p.bytes = bytes;
-    route(idx, src, now());
-}
-
-void
-Fabric::ship(NodeId src, NodeId dst, std::uint32_t bytes,
-             std::uint64_t io, std::uint16_t track, afa::obs::Stage stage,
-             EventFn on_delivered)
-{
-    checkSend(src, dst);
-    if (src == dst)
-        afa::sim::panic("fabric %s: ship from %s to itself",
-                        name().c_str(), nodeInfo[src].name.c_str());
-    const std::uint32_t idx = packets.acquire();
-    Packet &p = packets[idx];
-    p.cb = std::move(on_delivered);
-    p.ctx = DeliverCtx{io, now(), track, stage};
-    p.at = src;
-    p.dst = dst;
-    p.bytes = bytes;
-    p.leg = Leg::Ship;
-    sim().scheduleInternal(now() + shipDelay,
-                           [this, idx] { enterShipped(idx); },
-                           deliveryOrder(src));
-}
-
-/** A shipped packet enters the fabric, backdated to its ship tick. */
-void
-Fabric::enterShipped(std::uint32_t idx)
-{
-    Packet &p = packets[idx];
-    assert(p.leg == Leg::Ship && "entry of a packet not shipped");
-    ++fabricStats.packets;
-    fabricStats.bytes += p.bytes;
-    const Tick enter = p.ctx.begin;
-    p.ctx = spanContext(p.ctx.io, enter, p.ctx.track, p.ctx.stage);
-    route(idx, p.at, enter);
-}
-
-/**
- * Carry record @p idx from @p src (entered at @p enter) toward its
- * destination: one fast-path walk where the route is free, the
- * per-hop chain from the first contended link on.
- */
-void
-Fabric::route(std::uint32_t idx, NodeId src, Tick enter)
-{
-    Packet &p = packets[idx];
-    const NodeId dst = p.dst;
     const std::size_t base = pathIndex(src, dst);
     const std::uint32_t first = pathOffset[base];
     const std::uint32_t last = pathOffset[base + 1];
@@ -398,7 +347,7 @@ Fabric::route(std::uint32_t idx, NodeId src, Tick enter)
         // that a packet reaching the link earlier can revoke it
         // (displaceEarlier()). A record holding only its first link
         // has no reservation, so nothing can displace it.
-        Tick when = enter;
+        Tick when = now();
         for (std::uint32_t i = first; /**/; ++i) {
             if (i == last) {
                 ++fabricStats.fastPathPackets;
@@ -461,7 +410,7 @@ Fabric::route(std::uint32_t idx, NodeId src, Tick enter)
     beginChain();
     p.leg = Leg::Chain;
     p.chainHop = first;
-    hop(idx, enter);
+    hop(idx);
 }
 
 /**
@@ -486,7 +435,7 @@ Fabric::completeFlight(std::uint32_t idx)
     }
     p.leg = Leg::Chain;
     p.chainHop = p.pathFirst + p.hopsWalked;
-    hop(idx, now());
+    hop(idx);
 }
 
 /**
@@ -625,23 +574,15 @@ Fabric::beginChain()
     ++chainInFlight;
 }
 
-Fabric::DeliverCtx
-Fabric::spanContext(std::uint64_t io, Tick begin, std::uint16_t track,
-                    afa::obs::Stage stage) const
-{
-    if (spanLog && io != 0 &&
-        spanLog->wants(afa::obs::categoryOf(stage)))
-        return DeliverCtx{io, begin, track, stage};
-    return DeliverCtx{};
-}
-
 void
 Fabric::sendSpanned(NodeId src, NodeId dst, std::uint32_t bytes,
                     std::uint64_t io, std::uint16_t track,
                     afa::obs::Stage stage, EventFn on_delivered)
 {
-    sendWithSpan(src, dst, bytes, spanContext(io, now(), track, stage),
-                 std::move(on_delivered));
+    DeliverCtx ctx;
+    if (spanLog && io != 0 && spanLog->wants(afa::obs::categoryOf(stage)))
+        ctx = DeliverCtx{io, now(), track, stage};
+    sendWithSpan(src, dst, bytes, ctx, std::move(on_delivered));
 }
 
 void
@@ -660,17 +601,6 @@ Fabric::queueDelay() const
     for (const Link &link : links)
         total += link.queueDelay();
     return total;
-}
-
-Tick
-Fabric::minPropagation() const
-{
-    Tick min_prop = 0;
-    for (const Link &link : links) {
-        const Tick p = link.params().propagation;
-        min_prop = min_prop == 0 ? p : std::min(min_prop, p);
-    }
-    return min_prop;
 }
 
 Tick

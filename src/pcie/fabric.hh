@@ -123,30 +123,11 @@ class Fabric : public afa::sim::SimObject
                      afa::sim::EventFn on_delivered);
 
     /**
-     * sendSpanned() from a device, "shipped": the packet enters the
-     * fabric as an internal event minPropagation() later, in the
-     * same-tick band of @p src (markEndpoint()), and computes its
-     * link entry, queueing and arrival from the tick it was shipped
-     * (DESIGN.md §9). The band makes simultaneous sends from
-     * different devices walk the fabric in ascending endpoint order.
-     * Exact because (a) endpoint edge links carry no through-traffic
-     * and no reservations ever cover a route's first hop, so nothing
-     * can have touched the link in between, and (b) every computed
-     * event time is >= the ship tick + propagation >= the entry
-     * event's tick, so nothing schedules into the past. Packet counts
-     * and the span decision happen at entry, as for send().
-     */
-    void ship(NodeId src, NodeId dst, std::uint32_t bytes,
-              std::uint64_t io, std::uint16_t track,
-              afa::obs::Stage stage, afa::sim::EventFn on_delivered);
-
-    /**
-     * Declare @p node an endpoint whose deliveries (and outbound
-     * ships) use the same-tick ordering band 2 + node (see
-     * Simulator::scheduleAt()), so simultaneous deliveries run in
-     * ascending endpoint order. The system model marks every SSD
-     * endpoint; the host stays unmarked, and host-bound deliveries
-     * keep plain FIFO order.
+     * Declare @p node an endpoint whose deliveries use the same-tick
+     * ordering band 2 + node (see Simulator::scheduleAt()), so
+     * simultaneous deliveries run in ascending endpoint order. The
+     * system model marks every SSD endpoint; the host stays unmarked,
+     * and host-bound deliveries keep plain FIFO order.
      */
     void markEndpoint(NodeId node);
 
@@ -156,12 +137,6 @@ class Fabric : public afa::sim::SimObject
     {
         return node < nodeOrder.size() ? nodeOrder[node] : 0;
     }
-
-    /**
-     * Minimum propagation delay over all links (0 with no links) —
-     * the delay of the device→fabric ship (see ship()).
-     */
-    Tick minPropagation() const;
 
     /** Attach (or detach, with nullptr) the span log. */
     void setSpanLog(afa::obs::SpanLog *log) { spanLog = log; }
@@ -295,13 +270,12 @@ class Fabric : public afa::sim::SimObject
 
     /** Where a packet record is on its way (checked at every step). */
     enum class Leg : std::uint8_t {
-        Ship,  ///< shipped by a device, not yet in the fabric
         Walk,  ///< put on its first links by the fast-path walk
         Chain, ///< in the per-hop event model
     };
 
     /**
-     * One packet in flight, from send() or ship() to its delivery.
+     * One packet in flight, from send() to its delivery.
      * The events that move it capture [this, record index]; the
      * record is freed just before the caller's callback runs, since
      * that callback may send again.
@@ -320,9 +294,7 @@ class Fabric : public afa::sim::SimObject
     {
         afa::sim::EventFn cb;       ///< the caller's on_delivered
         afa::sim::EventHandle ev;   ///< Walk: delivery or continuation
-        DeliverCtx ctx;             ///< span still to commit; Ship:
-                                    ///< the raw identity and ship tick
-        NodeId at = kInvalidNode;   ///< Ship: source
+        DeliverCtx ctx;             ///< span still to commit
         NodeId dst = kInvalidNode;
         std::uint32_t chainHop = 0; ///< Chain: index into pathHops of
                                     ///< the next link to enter
@@ -363,8 +335,6 @@ class Fabric : public afa::sim::SimObject
      *  allocates nothing once they have grown. */
     std::vector<std::uint32_t> displaceWork;
     std::vector<std::uint32_t> displaceAll;
-    /** The ship() delay: minPropagation(), fixed at finalize(). */
-    Tick shipDelay = 0;
     bool isFinalized;
     bool fastPathEnabled = true;
     /**
@@ -399,16 +369,10 @@ class Fabric : public afa::sim::SimObject
         return static_cast<std::size_t>(src) * nodeInfo.size() + dst;
     }
 
-    void checkSend(NodeId src, NodeId dst) const;
-    DeliverCtx spanContext(std::uint64_t io, Tick begin,
-                           std::uint16_t track,
-                           afa::obs::Stage stage) const;
     void sendWithSpan(NodeId src, NodeId dst, std::uint32_t bytes,
                       const DeliverCtx &ctx,
                       afa::sim::EventFn on_delivered);
-    void enterShipped(std::uint32_t idx);
-    void route(std::uint32_t idx, NodeId src, Tick enter);
-    void hop(std::uint32_t idx, Tick enter);
+    void hop(std::uint32_t idx);
     void deliverChained(std::uint32_t idx);
     void setLinkFaultRate(std::size_t link_idx, double rate);
     bool routeFaulted(std::uint32_t first, std::uint32_t last) const;

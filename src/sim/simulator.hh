@@ -5,8 +5,8 @@
  *
  * A plain serial discrete-event loop: one EventQueue, one clock. Events
  * are either model events (scheduleAt/scheduleAfter) or engine
- * plumbing (scheduleInternal: fabric hop continuations, shipped device
- * sends, telemetry samples). Plumbing runs like any other event but is
+ * plumbing (scheduleInternal: fabric hop and mid-path continuations,
+ * telemetry samples). Plumbing runs like any other event but is
  * left out of executedEvents(), so the `events=` line of every figure
  * counts exactly one event per delivered packet, whichever transport
  * path the packet took, and one per fault edge.
@@ -42,7 +42,7 @@ class Simulator
      * Schedule @p fn at absolute time @p when (>= now).
      * @param order same-tick ordering band (see EventQueue::schedule):
      *        0 = plain FIFO, 1 = controller fault edges, 2 + <fabric
-     *        node id> = endpoint deliveries to / ships from that node,
+     *        node id> = endpoint deliveries to that node,
      *        0xffffffff = telemetry samples.
      */
     template <typename F>

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 
 #include "core/afa_system.hh"
@@ -133,6 +134,37 @@ TEST_F(AfaSystemTest, ParallelSubmissionsToManySsds)
     }
     sim->run(msec(5));
     EXPECT_EQ(completions, 8u);
+}
+
+// One SSD at QD1 over a FOB drive, telemetry off: no two packets ever
+// want one link, so every packet walks the fabric fast path, and a
+// completion enters the fabric at its device tick. Nothing in the run
+// needs an engine plumbing event.
+TEST_F(AfaSystemTest, UncontendedQd1RunSchedulesNoPlumbing)
+{
+    build(1);
+    system->start();
+    constexpr unsigned kIos = 2000;
+    unsigned completed = 0;
+    std::function<void()> submit_next = [&] {
+        afa::workload::IoRequest req;
+        req.device = 0;
+        req.lba = completed * 7919u % 262144u;
+        req.bytes = 4096;
+        system->ioEngine().submit(
+            4, req, [&](const afa::workload::IoResult &result) {
+                EXPECT_TRUE(result.ok());
+                if (++completed < kIos)
+                    submit_next();
+            });
+    };
+    submit_next();
+    sim->run(msec(500));
+    EXPECT_EQ(completed, kIos);
+    const afa::pcie::FabricStats &fabric = system->fabric().stats();
+    EXPECT_EQ(fabric.packets, 2u * kIos);
+    EXPECT_EQ(fabric.fastPathPackets, fabric.packets);
+    EXPECT_EQ(sim->plumbingEvents(), 0u);
 }
 
 TEST_F(AfaSystemTest, ZeroSsdsIsFatal)

@@ -76,7 +76,10 @@ TEST_F(ExperimentTest, TuningLadderImprovesTailInOrder)
     auto fw = ExperimentRunner::run(
         baseParams(TuningProfile::ExpFirmware));
 
-    // Fig. 7: chrt removes the millisecond scheduler tail.
+    // Fig. 7: chrt removes the millisecond scheduler tail. The
+    // default host's 900 us bound holds on this seed (2026); at this
+    // scale the tail is rare, and seeds 3, 7, 12 and 15 stay under
+    // 800 us. tests/paper/ checks the claims over 16 seeds.
     EXPECT_GT(def.aggregate.maxUs[kMax], 900.0);
     EXPECT_LT(chrt.aggregate.maxUs[kMax],
               def.aggregate.maxUs[kMax]);
