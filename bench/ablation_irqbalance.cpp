@@ -64,8 +64,8 @@ main(int argc, char **argv)
     afa::bench::printTable(comparisonTable(rows), opts.csv);
     std::printf("\n");
     afa::bench::reportRunMetrics(run, opts);
-    std::printf("\nNote: 'irqbalance off' keeps the driver's default "
-                "queue-to-CPU\nspread, so it converges like pinning; "
-                "the daemon is what breaks\nthe affinity.\n");
+    std::printf("\nNote: the default IRQ spread already maps queue q "
+                "to CPU q,\nso 'irqbalance off' is the paper's pinning; "
+                "the daemon is what\nbreaks the affinity.\n");
     return 0;
 }

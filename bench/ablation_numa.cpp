@@ -29,11 +29,9 @@ pinnedParams(const afa::bench::BenchOptions &opts,
     params.irqBalanceInterval = 0;
 
     Geometry geometry(afa::host::CpuTopology{}, params.ssds);
-    TuningConfig tuning =
-        TuningConfig::forProfile(TuningProfile::ExpFirmware, geometry);
-    tuning.pinIrqAffinity = true;
     params.profile = TuningProfile::ExpFirmware;
-    params.tuningOverride = tuning;
+    params.tuningOverride =
+        TuningConfig::forProfile(TuningProfile::ExpFirmware, geometry);
 
     Run placements;
     for (unsigned i = 0; i < cpus.size(); ++i)

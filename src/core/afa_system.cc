@@ -25,15 +25,13 @@ AfaSystem::AfaSystem(Simulator &simulator, const AfaSystemParams &params)
     ft.ssds = params.ssds;
     fabricTopo = buildAfaTopology(*pcieFabric, ft);
 
-    // Endpoint delivery bands are a serial schedule rule (DESIGN.md
-    // §9): the goldens and digests pin the event order they produce.
-    for (unsigned d = 0; d < params.ssds; ++d)
-        pcieFabric->markEndpoint(fabricTopo.ssds[d]);
-
-    // Host side.
+    // Host side. The default IRQ spread already maps queue q's vector
+    // to CPU q, so pinning only has to keep irqbalance off.
+    afa::host::KernelConfig kernel = params.kernel;
+    if (params.pinIrqAffinity)
+        kernel.irq.irqBalanceEnabled = false;
     sched = std::make_unique<afa::host::Scheduler>(
-        sim, "sched", afa::host::CpuTopology(params.topology),
-        params.kernel);
+        sim, "sched", afa::host::CpuTopology(params.topology), kernel);
     irqSub = std::make_unique<afa::host::IrqSubsystem>(
         sim, "irq", *sched, params.ssds);
     bg = std::make_unique<afa::host::BackgroundLoad>(
@@ -64,9 +62,6 @@ AfaSystem::AfaSystem(Simulator &simulator, const AfaSystemParams &params)
                 });
         });
     }
-
-    if (params.pinIrqAffinity)
-        irqSub->pinAllToQueueCpus();
 
     if (params.faults) {
         std::vector<afa::nvme::Controller *> ctrl_ptrs;

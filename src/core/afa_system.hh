@@ -53,7 +53,11 @@ struct AfaSystemParams
 
     afa::pcie::AfaTopologyParams fabric;
 
-    /** Section IV-D tuning: pin vectors, stop irqbalance. */
+    /**
+     * Section IV-D tuning: pin every vector to its queue's CPU. The
+     * default IRQ spread already does, so this turns irqbalance off
+     * (kernel.irq.irqBalanceEnabled).
+     */
     bool pinIrqAffinity = false;
 
     /**

@@ -41,12 +41,10 @@ FaultEngine::start()
         // chained (the pipe exit applies the limp factor).
         if (e->kind == FaultKind::Limp)
             ctrls[e->ssd]->planLimpOnset(e->at);
-        // A controller fault's edges run in ordering band 1: after
-        // every plain event of the tick, before any endpoint delivery.
-        const std::uint32_t band =
-            e->kind == FaultKind::LinkError ? 0 : 1;
-        at(e->at, [this, e] { apply(*e); }, band);
-        at(e->at + e->duration, [this, e] { revert(*e); }, band);
+        // Posted before the run posts anything, so each edge runs
+        // ahead of every event the run posts for its tick.
+        at(e->at, [this, e] { apply(*e); });
+        at(e->at + e->duration, [this, e] { revert(*e); });
     }
 }
 

@@ -55,11 +55,10 @@ class FaultEngine : public afa::sim::SimObject
      * Validate targets and schedule every apply/revert event.
      *
      * Each edge of a plan event is one counted event at its plan tick
-     * that updates the books and flips the target's fault hook. A
-     * link error's edges run in plain FIFO order (band 0); a
-     * controller fault's run in ordering band 1, after every plain
-     * event of the tick and before any endpoint delivery (DESIGN.md
-     * §9). Each limp onset is also announced to its controller
+     * that updates the books and flips the target's fault hook. The
+     * edges are posted here, before the run posts anything, so each
+     * runs ahead of every event the run posts for its tick (DESIGN.md
+     * §11). Each limp onset is also announced to its controller
      * (Controller::planLimpOnset()).
      */
     void start();

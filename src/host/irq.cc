@@ -12,8 +12,7 @@ IrqSubsystem::IrqSubsystem(afa::sim::Simulator &simulator,
                            unsigned devices)
     : SimObject(simulator, std::move(irq_name)), sched(scheduler),
       numDevices(devices),
-      numQueues(scheduler.topology().logicalCpus()),
-      balancerStopped(false)
+      numQueues(scheduler.topology().logicalCpus())
 {
     if (devices == 0)
         afa::sim::fatal("%s: need at least one device", name().c_str());
@@ -22,7 +21,6 @@ IrqSubsystem::IrqSubsystem(afa::sim::Simulator &simulator,
     affinity.resize(n);
     counts.assign(n, 0);
     countsAtLastScan.assign(n, 0);
-    pinned.assign(n, false);
     // Driver-default spread: queue q's vector targets CPU q.
     for (unsigned d = 0; d < numDevices; ++d)
         for (unsigned q = 0; q < numQueues; ++q)
@@ -51,33 +49,10 @@ IrqSubsystem::vectorCount(unsigned device, unsigned queue) const
 }
 
 void
-IrqSubsystem::setAffinity(unsigned device, unsigned queue, unsigned cpu)
-{
-    if (cpu >= numQueues)
-        afa::sim::fatal("%s: affinity cpu %u out of range",
-                        name().c_str(), cpu);
-    std::size_t i = index(device, queue);
-    affinity[i] = cpu;
-    pinned[i] = true;
-}
-
-void
-IrqSubsystem::pinAllToQueueCpus()
-{
-    for (unsigned d = 0; d < numDevices; ++d)
-        for (unsigned q = 0; q < numQueues; ++q) {
-            std::size_t i = index(d, q);
-            affinity[i] = q;
-            pinned[i] = true;
-        }
-    balancerStopped = true;
-}
-
-void
 IrqSubsystem::start()
 {
     const auto &cfg = sched.config().irq;
-    if (!cfg.irqBalanceEnabled || balancerStopped)
+    if (!cfg.irqBalanceEnabled)
         return;
     // A zero interval would rescan at the same tick forever.
     if (cfg.irqBalanceInterval == 0)
@@ -92,7 +67,7 @@ void
 IrqSubsystem::balancerScan()
 {
     const auto &cfg = sched.config().irq;
-    if (balancerStopped || !cfg.irqBalanceEnabled)
+    if (!cfg.irqBalanceEnabled)
         return;
     ++irqStats.rebalances;
     const CpuTopology &topo = sched.topology();
@@ -108,8 +83,6 @@ IrqSubsystem::balancerScan()
     for (unsigned d = 0; d < numDevices; ++d) {
         for (unsigned q = 0; q < numQueues; ++q) {
             std::size_t i = index(d, q);
-            if (pinned[i])
-                continue;
             bool busy = counts[i] > countsAtLastScan[i];
             countsAtLastScan[i] = counts[i];
             if (!busy)

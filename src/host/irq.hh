@@ -11,7 +11,8 @@
  * without regard for the submitting CPU -- which is exactly the
  * misplacement the paper traced with LTTng (irq(0,4) running on
  * cpu30). Section IV-D's fix pins every vector back to its queue's
- * CPU and stops the daemon.
+ * CPU and stops the daemon; since the default spread is that pinning,
+ * stopping the daemon (KernelConfig's irqBalanceEnabled) is the fix.
  */
 
 #ifndef AFA_HOST_IRQ_HH
@@ -69,15 +70,6 @@ class IrqSubsystem : public afa::sim::SimObject
     /** Current affinity CPU of a vector. */
     unsigned effectiveCpu(unsigned device, unsigned queue) const;
 
-    /** Manually pin one vector (procfs smp_affinity / tuna). */
-    void setAffinity(unsigned device, unsigned queue, unsigned cpu);
-
-    /**
-     * The paper's Section IV-D tuning: pin every vector of every
-     * device to its queue's CPU and disable the balancer.
-     */
-    void pinAllToQueueCpus();
-
     /** Begin the irqbalance daemon (if enabled in the config). */
     void start();
 
@@ -112,8 +104,6 @@ class IrqSubsystem : public afa::sim::SimObject
     std::vector<unsigned> affinity;
     std::vector<std::uint64_t> counts;
     std::vector<std::uint64_t> countsAtLastScan;
-    std::vector<bool> pinned;
-    bool balancerStopped;
 
     IrqStats irqStats;
 

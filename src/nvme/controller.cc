@@ -271,7 +271,8 @@ Controller::fastReadEligible(const NvmeCommand &cmd, Tick pipe_done)
         return false;
     // The limp factor is the one input to the pipe exit's work that
     // can change after submit: a planned onset at or before the pipe
-    // exit keeps the read chained, whatever its same-tick band.
+    // exit keeps the read chained, whichever of the two runs first on
+    // a shared tick.
     while (!limpOnsets.empty() && limpOnsets.back() < now())
         limpOnsets.pop_back();
     if (!limpOnsets.empty() && pipe_done >= limpOnsets.back())

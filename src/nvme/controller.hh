@@ -119,7 +119,9 @@ class Controller : public afa::sim::SimObject
     /**
      * A limp onset is due at @p onset. A read whose pipe exit is at
      * or after the next planned onset stays on the chained model,
-     * which applies the limp factor at its pipe exit.
+     * which applies the limp factor at its pipe exit. The fault
+     * engine posts its onset edge before the run, so a pipe exit on
+     * the onset tick runs after the edge and is limped.
      */
     void planLimpOnset(Tick onset);
 

@@ -370,10 +370,10 @@ void
 Telemetry::scheduleSample(Tick when)
 {
     // The sampling event is engine plumbing: internal keeps it out of
-    // executedEvents(), and the top ordering band puts the sample
-    // after all of the tick's model events.
+    // executedEvents(), and tick-end puts the sample after all of the
+    // tick's model events.
     sampleHandle = simPtr->scheduleInternal(
-        when, [this] { onSample(); }, kSampleOrderBand);
+        when, [this] { onSample(); }, /*tick_end=*/true);
 }
 
 void

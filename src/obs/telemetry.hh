@@ -26,8 +26,7 @@
  *    and plumbing events executed per window.
  *
  * Determinism contract (DESIGN.md §13): sampling happens in internal
- * events (Simulator::scheduleInternal()) in the highest same-tick
- * ordering band, so
+ * events (Simulator::scheduleInternal()) scheduled tick-end, so
  *  (a) samples never count toward executedEvents()/events-per-IO,
  *  (b) a sample at tick T observes the state after every model event
  *      of tick T,
@@ -156,11 +155,6 @@ struct TelemetryParams
 class Telemetry
 {
   public:
-    /** Same-tick ordering band of the sampling events: above every
-     *  model band, so a sample at tick T runs after all of T's model
-     *  events. */
-    static constexpr std::uint32_t kSampleOrderBand = 0xffffffffu;
-
     explicit Telemetry(const TelemetryParams &params);
 
     /** True when a non-zero window was configured. */
@@ -190,7 +184,7 @@ class Telemetry
 
     /**
      * Begin sampling on @p sim: schedules the first window-boundary
-     * event (internal, kSampleOrderBand) and arms the self-profiling
+     * event (internal, tick-end) and arms the self-profiling
      * stream. No-op when disabled.
      */
     void start(afa::sim::Simulator &sim);

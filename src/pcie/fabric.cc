@@ -252,10 +252,8 @@ Fabric::hop(std::uint32_t idx)
         }
     }
     if (ph.to == dst) {
-        // The delivery: one counted event in the destination's
-        // ordering band.
-        at(arrive, [this, idx] { deliverChained(idx); },
-           deliveryOrder(dst));
+        // The delivery: one counted event.
+        at(arrive, [this, idx] { deliverChained(idx); });
         return;
     }
     // Hop continuations are plumbing, not model events: how many of
@@ -361,14 +359,11 @@ Fabric::sendWithSpan(NodeId src, NodeId dst, std::uint32_t bytes,
                                     afa::obs::kSpanFlagFastPath);
                     p.ctx = DeliverCtx{};
                 }
-                // The delivery: one counted event in the destination's
-                // ordering band that drops the walked reservations and
-                // then runs the callback.
+                // The delivery: one counted event that drops the
+                // walked reservations and then runs the callback.
                 p.fullWalk = true;
                 p.hopsWalked = last - first;
-                p.ev = at(
-                    when, [this, idx] { completeFlight(idx); },
-                    deliveryOrder(dst));
+                p.ev = at(when, [this, idx] { completeFlight(idx); });
                 return;
             }
             const PathHop &ph = pathHops[i];
@@ -583,15 +578,6 @@ Fabric::sendSpanned(NodeId src, NodeId dst, std::uint32_t bytes,
     if (spanLog && io != 0 && spanLog->wants(afa::obs::categoryOf(stage)))
         ctx = DeliverCtx{io, now(), track, stage};
     sendWithSpan(src, dst, bytes, ctx, std::move(on_delivered));
-}
-
-void
-Fabric::markEndpoint(NodeId node)
-{
-    checkNode(node);
-    if (nodeOrder.size() < nodeInfo.size())
-        nodeOrder.resize(nodeInfo.size(), 0);
-    nodeOrder[node] = 2 + node;
 }
 
 Tick

@@ -122,22 +122,6 @@ class Fabric : public afa::sim::SimObject
                      afa::obs::Stage stage,
                      afa::sim::EventFn on_delivered);
 
-    /**
-     * Declare @p node an endpoint whose deliveries use the same-tick
-     * ordering band 2 + node (see Simulator::scheduleAt()), so
-     * simultaneous deliveries run in ascending endpoint order. The
-     * system model marks every SSD endpoint; the host stays unmarked,
-     * and host-bound deliveries keep plain FIFO order.
-     */
-    void markEndpoint(NodeId node);
-
-    /** The delivery ordering band of @p node (0 = plain FIFO). */
-    std::uint32_t
-    deliveryOrder(NodeId node) const
-    {
-        return node < nodeOrder.size() ? nodeOrder[node] : 0;
-    }
-
     /** Attach (or detach, with nullptr) the span log. */
     void setSpanLog(afa::obs::SpanLog *log) { spanLog = log; }
 
@@ -357,8 +341,6 @@ class Fabric : public afa::sim::SimObject
     // by link index when a fault is armed (see setLinkFaultRate()).
     std::vector<afa::sim::Rng> linkFaultStream;
     unsigned faultedLinks = 0;
-    // Delivery ordering band per node (empty/0 = plain FIFO order).
-    std::vector<std::uint32_t> nodeOrder;
     afa::sim::Rng *faultRng = nullptr;
     FabricStats fabricStats;
     afa::obs::SpanLog *spanLog = nullptr;

@@ -26,7 +26,7 @@ EventQueue::growSlab()
 }
 
 EventHandle
-EventQueue::scheduleSlot(Tick when, std::uint32_t prio, bool internal)
+EventQueue::scheduleSlot(Tick when, bool tick_end, bool internal)
 {
     if (nextSeq >= kMaxSeq)
         panicSeqExhausted();
@@ -36,7 +36,7 @@ EventQueue::scheduleSlot(Tick when, std::uint32_t prio, bool internal)
     rec.internal = internal;
     std::uint64_t key = (nextSeq++ << kSlotBits) | slot;
     slotKey[slot] = key;
-    const HeapEntry entry{when, key, prio};
+    const HeapEntry entry{when, key, tick_end};
     if (vacantRoot) {
         // Fused pop + push: the entry takes the popped root's place
         // and sifts down from it. A newly scheduled event is usually

@@ -2,17 +2,13 @@
  * @file
  * The discrete-event queue at the heart of the simulator.
  *
- * Events are closures scheduled at an absolute tick. Every event
- * carries an ordering band (@c prio): same-tick events execute in
- * ascending band order, FIFO-stable within a band. Band 0 is the
- * default -- plain scheduling order, the classic serial-DES rule.
- * Non-zero bands exist for "post-class" events whose same-tick order
- * is a fixed function of the model -- controller fault edges, endpoint
- * deliveries, telemetry samples (see Simulator::scheduleAt()) -- not
- * of which code path happened to insert them first. Scheduling
- * returns an EventHandle that can be used to cancel the event before
- * it fires; handles are generation-checked so a stale handle can
- * never cancel a recycled slot.
+ * Events are closures scheduled at an absolute tick. Same-tick events
+ * execute in scheduling order, the classic serial-DES rule, except
+ * that an event flagged tick-end runs after every unflagged event of
+ * its tick (telemetry samples, see Simulator::scheduleInternal()).
+ * Scheduling returns an EventHandle that can be used to cancel the
+ * event before it fires; handles are generation-checked so a stale
+ * handle can never cancel a recycled slot.
  */
 
 #ifndef AFA_SIM_EVENT_QUEUE_HH
@@ -69,9 +65,8 @@ class EventQueue
      *
      * Accepts any `void()` callable; the closure is constructed
      * directly into its queue slot (no intermediate EventFn moves).
-     * @param prio same-tick ordering band; 0 (the default) means
-     *        plain FIFO scheduling order, higher bands run after
-     *        every lower band of the same tick, FIFO within a band.
+     * @param tick_end run after every event of tick @p when that is
+     *        not tick-end; events of one kind run in scheduling order.
      * @param internal engine plumbing: counted in internalExecuted()
      *        as well as executed() when it runs (see
      *        Simulator::scheduleInternal()).
@@ -79,7 +74,7 @@ class EventQueue
      */
     template <typename F>
     EventHandle
-    schedule(Tick when, F &&fn, std::uint32_t prio = 0,
+    schedule(Tick when, F &&fn, bool tick_end = false,
              bool internal = false)
     {
         if constexpr (std::is_same_v<std::decay_t<F>, EventFn>) {
@@ -89,7 +84,7 @@ class EventQueue
         // The slot/heap bookkeeping is shared out-of-line code; only
         // the closure construction is stamped out per callable, so the
         // callback lands in its slot without any intermediate moves.
-        EventHandle handle = scheduleSlot(when, prio, internal);
+        EventHandle handle = scheduleSlot(when, tick_end, internal);
         slab[handle.slot].fn.assign(std::forward<F>(fn));
         return handle;
     }
@@ -165,25 +160,27 @@ class EventQueue
     /**
      * Compact heap entry: the key packs (seq << 24 | slot), so
      * comparing keys compares seq (FIFO order; slots never tie
-     * because seq is unique); prio is the same-tick ordering band.
-     * Liveness is checked against the dense slotKey array instead of
-     * the fat Record, keeping skims and pops inside two small arrays.
+     * because seq is unique). The tick-end flag has a field of its
+     * own: packed into the key's top bit, for 16-byte entries, it ran
+     * slower (BENCH_simcore.json `same_tick_fifo`). Liveness is
+     * checked against the dense slotKey array instead of the fat
+     * Record, keeping skims and pops inside two small arrays.
      */
     struct HeapEntry
     {
         Tick when;
         std::uint64_t key;
-        std::uint32_t prio;
+        bool tickEnd;
     };
 
-    /** Min-order on (when, prio, seq); seq gives in-band FIFO. */
+    /** Min-order on (when, tickEnd, seq); seq gives FIFO order. */
     static bool
     earlier(const HeapEntry &a, const HeapEntry &b)
     {
         if (a.when != b.when)
             return a.when < b.when;
-        if (a.prio != b.prio)
-            return a.prio < b.prio;
+        if (a.tickEnd != b.tickEnd)
+            return a.tickEnd < b.tickEnd;
         return a.key < b.key;
     }
 
@@ -207,8 +204,7 @@ class EventQueue
      * push its heap entry; the caller constructs the callback into
      * the returned slot.
      */
-    EventHandle scheduleSlot(Tick when, std::uint32_t prio,
-                             bool internal);
+    EventHandle scheduleSlot(Tick when, bool tick_end, bool internal);
 
     std::uint32_t
     allocSlot()

@@ -54,13 +54,12 @@ class SimObject
         return simRef.scheduleAfter(delay, std::forward<F>(fn));
     }
 
-    /** Schedule a callback at absolute time @p when, in same-tick
-     *  ordering band @p order (see Simulator::scheduleAt()). */
+    /** Schedule a callback at absolute time @p when. */
     template <typename F>
     EventHandle
-    at(Tick when, F &&fn, std::uint32_t order = 0)
+    at(Tick when, F &&fn)
     {
-        return simRef.scheduleAt(when, std::forward<F>(fn), order);
+        return simRef.scheduleAt(when, std::forward<F>(fn));
     }
 
     /** Per-object deterministic random stream. */

@@ -10,6 +10,10 @@
  * left out of executedEvents(), so the `events=` line of every figure
  * counts exactly one event per delivered packet, whichever transport
  * path the packet took, and one per fault edge.
+ *
+ * Same-tick events run in the order they were scheduled; only a
+ * telemetry sample, scheduled tick-end, runs after every other event
+ * of its tick (DESIGN.md §9 rule 1).
  */
 
 #ifndef AFA_SIM_SIMULATOR_HH
@@ -38,20 +42,14 @@ class Simulator
     /** Current simulated time. */
     Tick now() const { return clock; }
 
-    /**
-     * Schedule @p fn at absolute time @p when (>= now).
-     * @param order same-tick ordering band (see EventQueue::schedule):
-     *        0 = plain FIFO, 1 = controller fault edges, 2 + <fabric
-     *        node id> = endpoint deliveries to that node,
-     *        0xffffffff = telemetry samples.
-     */
+    /** Schedule @p fn at absolute time @p when (>= now). */
     template <typename F>
     EventHandle
-    scheduleAt(Tick when, F &&fn, std::uint32_t order = 0)
+    scheduleAt(Tick when, F &&fn)
     {
         if (when < clock)
             panicPastEvent(when, clock);
-        return q.schedule(when, std::forward<F>(fn), order);
+        return q.schedule(when, std::forward<F>(fn));
     }
 
     /** Schedule @p fn @p delay ticks from now. */
@@ -73,14 +71,16 @@ class Simulator
      * its callback runs, so an internal event reading the counters (a
      * telemetry sample) sees itself in both -- i.e. exactly the model
      * events so far.
+     * @param tick_end run after every other event of tick @p when
+     *        (telemetry samples); otherwise in scheduling order.
      */
     template <typename F>
     EventHandle
-    scheduleInternal(Tick when, F &&fn, std::uint32_t order = 0)
+    scheduleInternal(Tick when, F &&fn, bool tick_end = false)
     {
         if (when < clock)
             panicPastEvent(when, clock);
-        return q.schedule(when, std::forward<F>(fn), order,
+        return q.schedule(when, std::forward<F>(fn), tick_end,
                           /*internal=*/true);
     }
 

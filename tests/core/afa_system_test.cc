@@ -96,6 +96,8 @@ TEST_F(AfaSystemTest, PinnedIrqAffinityApplies)
     build(2, true);
     for (unsigned q = 0; q < 40; ++q)
         EXPECT_EQ(system->irq().effectiveCpu(1, q), q);
+    // The default spread is the pinning; irqbalance must stay off.
+    EXPECT_FALSE(system->scheduler().config().irq.irqBalanceEnabled);
 }
 
 TEST_F(AfaSystemTest, WritesReachTheFtl)

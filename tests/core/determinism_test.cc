@@ -4,7 +4,7 @@
  * the fig06/fig09/fig14, fault-tail and frontier benches, rendered to
  * their canonical report strings and pinned by hash. A pinned hash
  * changes only when the schedule itself changes (event order, same-tick
- * bands, RNG forks, event accounting) or a printed column's rule does,
+ * order, RNG forks, event accounting) or a printed column's rule does,
  * so any refactor of the event core or the model plumbing must leave
  * every constant below intact.
  * The remaining cases check that tracing, telemetry and the parallel
@@ -166,8 +166,9 @@ TEST_F(DeterminismTest, Fig14GeometryVariantPinned)
 
 TEST_F(DeterminismTest, FaultPlanPinned)
 {
-    // Limp/dropout/stall mutate controllers through band-1 control
-    // events; link errors draw from per-link RNG streams.
+    // Limp/dropout/stall mutate controllers through fault-edge events
+    // posted before the run; link errors draw from per-link RNG
+    // streams.
     auto params = baseParams(TuningProfile::IrqAffinity);
     params.faults = faultPlan();
     EXPECT_EQ(runHash(params), 0xe8724fed52634888ULL);
@@ -257,8 +258,8 @@ TEST_F(DeterminismTest, TracingDoesNotPerturbTheModel)
 TEST_F(DeterminismTest, TelemetryOnOffBitIdentical)
 {
     // The telemetry contract (DESIGN.md §13): sampling rides internal
-    // events in the top same-tick band, so enabling --telemetry must
-    // leave every canonical report byte-identical.
+    // tick-end events, so enabling --telemetry must leave every
+    // canonical report byte-identical.
     const auto off = baseParams(TuningProfile::Default);
     const std::string base = canonical(ExperimentRunner::run(off));
     auto on = off;

@@ -286,45 +286,95 @@ TEST_F(FaultInjectionTest, ControllerFaultEdgesAreOneCountedEventEach)
     EXPECT_EQ(faulted.second, base.second);
 }
 
-TEST_F(FaultInjectionTest, DeliveryOnDropoutOnsetTickIsDropped)
+/**
+ * The tick a command submitted at @p submit_at reaches ssd @p ssd of
+ * quietArrayParams()'s array over an idle fabric.
+ */
+Tick
+commandLands(unsigned ssd, Tick submit_at)
 {
-    // Same-tick order: a controller fault edge (band 1) runs before a
-    // fabric delivery to the SSD (band 2 + node). A read whose command
-    // lands on the exact tick its SSD drops out is therefore lost; one
-    // tick later the command got in first.
-    const unsigned ssd = 2;
-    const Tick submit_at = afa::sim::msec(1);
     afa::sim::Simulator probe_sim(3);
     afa::pcie::Fabric probe(probe_sim, "probe");
     afa::pcie::AfaTopologyParams shape;
     shape.ssds = 4;
     const afa::pcie::AfaTopology topo =
         afa::pcie::buildAfaTopology(probe, shape);
-    const Tick lands = submit_at +
+    return submit_at +
         probe.unloadedLatency(topo.host, topo.ssds[ssd], kSqeBytes);
+}
+
+/**
+ * One read to @p fault's SSD, submitted from CPU 0 at @p submit_at on
+ * quietArrayParams() with @p fault as the whole plan; returns that
+ * SSD's stats 2 ms after the fault's onset.
+ */
+afa::nvme::ControllerStats
+oneReadUnderFault(const afa::fault::FaultEvent &fault, Tick submit_at)
+{
+    auto plan = std::make_shared<FaultPlan>();
+    plan->events.push_back(fault);
+    afa::sim::Simulator sim(3);
+    AfaSystem system(sim, quietArrayParams(plan));
+    system.start();
+    sim.scheduleAt(submit_at, [&] {
+        afa::workload::IoRequest req;
+        req.device = fault.ssd;
+        system.ioEngine().submit(0, req,
+                                 [](const afa::workload::IoResult &) {});
+    });
+    sim.run(fault.at + afa::sim::msec(2));
+    return system.ssd(fault.ssd).stats();
+}
+
+TEST_F(FaultInjectionTest, DeliveryOnDropoutOnsetTickIsDropped)
+{
+    // Same-tick order: the fault engine posts its edges before the
+    // run, so a dropout onset runs ahead of the command's delivery on
+    // its tick. A read whose command lands on the exact tick its SSD
+    // drops out is therefore lost; one tick later the command got in
+    // first.
+    const unsigned ssd = 2;
+    const Tick submit_at = afa::sim::msec(1);
+    const Tick lands = commandLands(ssd, submit_at);
 
     const auto dropped = [&](Tick onset) {
-        auto plan = std::make_shared<FaultPlan>();
         afa::fault::FaultEvent dropout;
         dropout.kind = afa::fault::FaultKind::Dropout;
         dropout.ssd = ssd;
         dropout.at = onset;
         dropout.duration = afa::sim::msec(1);
-        plan->events.push_back(dropout);
-        afa::sim::Simulator sim(3);
-        AfaSystem system(sim, quietArrayParams(plan));
-        system.start();
-        sim.scheduleAt(submit_at, [&] {
-            afa::workload::IoRequest req;
-            req.device = ssd;
-            system.ioEngine().submit(0, req,
-                                     [](const afa::workload::IoResult &) {});
-        });
-        sim.run(onset + afa::sim::msec(2));
-        return system.ssd(ssd).stats().droppedCommands;
+        return oneReadUnderFault(dropout, submit_at).droppedCommands;
     };
     EXPECT_EQ(dropped(lands), 1u);
     EXPECT_EQ(dropped(lands + 1), 0u);
+}
+
+TEST_F(FaultInjectionTest, PipeExitOnLimpOnsetTickIsLimped)
+{
+    // Same-tick order: a limp onset runs ahead of every event the run
+    // posts for its tick, the pipe exit of a read included. A FOB
+    // read whose pipe exit falls on the onset tick stays chained
+    // (Controller::planLimpOnset()) and is limped at its pipe exit,
+    // exactly as with an onset one tick earlier; with an onset one
+    // tick later it leaves the pipeline healthy.
+    const unsigned ssd = 1;
+    const Tick submit_at = afa::sim::msec(1);
+    const Tick pipe_exit = commandLands(ssd, submit_at) +
+        afa::nvme::FirmwareConfig{}.readProcTime;
+
+    const auto stalled = [&](Tick onset) {
+        afa::fault::FaultEvent limp;
+        limp.kind = afa::fault::FaultKind::Limp;
+        limp.ssd = ssd;
+        limp.at = onset;
+        limp.duration = afa::sim::msec(1);
+        limp.factor = 4.0;
+        return oneReadUnderFault(limp, submit_at).faultStallDelay;
+    };
+    const Tick limped = stalled(pipe_exit - 1);
+    EXPECT_GT(limped, 0u);
+    EXPECT_EQ(stalled(pipe_exit), limped);
+    EXPECT_EQ(stalled(pipe_exit + 1), 0u);
 }
 
 TEST_F(FaultInjectionTest, PlanTargetingMissingSsdIsFatal)

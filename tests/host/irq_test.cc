@@ -1,12 +1,13 @@
 /**
  * @file
- * IRQ subsystem tests: vector bookkeeping (2,560 handlers), default
- * driver spread, irqbalance misplacement, manual pinning, and the
- * delivery cost model.
+ * IRQ subsystem tests: vector bookkeeping (2,560 handlers), the
+ * default queue-to-CPU spread, irqbalance misplacement, a stopped
+ * balancer keeping that spread, and the delivery cost model.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 
 #include "host/irq.hh"
@@ -90,18 +91,6 @@ TEST_F(IrqTest, UplinkSocketDeliveryHasNoCrossing)
     EXPECT_EQ(irq->stats().crossSocket, 0u);
 }
 
-TEST_F(IrqTest, ManualAffinityMoves)
-{
-    build(2);
-    irq->setAffinity(1, 4, 30);
-    EXPECT_EQ(irq->effectiveCpu(1, 4), 30u);
-    unsigned handler_cpu = 99;
-    irq->raise(1, 4, [&](unsigned cpu) { handler_cpu = cpu; });
-    sim->run();
-    EXPECT_EQ(handler_cpu, 30u);
-    EXPECT_EQ(irq->stats().remoteDeliveries, 1u);
-}
-
 TEST_F(IrqTest, BalancerMovesBusyVectorsWithinUplinkSocket)
 {
     build(4);
@@ -133,29 +122,23 @@ TEST_F(IrqTest, BalancerIgnoresIdleVectors)
     EXPECT_EQ(irq->stats().vectorMoves, 0u);
 }
 
-TEST_F(IrqTest, PinAllDefeatsBalancer)
+TEST_F(IrqTest, DisabledBalancerNeverScans)
 {
-    build(4);
-    irq->pinAllToQueueCpus();
+    // The paper's Section IV-D pinning: with irqbalance off, a busy
+    // vector keeps the default queue-to-CPU spread.
+    KernelConfig cfg;
+    cfg.irq.irqBalanceEnabled = false;
+    build(4, cfg);
     irq->start();
     for (int i = 0; i < 50; ++i)
         sim->scheduleAt(msec(i * 10), [&] {
             irq->raise(0, 4, [](unsigned) {});
         });
-    sim->run(sec(21));
+    sim->run(sec(25));
+    EXPECT_EQ(irq->stats().rebalances, 0u);
     EXPECT_EQ(irq->effectiveCpu(0, 4), 4u);
     EXPECT_EQ(irq->stats().vectorMoves, 0u);
     EXPECT_EQ(irq->stats().remoteDeliveries, 0u);
-}
-
-TEST_F(IrqTest, DisabledBalancerNeverScans)
-{
-    KernelConfig cfg;
-    cfg.irq.irqBalanceEnabled = false;
-    build(4, cfg);
-    irq->start();
-    sim->run(sec(25));
-    EXPECT_EQ(irq->stats().rebalances, 0u);
 }
 
 TEST_F(IrqTest, ZeroBalanceIntervalIsFatal)
@@ -164,9 +147,9 @@ TEST_F(IrqTest, ZeroBalanceIntervalIsFatal)
     cfg.irq.irqBalanceInterval = 0;
     build(4, cfg);
     EXPECT_THROW(irq->start(), afa::sim::SimError);
-    // Pinned vectors stop the balancer, so its interval is not read.
+    // With irqbalance off its interval is not read.
+    cfg.irq.irqBalanceEnabled = false;
     build(4, cfg);
-    irq->pinAllToQueueCpus();
     EXPECT_NO_THROW(irq->start());
 }
 
@@ -177,17 +160,29 @@ TEST_F(IrqTest, BadVectorPanics)
                  afa::sim::SimError);
     EXPECT_THROW(irq->raise(0, 40, [](unsigned) {}),
                  afa::sim::SimError);
-    EXPECT_THROW(irq->setAffinity(0, 0, 41), afa::sim::SimError);
 }
 
 TEST_F(IrqTest, RemoteDeliveryCounted)
 {
-    build(2);
-    irq->setAffinity(0, 4, 30);
-    irq->raise(0, 4, [](unsigned) {});
+    // irqbalance moves the busy vector (0, 4) off cpu4. Its handler
+    // then runs on the vector's new CPU, and counts as remote; a
+    // vector still on its queue's CPU does not.
+    build(4);
+    irq->start();
+    for (int i = 0; i < 50; ++i)
+        sim->scheduleAt(msec(i * 10), [&] {
+            irq->raise(0, 4, [](unsigned) {});
+        });
+    sim->run(sec(1));
+    const unsigned moved = irq->effectiveCpu(0, 4);
+    ASSERT_NE(moved, 4u);
+    const std::uint64_t remote = irq->stats().remoteDeliveries;
+    unsigned handler_cpu = 99;
+    irq->raise(0, 4, [&](unsigned cpu) { handler_cpu = cpu; });
     irq->raise(0, 14, [](unsigned) {});
-    sim->run();
-    EXPECT_EQ(irq->stats().remoteDeliveries, 1u);
+    sim->run(sec(1) + msec(1));
+    EXPECT_EQ(handler_cpu, moved);
+    EXPECT_EQ(irq->stats().remoteDeliveries, remote + 1);
 }
 
 } // namespace

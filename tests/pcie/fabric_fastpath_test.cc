@@ -353,13 +353,13 @@ TEST_F(FabricFastPathTest, SameTickDeliveryCascadeMatchesReference)
 
 TEST_F(FabricFastPathTest, HostDeliveryTiesWithPlainEventInPostOrder)
 {
-    // The same-tick caveat of DESIGN.md §9, pinned both ways. A host
-    // delivery runs in band 0, in post order with every other band-0
-    // event of its tick. The fast path posts it at send time, the
-    // per-hop model at its last hop. So a plain event posted right
-    // after the send, for the delivery tick, runs after the delivery
-    // under the fast path and before it under the per-hop model. A
-    // change that gives host deliveries their own band flips the
+    // The same-tick caveat of DESIGN.md §9, pinned both ways. A
+    // delivery runs in post order with every other event of its
+    // tick. The fast path posts it at send time, the per-hop model at
+    // its last hop. So a plain event posted right after the send, for
+    // the delivery tick, runs after the delivery under the fast path
+    // and before it under the per-hop model. A change that orders
+    // deliveries apart from other events of their tick flips the
     // fast-path side of this test.
     for (bool fast_path : {true, false}) {
         Simulator sim(1);

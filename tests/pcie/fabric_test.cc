@@ -184,26 +184,13 @@ TEST_F(FabricTest, SharedUplinkContentionDelaysSecondFlow)
     EXPECT_GT(f.queueDelay(), 0u);
 }
 
-/** The paper's tree at 4 SSDs, with every SSD a banded endpoint as
- *  the system model marks them. */
-AfaTopology
-markedAfaTopology(Fabric &f)
-{
-    AfaTopologyParams params;
-    params.ssds = 4;
-    AfaTopology topo = buildAfaTopology(f, params);
-    for (NodeId ssd : topo.ssds)
-        f.markEndpoint(ssd);
-    return topo;
-}
-
 TEST_F(FabricTest, IdleEndpointSendIsOneCountedEvent)
 {
-    // The fast-path delivery to an endpoint is one counted event in
-    // the endpoint's band that also drops the flight's reservations:
-    // no plumbing event rides along.
+    // The fast-path delivery to an endpoint is one counted event that
+    // also drops the flight's reservations: no plumbing event rides
+    // along.
     Fabric f(sim, "afa");
-    AfaTopology topo = markedAfaTopology(f);
+    AfaTopology topo = buildAfaTopology(f, AfaTopologyParams{});
     Tick delivered = 0;
     f.send(topo.host, topo.ssds[2], 64, [&] { delivered = sim.now(); });
     sim.run();
@@ -219,7 +206,7 @@ TEST_F(FabricTest, QueuedEndpointSendPlumbsOnlyItsHops)
     // Its delivery is one counted event that also drops the chain
     // mark, so its only plumbing events are its hop continuations.
     Fabric f(sim, "afa");
-    AfaTopology topo = markedAfaTopology(f);
+    AfaTopology topo = buildAfaTopology(f, AfaTopologyParams{});
     f.send(topo.host, topo.ssds[0], 4096, [] {});
     bool delivered = false;
     f.send(topo.host, topo.ssds[1], 64, [&] { delivered = true; });

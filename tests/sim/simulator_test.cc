@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for the Simulator: clock semantics, run bounds, stop
- * requests, scheduling helpers, same-tick ordering bands, and the
+ * requests, scheduling helpers, same-tick order, and the
  * internal-event discount.
  */
 
@@ -173,9 +173,9 @@ TEST_F(SimulatorTest, InternalDiscountMatchesPlainRun)
 TEST_F(SimulatorTest, InternalEventKeepsThePlainEventsQueueSlot)
 {
     // "Internal" is a flag on the queue slot, not a wrapper: an event
-    // with a full inline-size closure runs in the same (tick, band,
-    // FIFO) position whether it is scheduled internal or plain, and
-    // only the counters tell the two apart.
+    // with a full inline-size closure runs in the same (tick, FIFO)
+    // position whether it is scheduled internal or plain, and only
+    // the counters tell the two apart.
     auto run = [](bool internal) {
         Simulator s(42);
         std::vector<std::uint64_t> order;
@@ -184,13 +184,13 @@ TEST_F(SimulatorTest, InternalEventKeepsThePlainEventsQueueSlot)
             order.push_back(a * 100 + b * 10 + c);
         };
         static_assert(sizeof(marked) == afa::sim::EventFn::kInlineSize);
-        s.scheduleAt(10, [&order] { order.push_back(1); }, 2);
+        s.scheduleAt(10, [&order] { order.push_back(1); });
         s.scheduleAt(10, [&order] { order.push_back(2); });
         afa::sim::EventHandle h = internal
-            ? s.scheduleInternal(10, marked, 2)
-            : s.scheduleAt(10, marked, 2);
+            ? s.scheduleInternal(10, marked)
+            : s.scheduleAt(10, marked);
         EXPECT_TRUE(s.pending(h));
-        s.scheduleAt(10, [&order] { order.push_back(3); }, 2);
+        s.scheduleAt(10, [&order] { order.push_back(3); });
         s.scheduleAt(5, [&order] { order.push_back(4); });
         s.run();
         EXPECT_FALSE(s.pending(h));
@@ -201,25 +201,31 @@ TEST_F(SimulatorTest, InternalEventKeepsThePlainEventsQueueSlot)
     const auto internal = run(true);
     EXPECT_EQ(internal.first, plain.first);
     EXPECT_EQ(plain.first,
-              (std::vector<std::uint64_t>{4, 2, 1, 789, 3}));
+              (std::vector<std::uint64_t>{4, 1, 2, 789, 3}));
     EXPECT_EQ(plain.second, std::make_pair(std::uint64_t{5},
                                            std::uint64_t{0}));
     EXPECT_EQ(internal.second, std::make_pair(std::uint64_t{4},
                                               std::uint64_t{1}));
 }
 
-TEST_F(SimulatorTest, OrderingBandsRunAfterPlainEvents)
+TEST_F(SimulatorTest, TickEndEventsRunAfterEveryOtherEventOfTheTick)
 {
-    // Same tick: band-0 events in FIFO order first, then ascending
-    // bands. Bands posted out of numeric order still sort, and an
-    // internal event keeps its band.
+    // Same tick: events run in post order, internal or not, and
+    // tick-end events run after all of them, in post order among
+    // themselves -- after one posted later, even from inside the
+    // tick, but before the next tick.
     std::string order;
-    sim.scheduleAt(10, [&] { order += 'c'; }, 7);
-    sim.scheduleAt(10, [&] { order += 'a'; });
-    sim.scheduleInternal(10, [&] { order += 'b'; }, 3);
-    sim.scheduleAt(10, [&] { order += 'A'; });
+    sim.scheduleInternal(10, [&] { order += 'x'; }, /*tick_end=*/true);
+    sim.scheduleAt(10, [&] {
+        order += 'a';
+        sim.scheduleAt(10, [&] { order += 'c'; });
+    });
+    sim.scheduleInternal(10, [&] { order += 'y'; }, /*tick_end=*/true);
+    sim.scheduleInternal(10, [&] { order += 'b'; });
+    sim.scheduleAt(11, [&] { order += 'z'; });
+    sim.scheduleAt(9, [&] { order += 'w'; });
     sim.run();
-    EXPECT_EQ(order, "aAbc");
+    EXPECT_EQ(order, "wabcxyz");
 }
 
 TEST_F(SimulatorTest, RecurringEventChainTerminatesAtBound)

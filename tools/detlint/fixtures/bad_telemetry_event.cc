@@ -11,27 +11,26 @@
 
 namespace afa::fixture {
 
-inline constexpr std::uint32_t kSampleOrderBand = 0xffffffffu;
-
 void
 scheduleSamples(afa::sim::Simulator &sim, afa::sim::EventQueue &queue,
                 afa::sim::Tick period)
 {
     const afa::sim::Tick when = sim.now() + period;
 
-    // The top band alone does not make the sample plumbing: it is
-    // still a counted model event.
-    sim.scheduleAt(when, [] {}, kSampleOrderBand);
+    // An absolute post at the sample tick is still a counted model
+    // event.
+    sim.scheduleAt(when, [] {});
 
     // Relative scheduling is just as model-visible.
     sim.scheduleAfter(period, [] {});
 
-    // A raw queue post bypasses the plumbing counter entirely.
-    queue.schedule(when, [] {}, kSampleOrderBand);
+    // A raw queue post bypasses the plumbing counter entirely, even
+    // tick-end.
+    queue.schedule(when, [] {}, /*tick_end=*/true);
 
-    // The sanctioned idiom: internal, in the top ordering band so the
-    // sample runs after every model event of its tick.
-    sim.scheduleInternal(when, [] {}, kSampleOrderBand);
+    // The sanctioned idiom: internal and tick-end, so the sample runs
+    // after every model event of its tick.
+    sim.scheduleInternal(when, [] {}, /*tick_end=*/true);
 
     // Audited exception: a debug probe meant to appear in the trace.
     // detlint:allow(telemetry-internal)
