@@ -85,8 +85,8 @@ void
 Testbed::start()
 {
     afaSystem->start();
-    // The sample event is the only tick-end event, so starting it
-    // before the workload leaves the schedule unchanged.
+    // Sampling posts no event, so starting it before the workload
+    // leaves the schedule unchanged.
     if (telem)
         telem->start(simulator);
 }

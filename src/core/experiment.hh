@@ -151,9 +151,9 @@ struct ExperimentParams
      * Telemetry sampling window in ticks (0 = off). Non-zero slices
      * the run into simulated-time windows of per-stage latency
      * histograms, sampled counter/gauge series, and the simulator's
-     * self-profile (DESIGN.md §13). Sampling rides internal events,
-     * so every canonical report is byte-identical with telemetry on
-     * or off.
+     * self-profile (DESIGN.md §13). Samples are taken between ticks
+     * and are not events, so every canonical report is
+     * byte-identical with telemetry on or off.
      */
     afa::sim::Tick telemetryWindow = 0;
 };

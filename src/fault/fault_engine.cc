@@ -37,10 +37,6 @@ FaultEngine::start()
         fabric->setFaultRng(&rng());
     for (const FaultEvent &ev : planRef->events) {
         const FaultEvent *e = &ev;
-        // A fast read whose pipe exit meets the onset must stay
-        // chained (the pipe exit applies the limp factor).
-        if (e->kind == FaultKind::Limp)
-            ctrls[e->ssd]->planLimpOnset(e->at);
         // Posted before the run posts anything, so each edge runs
         // ahead of every event the run posts for its tick.
         at(e->at, [this, e] { apply(*e); });

@@ -58,8 +58,8 @@ class FaultEngine : public afa::sim::SimObject
      * that updates the books and flips the target's fault hook. The
      * edges are posted here, before the run posts anything, so each
      * runs ahead of every event the run posts for its tick (DESIGN.md
-     * §11). Each limp onset is also announced to its controller
-     * (Controller::planLimpOnset()).
+     * §11): a command that reaches its SSD on an onset tick takes
+     * the fault.
      */
     void start();
 

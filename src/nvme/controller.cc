@@ -1,7 +1,6 @@
 #include "nvme/controller.hh"
 
 #include <algorithm>
-#include <functional>
 
 #include "obs/span_log.hh"
 #include "sim/logging.hh"
@@ -48,23 +47,7 @@ Controller::setLimpFactor(double factor)
     if (!(factor >= 1.0 && factor <= kMaxLimpFactor))
         afa::sim::panic("%s: limp factor %g not in [1, %g]",
                         name().c_str(), factor, kMaxLimpFactor);
-    // A fast read took the old factor at submit; the reference model
-    // takes the factor in force at its pipe exit.
-    if (factor != limp && fastExitsBefore > now())
-        afa::sim::panic("%s: limp factor changed at tick %llu before a "
-                        "fast read's pipe exit; plan the onset with "
-                        "planLimpOnset()",
-                        name().c_str(), (unsigned long long)now());
     limp = factor;
-}
-
-void
-Controller::planLimpOnset(Tick onset)
-{
-    limpOnsets.insert(std::upper_bound(limpOnsets.begin(),
-                                       limpOnsets.end(), onset,
-                                       std::greater<Tick>()),
-                      onset);
 }
 
 void
@@ -166,36 +149,52 @@ Controller::chain(const NvmeCommand &cmd)
 {
     const std::uint32_t c = chained.acquire();
     chained[c].cmd = cmd;
+    chained[c].limp = limp; // in force as the command reaches us
     return c;
+}
+
+Tick
+Controller::xferReady(const Chained &rec, Tick media_done)
+{
+    Tick extra = 0;
+    if (rec.limp != 1.0) {
+        // Limping device: the media stage takes `limp` times as long;
+        // the excess runs after the healthy window.
+        extra = static_cast<Tick>(
+            static_cast<double>(media_done - rec.mediaBegin) *
+            (rec.limp - 1.0));
+        ctrlStats.faultStallDelay += extra;
+    }
+    return media_done + rec.hiccup + extra;
+}
+
+void
+Controller::readSpans(const Chained &rec, Tick media_done,
+                      Tick xfer_ready, Tick xfer_done)
+{
+    if (!spanLog)
+        return;
+    const Tick limped_from = media_done + rec.hiccup;
+    if (xfer_ready > limped_from &&
+        spanLog->wants(afa::obs::Category::Fault))
+        spanLog->record(afa::obs::Stage::FaultStall, rec.cmd.tag,
+                        limped_from, xfer_ready, spanTrack);
+    if (spanLog->wants(afa::obs::Category::Nvme)) {
+        spanLog->record(afa::obs::Stage::MediaRead, rec.cmd.tag,
+                        rec.mediaBegin, media_done, spanTrack);
+        spanLog->record(afa::obs::Stage::DeviceXfer, rec.cmd.tag,
+                        xfer_ready, xfer_done, spanTrack);
+    }
 }
 
 void
 Controller::finishRead(std::uint32_t c, Tick media_done)
 {
     const Chained &rec = chained[c];
-    const NvmeCommand &cmd = rec.cmd;
-    const Tick media_begin = rec.mediaBegin;
-    Tick xfer_ready = media_done + rec.hiccup;
-    if (limp != 1.0) {
-        // Limping device: the media stage takes `limp` times as
-        // long; charge the excess after the healthy window.
-        Tick extra = static_cast<Tick>(
-            static_cast<double>(media_done - media_begin) *
-            (limp - 1.0));
-        ctrlStats.faultStallDelay += extra;
-        if (extra && spanLog &&
-            spanLog->wants(afa::obs::Category::Fault))
-            spanLog->record(afa::obs::Stage::FaultStall, cmd.tag,
-                            xfer_ready, xfer_ready + extra, spanTrack);
-        xfer_ready += extra;
-    }
-    Tick xfer_done = throughXfer(xfer_ready, afa::sim::Bytes{cmd.bytes});
-    if (spanLog && spanLog->wants(afa::obs::Category::Nvme)) {
-        spanLog->record(afa::obs::Stage::MediaRead, cmd.tag,
-                        media_begin, media_done, spanTrack);
-        spanLog->record(afa::obs::Stage::DeviceXfer, cmd.tag,
-                        xfer_ready, xfer_done, spanTrack);
-    }
+    const Tick xfer_ready = xferReady(rec, media_done);
+    const Tick xfer_done =
+        throughXfer(xfer_ready, afa::sim::Bytes{rec.cmd.bytes});
+    readSpans(rec, media_done, xfer_ready, xfer_done);
     at(xfer_done, [this, c] { completeRead(c); });
     // The DMA claim is made; later submissions may fast-path again.
     --chainDepth;
@@ -218,7 +217,7 @@ Controller::serveRead(const NvmeCommand &cmd)
         return;
     }
     Tick pipe_done = throughPipeline(cmd.tag);
-    if (fastReadEligible(cmd, pipe_done)) {
+    if (fastReadEligible(cmd)) {
         fastRead(cmd, pipe_done);
         return;
     }
@@ -265,17 +264,9 @@ Controller::blockRead(std::uint32_t c)
 }
 
 bool
-Controller::fastReadEligible(const NvmeCommand &cmd, Tick pipe_done)
+Controller::fastReadEligible(const NvmeCommand &cmd)
 {
-    if (!fastPathEnabled || chainDepth != 0 || limp != 1.0)
-        return false;
-    // The limp factor is the one input to the pipe exit's work that
-    // can change after submit: a planned onset at or before the pipe
-    // exit keeps the read chained, whichever of the two runs first on
-    // a shared tick.
-    while (!limpOnsets.empty() && limpOnsets.back() < now())
-        limpOnsets.pop_back();
-    if (!limpOnsets.empty() && pipe_done >= limpOnsets.back())
+    if (!fastPathEnabled || chainDepth != 0)
         return false;
     // Only a wholly unmapped range skips NAND. With no chained
     // command pending, no write can map a block of it before the
@@ -291,7 +282,6 @@ void
 Controller::fastRead(const NvmeCommand &cmd, Tick pipe_done)
 {
     ++ctrlStats.fastPathCommands;
-    fastExitsBefore = pipe_done + 1;
     const std::uint32_t c = chain(cmd);
     Chained &rec = chained[c];
     // Draws happen in the reference order: hiccup first, then media.
@@ -300,10 +290,11 @@ Controller::fastRead(const NvmeCommand &cmd, Tick pipe_done)
     rec.mediaDone = pipe_done + static_cast<Tick>(rng().lognormal(
         static_cast<double>(fwConfig.fobReadLatency),
         fwConfig.fobReadSigma));
+    rec.xferReady = xferReady(rec, rec.mediaDone);
     // Every command submitted after this one leaves the pipeline
     // later, so this claim already sits in reference claim order.
-    Tick xfer_done = throughXfer(rec.mediaDone + rec.hiccup,
-                                 afa::sim::Bytes{cmd.bytes});
+    Tick xfer_done =
+        throughXfer(rec.xferReady, afa::sim::Bytes{cmd.bytes});
     at(xfer_done, [this, c] { fastReadDone(c); });
 }
 
@@ -315,12 +306,7 @@ Controller::fastReadDone(std::uint32_t c)
     // only the ring's recording order differs (attribution and drop
     // counts are order-independent).
     const Chained &rec = chained[c];
-    if (spanLog && spanLog->wants(afa::obs::Category::Nvme)) {
-        spanLog->record(afa::obs::Stage::MediaRead, rec.cmd.tag,
-                        rec.mediaBegin, rec.mediaDone, spanTrack);
-        spanLog->record(afa::obs::Stage::DeviceXfer, rec.cmd.tag,
-                        rec.mediaDone + rec.hiccup, now(), spanTrack);
-    }
+    readSpans(rec, rec.mediaDone, rec.xferReady, now());
     completeRead(c);
 }
 

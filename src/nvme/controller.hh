@@ -21,7 +21,6 @@
 #define AFA_NVME_CONTROLLER_HH
 
 #include <functional>
-#include <vector>
 
 #include "nand/nand_array.hh"
 #include "nvme/command.hh"
@@ -108,22 +107,12 @@ class Controller : public afa::sim::SimObject
 
     /**
      * Limping device: media service time and the write pipe scale by
-     * @p factor (in [1, kMaxLimpFactor]; 1 restores health). The added
-     * time is recorded as FaultStall spans and
-     * ControllerStats::faultStallDelay. Panics if the factor changes
-     * while a fast read has not reached its pipe exit: announce each
-     * onset ahead with planLimpOnset().
+     * @p factor (in [1, kMaxLimpFactor]; 1 restores health). A command
+     * takes the factor in force when it reaches the device (submit()),
+     * on either model. The added time is recorded as FaultStall spans
+     * and ControllerStats::faultStallDelay.
      */
     void setLimpFactor(double factor);
-
-    /**
-     * A limp onset is due at @p onset. A read whose pipe exit is at
-     * or after the next planned onset stays on the chained model,
-     * which applies the limp factor at its pipe exit. The fault
-     * engine posts its onset edge before the run, so a pipe exit on
-     * the onset tick runs after the edge and is limped.
-     */
-    void planLimpOnset(Tick onset);
 
     /** Current limp factor (1 = healthy). */
     double limpFactor() const { return limp; }
@@ -184,9 +173,11 @@ class Controller : public afa::sim::SimObject
     struct Chained
     {
         NvmeCommand cmd;
+        double limp = 1.0;   ///< limp factor at submit (reads use it)
         Tick hiccup = 0;     ///< read: sampled firmware hiccup
         Tick mediaBegin = 0; ///< read: media stage start
         Tick mediaDone = 0;  ///< fast read: its media end
+        Tick xferReady = 0;  ///< fast read: its DMA start
         /** Mapped read: NAND reads outstanding; write: blocks not
          *  yet accepted by the FTL buffer. */
         std::uint64_t blocksLeft = 0;
@@ -195,14 +186,14 @@ class Controller : public afa::sim::SimObject
 
     // ------------------------------------------------------------------
     // Single-event command fast path (DESIGN.md §9). A read of wholly
-    // unmapped (FOB) blocks on a device that is not limping, with no
-    // chained command pending and no limp onset planned by its pipe
-    // exit, draws its hiccup and media latency and claims the DMA
-    // engine at submit -- in the chained model's FP operation and RNG
-    // draw order -- and schedules one completion event. The pipeline
-    // is one FIFO server, so nothing submitted later can change what
-    // the read computes at its pipe exit: the read is final at
-    // submit. Every other command takes the chained model.
+    // unmapped (FOB) blocks with no chained command pending draws its
+    // hiccup and media latency, applies its limp excess and claims
+    // the DMA engine at submit -- in the chained model's FP operation
+    // and RNG draw order -- and schedules one completion event. The
+    // pipeline is one FIFO server and the limp factor is the one
+    // taken at submit, so nothing later can change what the read
+    // computes at its pipe exit: the read is final at submit. Every
+    // other command takes the chained model.
     // ------------------------------------------------------------------
 
     bool fastPathEnabled = true;
@@ -213,11 +204,6 @@ class Controller : public afa::sim::SimObject
      *  its own event times, so a fast command submitted behind it
      *  would reorder draws. */
     unsigned chainDepth = 0;
-    /** Every fast read's pipe exit is before this tick (pipe exits
-     *  rise in submit order). */
-    Tick fastExitsBefore = 0;
-    /** Planned limp onsets not yet passed, latest first. */
-    std::vector<Tick> limpOnsets;
 
     void serveRead(const NvmeCommand &cmd);
     void serveWrite(const NvmeCommand &cmd);
@@ -235,9 +221,16 @@ class Controller : public afa::sim::SimObject
 
     // Fast-path machinery ----------------------------------------------
 
-    /** True when a read leaving the pipeline at @p pipe_done may take
-     *  the fast path. */
-    bool fastReadEligible(const NvmeCommand &cmd, Tick pipe_done);
+    /** True when @p cmd (a read) may take the fast path. */
+    bool fastReadEligible(const NvmeCommand &cmd);
+
+    /** A read's DMA start after its media end @p media_done, hiccup
+     *  and limp excess; charges the excess to faultStallDelay. */
+    Tick xferReady(const Chained &rec, Tick media_done);
+
+    /** A read's fault-stall, media and transfer spans. */
+    void readSpans(const Chained &rec, Tick media_done, Tick xfer_ready,
+                   Tick xfer_done);
 
     /** Draw latencies and claim the DMA engine at submit; one event. */
     void fastRead(const NvmeCommand &cmd, Tick pipe_done);
@@ -245,7 +238,7 @@ class Controller : public afa::sim::SimObject
     /** Chained dispatch bookkeeping: raise the chain guard. */
     void fallbackDispatch();
 
-    /** Take a Chained record for @p cmd. */
+    /** At submit: a Chained record for @p cmd and the limp factor. */
     std::uint32_t chain(const NvmeCommand &cmd);
 
     /** Chained read at its pipe exit: FOB zero fill, or one FTL read
@@ -270,8 +263,8 @@ class Controller : public afa::sim::SimObject
     /** One of a write's blocks is in the FTL buffer. */
     void blockBuffered(std::uint32_t c);
 
-    /** Fast read completion event: records the media and transfer
-     *  spans, then completes. */
+    /** Fast read completion event: records the read's spans, then
+     *  completes. */
     void fastReadDone(std::uint32_t c);
 
     void complete(const NvmeCommand &cmd, std::uint32_t reply_bytes,

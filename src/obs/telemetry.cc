@@ -362,28 +362,11 @@ Telemetry::start(afa::sim::Simulator &sim)
     if (windowTicks == 0)
         return;
     simPtr = &sim;
-    stopped = false;
-    scheduleSample((sim.now() / windowTicks + 1) * windowTicks);
-}
-
-void
-Telemetry::scheduleSample(Tick when)
-{
-    // The sampling event is engine plumbing: internal keeps it out of
-    // executedEvents(), and tick-end puts the sample after all of the
-    // tick's model events.
-    sampleHandle = simPtr->scheduleInternal(
-        when, [this] { onSample(); }, /*tick_end=*/true);
-}
-
-void
-Telemetry::onSample()
-{
-    sampleHandle = afa::sim::EventHandle{};
-    const Tick now = simPtr->now();
-    sampleWindow(now / windowTicks - 1);
-    if (!stopped)
-        scheduleSample(now + windowTicks);
+    // run() calls the sampler between ticks, at each window's end
+    // after its last event; it posts no event.
+    sim.sampleEvery(windowTicks, [this] {
+        sampleWindow(simPtr->now() / windowTicks - 1);
+    });
 }
 
 void
@@ -410,18 +393,13 @@ Telemetry::sampleWindow(std::uint64_t window_idx)
 void
 Telemetry::finish()
 {
-    if (simPtr == nullptr || stopped) {
-        stopped = true;
+    if (simPtr == nullptr)
         return;
-    }
-    stopped = true;
-    if (sampleHandle.valid()) {
-        simPtr->cancel(sampleHandle);
-        sampleHandle = afa::sim::EventHandle{};
-    }
+    simPtr->stopSampling();
     // Cover the trailing partial window (or refresh the boundary
     // window when the run ended exactly on one).
     sampleWindow(simPtr->now() / windowTicks);
+    simPtr = nullptr;
 }
 
 TelemetryTimeline

@@ -25,11 +25,11 @@
  *  - Sim rows: the Simulator's self-profiling stream: model events
  *    and plumbing events executed per window.
  *
- * Determinism contract (DESIGN.md §13): sampling happens in internal
- * events (Simulator::scheduleInternal()) scheduled tick-end, so
- *  (a) samples never count toward executedEvents()/events-per-IO,
- *  (b) a sample at tick T observes the state after every model event
- *      of tick T,
+ * Determinism contract (DESIGN.md §13): samples are taken between
+ * ticks by Simulator::sampleEvery(), not in events, so
+ *  (a) samples never count toward any event count or events-per-IO,
+ *  (b) a sample at tick T observes the state after every event of
+ *      tick T,
  *  (c) every canonical report stays byte-identical with telemetry on
  *      or off at any --jobs.
  */
@@ -150,7 +150,7 @@ struct TelemetryParams
 /**
  * The telemetry collector. One instance belongs to one Simulator
  * (like a SpanLog): stage feeds arrive from SpanLog::record(), sources
- * are sampled by an internal event every window.
+ * are sampled by the simulator's sampler at every window end.
  */
 class Telemetry
 {
@@ -183,16 +183,15 @@ class Telemetry
                   std::function<double()> fn);
 
     /**
-     * Begin sampling on @p sim: schedules the first window-boundary
-     * event (internal, tick-end) and arms the self-profiling
-     * stream. No-op when disabled.
+     * Begin sampling on @p sim: installs its sampler, which samples
+     * every source and the self-profiling stream at each window end.
+     * No-op when disabled.
      */
     void start(afa::sim::Simulator &sim);
 
     /**
-     * Stop sampling: cancels the pending boundary event and takes a
-     * final sample covering the trailing partial window. Call after
-     * run() returns.
+     * Stop sampling: removes the sampler and takes a final sample
+     * covering the trailing partial window. Call after run() returns.
      */
     void finish();
 
@@ -218,8 +217,6 @@ class Telemetry
         std::function<double()> gaugeFn;
     };
 
-    void scheduleSample(Tick when);
-    void onSample();
     void sampleWindow(std::uint64_t window_idx);
 
     Tick windowTicks;
@@ -233,9 +230,7 @@ class Telemetry
     std::vector<Source> sources;
     /** window index -> cumulative samples. */
     std::map<std::uint64_t, SampleRow> samples;
-    afa::sim::Simulator *simPtr = nullptr;
-    afa::sim::EventHandle sampleHandle{};
-    bool stopped = false;
+    afa::sim::Simulator *simPtr = nullptr; ///< from start() to finish()
 };
 
 } // namespace afa::obs

@@ -17,7 +17,9 @@ EventQueue::EventQueue()
 std::uint32_t
 EventQueue::growSlab()
 {
-    if (slab.size() > kSlotMask)
+    // The all-ones slot is never handed out, so no live key equals
+    // kStaleKey (the null handle's key).
+    if (slab.size() >= kSlotMask)
         panic("EventQueue: more than %llu concurrent events",
               (unsigned long long)kSlotMask);
     slab.emplace_back();
@@ -25,18 +27,16 @@ EventQueue::growSlab()
     return static_cast<std::uint32_t>(slab.size() - 1);
 }
 
-EventHandle
-EventQueue::scheduleSlot(Tick when, bool tick_end, bool internal)
+std::uint64_t
+EventQueue::scheduleSlot(Tick when, bool internal)
 {
     if (nextSeq >= kMaxSeq)
         panicSeqExhausted();
     std::uint32_t slot = allocSlot();
-    Record &rec = slab[slot];
-    rec.scheduled = true;
-    rec.internal = internal;
+    slab[slot].internal = internal;
     std::uint64_t key = (nextSeq++ << kSlotBits) | slot;
     slotKey[slot] = key;
-    const HeapEntry entry{when, key, tick_end};
+    const HeapEntry entry{when, key};
     if (vacantRoot) {
         // Fused pop + push: the entry takes the popped root's place
         // and sifts down from it. A newly scheduled event is usually
@@ -59,7 +59,7 @@ EventQueue::scheduleSlot(Tick when, bool tick_end, bool internal)
         siftUp(heap.size() - 1, entry);
     }
     ++numPending;
-    return EventHandle{slot, rec.gen};
+    return key;
 }
 
 void
@@ -122,18 +122,15 @@ EventQueue::dropRoot()
 bool
 EventQueue::cancel(EventHandle handle)
 {
-    if (!handle.valid() || handle.slot >= slab.size())
-        return false;
-    Record &rec = slab[handle.slot];
-    if (!rec.scheduled || rec.gen != handle.gen)
+    if (!pending(handle))
         return false;
     // Lazy deletion: invalidate the slot key so the heap entry is
-    // stale; the slot is recycled when the entry surfaces.
-    rec.scheduled = false;
-    rec.fn = nullptr;
-    ++rec.gen;
-    slotKey[handle.slot] = kStaleKey;
-    freeSlots.push_back(handle.slot);
+    // stale, and free the slot at once. A reuse gives the slot a new
+    // key, so the stale entry stays dead until a skim drops it.
+    const auto slot = static_cast<std::uint32_t>(handle.key & kSlotMask);
+    slab[slot].fn = nullptr;
+    slotKey[slot] = kStaleKey;
+    freeSlots.push_back(slot);
     --numPending;
     return true;
 }
@@ -141,10 +138,9 @@ EventQueue::cancel(EventHandle handle)
 bool
 EventQueue::pending(EventHandle handle) const
 {
-    if (!handle.valid() || handle.slot >= slab.size())
-        return false;
-    const Record &rec = slab[handle.slot];
-    return rec.scheduled && rec.gen == handle.gen;
+    // The null key's slot bits are the all-ones slot, which is never
+    // allocated, so the bound check refuses it too.
+    return (handle.key & kSlotMask) < slotKey.size() && live(handle.key);
 }
 
 void
@@ -153,7 +149,7 @@ EventQueue::skimStale()
     // A vacant root is a spent entry whose slot key takeRecord()
     // cleared, so it reads as stale and the loop drops it.
     vacantRoot = false;
-    while (!heap.empty() && !live(heap.front()))
+    while (!heap.empty() && !live(heap.front().key))
         dropRoot();
 }
 

@@ -3,12 +3,10 @@
  * The discrete-event queue at the heart of the simulator.
  *
  * Events are closures scheduled at an absolute tick. Same-tick events
- * execute in scheduling order, the classic serial-DES rule, except
- * that an event flagged tick-end runs after every unflagged event of
- * its tick (telemetry samples, see Simulator::scheduleInternal()).
- * Scheduling returns an EventHandle that can be used to cancel the
- * event before it fires; handles are generation-checked so a stale
- * handle can never cancel a recycled slot.
+ * execute in scheduling order, the classic serial-DES rule. Scheduling
+ * returns an EventHandle that can be used to cancel the event before
+ * it fires; a handle holds the event's heap key, which is never
+ * reused, so a stale handle can never cancel a recycled slot.
  */
 
 #ifndef AFA_SIM_EVENT_QUEUE_HH
@@ -29,13 +27,13 @@ namespace afa::sim {
  */
 struct EventHandle
 {
-    std::uint32_t slot = kNullSlot;
-    std::uint32_t gen = 0;
+    /** The event's heap key (EventQueue: seq << 24 | slot). */
+    std::uint64_t key = kNullKey;
 
-    static constexpr std::uint32_t kNullSlot = 0xffffffffu;
+    static constexpr std::uint64_t kNullKey = ~0ull;
 
     /** True when this handle refers to some (possibly past) event. */
-    bool valid() const { return slot != kNullSlot; }
+    bool valid() const { return key != kNullKey; }
 
     bool operator==(const EventHandle &other) const = default;
 };
@@ -65,8 +63,6 @@ class EventQueue
      *
      * Accepts any `void()` callable; the closure is constructed
      * directly into its queue slot (no intermediate EventFn moves).
-     * @param tick_end run after every event of tick @p when that is
-     *        not tick-end; events of one kind run in scheduling order.
      * @param internal engine plumbing: counted in internalExecuted()
      *        as well as executed() when it runs (see
      *        Simulator::scheduleInternal()).
@@ -74,8 +70,7 @@ class EventQueue
      */
     template <typename F>
     EventHandle
-    schedule(Tick when, F &&fn, bool tick_end = false,
-             bool internal = false)
+    schedule(Tick when, F &&fn, bool internal = false)
     {
         if constexpr (std::is_same_v<std::decay_t<F>, EventFn>) {
             if (!fn)
@@ -84,9 +79,9 @@ class EventQueue
         // The slot/heap bookkeeping is shared out-of-line code; only
         // the closure construction is stamped out per callable, so the
         // callback lands in its slot without any intermediate moves.
-        EventHandle handle = scheduleSlot(when, tick_end, internal);
-        slab[handle.slot].fn.assign(std::forward<F>(fn));
-        return handle;
+        const std::uint64_t key = scheduleSlot(when, internal);
+        slab[key & kSlotMask].fn.assign(std::forward<F>(fn));
+        return EventHandle{key};
     }
 
     /**
@@ -140,47 +135,41 @@ class EventQueue
      *  are counted as they are popped, before the caller runs them. */
     std::uint64_t internalExecuted() const { return numInternal; }
 
+    /** Slot index width inside a heap key (16M concurrent slots). */
+    static constexpr unsigned kSlotBits = 24;
+    static constexpr std::uint64_t kSlotMask = (1ull << kSlotBits) - 1;
+
   private:
     struct Record
     {
         EventFn fn;
-        std::uint32_t gen = 0;
-        bool scheduled = false;
         bool internal = false; ///< engine plumbing (see schedule())
     };
-
-    /** Slot index width inside a heap key (16M concurrent slots). */
-    static constexpr unsigned kSlotBits = 24;
-    static constexpr std::uint64_t kSlotMask = (1ull << kSlotBits) - 1;
     /** Sequence numbers above this would overflow the packed key. */
     static constexpr std::uint64_t kMaxSeq = 1ull << (64 - kSlotBits);
-    /** slotKey value marking a slot with no live heap entry. */
-    static constexpr std::uint64_t kStaleKey = ~0ull;
+    /** slotKey of a slot with no live entry; growSlab() never hands
+     *  out the all-ones slot, so no live key equals it. */
+    static constexpr std::uint64_t kStaleKey = EventHandle::kNullKey;
 
     /**
-     * Compact heap entry: the key packs (seq << 24 | slot), so
+     * Compact 16-byte heap entry: the key packs (seq << 24 | slot), so
      * comparing keys compares seq (FIFO order; slots never tie
-     * because seq is unique). The tick-end flag has a field of its
-     * own: packed into the key's top bit, for 16-byte entries, it ran
-     * slower (BENCH_simcore.json `same_tick_fifo`). Liveness is
-     * checked against the dense slotKey array instead of the fat
-     * Record, keeping skims and pops inside two small arrays.
+     * because seq is unique). Liveness is checked against the dense
+     * slotKey array instead of the fat Record, keeping skims and pops
+     * inside two small arrays.
      */
     struct HeapEntry
     {
         Tick when;
         std::uint64_t key;
-        bool tickEnd;
     };
 
-    /** Min-order on (when, tickEnd, seq); seq gives FIFO order. */
+    /** Min-order on (when, seq); seq gives FIFO order. */
     static bool
     earlier(const HeapEntry &a, const HeapEntry &b)
     {
         if (a.when != b.when)
             return a.when < b.when;
-        if (a.tickEnd != b.tickEnd)
-            return a.tickEnd < b.tickEnd;
         return a.key < b.key;
     }
 
@@ -200,11 +189,11 @@ class EventQueue
     std::size_t numPending;
 
     /**
-     * Allocate a slot, mark it scheduled (and internal or not), and
-     * push its heap entry; the caller constructs the callback into
-     * the returned slot.
+     * Allocate a slot, mark it internal or not, and push its heap
+     * entry; returns the entry's key. The caller constructs the
+     * callback into the key's slot.
      */
-    EventHandle scheduleSlot(Tick when, bool tick_end, bool internal);
+    std::uint64_t scheduleSlot(Tick when, bool internal);
 
     std::uint32_t
     allocSlot()
@@ -223,10 +212,11 @@ class EventQueue
     [[noreturn]] static void panicNullCallback();
     [[noreturn]] static void panicSeqExhausted();
 
+    /** True while the event keyed @p key is pending. */
     bool
-    live(const HeapEntry &entry) const
+    live(std::uint64_t key) const
     {
-        return slotKey[entry.key & kSlotMask] == entry.key;
+        return slotKey[key & kSlotMask] == key;
     }
 
     /** The earliest of the children heap[first, min(first + 4, n)). */
@@ -254,8 +244,6 @@ class EventQueue
         Record &rec = slab[slot];
         fn_out = std::move(rec.fn);
         rec.fn = nullptr;
-        rec.scheduled = false;
-        ++rec.gen;
         slotKey[slot] = kStaleKey;
         freeSlots.push_back(slot);
         --numPending;

@@ -33,18 +33,30 @@ Simulator::run(Tick until)
 {
     const std::uint64_t before = executedEvents();
     for (;;) {
-        Tick when = 0;
-        EventFn fn;
-        if (!q.popNextIfBefore(until, when, fn)) {
-            // Drained, or the next event is beyond the bound; never
-            // move the clock backwards when the bound is in the past.
-            if (!q.empty())
-                clock = std::max(clock, until);
-            break;
+        const bool sample_due = nextSample <= until && nextSample != kMaxTick;
+        const Tick bound = sample_due ? nextSample : until;
+        for (;;) {
+            Tick when = 0;
+            EventFn fn;
+            if (!q.popNextIfBefore(bound, when, fn))
+                break;
+            clock = when;
+            fn();
         }
-        clock = when;
-        fn();
+        if (!sample_due)
+            break;
+        // An unbounded run has no tick to sample up to once its queue
+        // drains.
+        if (until == kMaxTick && q.empty())
+            return executedEvents() - before;
+        clock = nextSample;
+        nextSample = sampleTickAfter(clock);
+        sampler();
     }
+    // The next event or sample is beyond the bound; never move the
+    // clock backwards when the bound is in the past.
+    if (!q.empty() || nextSample != kMaxTick)
+        clock = std::max(clock, until);
     return executedEvents() - before;
 }
 
@@ -61,7 +73,28 @@ Simulator::runSteps(std::uint64_t max_events)
         fn();
         ++executed;
     }
+    // Steps take no samples: skip the sample ticks they passed.
+    if (nextSample < clock)
+        nextSample = sampleTickAfter(clock - 1);
     return executed;
+}
+
+void
+Simulator::sampleEvery(Tick period, std::function<void()> fn)
+{
+    if (period == 0 || !fn || sampler)
+        panic("sampleEvery: one sampler per simulator, with a nonzero "
+              "period");
+    sampler = std::move(fn);
+    samplePeriod = period;
+    nextSample = sampleTickAfter(clock);
+}
+
+void
+Simulator::stopSampling()
+{
+    sampler = nullptr;
+    nextSample = kMaxTick;
 }
 
 } // namespace afa::sim

@@ -5,21 +5,22 @@
  *
  * A plain serial discrete-event loop: one EventQueue, one clock. Events
  * are either model events (scheduleAt/scheduleAfter) or engine
- * plumbing (scheduleInternal: fabric hop and mid-path continuations,
- * telemetry samples). Plumbing runs like any other event but is
- * left out of executedEvents(), so the `events=` line of every figure
- * counts exactly one event per delivered packet, whichever transport
- * path the packet took, and one per fault edge.
+ * plumbing (scheduleInternal: fabric hop and mid-path continuations).
+ * Plumbing runs like any other event but is left out of
+ * executedEvents(), so the `events=` line of every figure counts
+ * exactly one event per delivered packet, whichever transport path
+ * the packet took, and one per fault edge.
  *
- * Same-tick events run in the order they were scheduled; only a
- * telemetry sample, scheduled tick-end, runs after every other event
- * of its tick (DESIGN.md §9 rule 1).
+ * Same-tick events run in the order they were scheduled (DESIGN.md
+ * §9 rule 1). A sampler (sampleEvery()) is not an event: run() calls
+ * it between ticks.
  */
 
 #ifndef AFA_SIM_SIMULATOR_HH
 #define AFA_SIM_SIMULATOR_HH
 
 #include <cstdint>
+#include <functional>
 #include <utility>
 
 #include "sim/event_queue.hh"
@@ -68,20 +69,16 @@ class Simulator
      * instead. "Internal" is a flag on the event's queue slot, so the
      * closure is stored as given and costs what scheduleAt() costs.
      * The plumbing counter advances as the event is popped, before
-     * its callback runs, so an internal event reading the counters (a
-     * telemetry sample) sees itself in both -- i.e. exactly the model
-     * events so far.
-     * @param tick_end run after every other event of tick @p when
-     *        (telemetry samples); otherwise in scheduling order.
+     * its callback runs, so an internal event reading the counters
+     * sees itself in both -- i.e. exactly the model events so far.
      */
     template <typename F>
     EventHandle
-    scheduleInternal(Tick when, F &&fn, bool tick_end = false)
+    scheduleInternal(Tick when, F &&fn)
     {
         if (when < clock)
             panicPastEvent(when, clock);
-        return q.schedule(when, std::forward<F>(fn), tick_end,
-                          /*internal=*/true);
+        return q.schedule(when, std::forward<F>(fn), /*internal=*/true);
     }
 
     /** Cancel a pending event; see EventQueue::cancel. */
@@ -96,6 +93,11 @@ class Simulator
      * Events scheduled exactly at @p until do execute. When events
      * remain beyond the bound the clock rests at @p until.
      *
+     * A sampler is called at each sample tick T up to @p until once
+     * every event of T has run, those posted during T included, and
+     * the clock then rests at @p until even with no event left; an
+     * unbounded run() ends where its queue drains.
+     *
      * @return number of model events executed by this call
      *         (excluding internal plumbing events).
      */
@@ -103,10 +105,22 @@ class Simulator
 
     /**
      * Run at most @p max_events events, plumbing included (for
-     * debugging/stepping).
+     * debugging/stepping). Takes no samples: the sample ticks the
+     * steps pass are skipped.
      * @return number executed.
      */
     std::uint64_t runSteps(std::uint64_t max_events);
+
+    /**
+     * Install the sampler: run() calls @p fn between ticks at every
+     * multiple of @p period after now(). It is not an event: it moves
+     * no event count and no same-tick order. A period of 0, or a
+     * second sampler, panics.
+     */
+    void sampleEvery(Tick period, std::function<void()> fn);
+
+    /** Remove the sampler, if any; not from inside it. */
+    void stopSampling();
 
     /** Pending event count. */
     std::size_t pendingEvents() const { return q.size(); }
@@ -131,9 +145,20 @@ class Simulator
     [[noreturn]] static void panicPastEvent(Tick when, Tick now_tick);
     [[noreturn]] static void panicDelayOverflow();
 
+    /** The first sample tick after @p t. */
+    Tick
+    sampleTickAfter(Tick t) const
+    {
+        return (t / samplePeriod + 1) * samplePeriod;
+    }
+
     EventQueue q;
     Tick clock = 0;
     Rng rootRng;
+    std::function<void()> sampler;
+    Tick samplePeriod = 0;
+    /** The next sample tick; kMaxTick when no sample is due. */
+    Tick nextSample = kMaxTick;
 };
 
 } // namespace afa::sim

@@ -222,45 +222,36 @@ TEST_F(FaultInjectionTest, FaultedRunsReplayAcrossWorkerCounts)
 TEST_F(FaultInjectionTest, DeviceFastPathIsExactUnderEveryFaultKind)
 {
     // The device command fast path must not move a faulted run by one
-    // tick: a stall or a dropout acts only at submit, where both
-    // models take it, and a read whose pipe exit meets a planned limp
-    // onset stays chained, so --device-fastpath {0,1} are
-    // tick-identical.
+    // tick: a stall, a dropout or a limp acts on a command as it
+    // reaches the device, where both models take it, so
+    // --device-fastpath {0,1} are tick-identical.
     //
-    // Every FOB read fast-paths except inside a limp window (and on
-    // its onset's pipe exits). The disabled run is all-chained by
-    // construction.
-    struct Case
-    {
-        const char *spec;
-        bool fallsBack;
-    };
-    for (const Case &c :
-         {Case{"limp ssd=3 at_ms=10 dur_ms=20 factor=50\n", true},
-          Case{"ctrl_stall ssd=1 at_ms=10 dur_ms=2\n", false},
-          Case{"timeout_ms 1\n"
-               "max_retries 1\n"
-               "retry_backoff_ms 0.2\n"
-               "dropout ssd=5 at_ms=10 dur_ms=15\n",
-               false}}) {
-        auto on = faultedParams(c.spec);
-        auto off = faultedParams(c.spec);
+    // Every FOB read fast-paths, inside a limp window too. The
+    // disabled run is all-chained by construction.
+    for (const char *spec :
+         {"limp ssd=3 at_ms=10 dur_ms=20 factor=50\n",
+          "ctrl_stall ssd=1 at_ms=10 dur_ms=2\n",
+          "timeout_ms 1\n"
+          "max_retries 1\n"
+          "retry_backoff_ms 0.2\n"
+          "dropout ssd=5 at_ms=10 dur_ms=15\n"}) {
+        auto on = faultedParams(spec);
+        auto off = faultedParams(spec);
         off.deviceFastPath = false;
         auto a = ExperimentRunner::run(on);
         auto b = ExperimentRunner::run(off);
         expectIdentical(a, b);
         EXPECT_GT(a.systemMetrics.counter("nvme.fast_path_commands"),
                   0u)
-            << c.spec;
-        EXPECT_EQ(a.systemMetrics.counter("nvme.fallback_commands") > 0,
-                  c.fallsBack)
-            << c.spec;
+            << spec;
+        EXPECT_EQ(a.systemMetrics.counter("nvme.fallback_commands"), 0u)
+            << spec;
         EXPECT_EQ(b.systemMetrics.counter("nvme.fast_path_commands"),
                   0u)
-            << c.spec;
+            << spec;
         // Fewer executed events for the same simulated run is the
         // entire point of the fast path.
-        EXPECT_LT(a.simulatedEvents, b.simulatedEvents) << c.spec;
+        EXPECT_LT(a.simulatedEvents, b.simulatedEvents) << spec;
     }
 }
 
@@ -349,32 +340,37 @@ TEST_F(FaultInjectionTest, DeliveryOnDropoutOnsetTickIsDropped)
     EXPECT_EQ(dropped(lands + 1), 0u);
 }
 
-TEST_F(FaultInjectionTest, PipeExitOnLimpOnsetTickIsLimped)
+TEST_F(FaultInjectionTest, ReadArrivingOnLimpOnsetTickIsLimped)
 {
     // Same-tick order: a limp onset runs ahead of every event the run
-    // posts for its tick, the pipe exit of a read included. A FOB
-    // read whose pipe exit falls on the onset tick stays chained
-    // (Controller::planLimpOnset()) and is limped at its pipe exit,
-    // exactly as with an onset one tick earlier; with an onset one
-    // tick later it leaves the pipeline healthy.
+    // posts for its tick, a command's delivery included. A read takes
+    // the limp factor in force as it reaches its SSD, so a FOB read
+    // landing on the onset tick is limped, as with an onset one tick
+    // earlier, and still takes the fast path. With an onset one tick
+    // later it is served healthy, though it is still in the pipeline
+    // then.
     const unsigned ssd = 1;
     const Tick submit_at = afa::sim::msec(1);
-    const Tick pipe_exit = commandLands(ssd, submit_at) +
-        afa::nvme::FirmwareConfig{}.readProcTime;
+    const Tick lands = commandLands(ssd, submit_at);
+    const Tick pipe_exit =
+        lands + afa::nvme::FirmwareConfig{}.readProcTime;
 
-    const auto stalled = [&](Tick onset) {
+    const auto read_under = [&](Tick onset) {
         afa::fault::FaultEvent limp;
         limp.kind = afa::fault::FaultKind::Limp;
         limp.ssd = ssd;
         limp.at = onset;
         limp.duration = afa::sim::msec(1);
         limp.factor = 4.0;
-        return oneReadUnderFault(limp, submit_at).faultStallDelay;
+        return oneReadUnderFault(limp, submit_at);
     };
-    const Tick limped = stalled(pipe_exit - 1);
-    EXPECT_GT(limped, 0u);
-    EXPECT_EQ(stalled(pipe_exit), limped);
-    EXPECT_EQ(stalled(pipe_exit + 1), 0u);
+    const afa::nvme::ControllerStats early = read_under(lands - 1);
+    EXPECT_GT(early.faultStallDelay, 0u);
+    const afa::nvme::ControllerStats on_tick = read_under(lands);
+    EXPECT_EQ(on_tick.faultStallDelay, early.faultStallDelay);
+    EXPECT_EQ(on_tick.fastPathCommands, 1u);
+    EXPECT_EQ(read_under(lands + 1).faultStallDelay, 0u);
+    EXPECT_EQ(read_under(pipe_exit).faultStallDelay, 0u);
 }
 
 TEST_F(FaultInjectionTest, PlanTargetingMissingSsdIsFatal)

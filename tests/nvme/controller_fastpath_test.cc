@@ -122,8 +122,6 @@ struct Stack
                 });
                 break;
             case ScriptOp::LimpOn:
-                // Announced ahead, as the fault engine does.
-                ctrl->planLimpOnset(op.when);
                 sim->scheduleAt(op.when,
                                 [this] { ctrl->setLimpFactor(4.0); });
                 break;
@@ -428,8 +426,8 @@ TEST_F(ControllerFastPathTest, FaultHooksStayExact)
 {
     runDifferential(987, 450, true, false, /*with_spans=*/false,
                     /*light=*/true);
-    // Limp windows force the chained model; stalls and the light load
-    // between the windows fast-path.
+    // Writes and mapped reads take the chained model; FOB reads
+    // fast-path, inside limp windows and stalls too.
     EXPECT_GT(fast.ctrl->stats().fallbackCommands, 0u);
     EXPECT_GT(fast.ctrl->stats().fastPathCommands, 0u);
 }
@@ -454,53 +452,6 @@ TEST_F(ControllerFastPathTest, ChainedDispatchLeavesFastReadsFinal)
     EXPECT_EQ(ref.ctrl->stats().fallbackCommands, 8u);
     ASSERT_EQ(fast.completions.size(), 8u);
     expectSameObservables(fast, ref);
-}
-
-TEST_F(ControllerFastPathTest, PlannedLimpOnsetKeepsLaterPipeExitsChained)
-{
-    // Two reads on one tick of an idle drive leave the pipeline one
-    // readProcTime apart. With an onset planned on the second's pipe
-    // exit, the first runs fast and the second stays chained and
-    // takes the limp factor there, as on the chained stack.
-    const Tick submit_at = usec(10);
-    const Tick proc = spicyFirmware().readProcTime;
-    ScriptOp limp_on;
-    limp_on.kind = ScriptOp::LimpOn;
-    limp_on.when = submit_at + 2 * proc;
-    ScriptOp limp_off;
-    limp_off.kind = ScriptOp::LimpOff;
-    limp_off.when = limp_on.when + usec(200);
-    const std::vector<ScriptOp> script = {
-        oneBlock(Op::Read, submit_at, 1, 6000),
-        oneBlock(Op::Read, submit_at, 2, 6100), limp_on, limp_off};
-    fast.build(true, false);
-    ref.build(false, false);
-    fast.replay(script);
-    ref.replay(script);
-    EXPECT_EQ(fast.ctrl->stats().fastPathCommands, 1u);
-    EXPECT_EQ(fast.ctrl->stats().fallbackCommands, 1u);
-    EXPECT_GT(fast.ctrl->stats().faultStallDelay, 0u);
-    ASSERT_EQ(fast.completions.size(), 2u);
-    expectSameObservables(fast, ref);
-
-    // Unplanned, a limp edge before a fast read's pipe exit would
-    // leave the read with the wrong factor, so it throws; one tick
-    // past the pipe exit the read is unaffected.
-    for (const Tick after_submit : {proc - 1, proc + 1}) {
-        Stack bare;
-        bare.build(true, false);
-        bare.ctrl->ftl().precondition(0.5);
-        bare.sim->scheduleAt(submit_at, [&bare] {
-            bare.ctrl->submit(oneBlock(Op::Read, 0, 1, 6000).cmd);
-        });
-        bare.sim->scheduleAt(submit_at + after_submit,
-                             [&bare] { bare.ctrl->setLimpFactor(4.0); });
-        if (after_submit < proc)
-            EXPECT_THROW(bare.sim->run(), afa::sim::SimError);
-        else
-            EXPECT_NO_THROW(bare.sim->run());
-        EXPECT_EQ(bare.ctrl->stats().fastPathCommands, 1u);
-    }
 }
 
 TEST_F(ControllerFastPathTest, MidRunToggleStaysExact)

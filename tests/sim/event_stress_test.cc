@@ -2,9 +2,9 @@
  * @file
  * Stress and property tests for the event queue: long interleaved
  * schedule/cancel churn checked against a reference model, directly
- * and through the Simulator's fused pops, same-tick FIFO stability
- * under slot recycling, and generation safety of handles across many
- * recycle epochs.
+ * and through the Simulator's fused pops and sampler, same-tick FIFO
+ * stability under slot recycling, and key safety of handles across
+ * many recycle epochs.
  */
 
 #include <gtest/gtest.h>
@@ -29,9 +29,9 @@ using afa::sim::Tick;
 namespace {
 
 /**
- * Reference model: pending events keyed by (when, tick-end flag,
- * global scheduling sequence), the queue's order. The queue must always pop
- * the model's minimum.
+ * Reference model: pending events keyed by (when, global scheduling
+ * sequence), the queue's order. The queue must always pop the model's
+ * minimum.
  */
 class ModelChecker
 {
@@ -42,19 +42,18 @@ class ModelChecker
         int id = nextId++;
         EventHandle handle =
             q.schedule(when, [&fired, id] { fired.push_back(id); });
-        add(id, when, false, handle);
+        add(id, when, handle);
         return id;
     }
 
     /** The id the next scheduled event must be recorded under. */
     int takeId() { return nextId++; }
 
-    /** Record event @p id, scheduled at @p when, tick-end or not. */
+    /** Record event @p id, scheduled at @p when. */
     void
-    add(int id, Tick when, bool tick_end, EventHandle handle)
+    add(int id, Tick when, EventHandle handle)
     {
-        pendingEvents.emplace(Key{when, tick_end, nextSeq++},
-                              Entry{id, handle});
+        pendingEvents.emplace(Key{when, nextSeq++}, Entry{id, handle});
     }
 
     /**
@@ -121,6 +120,15 @@ class ModelChecker
 
     std::size_t livePending() const { return pendingEvents.size(); }
 
+    /** The tick of the earliest pending event, or kMaxTick. */
+    Tick
+    earliestPending() const
+    {
+        return pendingEvents.empty() ? afa::sim::kMaxTick
+                                     : std::get<0>(
+                                           pendingEvents.begin()->first);
+    }
+
     /** Some id of a currently pending event, or -1. */
     int
     anyPendingId(std::size_t pick) const
@@ -148,7 +156,7 @@ class ModelChecker
         EventHandle handle;
     };
 
-    using Key = std::tuple<Tick, bool, std::uint64_t>;
+    using Key = std::tuple<Tick, std::uint64_t>;
 
     std::map<Key, Entry> pendingEvents;
     std::vector<EventHandle> retired;
@@ -201,7 +209,8 @@ TEST(EventStressTest, InterleavedChurnMatchesReferenceModel)
  * to fill. Every event checks that it is the model's minimum; a
  * quarter of them cancel a pending event while their popped root is
  * still vacant; then each schedules up to three successors, at the
- * current tick or later; a quarter of them tick-end.
+ * current tick or later; a quarter of them internal. A sampler checks
+ * that every event of its tick has run.
  */
 class FusedPopHarness
 {
@@ -212,18 +221,27 @@ class FusedPopHarness
     ModelChecker model;
     std::uint64_t fired = 0;
     std::uint64_t mismatches = 0;
+    std::uint64_t samples = 0;
     /** Events schedule no successors, so the queue drains. */
     bool draining = false;
 
     void
     scheduleOne(Tick when)
     {
-        const bool tick_end = rng() % 4 == 0;
         const int id = model.takeId();
-        EventHandle handle = tick_end
-            ? sim.scheduleInternal(when, Event{this, id}, true)
+        EventHandle handle = rng() % 4 == 0
+            ? sim.scheduleInternal(when, Event{this, id})
             : sim.scheduleAt(when, Event{this, id});
-        model.add(id, when, tick_end, handle);
+        model.add(id, when, handle);
+    }
+
+    /** The sampler: nothing at or before its tick is left. */
+    void
+    sample()
+    {
+        ++samples;
+        if (model.earliestPending() <= sim.now())
+            ++mismatches;
     }
 
     void
@@ -272,6 +290,7 @@ class FusedPopHarness
 TEST(EventStressTest, FusedPopsMatchReferenceModel)
 {
     FusedPopHarness d(0xf05edull);
+    d.sim.sampleEvery(16, [&d] { d.sample(); });
     for (int i = 0; i < 64; ++i)
         d.scheduleOne(static_cast<Tick>(d.rng() % 256));
     for (int slice = 0; slice < 1000; ++slice) {
@@ -296,6 +315,7 @@ TEST(EventStressTest, FusedPopsMatchReferenceModel)
     EXPECT_EQ(d.sim.pendingEvents(), 0u);
     EXPECT_EQ(d.sim.executedEvents() + d.sim.plumbingEvents(), d.fired);
     EXPECT_GT(d.fired, 100000u);
+    EXPECT_GT(d.samples, 100u);
 }
 
 TEST(EventStressTest, SameTickFifoSurvivesCancellationHoles)
@@ -330,16 +350,17 @@ TEST(EventStressTest, GenerationsProtectHeavilyRecycledSlots)
     std::vector<int> fired;
 
     // With a single live event at a time, the same slot is reused for
-    // every schedule; each epoch's handle must only ever see its own
-    // incarnation.
+    // every schedule; each epoch's handle keys the same slot but must
+    // only ever see its own incarnation.
+    constexpr std::uint64_t kSlot = EventQueue::kSlotMask;
     EventHandle previous;
     for (int epoch = 0; epoch < 1000; ++epoch) {
         EventHandle h = q.schedule(
             static_cast<Tick>(epoch),
             [&fired, epoch] { fired.push_back(epoch); });
         if (previous.valid()) {
-            EXPECT_EQ(h.slot, previous.slot);
-            EXPECT_NE(h.gen, previous.gen);
+            EXPECT_EQ(h.key & kSlot, previous.key & kSlot);
+            EXPECT_NE(h.key, previous.key);
             EXPECT_FALSE(q.cancel(previous));
             EXPECT_FALSE(q.pending(previous));
         }

@@ -1,8 +1,8 @@
 /**
  * @file
  * Unit tests for the Simulator: clock semantics, run bounds, stop
- * requests, scheduling helpers, same-tick order, and the
- * internal-event discount.
+ * requests, scheduling helpers, same-tick order, the internal-event
+ * discount, and the sampler.
  */
 
 #include <gtest/gtest.h>
@@ -208,24 +208,89 @@ TEST_F(SimulatorTest, InternalEventKeepsThePlainEventsQueueSlot)
                                               std::uint64_t{1}));
 }
 
-TEST_F(SimulatorTest, TickEndEventsRunAfterEveryOtherEventOfTheTick)
+TEST_F(SimulatorTest, SampleRunsAfterEveryEventOfItsTick)
 {
-    // Same tick: events run in post order, internal or not, and
-    // tick-end events run after all of them, in post order among
-    // themselves -- after one posted later, even from inside the
-    // tick, but before the next tick.
+    // Same tick: events run in post order, internal or not. The
+    // sample at tick 10 runs after all of them -- after one posted
+    // later, even from inside the tick -- and before tick 11's
+    // events; it is not an event, so no counter moves for it.
     std::string order;
-    sim.scheduleInternal(10, [&] { order += 'x'; }, /*tick_end=*/true);
+    sim.sampleEvery(10, [&] { order += '|'; });
     sim.scheduleAt(10, [&] {
         order += 'a';
         sim.scheduleAt(10, [&] { order += 'c'; });
     });
-    sim.scheduleInternal(10, [&] { order += 'y'; }, /*tick_end=*/true);
     sim.scheduleInternal(10, [&] { order += 'b'; });
     sim.scheduleAt(11, [&] { order += 'z'; });
     sim.scheduleAt(9, [&] { order += 'w'; });
+    sim.run(15);
+    EXPECT_EQ(order, "wabc|z");
+    EXPECT_EQ(sim.executedEvents(), 4u);
+    EXPECT_EQ(sim.plumbingEvents(), 1u);
+}
+
+TEST_F(SimulatorTest, UnboundedRunReturnsWithoutASampler)
+{
+    // With no sampler, or after stopSampling(), nothing is due at
+    // kMaxTick: run() returns where the queue drains.
+    int samples = 0;
+    sim.scheduleAt(30, [] {});
+    EXPECT_EQ(sim.run(), 1u);
+    EXPECT_EQ(sim.now(), 30u);
+    sim.sampleEvery(10, [&] { ++samples; });
+    sim.stopSampling();
+    sim.scheduleAt(50, [] {});
+    EXPECT_EQ(sim.run(), 1u);
+    EXPECT_EQ(sim.now(), 50u);
+    EXPECT_EQ(samples, 0);
+}
+
+TEST_F(SimulatorTest, SamplerPersistsAcrossSlicedRuns)
+{
+    // A sliced run samples exactly as one run does: at every multiple
+    // of the period up to each bound, bound included, with the clock
+    // resting at the bound even once the queue is empty. An unbounded
+    // run stops sampling where its queue drains.
+    std::vector<Tick> at;
+    sim.scheduleAt(5, [] {});
+    sim.run(5);
+    sim.sampleEvery(10, [&] { at.push_back(sim.now()); });
+    sim.scheduleAt(33, [] {});
+    sim.run(20);
+    EXPECT_EQ(sim.now(), 20u);
+    sim.run(47);
+    EXPECT_EQ(sim.now(), 47u);
+    sim.run(60);
+    EXPECT_EQ(sim.now(), 60u);
+    EXPECT_EQ(at, (std::vector<Tick>{10, 20, 30, 40, 50, 60}));
+    sim.scheduleAt(75, [] {});
     sim.run();
-    EXPECT_EQ(order, "wabcxyz");
+    EXPECT_EQ(sim.now(), 75u);
+    EXPECT_EQ(at.back(), 70u);
+}
+
+TEST_F(SimulatorTest, RunStepsTakesNoSamples)
+{
+    // Steps skip the sample ticks they pass; the next run() samples
+    // from the first sample tick at or after the clock.
+    std::vector<Tick> at;
+    sim.sampleEvery(10, [&] { at.push_back(sim.now()); });
+    for (Tick t : {5, 15, 25, 30, 30})
+        sim.scheduleAt(t, [] {});
+    EXPECT_EQ(sim.runSteps(4), 4u);
+    EXPECT_EQ(sim.now(), 30u);
+    EXPECT_TRUE(at.empty());
+    sim.run(40);
+    EXPECT_EQ(at, (std::vector<Tick>{30, 40}));
+}
+
+TEST_F(SimulatorTest, SamplerRefusesZeroPeriodAndASecondSampler)
+{
+    EXPECT_THROW(sim.sampleEvery(0, [] {}), afa::sim::SimError);
+    sim.sampleEvery(10, [] {});
+    EXPECT_THROW(sim.sampleEvery(20, [] {}), afa::sim::SimError);
+    sim.stopSampling();
+    EXPECT_NO_THROW(sim.sampleEvery(20, [] {}));
 }
 
 TEST_F(SimulatorTest, RecurringEventChainTerminatesAtBound)

@@ -39,15 +39,17 @@ contract:
                        engine's named per-stream forks or the offered
                        load stops being byte-identical across
                        --jobs.
-  telemetry-internal   (telemetry sources only) scheduling a sampling
-                       event any way but Simulator::scheduleInternal():
+  telemetry-internal   (telemetry sources only) posting any event:
                        the telemetry contract (DESIGN.md §13) is that
                        canonical reports are byte-identical with
-                       --telemetry on and off, which only holds while
-                       every sampling event is engine plumbing.
-                       scheduleAt()/scheduleAfter() and a raw
-                       EventQueue schedule() post make the sample a
-                       counted, model-visible event.
+                       --telemetry on and off, which holds because
+                       samples are taken between ticks by the
+                       Simulator's sampler (Simulator::sampleEvery()),
+                       not in events. scheduleAt()/scheduleAfter() and
+                       a raw EventQueue schedule() post make a sample
+                       a counted, model-visible event, and
+                       scheduleInternal() moves the plumbing count and
+                       the sample's place in its tick.
 
 Escape hatch: a trailing or immediately preceding comment
 `// detlint:allow(<rule>[,<rule>...])` suppresses a diagnostic; every
@@ -113,12 +115,12 @@ RULES = {
     "arrival-rng": "open-loop arrival code must draw randomness from "
                    "the engine's named per-stream Rng forks, not a "
                    "freshly constructed Rng",
-    "telemetry-internal": "telemetry sampling events must be posted "
-                          "with scheduleInternal() or canonical "
-                          "reports stop being byte-identical with "
-                          "telemetry on/off; scheduleAt/scheduleAfter "
-                          "and raw EventQueue posts are counted model "
-                          "events",
+    "telemetry-internal": "telemetry posts no event: it samples through "
+                          "the simulator's sampler hook "
+                          "(Simulator::sampleEvery()), between ticks; "
+                          "any scheduleAt/scheduleAfter/"
+                          "scheduleInternal or raw EventQueue post "
+                          "moves event counts or same-tick order",
 }
 
 SIMPLE_PATTERNS = [
@@ -155,11 +157,11 @@ def fresh_rng_rule_for(display_path):
         return "arrival-rng"
     return None
 
-# Scoped to paths containing "telemetry": the schedulers that post
-# counted model events (the Simulator's scheduleAt/scheduleAfter and
-# a raw EventQueue::schedule), which sampling code must never use.
-MODEL_SCHEDULE_RE = re.compile(
-    r"\bscheduleA(?:t|fter)\s*\(|(?:\.|->)\s*schedule\s*\(")
+# Scoped to paths containing "telemetry": every event scheduler (the
+# Simulator's scheduleAt/scheduleAfter/scheduleInternal and a raw
+# EventQueue::schedule), none of which sampling code may use.
+EVENT_SCHEDULE_RE = re.compile(
+    r"\bschedule(?:At|After|Internal)\s*\(|(?:\.|->)\s*schedule\s*\(")
 
 UNORDERED_DECL_RE = re.compile(
     r"unordered_(?:map|set|multimap|multiset)\s*<[^;{}()]*?>\s*&?\s*"
@@ -441,14 +443,14 @@ def check_mutable_static(path, text, diags):
 
 
 def check_telemetry_internal(path, text, diags):
-    """Telemetry sampling must ride internal events: every scheduler
-    that posts a counted model event is banned in telemetry
-    sources."""
-    for m in MODEL_SCHEDULE_RE.finditer(text):
+    """Telemetry posts no event: every event scheduler is banned in
+    telemetry sources."""
+    for m in EVENT_SCHEDULE_RE.finditer(text):
         diags.append(Diagnostic(
             path, line_of(text, m.start()), "telemetry-internal",
-            "scheduleAt/scheduleAfter/schedule post a counted model "
-            "event; post the sample with scheduleInternal()"))
+            "scheduleAt/scheduleAfter/scheduleInternal/schedule post "
+            "an event; take samples with the simulator's sampler "
+            "hook, Simulator::sampleEvery()"))
 
 
 def check_unordered_iteration(path, text, diags):

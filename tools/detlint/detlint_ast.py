@@ -105,11 +105,13 @@ ENGINE_QNAMES = {
     "std::shuffle_order_engine",
 }
 
-# Schedulers that post counted model events, by the class declaring
-# them; banned in telemetry sources (the telemetry-internal rule),
-# where samples must go through Simulator::scheduleInternal().
-MODEL_SCHEDULERS = {("Simulator", "scheduleAt"),
+# Event schedulers, by the class declaring them; banned in telemetry
+# sources (the telemetry-internal rule), which take samples with the
+# simulator's sampler hook, Simulator::sampleEvery(), and post no
+# event.
+EVENT_SCHEDULERS = {("Simulator", "scheduleAt"),
                     ("Simulator", "scheduleAfter"),
+                    ("Simulator", "scheduleInternal"),
                     ("EventQueue", "schedule")}
 
 # Functions allowed to cross the Tick <-> floating unit boundary: the
@@ -536,15 +538,16 @@ class Analyzer:
             self._check_telemetry_schedule(cursor, ref)
 
     def _check_telemetry_schedule(self, cursor, ref):
-        """telemetry-internal: in telemetry sources every scheduler
-        that posts a counted model event is banned; samples must go
-        through Simulator::scheduleInternal()."""
+        """telemetry-internal: in telemetry sources every event
+        scheduler is banned; samples are taken by the simulator's
+        sampler hook, Simulator::sampleEvery()."""
         parent = ref.semantic_parent
         owner = parent.spelling if parent is not None else ""
-        if (owner, ref.spelling) in MODEL_SCHEDULERS:
+        if (owner, ref.spelling) in EVENT_SCHEDULERS:
             self.report(cursor, "telemetry-internal",
-                        "%s::%s posts a counted model event; post the "
-                        "sample with scheduleInternal()"
+                        "%s::%s posts an event; take samples with the "
+                        "simulator's sampler hook, "
+                        "Simulator::sampleEvery()"
                         % (owner, ref.spelling))
 
     def _check_var_decl(self, cursor, ctx, fresh_rng_rule):

@@ -244,8 +244,14 @@ class TelemetryInternal(unittest.TestCase):
                                         ("telemetry-internal", 2),
                                         ("telemetry-internal", 3)])
 
-    def test_schedule_internal_is_clean(self):
+    def test_schedule_internal_fires(self):
+        # An internal post is still an event: telemetry posts none.
         self.check(self.sched_call("Simulator", "scheduleInternal",
+                                   self.args()))
+        self.assertEqual(self.fired(), [("telemetry-internal", 1)])
+
+    def test_sampler_hook_is_clean(self):
+        self.check(self.sched_call("Simulator", "sampleEvery",
                                    self.args()))
         self.assertEqual(self.fired(), [])
 

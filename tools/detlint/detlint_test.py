@@ -30,7 +30,7 @@ EXPECTATIONS = {
     "bad_mutable_static.cc": {"mutable-static": 4},
     "bad_fault_rng.cc": {"fault-rng": 2},
     "bad_arrival_rng.cc": {"arrival-rng": 2},
-    "bad_telemetry_event.cc": {"telemetry-internal": 3},
+    "bad_telemetry_event.cc": {"telemetry-internal": 4},
     "allowed.cc": {},
     "clean.cc": {},
     "clean_arrival.cc": {},

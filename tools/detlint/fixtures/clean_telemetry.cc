@@ -1,15 +1,21 @@
-// Fixture: the sanctioned telemetry sampling idiom — an internal
-// tick-end event — lints clean. Mirrors the real scheduling site in
-// src/obs/telemetry.cc.
+// Fixture: the sanctioned telemetry sampling idiom -- the simulator's
+// sampler, which posts no event -- lints clean. Mirrors the real
+// sampling site in src/obs/telemetry.cc.
 
 #include "sim/simulator.hh"
 
 namespace afa::fixture {
 
 void
-scheduleSample(afa::sim::Simulator &sim, afa::sim::Tick when)
+startSampling(afa::sim::Simulator &sim, afa::sim::Tick window)
 {
-    sim.scheduleInternal(when, [] {}, /*tick_end=*/true);
+    sim.sampleEvery(window, [] {});
+}
+
+void
+finishSampling(afa::sim::Simulator &sim)
+{
+    sim.stopSampling();
 }
 
 } // namespace afa::fixture
