@@ -181,7 +181,7 @@ main(int argc, char **argv)
     client.start(0);
     sim.run(runtime + afa::sim::msec(200));
     ExperimentResult result;
-    tb.collect(result, params.keepSpans);
+    tb.collect(result);
 
     std::printf("=== fault tail: RAID-5 over %u SSDs, member %u "
                 "limping x%.0f for the middle third ===\n",

@@ -59,6 +59,7 @@ runClient(const afa::bench::BenchOptions &opts, TuningProfile profile,
 {
     ExperimentParams params = opts.params;
     params.ssds = width;
+    params.keepSpans = params.keepSpans && sweep.runs == 0;
     Geometry geometry(afa::host::CpuTopology(params.topology), width);
     TuningConfig tuning = TuningConfig::forProfile(profile, geometry);
     // Per-width simulator seed via a named fork of the experiment
@@ -95,8 +96,8 @@ runClient(const afa::bench::BenchOptions &opts, TuningProfile profile,
     tb.sim().run(params.runtime + afa::sim::msec(200));
     // Nothing of the span log reaches the sweep table, which
     // therefore stays byte-identical with telemetry on or off.
-    const bool first_run = sweep.runs++ == 0;
-    tb.collect(sweep, params.keepSpans && first_run);
+    ++sweep.runs;
+    tb.collect(sweep);
     if (timeline_out != nullptr && tb.telemetry() != nullptr)
         *timeline_out = tb.telemetry()->timeline();
     return afa::stats::LatencySummary::fromHistogram(

@@ -45,10 +45,16 @@ Testbed::Testbed(const ExperimentParams &params,
       afaSystem(std::make_unique<AfaSystem>(
           simulator, systemParams(params, tuning)))
 {
-    afa::obs::TraceParams trace;
-    trace.mask = params.traceMask;
-    trace.capacity = params.traceCapacity;
-    if (params.traceMask != 0) {
+    // One span log serves tracing and telemetry alike; telemetry
+    // alone reads every category. Attribution and telemetry read each
+    // span as it is recorded, so only a run whose spans are kept
+    // holds a ring.
+    const bool traced = params.traceMask != 0;
+    if (traced || params.telemetryWindow > 0) {
+        afa::obs::TraceParams trace;
+        trace.mask = traced ? params.traceMask : afa::obs::kAllCategories;
+        trace.capacity =
+            traced && params.keepSpans ? params.traceCapacity : 0;
         spans = std::make_unique<afa::obs::SpanLog>(trace);
         afaSystem->setSpanLog(spans.get());
     }
@@ -56,15 +62,6 @@ Testbed::Testbed(const ExperimentParams &params,
         afa::obs::TelemetryParams tp;
         tp.window = params.telemetryWindow;
         telem = std::make_unique<afa::obs::Telemetry>(tp);
-        if (!spans) {
-            // Telemetry reads spans as they are recorded; nothing
-            // reads this log's ring, so it keeps one slot.
-            trace.mask = afa::obs::kAllCategories;
-            trace.capacity = 1;
-            spans = std::make_unique<afa::obs::SpanLog>(trace);
-            afaSystem->setSpanLog(spans.get());
-            internalTrace = true;
-        }
         spans->setTelemetry(telem.get());
         afaSystem->attachTelemetry(*telem);
     }
@@ -104,7 +101,7 @@ Testbed::runToEnd(Tick until, const std::function<bool()> &finished)
 }
 
 void
-Testbed::collect(ExperimentResult &result, bool keep_spans)
+Testbed::collect(ExperimentResult &result)
 {
     if (telem) {
         telem->finish();
@@ -113,20 +110,20 @@ Testbed::collect(ExperimentResult &result, bool keep_spans)
     result.simulatedEvents += simulator.executedEvents();
     if (expParams.captureSystemReport)
         result.systemReportText = systemReport(*afaSystem);
-    // An internal span log only fed telemetry's windowed histograms:
-    // its attribution and metrics stay out, so reports are
-    // byte-identical with telemetry on or off.
-    const bool artifactTrace = spans && !internalTrace;
-    if (artifactTrace) {
+    // A span log that only fed telemetry's windowed histograms keeps
+    // its attribution and metrics out, so reports are byte-identical
+    // with telemetry on or off.
+    const bool traced = expParams.traceMask != 0;
+    if (traced) {
         result.attribution.merge(spans->attribution());
         result.spanDrops += spans->dropped();
-        if (keep_spans)
+        if (expParams.keepSpans)
             result.spans = spans->snapshot();
     }
-    if (artifactTrace || expParams.faults) {
+    if (traced || expParams.faults) {
         afa::obs::MetricsRegistry registry;
         afaSystem->publishMetrics(registry);
-        if (artifactTrace) {
+        if (traced) {
             registry.addCounter("obs.spans_recorded", spans->recorded());
             registry.addCounter("obs.span_drops", spans->dropped());
         }
@@ -165,11 +162,15 @@ ExperimentRunner::run(const ExperimentParams &params)
 
     double total_bytes = 0.0;
     double measured_seconds = 0.0;
+    // Only the first geometry run keeps its spans.
+    ExperimentParams later_params = params;
+    later_params.keepSpans = false;
 
     for (std::size_t run_idx = 0; run_idx < runs.size(); ++run_idx) {
         const Run &placements = runs[run_idx];
 
-        Testbed tb(params, tuning, params.seed + run_idx * 7919);
+        Testbed tb(run_idx == 0 ? params : later_params, tuning,
+                   params.seed + run_idx * 7919);
         tb.precondition();
         AfaSystem &system = tb.system();
 
@@ -258,7 +259,7 @@ ExperimentRunner::run(const ExperimentParams &params)
                 static_cast<double>(threads[i]->stats().writeBytes);
         }
         measured_seconds += afa::sim::toSec(params.runtime);
-        tb.collect(result, params.keepSpans && run_idx == 0);
+        tb.collect(result);
     }
 
     result.aggregate =

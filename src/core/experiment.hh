@@ -116,14 +116,18 @@ struct ExperimentParams
      */
     std::uint32_t traceMask = 0;
 
-    /** Span ring capacity per run (records; 32 bytes each). */
+    /**
+     * Span ring capacity (records; 32 bytes each) of the run that
+     * keeps its spans. Other runs hold no ring.
+     */
     std::size_t traceCapacity = std::size_t(1) << 20;
 
     /**
      * Keep the raw span records of the *first* geometry run in the
      * result (for Perfetto export). Attribution totals always cover
      * every run; raw records of one run are plenty for a timeline
-     * and keep result sizes bounded.
+     * and keep result sizes bounded. This is the ring's one reader:
+     * a traced run without it holds no ring and drops no span.
      */
     bool keepSpans = false;
 
@@ -190,7 +194,8 @@ struct ExperimentResult
     /** Raw span records of the first run (keepSpans). */
     std::vector<afa::obs::SpanRecord> spans;
 
-    /** Span records overwritten by ring wrap, summed over runs. */
+    /** Span records overwritten by ring wrap, summed over runs (0
+     *  unless spans are kept: no other run has a ring). */
     std::uint64_t spanDrops = 0;
 
     /** End-of-run component counters (traceMask != 0). */
@@ -211,8 +216,9 @@ struct ExperimentResult
  * span log and telemetry the params ask for. Three rules live here
  * and nowhere else: how ExperimentParams map onto AfaSystemParams;
  * a zero smartPeriod or irqBalanceInterval keeps the firmware or
- * daemon default; and a span log that exists only to feed telemetry
- * never reaches a report.
+ * daemon default; and the span log exists when tracing or telemetry
+ * reads it, holds a ring only when the params keep spans, and
+ * reaches a report only when the run is traced.
  *
  * A run goes: construct, precondition(), build the workload over
  * system().ioEngine() (attached to spanLog() and telemetry() when
@@ -257,20 +263,18 @@ class Testbed
 
     /**
      * Fold the finished run into @p result: the telemetry timeline,
-     * the event count, the system report and, when a trace artifact
-     * or a fault plan asks for them, attribution, span drops, the
-     * span records (@p keep_spans) and component metrics (those of
+     * the event count, the system report and, when tracing or a fault
+     * plan asks for them, attribution, span drops, the span records
+     * (keepSpans) and component metrics (those of
      * AfaSystem::publishMetrics, extra sources included).
      */
-    void collect(ExperimentResult &result, bool keep_spans);
+    void collect(ExperimentResult &result);
 
   private:
     ExperimentParams expParams;
     afa::sim::Simulator simulator;
     std::unique_ptr<AfaSystem> afaSystem;
     std::unique_ptr<afa::obs::SpanLog> spans;
-    /** spans feeds telemetry only: no trace artifact was asked for. */
-    bool internalTrace = false;
     std::unique_ptr<afa::obs::Telemetry> telem;
 };
 

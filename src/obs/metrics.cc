@@ -1,18 +1,11 @@
 #include "obs/metrics.hh"
 
-#include <algorithm>
 #include <utility>
 
 #include "sim/logging.hh"
 #include "stats/json.hh"
 
 namespace afa::obs {
-
-const char *
-metricKindName(MetricKind kind)
-{
-    return kind == MetricKind::Gauge ? "gauge" : "counter";
-}
 
 // ---------------------------------------------------------------------
 // MetricsSnapshot
@@ -38,13 +31,9 @@ MetricsSnapshot::merge(const MetricsSnapshot &other)
             merged.push_back(other.samples[b++]);
             continue;
         }
-        // Same name: combine.
+        // Same name: add.
         MetricSample s = samples[a++];
-        const MetricSample &o = other.samples[b++];
-        if (s.kind == MetricKind::Gauge)
-            s.value = std::max(s.value, o.value);
-        else
-            s.count += o.count;
+        s.count += other.samples[b++].count;
         merged.push_back(std::move(s));
     }
     samples = std::move(merged);
@@ -74,9 +63,7 @@ MetricsSnapshot::toJson(const std::string &indent) const
         const MetricSample &s = samples[i];
         json += indent + "  \"" +
             afa::stats::jsonEscape(s.name) + "\": ";
-        json += s.kind == MetricKind::Gauge
-            ? afa::sim::strfmt("%.6g", s.value)
-            : afa::sim::strfmt("%llu", (unsigned long long)s.count);
+        json += afa::sim::strfmt("%llu", (unsigned long long)s.count);
         json += i + 1 < samples.size() ? ",\n" : "\n";
     }
     json += indent + "}";
@@ -86,12 +73,9 @@ MetricsSnapshot::toJson(const std::string &indent) const
 afa::stats::Table
 MetricsSnapshot::table() const
 {
-    afa::stats::Table table({"metric", "kind", "value"});
+    afa::stats::Table table({"metric", "value"});
     for (const MetricSample &s : samples)
-        table.addRow({s.name, metricKindName(s.kind),
-                      s.kind == MetricKind::Gauge
-                          ? afa::stats::Table::num(s.value, 3)
-                          : afa::stats::Table::num(s.count)});
+        table.addRow({s.name, afa::stats::Table::num(s.count)});
     return table;
 }
 
@@ -114,7 +98,7 @@ MetricsRegistry::snapshot() const
     afa::sync::MutexLock lock(mutex);
     snap.samples.reserve(counters.size());
     for (const auto &[name, count] : counters)
-        snap.samples.push_back({name, MetricKind::Counter, count, 0.0});
+        snap.samples.push_back({name, count});
     return snap;
 }
 

@@ -36,22 +36,18 @@
 
 namespace afa::obs {
 
-/** What a registry cell holds. */
+/** What a telemetry series samples (the registry holds counters
+ *  only). */
 enum class MetricKind : std::uint8_t {
     Counter, ///< monotonically accumulated integer
     Gauge,   ///< last-set floating point value
 };
 
-/** The name of a metric kind. */
-const char *metricKindName(MetricKind kind);
-
-/** One metric in a snapshot (plain data, copyable). */
+/** One counter in a snapshot (plain data, copyable). */
 struct MetricSample
 {
     std::string name;
-    MetricKind kind = MetricKind::Counter;
-    std::uint64_t count = 0; ///< counter value
-    double value = 0.0;      ///< gauge value
+    std::uint64_t count = 0;
 };
 
 /** A point-in-time copy of a registry, ordered by metric name. */
@@ -59,7 +55,7 @@ struct MetricsSnapshot
 {
     std::vector<MetricSample> samples;
 
-    /** Counters add; gauges keep the larger value. */
+    /** Counters of the same name add. */
     void merge(const MetricsSnapshot &other);
 
     /** Lookup by exact name (nullptr when absent). */
@@ -71,7 +67,7 @@ struct MetricsSnapshot
     /** JSON object string, every label escaped via stats::jsonEscape. */
     std::string toJson(const std::string &indent = "") const;
 
-    /** name | kind | value table. */
+    /** name | value table. */
     afa::stats::Table table() const;
 
     bool empty() const { return samples.empty(); }

@@ -14,10 +14,7 @@ constexpr std::size_t kInitialRing = 1024;
 } // namespace
 
 SpanLog::SpanLog(const TraceParams &params)
-    : mask_(params.mask),
-      // At least one slot, so record() never divides by zero on tiny
-      // budgets.
-      cap(std::max<std::size_t>(params.capacity, 1))
+    : mask_(params.mask), cap(params.capacity)
 {
     if (mask_ != 0)
         ring.reserve(std::min(kInitialRing, cap));
@@ -35,6 +32,8 @@ SpanLog::record(Stage stage, std::uint64_t io, Tick begin, Tick end,
     accum.add(stage, end - begin);
     if (telemetry_ != nullptr)
         telemetry_->recordSpan(stage, end, end - begin);
+    if (cap == 0)
+        return;
 
     SpanRecord rec;
     rec.begin = begin;

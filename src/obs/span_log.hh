@@ -8,7 +8,8 @@
  * overwriting the oldest records (counted in dropped()). Alongside
  * the ring, one Log2Histogram per stage is updated on every record,
  * so the LatencyAttribution report stays exact even when the ring
- * wraps.
+ * wraps. A log of capacity 0 has no ring: it still feeds attribution
+ * and telemetry but builds no SpanRecord.
  *
  * Cost model: wants() is an inline bitmask test against both the
  * runtime mask and the compile-time AFA_OBS_COMPILED_CATEGORIES, so a
@@ -41,7 +42,7 @@ struct TraceParams
     /** Bitmask of enabled Categories (0 disables every site). */
     std::uint32_t mask = 0;
 
-    /** Ring capacity in records (32 bytes each). */
+    /** Ring capacity in records (32 bytes each); 0 keeps no ring. */
     std::size_t capacity = std::size_t(1) << 20;
 };
 

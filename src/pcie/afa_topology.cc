@@ -21,8 +21,7 @@ buildAfaTopology(Fabric &fabric, const AfaTopologyParams &params)
     topo.rootSwitch =
         fabric.addSwitch("sw.root", params.switchForwardLatency);
     fabric.connect(topo.host, topo.rootSwitch,
-                   LinkParams{params.uplinkLanes, Gen::Gen3,
-                              params.linkPropagation});
+                   LinkParams{params.uplinkLanes, params.linkPropagation});
 
     unsigned carriers = (params.ssds + params.ssdsPerCarrier - 1) /
         params.ssdsPerCarrier;
@@ -34,8 +33,7 @@ buildAfaTopology(Fabric &fabric, const AfaTopologyParams &params)
             afa::sim::strfmt("sw.leaf%u", l),
             params.switchForwardLatency);
         fabric.connect(topo.rootSwitch, leaf,
-                       LinkParams{params.leafLanes, Gen::Gen3,
-                                  params.linkPropagation});
+                       LinkParams{params.leafLanes, params.linkPropagation});
         topo.leafSwitches.push_back(leaf);
     }
 
@@ -45,7 +43,7 @@ buildAfaTopology(Fabric &fabric, const AfaTopologyParams &params)
             afa::sim::strfmt("sw.carrier%u", c),
             params.switchForwardLatency);
         fabric.connect(leaf, carrier,
-                       LinkParams{params.carrierLanes, Gen::Gen3,
+                       LinkParams{params.carrierLanes,
                                   params.linkPropagation});
         topo.carrierSwitches.push_back(carrier);
     }
@@ -55,8 +53,7 @@ buildAfaTopology(Fabric &fabric, const AfaTopologyParams &params)
         NodeId ssd =
             fabric.addEndpoint(afa::sim::strfmt("nvme%u", s));
         fabric.connect(carrier, ssd,
-                       LinkParams{params.ssdLanes, Gen::Gen3,
-                                  params.linkPropagation});
+                       LinkParams{params.ssdLanes, params.linkPropagation});
         topo.ssds.push_back(ssd);
     }
 

@@ -7,18 +7,6 @@
 
 namespace afa::pcie {
 
-double
-LinkParams::bytesPerSec()  const
-{
-    double per_lane = 0.0;
-    switch (gen) {
-      case Gen::Gen3:
-        per_lane = 800e6; // effective, see header
-        break;
-    }
-    return per_lane * lanes;
-}
-
 Link::Link(std::string link_name, const LinkParams &params)
     : linkName(std::move(link_name)), linkParams(params),
       cachedBytesPerSec(params.bytesPerSec()), busyHorizon(0),

@@ -22,23 +22,20 @@ namespace afa::pcie {
 using afa::sim::Bytes;
 using afa::sim::Tick;
 
-/** PCIe generation (per-lane effective data rate). */
-enum class Gen { Gen3 };
-
-/** Parameters of one physical link. */
+/** Parameters of one physical (PCIe Gen3) link. */
 struct LinkParams
 {
     unsigned lanes = 4;           ///< x1..x16
-    Gen gen = Gen::Gen3;          ///< signalling generation
     Tick propagation = 100;       ///< flight time, ns
 
     /**
-     * Effective per-lane throughput in bytes per second. Gen3 raw is
-     * 8 GT/s with 128b/130b encoding (~985 MB/s/lane); protocol (TLP
-     * header, flow control, ACK) overhead brings a 4 KB read payload
-     * to roughly 800 MB/s/lane delivered, the figure we model.
+     * Effective throughput in bytes per second, 800 MB/s per lane.
+     * Gen3 raw is 8 GT/s with 128b/130b encoding (~985 MB/s/lane);
+     * protocol (TLP header, flow control, ACK) overhead brings a 4 KB
+     * read payload to roughly 800 MB/s/lane delivered, the figure we
+     * model.
      */
-    double bytesPerSec() const;
+    double bytesPerSec() const { return 800e6 * lanes; }
 };
 
 /** A directed link with a FIFO busy horizon. */

@@ -221,20 +221,28 @@ TEST(TestbedTest, ZeroPeriodsKeepTheDefaults)
               msec(200));
 }
 
-TEST(TestbedTest, TelemetryOnlySpanLogKeepsOneSlot)
+/** The span log of one small Testbed run and what it collected. */
+struct SpanLogRun
 {
-    // With telemetry on and tracing off, the span log only feeds the
-    // timeline's stage rows; its ring reaches no report, so it keeps
-    // one slot instead of the default million.
-    ExperimentParams p;
-    p.ssds = 2;
-    p.telemetryWindow = msec(10);
+    std::size_t capacity = 0;
+    std::uint64_t recorded = 0;
+    ExperimentResult result;
+};
+
+/** Twenty reads over two SSDs in 20 ms on a Testbed built from @p p. */
+SpanLogRun
+runTwentyReads(const ExperimentParams &p)
+{
     Geometry geometry(afa::host::CpuTopology(p.topology), p.ssds);
     Testbed bed(p, TuningConfig::forProfile(TuningProfile::Default,
                                             geometry),
                 1);
-    ASSERT_NE(bed.spanLog(), nullptr);
-    EXPECT_EQ(bed.spanLog()->capacity(), 1u);
+    SpanLogRun out;
+    if (bed.spanLog() == nullptr) {
+        ADD_FAILURE() << "no span log";
+        return out;
+    }
+    out.capacity = bed.spanLog()->capacity();
     bed.start();
     for (unsigned i = 0; i < 20; ++i)
         bed.sim().scheduleAt(msec(1) + i * usec(100), [&bed, i] {
@@ -245,10 +253,45 @@ TEST(TestbedTest, TelemetryOnlySpanLogKeepsOneSlot)
                 0, req, [](const afa::workload::IoResult &) {});
         });
     bed.sim().run(msec(20));
-    EXPECT_GT(bed.spanLog()->recorded(), 20u);
-    ExperimentResult result;
-    bed.collect(result, false);
-    EXPECT_FALSE(result.telemetry.stages.empty());
+    out.recorded = bed.spanLog()->recorded();
+    bed.collect(out.result);
+    return out;
+}
+
+TEST(TestbedTest, SpanLogHoldsARingOnlyWhenSpansAreKept)
+{
+    // Tracing or telemetry builds the span log; attribution and
+    // telemetry read each span as it is recorded, so only the run
+    // that keeps its spans holds a ring.
+    ExperimentParams p;
+    p.ssds = 2;
+    p.traceCapacity = 1 << 16;
+
+    ExperimentParams telemetry_only = p;
+    telemetry_only.telemetryWindow = msec(10);
+    const SpanLogRun telemetry = runTwentyReads(telemetry_only);
+    EXPECT_EQ(telemetry.capacity, 0u);
+    EXPECT_GT(telemetry.recorded, 20u);
+    EXPECT_FALSE(telemetry.result.telemetry.stages.empty());
+    EXPECT_TRUE(telemetry.result.attribution.empty());
+
+    ExperimentParams traced_params = p;
+    traced_params.traceMask = afa::obs::kAllCategories;
+    const SpanLogRun traced = runTwentyReads(traced_params);
+    EXPECT_EQ(traced.capacity, 0u);
+    EXPECT_GT(traced.recorded, 20u);
+    EXPECT_FALSE(traced.result.attribution.empty());
+    EXPECT_EQ(traced.result.systemMetrics.counter("obs.spans_recorded"),
+              traced.recorded);
+    EXPECT_EQ(traced.result.spanDrops, 0u);
+    EXPECT_TRUE(traced.result.spans.empty());
+
+    ExperimentParams kept_params = traced_params;
+    kept_params.keepSpans = true;
+    const SpanLogRun kept = runTwentyReads(kept_params);
+    EXPECT_EQ(kept.capacity, p.traceCapacity);
+    EXPECT_EQ(kept.recorded, traced.recorded);
+    EXPECT_EQ(kept.result.spans.size(), kept.recorded);
 }
 
 } // namespace

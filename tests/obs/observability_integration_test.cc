@@ -104,11 +104,13 @@ TEST(ObservabilityIntegrationTest, MergeReplicasCombinesTelemetry)
 
 TEST(ObservabilityIntegrationTest, KeepSpansRetainsFirstRunTimeline)
 {
+    // A ring of 1 Ki records wraps many times in this run.
     auto p = smallParams(afa::obs::kAllCategories);
     p.keepSpans = true;
-    p.traceCapacity = 1 << 16;
+    p.traceCapacity = 1 << 10;
     auto result = ExperimentRunner::run(p);
-    ASSERT_FALSE(result.spans.empty());
+    ASSERT_EQ(result.spans.size(), p.traceCapacity);
+    EXPECT_GT(result.spanDrops, 0u);
     // Every span window is well-formed and every Complete span has a
     // non-zero IO tag.
     for (const auto &s : result.spans) {
@@ -118,10 +120,17 @@ TEST(ObservabilityIntegrationTest, KeepSpansRetainsFirstRunTimeline)
         }
     }
 
-    auto no_keep = smallParams(afa::obs::kAllCategories);
+    // Without keepSpans nothing reads the ring, so the run holds none
+    // and drops nothing; attribution reads every span either way.
+    auto no_keep = p;
+    no_keep.keepSpans = false;
     auto without = ExperimentRunner::run(no_keep);
     EXPECT_TRUE(without.spans.empty());
+    EXPECT_EQ(without.spanDrops, 0u);
+    EXPECT_EQ(without.systemMetrics.counter("obs.span_drops"), 0u);
     EXPECT_EQ(result.totalIos, without.totalIos);
+    EXPECT_EQ(result.attribution.table().toString(),
+              without.attribution.table().toString());
 }
 
 TEST(ObservabilityIntegrationTest, DefaultKernelTailLivesInHostStages)

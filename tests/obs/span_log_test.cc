@@ -1,13 +1,15 @@
 /**
  * @file
  * SpanLog unit tests: category gating, ring growth and wrap-around
- * drop accounting, snapshot ordering, and the exactness of the
- * attribution accumulators under ring drops.
+ * drop accounting, snapshot ordering, the exactness of the
+ * attribution accumulators under ring drops, and a log without a
+ * ring.
  */
 
 #include <gtest/gtest.h>
 
 #include "obs/span_log.hh"
+#include "obs/telemetry.hh"
 
 using namespace afa::obs;
 
@@ -106,6 +108,43 @@ TEST(SpanLogTest, GrowthPhaseKeepsEverythingUpToCapacity)
     auto spans = log.snapshot();
     EXPECT_EQ(spans.front().io, 0u);
     EXPECT_EQ(spans.back().io, 2999u);
+}
+
+TEST(SpanLogTest, CapacityZeroFeedsAttributionAndTelemetryWithoutARing)
+{
+    // Capacity 0 is the log of a run whose spans nobody keeps: it
+    // counts and accumulates every span like a log with a ring, but
+    // retains, drops and snapshots nothing.
+    SpanLog none(params(kAllCategories, 0));
+    SpanLog ring(params(kAllCategories, 16));
+    Telemetry none_telemetry(TelemetryParams{1000});
+    Telemetry ring_telemetry(TelemetryParams{1000});
+    none.setTelemetry(&none_telemetry);
+    ring.setTelemetry(&ring_telemetry);
+    for (std::uint64_t i = 1; i <= 100; ++i)
+        for (SpanLog *log : {&none, &ring})
+            log->record(i % 2 ? Stage::MediaRead : Stage::Complete, i,
+                        i * 50, i * 50 + i, ssdTrack(0));
+
+    EXPECT_EQ(none.capacity(), 0u);
+    EXPECT_EQ(none.recorded(), 100u);
+    EXPECT_EQ(none.retained(), 0u);
+    EXPECT_EQ(none.dropped(), 0u);
+    EXPECT_TRUE(none.snapshot().empty());
+    EXPECT_GT(ring.dropped(), 0u);
+    for (unsigned s = 0; s < kStageCount; ++s) {
+        const Log2Histogram &a = none.attribution().stages[s];
+        const Log2Histogram &b = ring.attribution().stages[s];
+        EXPECT_EQ(a.count, b.count) << "stage " << s;
+        EXPECT_EQ(a.totalTicks, b.totalTicks) << "stage " << s;
+        EXPECT_EQ(a.maxTicks, b.maxTicks) << "stage " << s;
+        EXPECT_EQ(a.buckets, b.buckets) << "stage " << s;
+    }
+    EXPECT_EQ(none.attribution().stage(Stage::MediaRead).count, 50u);
+    const std::string timeline =
+        none_telemetry.timeline().toJsonLines();
+    EXPECT_FALSE(timeline.empty());
+    EXPECT_EQ(timeline, ring_telemetry.timeline().toJsonLines());
 }
 
 TEST(SpanLogTest, StageCategoryMapCoversEveryStage)

@@ -162,7 +162,7 @@ TEST_F(FabricFastPathTest, DeepLineTopologyBackToBackMatchesReference)
         for (std::size_t i = 0; i + 1 < nodes.size(); ++i)
             f.connect(nodes[i], nodes[i + 1],
                       LinkParams{static_cast<unsigned>(1 + i % 4),
-                                 Gen::Gen3, 40 + 10 * i});
+                                 40 + 10 * i});
     };
     Simulator fast_sim(1), ref_sim(1);
     Fabric fast(fast_sim, "fast"), ref(ref_sim, "ref");
@@ -213,10 +213,10 @@ buildUnequalPrefixTopo(Fabric &f)
     t.c = f.addEndpoint("c");
     t.s1 = f.addSwitch("s1", 300);
     t.s2 = f.addSwitch("s2", 300);
-    f.connect(t.a, t.s1, LinkParams{4, Gen::Gen3, 100});
-    f.connect(t.s1, t.s2, LinkParams{4, Gen::Gen3, 100});
-    f.connect(t.s2, t.b, LinkParams{4, Gen::Gen3, 100});
-    f.connect(t.c, t.s2, LinkParams{4, Gen::Gen3, 100});
+    f.connect(t.a, t.s1, LinkParams{4, 100});
+    f.connect(t.s1, t.s2, LinkParams{4, 100});
+    f.connect(t.s2, t.b, LinkParams{4, 100});
+    f.connect(t.c, t.s2, LinkParams{4, 100});
     f.finalize();
     return t;
 }
@@ -315,11 +315,11 @@ TEST_F(FabricFastPathTest, SameTickDeliveryCascadeMatchesReference)
         NodeId d = f.addEndpoint("d");
         NodeId e = f.addEndpoint("e");
         NodeId sw = f.addSwitch("sw", 300);
-        f.connect(a, b, LinkParams{4, Gen::Gen3, 100});
-        f.connect(c, d, LinkParams{4, Gen::Gen3, 100});
-        f.connect(b, sw, LinkParams{4, Gen::Gen3, 100});
-        f.connect(d, sw, LinkParams{4, Gen::Gen3, 100});
-        f.connect(sw, e, LinkParams{16, Gen::Gen3, 100});
+        f.connect(a, b, LinkParams{4, 100});
+        f.connect(c, d, LinkParams{4, 100});
+        f.connect(b, sw, LinkParams{4, 100});
+        f.connect(d, sw, LinkParams{4, 100});
+        f.connect(sw, e, LinkParams{16, 100});
         f.finalize();
         n = {a, b, c, d, e, sw};
     };
@@ -367,8 +367,8 @@ TEST_F(FabricFastPathTest, HostDeliveryTiesWithPlainEventInPostOrder)
         NodeId dev = f.addEndpoint("dev");
         NodeId sw = f.addSwitch("sw", 300);
         NodeId host = f.addEndpoint("host");
-        f.connect(dev, sw, LinkParams{4, Gen::Gen3, 100});
-        f.connect(sw, host, LinkParams{16, Gen::Gen3, 100});
+        f.connect(dev, sw, LinkParams{4, 100});
+        f.connect(sw, host, LinkParams{16, 100});
         f.finalize();
         f.setFastPath(fast_path);
         ASSERT_EQ(f.hopCount(dev, host), 2u);
@@ -431,9 +431,9 @@ TEST_F(FabricFastPathTest, MidPathContentionFallsBackAtSharedUplink)
     NodeId sw = f.addSwitch("sw", 300);
     NodeId d0 = f.addEndpoint("d0");
     NodeId d1 = f.addEndpoint("d1");
-    f.connect(host, sw, LinkParams{16, Gen::Gen3, 100});
-    f.connect(sw, d0, LinkParams{4, Gen::Gen3, 100});
-    f.connect(sw, d1, LinkParams{4, Gen::Gen3, 100});
+    f.connect(host, sw, LinkParams{16, 100});
+    f.connect(sw, d0, LinkParams{4, 100});
+    f.connect(sw, d1, LinkParams{4, 100});
     f.finalize();
     std::vector<Tick> arrivals;
     f.send(d0, host, 4096, [&] { arrivals.push_back(sim.now()); });
@@ -469,9 +469,9 @@ TEST_F(FabricFastPathTest, ResendFromDeliveryReusesTheRecord)
         NodeId sw = f.addSwitch("sw", 300);
         NodeId d0 = f.addEndpoint("d0");
         NodeId d1 = f.addEndpoint("d1");
-        f.connect(host, sw, LinkParams{16, Gen::Gen3, 100});
-        f.connect(sw, d0, LinkParams{4, Gen::Gen3, 100});
-        f.connect(sw, d1, LinkParams{4, Gen::Gen3, 100});
+        f.connect(host, sw, LinkParams{16, 100});
+        f.connect(sw, d0, LinkParams{4, 100});
+        f.connect(sw, d1, LinkParams{4, 100});
         f.finalize();
         f.setFastPath(fast_path);
         Observed seen;
@@ -522,7 +522,7 @@ TEST_F(FabricFastPathTest, SelfSendDeliversAtCurrentTickBothModels)
         Fabric f(sim, "f");
         NodeId a = f.addEndpoint("a");
         NodeId b = f.addEndpoint("b");
-        f.connect(a, b, LinkParams{4, Gen::Gen3, 100});
+        f.connect(a, b, LinkParams{4, 100});
         f.finalize();
         f.setFastPath(enable_fast);
         Tick delivered = afa::sim::kMaxTick;
@@ -545,7 +545,7 @@ TEST_F(FabricFastPathTest, UnreachableDestinationIsFatalBothModels)
         NodeId a = f.addEndpoint("a");
         NodeId b = f.addEndpoint("b");
         NodeId island = f.addEndpoint("island");
-        f.connect(a, b, LinkParams{4, Gen::Gen3, 100});
+        f.connect(a, b, LinkParams{4, 100});
         f.finalize();
         f.setFastPath(enable_fast);
         EXPECT_THROW(f.send(a, island, 64, [] {}),

@@ -29,8 +29,8 @@ class LinkTest : public ::testing::Test
 
 TEST_F(LinkTest, SerializationScalesWithBytesAndLanes)
 {
-    Link x4("x4", LinkParams{4, Gen::Gen3, 0});
-    Link x16("x16", LinkParams{16, Gen::Gen3, 0});
+    Link x4("x4", LinkParams{4, 0});
+    Link x16("x16", LinkParams{16, 0});
     // x16 carries the same payload 4x faster.
     EXPECT_NEAR(static_cast<double>(x4.serialization(afa::sim::Bytes{4096})),
                 4.0 * static_cast<double>(x16.serialization(afa::sim::Bytes{4096})),
@@ -41,7 +41,7 @@ TEST_F(LinkTest, SerializationScalesWithBytesAndLanes)
 
 TEST_F(LinkTest, TransfersQueueFifo)
 {
-    Link l("l", LinkParams{4, Gen::Gen3, 100});
+    Link l("l", LinkParams{4, 100});
     Tick ser = l.serialization(afa::sim::Bytes{4096});
     Tick first = l.transfer(0, afa::sim::Bytes{4096});
     EXPECT_EQ(first, ser + 100);
@@ -55,7 +55,7 @@ TEST_F(LinkTest, TransfersQueueFifo)
 
 TEST_F(LinkTest, IdleLinkDoesNotQueue)
 {
-    Link l("l", LinkParams{4, Gen::Gen3, 100});
+    Link l("l", LinkParams{4, 100});
     l.transfer(0, afa::sim::Bytes{4096});
     Tick later = l.busyUntil() + usec(5);
     Tick arrive = l.transfer(later, afa::sim::Bytes{4096});
@@ -65,9 +65,9 @@ TEST_F(LinkTest, IdleLinkDoesNotQueue)
 
 TEST_F(LinkTest, InvalidLanesFatal)
 {
-    EXPECT_THROW(Link("bad", LinkParams{0, Gen::Gen3, 0}),
+    EXPECT_THROW(Link("bad", LinkParams{0, 0}),
                  afa::sim::SimError);
-    EXPECT_THROW(Link("bad", LinkParams{32, Gen::Gen3, 0}),
+    EXPECT_THROW(Link("bad", LinkParams{32, 0}),
                  afa::sim::SimError);
 }
 
@@ -85,7 +85,7 @@ TEST_F(FabricTest, DirectDelivery)
     Fabric f(sim, "f");
     NodeId a = f.addEndpoint("a");
     NodeId b = f.addEndpoint("b");
-    f.connect(a, b, LinkParams{4, Gen::Gen3, 100});
+    f.connect(a, b, LinkParams{4, 100});
     f.finalize();
     Tick delivered = 0;
     f.send(a, b, 4096, [&] { delivered = sim.now(); });
@@ -101,9 +101,9 @@ TEST_F(FabricTest, RoutesThroughSwitches)
     NodeId s1 = f.addSwitch("s1", 300);
     NodeId s2 = f.addSwitch("s2", 300);
     NodeId b = f.addEndpoint("b");
-    f.connect(a, s1, LinkParams{16, Gen::Gen3, 100});
-    f.connect(s1, s2, LinkParams{16, Gen::Gen3, 100});
-    f.connect(s2, b, LinkParams{4, Gen::Gen3, 100});
+    f.connect(a, s1, LinkParams{16, 100});
+    f.connect(s1, s2, LinkParams{16, 100});
+    f.connect(s2, b, LinkParams{4, 100});
     f.finalize();
     EXPECT_EQ(f.hopCount(a, b), 3u);
     Tick delivered = 0;
@@ -123,7 +123,7 @@ TEST_F(FabricTest, SendToSelfIsImmediate)
     Fabric f(sim, "f");
     NodeId a = f.addEndpoint("a");
     NodeId b = f.addEndpoint("b");
-    f.connect(a, b, LinkParams{4, Gen::Gen3, 100});
+    f.connect(a, b, LinkParams{4, 100});
     f.finalize();
     bool delivered = false;
     f.send(a, a, 64, [&] { delivered = true; });
@@ -137,7 +137,7 @@ TEST_F(FabricTest, SendBeforeFinalizeIsFatal)
     Fabric f(sim, "f");
     NodeId a = f.addEndpoint("a");
     NodeId b = f.addEndpoint("b");
-    f.connect(a, b, LinkParams{4, Gen::Gen3, 100});
+    f.connect(a, b, LinkParams{4, 100});
     EXPECT_THROW(f.send(a, b, 64, [] {}), afa::sim::SimError);
 }
 
@@ -148,7 +148,7 @@ TEST_F(FabricTest, DisconnectedRouteIsFatal)
     NodeId b = f.addEndpoint("b");
     (void)b;
     NodeId c = f.addEndpoint("c");
-    f.connect(a, b, LinkParams{4, Gen::Gen3, 100});
+    f.connect(a, b, LinkParams{4, 100});
     f.finalize();
     EXPECT_THROW(f.send(a, c, 64, [] {}), afa::sim::SimError);
 }
@@ -157,7 +157,7 @@ TEST_F(FabricTest, SelfLinkIsFatal)
 {
     Fabric f(sim, "f");
     NodeId a = f.addEndpoint("a");
-    EXPECT_THROW(f.connect(a, a, LinkParams{4, Gen::Gen3, 100}),
+    EXPECT_THROW(f.connect(a, a, LinkParams{4, 100}),
                  afa::sim::SimError);
 }
 
@@ -170,9 +170,9 @@ TEST_F(FabricTest, SharedUplinkContentionDelaysSecondFlow)
     NodeId sw = f.addSwitch("sw", 300);
     NodeId d0 = f.addEndpoint("d0");
     NodeId d1 = f.addEndpoint("d1");
-    f.connect(host, sw, LinkParams{16, Gen::Gen3, 100});
-    f.connect(sw, d0, LinkParams{4, Gen::Gen3, 100});
-    f.connect(sw, d1, LinkParams{4, Gen::Gen3, 100});
+    f.connect(host, sw, LinkParams{16, 100});
+    f.connect(sw, d0, LinkParams{4, 100});
+    f.connect(sw, d1, LinkParams{4, 100});
     f.finalize();
     std::vector<Tick> arrivals;
     f.send(d0, host, 4096, [&] { arrivals.push_back(sim.now()); });

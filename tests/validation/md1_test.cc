@@ -105,7 +105,7 @@ measure(std::uint64_t seed, double rho, Tick pipeline)
                          const afa::nvme::NvmeCompletion &) {});
     afa::obs::TraceParams trace;
     trace.mask = afa::obs::categoryBit(afa::obs::Category::Nvme);
-    trace.capacity = 1; // the attribution is exact without the ring
+    trace.capacity = 0; // the attribution is exact without a ring
     afa::obs::SpanLog spans(trace);
     ctrl.setSpanLog(&spans, 0);
     ctrl.start();
